@@ -32,7 +32,6 @@ from .zeros import (
     audit_zeros,
     count_by_argument,
     density_report,
-    format_cache_line,
     read_cache,
     refine_zero,
     scan_with_count,
@@ -106,21 +105,23 @@ def _print_report(report: CountReport, ctx: PrecisionContext, fmt: str,
 def cmd_zeros(cfg: RunConfig) -> int:
     """Scan to t_max, extend the zero cache, print a count report.
 
-    The cache is append-only here: cached records are trusted for the
-    overlap (cross-checked against the fresh scan) and newly found zeros
-    are appended.  Exit 1 signals a count mismatch between sign changes
-    and the argument-principle winding.
+    The cache is read and its digits checked before the scan.  Cached
+    records are trusted for the overlap (cross-checked against the fresh
+    scan); newly found zeros are added by rewriting the whole file
+    atomically.  Exit 1 signals a count mismatch between sign changes and
+    the argument-principle winding.
     """
     ctx = PrecisionContext.from_digits(cfg.digits)
     path = _resolve_cache(cfg)
-    records, n_winding = scan_with_count(cfg.t_max, ctx, cfg.workers)
+    exists = os.path.exists(path)
     cached = []
-    if os.path.exists(path):
+    if exists:
         cache_digits, cached = read_cache(path)
         if cache_digits != ctx.target_digits:
             raise CacheFormatError(
                 f"cache {path} holds digits={cache_digits}, run requested {ctx.target_digits}"
             )
+    records, n_winding = scan_with_count(cfg.t_max, ctx, cfg.workers)
     with ctx.wp():
         overlap = min(len(cached), len(records))
         for rc, rs in zip(cached[:overlap], records[:overlap]):
@@ -132,12 +133,8 @@ def cmd_zeros(cfg: RunConfig) -> int:
                 )
                 return EXIT_FINDING
     new_records = records[len(cached):]
-    if not os.path.exists(path):
-        write_cache(path, records, ctx)
-    elif new_records:
-        with open(path, "a") as fh:
-            for rec in new_records:
-                fh.write(format_cache_line(rec, ctx))
+    if new_records or not exists:
+        write_cache(path, cached + new_records, ctx)
     report = density_report(cfg.t_max, ctx, records=records, n_winding=n_winding)
     _print_report(report, ctx, cfg.out_format, extra={"cached_total": max(len(cached), len(records))})
     return EXIT_FINDING if report.n_sign_changes != report.n_winding else EXIT_OK

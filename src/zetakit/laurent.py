@@ -15,7 +15,6 @@ oscillation instead.  The two routes are kept strictly separate.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import mpmath as mp
@@ -30,7 +29,7 @@ from .errors import (
 from .mobius import MobiusTable
 from .precision import PrecisionContext, cpow, to_decimal
 from .series import KahanComplexSum, PartialSumSeries, build_partial_series
-from .zeros import SIMPLICITY_FLOOR, _grid_sign
+from .zeros import SIMPLICITY_FLOOR, neighbor_distance
 from .zeta import inverse_zeta, taylor_ring, zeta_deriv
 
 DEFAULT_CHECKPOINTS = (10**3, 10**4, 10**5, 10**6)
@@ -214,28 +213,6 @@ def phi_series(rho, n: int, checkpoints, table: MobiusTable, ctx: PrecisionConte
     return phi_series_multi(rho, [n], checkpoints, table, ctx)[n]
 
 
-def _neighbor_distance(t_val: float) -> float:
-    """Distance from ordinate t to the nearest other zero, located by
-    walking the scan grid outward until Z changes sign."""
-    h = 0.25 / math.log(max(t_val, 10.0))
-    best = None
-    for direction in (1.0, -1.0):
-        t = t_val + direction * h / 2
-        s0 = _grid_sign(max(t, 0.5))
-        for i in range(1, 4000):
-            t2 = t_val + direction * (h / 2 + i * h)
-            if t2 < 0.5:
-                break
-            s = _grid_sign(t2)
-            if s != s0:
-                d = abs(t2 - t_val) - h  # nearer bracket edge: conservative
-                best = d if best is None else min(best, d)
-                break
-    if best is None:
-        best = 2 * t_val  # nothing found: conjugate partner bounds the gap
-    return best
-
-
 def _expansion_full(rho, N: int, ctx: PrecisionContext, neighbor_ts=None):
     """(LaurentExpansion, extended coefficient list) at a simple zero.
 
@@ -256,7 +233,7 @@ def _expansion_full(rho, N: int, ctx: PrecisionContext, neighbor_ts=None):
             if gaps:
                 dist = min(gaps)
         if dist is None:
-            dist = mpf(repr(_neighbor_distance(float(t_val))))
+            dist = mpf(repr(neighbor_distance(float(t_val))))
         radius = mpf("0.8") * min(dist, abs(rho_c - 1))
     M = min(N + 3, 12)
     a = taylor_at_zero(rho_c, M, ctx)

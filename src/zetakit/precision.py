@@ -19,10 +19,6 @@ from mpmath import mpc, mpf
 
 from .errors import GammaPoleError, PrecisionEscalationError, RangeError
 
-# Public aliases: the package-wide arbitrary-precision number types.
-HpReal = mp.mpf
-HpComplex = mp.mpc
-
 _LOG2_10 = math.log2(10.0)
 
 
@@ -86,7 +82,7 @@ DEFAULT_CONTEXT = PrecisionContext.from_digits(30)
 
 
 def real_from(value, ctx: PrecisionContext) -> mpf:
-    """Build an HpReal from a decimal string, int, or float.
+    """Build an mpf from a decimal string, int, or float.
 
     Decimal strings convert exactly-to-precision (correctly rounded at
     ``ctx.bits``).  Non-finite inputs are rejected at construction.
@@ -96,10 +92,6 @@ def real_from(value, ctx: PrecisionContext) -> mpf:
     if not mp.isfinite(x):
         raise RangeError(f"non-finite real rejected: {value!r}")
     return x
-
-
-def complex_from(re, im, ctx: PrecisionContext) -> mpc:
-    return mpc(real_from(re, ctx), real_from(im, ctx))
 
 
 def to_decimal(x, ctx: PrecisionContext, digits: int | None = None) -> str:

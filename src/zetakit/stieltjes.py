@@ -1,8 +1,10 @@
 """Stieltjes constants and the Euler constant.
 
-gamma_n comes from Cauchy-ring Taylor coefficients of the regularized
-function g(s) = zeta(s) - 1/(s-1) at s = 1, under the normalization
-zeta(s) = 1/(s-1) + sum (-1)^n gamma_n (s-1)^n / n!.  The slowly
+gamma_n comes from the Laurent coefficients a_n of zeta at its pole,
+under the normalization zeta(s) = 1/(s-1) + sum (-1)^n gamma_n (s-1)^n / n!.
+They are the Taylor coefficients of the entire function zeta(s) - 1/(s-1),
+which the shared Cauchy ring :func:`zetakit.zeta.taylor_ring` returns
+when centred at s = 1 (here with radius 1/2).  The slowly
 convergent telescoping series sum (1/k - log(1+1/k)) is kept alongside
 as the calibration object: its partial sums increase monotonically to
 the Euler constant with an O(1/K) tail.
@@ -14,69 +16,36 @@ import math
 from dataclasses import dataclass
 
 import mpmath as mp
-from mpmath import mpc, mpf
+from mpmath import mpf
 
 from .errors import PrecisionEscalationError, RangeError
 from .precision import PrecisionContext
 from .series import KahanSum, PartialSumSeries, build_partial_series
-from .zeta import zeta
+from .zeta import taylor_ring
 
 N_MAX = 20
 
-_ring_cache: dict[tuple[int, int], list] = {}
 
+def _gammas(n_max: int, ctx: PrecisionContext) -> list:
+    """gamma_0..gamma_n_max, complex as extracted, rounded to ctx.
 
-def _regularized_ring(nodes: int, ctx: PrecisionContext) -> list:
-    """Samples of zeta(s) - 1/(s-1) on |s-1| = 1/2, memoized per precision.
-
-    ctx carries the extraction guard digits so the zeta evaluations are
-    as sharp as the widened working precision."""
-    key = (nodes, mp.mp.prec)
-    hit = _ring_cache.get(key)
-    if hit is not None:
-        return hit
-    samples = []
-    for j in range(nodes):
-        w = mp.exp(mpc(0, 2) * mp.pi * j / nodes) / 2
-        samples.append(zeta(1 + w, ctx).value - 1 / w)
-    if len(_ring_cache) < 64:
-        _ring_cache[key] = samples
-    return samples
-
-
-def _taylor_at_one(count: int, ctx: PrecisionContext) -> list:
-    """First ``count`` Taylor coefficients of the regularized zeta at s=1."""
-    nodes = max(64, 8 * ctx.target_digits)
-    if count > nodes // 2:
-        raise RangeError("coefficient count too large for node budget")
-    guard = int(math.ceil(count * math.log10(2))) + 10
+    gamma_n = (-1)^n n! a_n scales the ring's error in a_n by n!, so the
+    ring at s = 1 runs with ceil(log10(n_max!)) extra digits."""
+    guard = math.ceil(math.log10(math.factorial(n_max)))
     inner = PrecisionContext.from_digits(ctx.target_digits + guard, ctx.escalation_factor)
+    a = taylor_ring(1, mpf(1) / 2, n_max + 1, inner)
     with inner.wp():
-        samples = _regularized_ring(nodes, inner)
-        radius = mpf(1) / 2
-        root = mp.exp(mpc(0, -2) * mp.pi / nodes)
-        coeffs = []
-        rpow = mpf(1)
-        for k in range(count):
-            wk = root**k
-            acc = mpc(0)
-            w = mpc(1)
-            for j in range(nodes):
-                acc += samples[j] * w
-                w *= wk
-            coeffs.append(acc / (nodes * rpow))
-            rpow *= radius
+        gammas = [mp.factorial(n) * a[n] * (-1) ** n for n in range(n_max + 1)]
     with ctx.wp():
-        return [+c for c in coeffs]
+        return [+g for g in gammas]
 
 
 def stieltjes_gamma(n: int, ctx: PrecisionContext) -> mpf:
-    """gamma_n = (-1)^n n! a_n, a_n the n-th regularized Taylor coefficient."""
+    """gamma_n = (-1)^n n! a_n, a_n the n-th Laurent coefficient at s=1."""
     if not 0 <= n <= N_MAX:
         raise RangeError(f"stieltjes_gamma supports 0 <= n <= {N_MAX}")
-    a = _taylor_at_one(n + 1, ctx)[n]
+    val = _gammas(n, ctx)[n]
     with ctx.wp():
-        val = mp.factorial(n) * a * (-1) ** n
         if abs(val.imag) > ctx.tol * max(1, abs(val.real)):
             raise PrecisionEscalationError(
                 f"gamma_{n} extraction left imaginary residue {mp.nstr(val.imag, 5)}"
@@ -124,12 +93,8 @@ def bound_check(n_max: int, ctx: PrecisionContext) -> StieltjesTable:
     """Tabulate gamma_n and the bound margins e n!/(2^n sqrt(n)) - |gamma_n|."""
     if not 0 <= n_max <= N_MAX:
         raise RangeError(f"bound_check supports 0 <= n_max <= {N_MAX}")
-    a = _taylor_at_one(n_max + 1, ctx)
+    gammas = [g.real for g in _gammas(n_max, ctx)]
     with ctx.wp():
-        gammas = []
-        for n in range(n_max + 1):
-            val = mp.factorial(n) * a[n] * (-1) ** n
-            gammas.append(val.real)
         margins = []
         for n in range(1, n_max + 1):
             bound = mp.e * mp.factorial(n) / (mpf(2) ** n * mp.sqrt(n))

@@ -86,6 +86,28 @@ def _grid_sign(t: float) -> int:
     return 1 if zlow >= 0 else -1
 
 
+def neighbor_distance(t_val: float) -> float:
+    """Distance from ordinate t to the nearest other zero, located by
+    walking the scan grid outward until Z changes sign."""
+    h = 0.25 / math.log(max(t_val, 10.0))
+    best = None
+    for direction in (1.0, -1.0):
+        t = t_val + direction * h / 2
+        s0 = _grid_sign(max(t, 0.5))
+        for i in range(1, 4000):
+            t2 = t_val + direction * (h / 2 + i * h)
+            if t2 < 0.5:
+                break
+            s = _grid_sign(t2)
+            if s != s0:
+                d = abs(t2 - t_val) - h  # nearer bracket edge: conservative
+                best = d if best is None else min(best, d)
+                break
+    if best is None:
+        best = 2 * t_val  # nothing found: conjugate partner bounds the gap
+    return best
+
+
 def _scan_brackets(T: float, step: float) -> list[tuple[float, float]]:
     lo = 10.0
     if T <= lo:

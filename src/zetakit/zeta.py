@@ -11,6 +11,11 @@ term supplies zeta'(s) for contour work.  For Re(s) < 1/2 (away from the
 removable point s = 0) values are reflected through the symmetric
 functional equation; a float-precision Riemann-Siegel main sum is
 available as a scanning tier only.
+
+Taylor coefficients come from one cached Cauchy ring, :func:`taylor_ring`.
+Centred on the pole s = 1 it samples the regular part zeta(s) - 1/(s-1)
+and returns the Laurent coefficients there, which give the Stieltjes
+constants.
 """
 
 from __future__ import annotations
@@ -26,9 +31,6 @@ from .precision import PrecisionContext, log_gamma
 
 EULER_MACLAURIN = "euler-maclaurin"
 REFLECTED = "reflected"
-RIEMANN_SIEGEL = "riemann-siegel"
-
-_EM_GUARD_DIGITS = 10
 
 # ln(n) memo keyed by (n, working precision) so results never depend on
 # evaluation order; shared across the hot Euler-Maclaurin loops.
@@ -140,8 +142,6 @@ def zeta(s, ctx: PrecisionContext, method: str | None = None, certify: bool = Fa
         s = mpc(s)
     if s == 1:
         raise PoleError("zeta pole at s=1")
-    if method == RIEMANN_SIEGEL:
-        return _zeta_rs(s, ctx)
     if method is None:
         method = EULER_MACLAURIN if (s.real >= 0.5 or abs(s) <= 0.5) else REFLECTED
 
@@ -225,10 +225,6 @@ def _ring_key(center: mpc, radius: mpf, prec: int):
     return (mp.nstr(center.real, 40), mp.nstr(center.imag, 40), mp.nstr(radius, 25), prec)
 
 
-def clear_ring_cache():
-    _ring_cache.clear()
-
-
 def _power_of_two_ratio(a: int, b: int) -> bool:
     q, r = divmod(a, b)
     return r == 0 and q & (q - 1) == 0
@@ -236,6 +232,10 @@ def _power_of_two_ratio(a: int, b: int) -> bool:
 
 def _zeta_ring_samples(center: mpc, radius: mpf, nodes: int, ctx: PrecisionContext) -> list:
     """zeta on the circle center + radius*e^(2 pi i j / nodes), memoized.
+
+    A ring centred on the pole samples the regular part: the principal
+    part 1/h, h = radius*e^(2 pi i j / nodes), is subtracted from each
+    zeta(1 + h).
 
     One cache entry per (center, radius, precision).  Node j of an n-node
     ring is node 2j of the 2n-node ring, bit for bit, so a cached ring
@@ -260,8 +260,11 @@ def _zeta_ring_samples(center: mpc, radius: mpf, nodes: int, ctx: PrecisionConte
         if step and j % step == 0:
             samples.append(have[j // step])
         else:
-            w = mp.exp(mpc(0, 2) * mp.pi * j / nodes)
-            samples.append(zeta(center + radius * w, ctx).value)
+            h = radius * mp.exp(mpc(0, 2) * mp.pi * j / nodes)
+            v = zeta(center + h, ctx).value
+            if center == 1:
+                v -= 1 / h
+            samples.append(v)
     if have is not None or len(_ring_cache) < 4096:
         _ring_cache[key] = samples
     return samples
@@ -293,7 +296,7 @@ def _aliasing_estimate(samples: list) -> mpf:
     return hi * hi / lo
 
 
-def taylor_ring(center, radius, count: int, ctx: PrecisionContext, nodes: int | None = None) -> list:
+def taylor_ring(center, radius, count: int, ctx: PrecisionContext) -> list:
     """First ``count`` Taylor coefficients of zeta at ``center``.
 
     Trapezoid (equal-weight ring) discretization of the Cauchy integral:
@@ -303,6 +306,11 @@ def taylor_ring(center, radius, count: int, ctx: PrecisionContext, nodes: int | 
     evaluated at D = digits + count log10(1/R) + 10 digits: an error of
     10^-D max|zeta| in a scaled coefficient a_k R^k is then at most
     10^-(digits+10) max|zeta| in a_k for every k < count.
+
+    The ring may enclose the pole only as its center.  At center = 1 the
+    samples are those of the regular part zeta(s) - 1/(s-1), so the
+    coefficients are the Laurent coefficients a_k = (-1)^k gamma_k / k!
+    of zeta at s = 1, gamma_k the Stieltjes constants.
 
     Node count.  With b_j = a_j R^j the scaled coefficients, the n-node
     rule returns b_k + b_{k+n} + b_{k+2n} + ... for k < n, so its only error
@@ -314,38 +322,32 @@ def taylor_ring(center, radius, count: int, ctx: PrecisionContext, nodes: int | 
     otherwise n doubles, reusing every sample already taken.  Rings start
     at 16 nodes (at least 2 * count) and stop at 4096.  The node count so
     grows with both the digits and the height, through the decay of b_j.
-    An explicit ``nodes`` fixes the count and skips the estimate.
     """
     with ctx.wp():
         center = mpc(center)
         radius = mpf(radius)
     if radius <= 0:
         raise RangeError("taylor_ring needs radius > 0")
-    if abs(center - 1) <= radius:
+    if center != 1 and abs(center - 1) <= radius:
         raise PoleError("derivative contour touches the pole at s=1")
-    if nodes is not None and count > nodes // 2:
-        raise RangeError("coefficient count too large for node budget")
     amplification = count * max(0.0, -math.log10(float(radius))) + 10
     inner = PrecisionContext.from_digits(
         ctx.target_digits + int(math.ceil(amplification)), ctx.escalation_factor
     )
     with inner.wp():
-        if nodes is not None:
-            samples = _zeta_ring_samples(center, radius, nodes, inner)
-        else:
-            n = _RING_MIN_NODES
-            while n < 2 * count:
-                n *= 2
-            while True:
-                samples = _zeta_ring_samples(center, radius, n, inner)
-                floor = inner.tol * max(abs(v) for v in samples)
-                if _aliasing_estimate(samples) <= floor:
-                    break
-                if n >= _RING_MAX_NODES:
-                    raise PrecisionEscalationError(
-                        f"Cauchy ring at {center} still aliasing at {n} nodes"
-                    )
-                n *= 2
+        n = _RING_MIN_NODES
+        while n < 2 * count:
+            n *= 2
+        while True:
+            samples = _zeta_ring_samples(center, radius, n, inner)
+            floor = inner.tol * max(abs(v) for v in samples)
+            if _aliasing_estimate(samples) <= floor:
+                break
+            if n >= _RING_MAX_NODES:
+                raise PrecisionEscalationError(
+                    f"Cauchy ring at {center} still aliasing at {n} nodes"
+                )
+            n *= 2
         coeffs = _ring_dft(samples, range(count))
         rpow = mpf(1)
         for k in range(count):
@@ -427,11 +429,15 @@ def _theta_float(t: float) -> float:
 
 
 def rs_error_bound(t: float) -> float:
-    """Heuristic truncation bound for the one-correction Riemann-Siegel sum.
+    """Empirical error bound for the Riemann-Siegel sum with correction C0.
 
-    Gabcke's constant 0.053 (t/2pi)^(-3/4) holds for t >= 200; below that
-    a conservative multiple is used.  Scanning treats any |Z| under this
-    bound as sign-indeterminate and re-evaluates by Euler-Maclaurin.
+    Gabcke (1979) bounds the remainder by 0.127 tau^(-3/4) after C0 and by
+    0.053 tau^(-5/4) after C1, tau = t/2pi, for t >= 200.  The bound used
+    here, 0.053 tau^(-3/4) for t >= 200, is not Gabcke's: it is an
+    empirical constant, about twice the largest error measured against
+    mpmath's siegelz on [200, 1000], some 0.03 tau^(-3/4).  Below t = 200
+    a conservative 0.5 tau^(-3/4) is used.  Scanning treats any |Z| under
+    this bound as sign-indeterminate and re-evaluates by Euler-Maclaurin.
     """
     a = t / (2 * math.pi)
     c = 0.053 if t >= 200 else 0.5
@@ -465,22 +471,6 @@ def hardy_Z_fast(t: float) -> float:
 
 def _rs_c0(p: float) -> float:
     return math.cos(2 * math.pi * (p * p - p - 1.0 / 16.0)) / math.cos(2 * math.pi * p)
-
-
-def _zeta_rs(s: mpc, ctx: PrecisionContext) -> ZetaValue:
-    if s.real != 0.5:
-        raise RangeError("riemann-siegel tier is defined on the critical line only")
-    t = float(s.imag)
-    err = rs_error_bound(t)
-    digits = max(0, int(-math.log10(err)) - 1)
-    if digits < ctx.target_digits:
-        raise PrecisionEscalationError(
-            f"riemann-siegel tier certifies ~{digits} digits at t={t}, "
-            f"target is {ctx.target_digits}"
-        )
-    with ctx.wp():
-        z = hardy_Z_fast(t) * mp.exp(mpc(0, -1) * theta(s.imag, ctx))
-    return ZetaValue(z, RIEMANN_SIEGEL, digits)
 
 
 def functional_equation_sides(s, ctx: PrecisionContext) -> tuple[mpc, mpc]:

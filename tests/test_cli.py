@@ -71,6 +71,30 @@ def test_zeros_digits_mismatch_rejected(tmp_path, seeded_cache):
     assert "digits" in out.stderr
 
 
+def test_zeros_digits_checked_before_scan(tmp_path, seeded_cache, monkeypatch):
+    from zetakit import cli
+
+    def no_scan(*args, **kwargs):
+        raise AssertionError("scan ran before the cache digits were checked")
+
+    monkeypatch.setattr(cli, "scan_with_count", no_scan)
+    copy = tmp_path / "copy.cache"
+    shutil.copy(seeded_cache, copy)
+    assert cli.main(["zeros", "--t-max", "30", "--digits", "20", "--cache", str(copy)]) == 2
+    assert copy.read_text() == seeded_cache.read_text()
+
+
+def test_zeros_extension_matches_fresh_scan(tmp_path, seeded_cache):
+    extended = tmp_path / "extended.cache"
+    shutil.copy(seeded_cache, extended)
+    fresh = tmp_path / "fresh.cache"
+    out = run_cli("zeros", "--t-max", "40", "--cache", str(extended))
+    assert out.returncode == 0, out.stderr
+    assert run_cli("zeros", "--t-max", "40", "--cache", str(fresh)).returncode == 0
+    assert extended.read_bytes() == fresh.read_bytes()
+    assert not os.path.exists(str(extended) + ".tmp")
+
+
 def test_audit_updates_statuses(tmp_path, seeded_cache):
     copy = tmp_path / "copy.cache"
     shutil.copy(seeded_cache, copy)

@@ -41,6 +41,18 @@ def test_higher_constants_against_mpmath():
             assert abs(ours - ref) < mpf(10) ** -27, f"n={n}"
 
 
+@pytest.mark.parametrize("digits", [30, 60])
+def test_bound_check_gammas_to_full_digits(digits):
+    # gamma_n = (-1)^n n! a_n multiplies the ring's error in a_n by n!;
+    # without guard digits for it gamma_20 is off in its last digits.
+    ctx = PrecisionContext.from_digits(digits)
+    table = bound_check(20, ctx)
+    with mp.workdps(digits + 20):
+        for n, g in enumerate(table.gammas):
+            ref = mp.stieltjes(n)
+            assert abs(g - ref) <= mpf(10) ** -digits * abs(ref), f"n={n}"
+
+
 def test_expansion_reconstructs_zeta_near_one():
     """zeta(1 + h) = 1/h + sum (-1)^n gamma_n h^n / n!  at h = 0.1.
 
