@@ -166,7 +166,7 @@ def cmd_audit(cfg: RunConfig) -> int:
             {
                 "index": r.index,
                 "t": to_decimal(r.t, ctx),
-                "abs_zeta_prime": to_decimal(abs(r.zeta_prime_at_rho), ctx),
+                "abs_zeta_prime": to_decimal(r.zeta_prime_abs, ctx),
                 "winding": r.winding,
                 "status": r.status,
             }

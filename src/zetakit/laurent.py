@@ -1,16 +1,21 @@
 """Laurent data for 1/zeta at a simple zero, computed two ways.
 
 Route one inverts the Taylor series of zeta at the zero (ground truth
-for the coefficients c_n).  Route two accumulates the Mobius-weighted
+for the coefficients c_n).  Route two takes the Mobius-weighted
 partial sums
 
     sum_{k<=K} [ mu(k) log^n(k) k^(-rho)
                  - residue (log^(n+1)(k+1) - log^(n+1)(k)) / (n+1) ]
+      = D_n(K) - residue log^(n+1)(K+1) / (n+1),
 
-whose behavior as K grows is recorded as a diagnostic, never asserted:
-convergence of that series on the critical line is an open matter, so
-the artifact measures distances to the oracle coefficients and reports
-oscillation instead.  The two routes are kept strictly separate.
+since the bridge terms telescope and log 1 = 0.  D_n(K) comes from the
+package's one compensated sweep over the Mobius table
+(:func:`zetakit.mobius.dirichlet_partial`); the bridge is added in closed
+form at each checkpoint.  Their behavior as K grows is recorded as a
+diagnostic, never asserted: convergence of that series on the critical
+line is an open matter, so the artifact measures distances to the
+oracle coefficients and reports oscillation instead.  The two routes are
+kept strictly separate.
 """
 
 from __future__ import annotations
@@ -26,9 +31,9 @@ from .errors import (
     SuspectZeroError,
     ZeroLeadingCoefficientError,
 )
-from .mobius import MobiusTable
+from .mobius import MobiusTable, dirichlet_partial
 from .precision import PrecisionContext, cpow, to_decimal
-from .series import KahanComplexSum, PartialSumSeries, build_partial_series
+from .series import build_partial_series
 from .zeros import SIMPLICITY_FLOOR, neighbor_distance
 from .zeta import inverse_zeta, taylor_ring, zeta_deriv
 
@@ -105,35 +110,16 @@ def invert_series(a: list, N: int):
     return b[0], b[1:]
 
 
-def _mobius_single(k: int) -> int:
-    """mu(k) by trial division; for spot use, not bulk sums."""
-    if k < 1:
-        raise RangeError("mu(k) needs k >= 1")
-    m = 1
-    d = 2
-    while d * d <= k:
-        if k % d == 0:
-            k //= d
-            if k % d == 0:
-                return 0
-            m = -m
-        d += 1
-    if k > 1:
-        m = -m
-    return m
-
-
-def v_term(k: int, s, rho, residue_val, ctx: PrecisionContext) -> mpc:
-    """mu(k) k^(-s) + (residue/(s-rho)) ((k+1)^(-(s-rho)) - k^(-(s-rho)))."""
-    if k < 1:
-        raise RangeError("v_term needs k >= 1")
+def v_term(k: int, s, rho, residue_val, table: MobiusTable, ctx: PrecisionContext) -> mpc:
+    """mu(k) k^(-s) + (residue/(s-rho)) ((k+1)^(-(s-rho)) - k^(-(s-rho))),
+    with mu(k) read from the sieve table."""
+    mu = table.mobius(k)
     with ctx.wp():
         s = mpc(s)
         rho = mpc(rho)
         w = s - rho
         if w == 0:
             raise RangeError("v_term is undefined at s = rho")
-        mu = _mobius_single(k)
         term = mpc(0)
         if mu != 0:
             term = mu * cpow(k, s, ctx)
@@ -143,74 +129,26 @@ def v_term(k: int, s, rho, residue_val, ctx: PrecisionContext) -> mpc:
 
 def phi_series_multi(rho, ns, checkpoints, table: MobiusTable, ctx: PrecisionContext,
                      residue_val=None) -> dict:
-    """PartialSumSeries for several log powers n in one sweep over k.
+    """PartialSumSeries of the coefficient series for each log power n.
 
-    ln k is carried forward between iterations (the telescoping factor
-    needs ln(k+1) anyway), and all requested n share each k's work.
-    Compensated accumulation at base precision; sweeps past 10^6 terms
-    switch to plain accumulation with widened precision instead.
+    The raw value at checkpoint K is D_n(K) - residue ln^(n+1)(K+1)/(n+1),
+    where D_n comes from the one Mobius sweep
+    :func:`zetakit.mobius.dirichlet_partial`, which also validates n, the
+    checkpoints and the table size.  The second term is the per-k bridge
+    -residue (ln^(n+1)(k+1) - ln^(n+1)(k))/(n+1) summed over k <= K in
+    closed form: the sum telescopes and ln 1 = 0.
     """
-    ns = sorted(set(int(n) for n in ns))
-    if any(n < 0 or n > 6 for n in ns):
-        raise RangeError("phi series log power limited to 0 <= n <= 6")
     checkpoints = [int(K) for K in checkpoints]
-    if any(b <= a for a, b in zip(checkpoints, checkpoints[1:])) or not checkpoints:
-        raise RangeError("checkpoints must be nonempty and strictly increasing")
-    if checkpoints[-1] > table.limit:
-        raise RangeError(f"checkpoint {checkpoints[-1]} exceeds table limit {table.limit}")
+    sums = dirichlet_partial(rho, ns, checkpoints, table, ctx)
     if residue_val is None:
         residue_val = residue(rho, ctx)
-
-    K_max = checkpoints[-1]
-    big = K_max > 10**6
-    mu = table.values
-    raws = {n: [] for n in ns}
-    with ctx.wp(64 if big else 0):
-        rho = mpc(rho)
-        res = mpc(residue_val)
-        if big:
-            sums = {n: [mpc(0)] for n in ns}
-
-            def add(n, v):
-                sums[n][0] += v
-
-            def total(n):
-                return sums[n][0]
-        else:
-            acc = {n: KahanComplexSum() for n in ns}
-
-            def add(n, v):
-                acc[n].add(v)
-
-            def total(n):
-                return acc[n].total
-
-        cp = set(checkpoints)
-        ln_k = mpf(0)
-        for k in range(1, K_max + 1):
-            ln_k1 = mp.ln(k + 1)
-            m = int(mu[k - 1])
-            if m != 0:
-                kp = mp.exp(-rho * ln_k) if k > 1 else mpc(1)
-                if m < 0:
-                    kp = -kp
-                for n in ns:
-                    add(n, kp if n == 0 else kp * ln_k**n)
-            for n in ns:
-                add(n, -res * (ln_k1 ** (n + 1) - ln_k ** (n + 1)) / (n + 1))
-            if k in cp:
-                for n in ns:
-                    raws[n].append(total(n))
-            ln_k = ln_k1
     with ctx.wp():
-        return {
-            n: build_partial_series(checkpoints, [+v for v in raws[n]]) for n in ns
-        }
-
-
-def phi_series(rho, n: int, checkpoints, table: MobiusTable, ctx: PrecisionContext) -> PartialSumSeries:
-    """Partial sums of the coefficient series for log power n (diagnostic)."""
-    return phi_series_multi(rho, [n], checkpoints, table, ctx)[n]
+        res = mpc(residue_val)
+        out = {}
+        for n, D in sums.items():
+            raw = [d - res * mp.ln(K + 1) ** (n + 1) / (n + 1) for d, K in zip(D, checkpoints)]
+            out[n] = build_partial_series(checkpoints, raw)
+        return out
 
 
 def _expansion_full(rho, N: int, ctx: PrecisionContext, neighbor_ts=None):

@@ -2,9 +2,14 @@
 
 The sieve marks each prime's multiples with a sign flip and kills every
 index with a squared prime factor, giving mu(1..N) as one int8 array.
-Partial sums sum_{k<=K} mu(k) log^n(k) k^(-rho) are accumulated in
-increasing k with compensation so checkpointed values are faithful, not
-merely convergent.
+That table is the package's only source of mu(k): the Dirichlet sweep
+below, the Mertens sums and the Laurent module's spot terms all read it.
+
+:func:`dirichlet_partial` is the one loop over k that weights by mu(k).
+It sums mu(k) log^n(k) k^(-rho) in increasing k, for several log powers
+n at once, with one Neumaier-compensated accumulator per n at working
+precision, so the checkpointed values are faithful, not merely
+convergent.
 """
 
 from __future__ import annotations
@@ -13,10 +18,10 @@ from dataclasses import dataclass, field
 
 import mpmath as mp
 import numpy as np
-from mpmath import mpc, mpf
+from mpmath import mpc
 
 from .errors import LimitTooLargeError, RangeError
-from .precision import PrecisionContext, cpow
+from .precision import PrecisionContext
 from .series import KahanComplexSum
 
 SIEVE_CAP = 10**8
@@ -74,24 +79,40 @@ def mertens(x: int, table: MobiusTable) -> int:
     return int(table.mertens_prefix()[x - 1])
 
 
-def dirichlet_partial(rho, n: int, K: int, table: MobiusTable, ctx: PrecisionContext):
-    """sum_{k <= K} mu(k) log^n(k) k^(-rho), compensated, increasing k."""
-    if n < 0:
-        raise RangeError("log power n must be >= 0")
-    if not 1 <= K <= table.limit:
-        raise RangeError(f"truncation {K} outside table limit {table.limit}")
-    mu = table.values
+def dirichlet_partial(rho, ns, checkpoints, table: MobiusTable, ctx: PrecisionContext) -> dict:
+    """{n: [D_n(K) for K in checkpoints]}, D_n(K) = sum_{k<=K} mu(k) log^n(k) k^(-rho).
+
+    One sweep over k = 1..max(checkpoints) serves every requested log
+    power 0 <= n <= 6.  log k and k^(-rho) are computed only where
+    mu(k) != 0 (about 61 % of k), and each n keeps one KahanComplexSum at
+    the context precision.
+    """
+    ns = sorted(set(int(n) for n in ns))
+    if not ns or any(n < 0 or n > 6 for n in ns):
+        raise RangeError("log powers must be nonempty with 0 <= n <= 6")
+    checkpoints = [int(K) for K in checkpoints]
+    if not checkpoints or any(b <= a for a, b in zip(checkpoints, checkpoints[1:])):
+        raise RangeError("checkpoints must be nonempty and strictly increasing")
+    if checkpoints[0] < 1:
+        raise RangeError("checkpoints start at K >= 1")
+    if checkpoints[-1] > table.limit:
+        raise RangeError(f"checkpoint {checkpoints[-1]} exceeds table limit {table.limit}")
+    sums = {n: [] for n in ns}
     with ctx.wp():
         rho = mpc(rho)
-        acc = KahanComplexSum()
-        if n == 0:
-            acc.add(mpf(1))  # k = 1
-        for k in range(2, K + 1):
-            m = mu[k - 1]
-            if m == 0:
-                continue
-            kp = cpow(k, rho, ctx)
-            if n:
-                kp *= mp.ln(k) ** n
-            acc.add(kp if m == 1 else -kp)
-        return acc.total
+        acc = {n: KahanComplexSum() for n in ns}
+        lo = 1
+        for K in checkpoints:
+            for k, m in enumerate(table.values[lo - 1 : K].tolist(), start=lo):
+                if m == 0:
+                    continue
+                ln_k = mp.ln(k)
+                kp = mp.exp(-rho * ln_k)  # exactly 1 at k = 1
+                if m < 0:
+                    kp = -kp
+                for n in ns:
+                    acc[n].add(kp if n == 0 else kp * ln_k**n)
+            for n in ns:
+                sums[n].append(acc[n].total)
+            lo = K + 1
+    return sums

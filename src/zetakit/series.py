@@ -1,10 +1,13 @@
 """Compensated accumulation and partial-sum diagnostics.
 
 Partial sums of conditionally convergent Dirichlet-type series are the
-object of study here, not just a means to a limit, so the accumulators
-preserve them faithfully (Neumaier compensation at working precision)
-and the series record keeps raw values, Cesaro-smoothed values, and an
-oscillation statistic side by side.
+object of study here, not just a means to a limit, so they are kept
+faithfully under one summation policy: Neumaier compensation at the
+working precision, whatever the number of terms (no widened-precision
+variant).  The Mobius sweep keeps one KahanComplexSum per log power, the
+Euler-constant series one KahanSum.  The series record keeps raw
+values, Cesaro-smoothed values, and an oscillation statistic side by
+side.
 """
 
 from __future__ import annotations

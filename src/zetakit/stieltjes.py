@@ -41,10 +41,13 @@ def _gammas(n_max: int, ctx: PrecisionContext) -> list:
 
 
 def stieltjes_gamma(n: int, ctx: PrecisionContext) -> mpf:
-    """gamma_n = (-1)^n n! a_n, a_n the n-th Laurent coefficient at s=1."""
+    """gamma_n = (-1)^n n! a_n, a_n the n-th Laurent coefficient at s=1.
+
+    Every n reads the one ring that serves gamma_0..gamma_N_MAX, so a
+    run over several n samples zeta once."""
     if not 0 <= n <= N_MAX:
         raise RangeError(f"stieltjes_gamma supports 0 <= n <= {N_MAX}")
-    val = _gammas(n, ctx)[n]
+    val = _gammas(N_MAX, ctx)[n]
     with ctx.wp():
         if abs(val.imag) > ctx.tol * max(1, abs(val.real)):
             raise PrecisionEscalationError(

@@ -29,7 +29,7 @@ from .errors import (
 )
 from .parallel import map_ordered
 from .precision import PrecisionContext, real_from, to_decimal
-from .zeta import hardy_Z, hardy_Z_fast, rs_error_bound, zeta, zeta_and_deriv_raw, zeta_deriv
+from .zeta import hardy_Z, hardy_Z_fast, rs_error_bound, zeta_and_deriv_raw, zeta_deriv
 
 STATUS_REFINED = "refined"
 STATUS_SIMPLE = "simple-confirmed"
@@ -51,8 +51,7 @@ class ZeroRecord:
     index: int
     t: mpf
     rho: mpc
-    zeta_at_rho_abs: mpf
-    zeta_prime_at_rho: mpc
+    zeta_prime_abs: mpf
     winding: int
     status: str
 
@@ -170,16 +169,10 @@ def _refine_bracket_worker(args: tuple) -> tuple:
     t = _newton_refine(a, b, ctx)
     with ctx.wp():
         rho = mpc(mpf(1) / 2, t)
-    zabs = abs(zeta(rho, ctx).value)
     zp = zeta_deriv(rho, 1, ctx)
     d = ctx.target_digits + 5
     with ctx.wp():
-        return (
-            to_decimal(t, ctx, d),
-            to_decimal(zabs, ctx, d),
-            to_decimal(zp.real, ctx, d),
-            to_decimal(zp.imag, ctx, d),
-        )
+        return to_decimal(t, ctx, d), to_decimal(abs(zp), ctx, d)
 
 
 def refine_zero(t0, ctx: PrecisionContext) -> ZeroRecord:
@@ -205,15 +198,14 @@ def refine_zero(t0, ctx: PrecisionContext) -> ZeroRecord:
 
 
 def _record_from_strings(index: int, packed: tuple, ctx: PrecisionContext) -> ZeroRecord:
-    t_s, zabs_s, zpre_s, zpim_s = packed
+    t_s, zp_abs_s = packed
     with ctx.wp():
         t = mpf(t_s)
         return ZeroRecord(
             index=index,
             t=t,
             rho=mpc(mpf(1) / 2, t),
-            zeta_at_rho_abs=mpf(zabs_s),
-            zeta_prime_at_rho=mpc(mpf(zpre_s), mpf(zpim_s)),
+            zeta_prime_abs=mpf(zp_abs_s),
             winding=0,
             status=STATUS_REFINED,
         )
@@ -317,12 +309,22 @@ def _winding_rectangle(T: mpf, ctx: PrecisionContext) -> mpc:
     return total / (2 * mp.pi * mpc(0, 1))
 
 
+def _sign_changes(a: float, b: float) -> int:
+    """Z sign changes on a uniform grid of spacing at most 0.005 over (a, b]."""
+    n = math.ceil((b - a) / 0.005)
+    signs = [_grid_sign(a + (b - a) * i / n) for i in range(n + 1)]
+    return sum(s1 != s2 for s1, s2 in zip(signs, signs[1:]))
+
+
 def count_by_argument(T, ctx: PrecisionContext) -> int:
     """Number of zeros in [-1, 2] x [0.001, T] by winding of zeta'/zeta.
 
     The pole at s = 1 sits just below the rectangle, so the winding
     rounds directly to the zero count with no pole correction.  If the
-    contour lands too near a zero, T is nudged up by 0.05, five tries.
+    contour lands too near a zero, the top edge is nudged up by 0.05, at
+    most five times, to T'; the zeros in (T, T'] are then taken off the
+    count as Z sign changes on a 0.005 grid, so the result is always the
+    count at T itself.
     """
     count_ctx = PrecisionContext.from_digits(_COUNT_DIGITS)
     shift = mpf(0)
@@ -338,7 +340,7 @@ def count_by_argument(T, ctx: PrecisionContext) -> int:
                 continue
             n = int(mp.nint(w.real))
             if abs(w - n) <= mpf("0.1"):
-                return n
+                return n - _sign_changes(float(T), float(Ts)) if shift else n
             last_err = NonIntegerWindingError(
                 f"rectangle winding {mp.nstr(w, 8)} is not near an integer at T={Ts}"
             )
@@ -426,7 +428,7 @@ def audit_zeros(records: list[ZeroRecord], ctx: PrecisionContext, workers: int =
     out = []
     with ctx.wp():
         for rec, w in zip(records, windings):
-            simple = w == 1 and abs(rec.zeta_prime_at_rho) > SIMPLICITY_FLOOR
+            simple = w == 1 and rec.zeta_prime_abs > SIMPLICITY_FLOOR
             out.append(
                 replace(rec, winding=w, status=STATUS_SIMPLE if simple else STATUS_SUSPECT)
             )
@@ -474,7 +476,7 @@ def format_cache_line(rec: ZeroRecord, ctx: PrecisionContext) -> str:
     with ctx.wp():
         return (
             f"{rec.index},{to_decimal(rec.t, ctx, d)},"
-            f"{to_decimal(abs(rec.zeta_prime_at_rho), ctx, d)},"
+            f"{to_decimal(rec.zeta_prime_abs, ctx, d)},"
             f"{rec.winding},{rec.status}\n"
         )
 
@@ -493,9 +495,8 @@ def write_cache(path: str, records: list[ZeroRecord], ctx: PrecisionContext) -> 
 def read_cache(path: str) -> tuple[int, list[ZeroRecord]]:
     """(digits, records) from a cache file.
 
-    Stored fields round-trip exactly; zeta_prime_at_rho is reconstructed
-    from the stored magnitude (phase is recomputable, not stored) and
-    zeta_at_rho_abs is set to 0 as a recomputable placeholder.
+    Stored fields round-trip exactly and rho is rebuilt from t.  The
+    cache keeps |zeta'(rho)|, which is all a ZeroRecord holds of zeta'.
     """
     with open(path) as fh:
         header = fh.readline().rstrip("\n")
@@ -534,8 +535,7 @@ def read_cache(path: str) -> tuple[int, list[ZeroRecord]]:
                         index=idx,
                         t=t,
                         rho=mpc(mpf(1) / 2, t),
-                        zeta_at_rho_abs=mpf(0),
-                        zeta_prime_at_rho=mpc(zp_abs),
+                        zeta_prime_abs=zp_abs,
                         winding=winding,
                         status=status,
                     )

@@ -104,7 +104,7 @@ def test_criterion_04_simplicity_audit():
         audited = audit_zeros(records, CTX30, workers=shared.workers())
         with CTX30.wp():
             for rec in audited:
-                assert abs(rec.zeta_prime_at_rho) > SIMPLE_FLOOR, f"zero {rec.index}"
+                assert rec.zeta_prime_abs > SIMPLE_FLOOR, f"zero {rec.index}"
                 assert rec.winding == 1, f"zero {rec.index}"
                 assert rec.status == "simple-confirmed", f"zero {rec.index}"
         report = density_report(100, CTX30, records=audited, n_winding=n_winding)
@@ -127,7 +127,7 @@ def test_criterion_04_stretch_first_100_zeros():
         audited = audit_zeros(records, CTX30, workers=shared.workers())
         with CTX30.wp():
             for rec in audited:
-                assert abs(rec.zeta_prime_at_rho) > SIMPLE_FLOOR, f"zero {rec.index}"
+                assert rec.zeta_prime_abs > SIMPLE_FLOOR, f"zero {rec.index}"
                 assert rec.winding == 1, f"zero {rec.index}"
 
 
@@ -202,7 +202,7 @@ def test_criterion_07_phi_diagnostics():
             total = mpc(0)
             direct = mpc(0)
             for k in range(1, K + 1):
-                total += v_term(k, s, rho1, res, CTX30)
+                total += v_term(k, s, rho1, res, table, CTX30)
                 muk = oracles.mu_factor(k)
                 if muk:
                     direct += muk * mp.exp(-s * mp.ln(k)) if k > 1 else muk

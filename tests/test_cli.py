@@ -95,6 +95,18 @@ def test_zeros_extension_matches_fresh_scan(tmp_path, seeded_cache):
     assert not os.path.exists(str(extended) + ".tmp")
 
 
+def test_zeros_and_audit_with_contour_near_a_zero(tmp_path):
+    """--t-max 21.0220 lies 4e-5 below the second zero, so the counting
+    contour has to move off it; both counts still refer to t <= 21.0220."""
+    path = str(tmp_path / "near.cache")
+    zeros = run_cli("zeros", "--t-max", "21.0220", "--cache", path)
+    assert zeros.returncode == 0, zeros.stderr
+    audit = run_cli("audit", "--t-max", "21.0220", "--cache", path)
+    assert audit.returncode == 0, audit.stderr
+    with open(path) as fh:
+        assert len(fh.read().splitlines()) == 2
+
+
 def test_audit_updates_statuses(tmp_path, seeded_cache):
     copy = tmp_path / "copy.cache"
     shutil.copy(seeded_cache, copy)

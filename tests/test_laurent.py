@@ -3,6 +3,7 @@ import random
 import pytest
 from mpmath import mp, mpc, mpf
 
+import oracles
 import shared
 from zetakit.errors import (
     OutsideDiskError,
@@ -15,7 +16,6 @@ from zetakit.laurent import (
     expansion_report,
     invert_series,
     laurent_eval,
-    phi_series,
     phi_series_multi,
     reconstruction_residual,
     residual_profile,
@@ -114,7 +114,7 @@ def test_v_term_telescopes_to_dirichlet_partial():
         total = mpc(0)
         direct = mpc(0)
         for k in range(1, K + 1):
-            total += v_term(k, s, rho, res, CTX)
+            total += v_term(k, s, rho, res, table, CTX)
             muk = table.mobius(k)
             if muk:
                 direct += muk * mp.exp(-s * mp.ln(k)) if k > 1 else muk
@@ -126,7 +126,7 @@ def test_v_term_rejects_s_equal_rho():
     rho = _rho1()
     res = residue(rho, CTX)
     with pytest.raises(RangeError):
-        v_term(3, rho, rho, res, CTX)
+        v_term(3, rho, rho, res, sieve_mobius(10), CTX)
 
 
 def test_phi_series_first_checkpoint_by_hand():
@@ -146,7 +146,7 @@ def test_phi_series_multi_matches_single_runs():
     cps = (10, 100, 500)
     multi = phi_series_multi(rho, (0, 2), cps, table, CTX)
     for n in (0, 2):
-        single = phi_series(rho, n, cps, table, CTX)
+        single = phi_series_multi(rho, (n,), cps, table, CTX)[n]
         assert single.raw == multi[n].raw
         assert single.oscillation == multi[n].oscillation
 
@@ -155,11 +155,36 @@ def test_phi_series_validation():
     rho = _rho1()
     table = sieve_mobius(100)
     with pytest.raises(RangeError):
-        phi_series(rho, 7, (10, 100), table, CTX)
+        phi_series_multi(rho, (7,), (10, 100), table, CTX)
     with pytest.raises(RangeError):
-        phi_series(rho, 0, (100, 10), table, CTX)
+        phi_series_multi(rho, (0,), (100, 10), table, CTX)
     with pytest.raises(RangeError):
-        phi_series(rho, 0, (10, 1000), table, CTX)
+        phi_series_multi(rho, (0,), (10, 1000), table, CTX)
+
+
+def test_phi_series_matches_per_k_bridge_reference():
+    """The closed-form bridge against the series summed term by term:
+    mu(k) by trial division, the bridge added at every k, 50 digits."""
+    rho = _rho1()
+    res = residue(rho, CTX)
+    cps = (10, 100, 1000)
+    ns = (0, 1, 2)
+    ours = phi_series_multi(rho, ns, cps, sieve_mobius(1000), CTX, residue_val=res)
+    with mp.workdps(50):
+        want = {n: [] for n in ns}
+        total = {n: mpc(0) for n in ns}
+        for k in range(1, cps[-1] + 1):
+            mu = oracles.mu_factor(k)
+            ln_k, ln_k1 = mp.ln(k), mp.ln(k + 1)
+            for n in ns:
+                if mu:
+                    total[n] += mu * ln_k**n * mp.exp(-rho * ln_k)
+                total[n] -= res * (ln_k1 ** (n + 1) - ln_k ** (n + 1)) / (n + 1)
+                if k in cps:
+                    want[n].append(total[n])
+        for n in ns:
+            for got, ref in zip(ours[n].raw, want[n]):
+                assert abs(got - ref) < mpf(10) ** -28
 
 
 def test_expansion_radius_uses_neighbor_gap():

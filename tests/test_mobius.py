@@ -51,31 +51,44 @@ def test_sieve_limit_validation():
 
 def test_dirichlet_partial_trivial_truncations():
     table = sieve_mobius(10)
-    with CTX.wp():
-        # K=1: only k=1 contributes; ln(1)=0 kills every n >= 1.
-        assert dirichlet_partial(mpc(2, 0), 0, 1, table, CTX) == 1
-        assert dirichlet_partial(mpc(2, 0), 1, 1, table, CTX) == 0
+    sums = dirichlet_partial(mpc(2, 0), (0, 1), (1,), table, CTX)
+    # K=1: only k=1 contributes; ln(1)=0 kills every n >= 1.
+    assert sums[0] == [1]
+    assert sums[1] == [0]
 
 
 def test_dirichlet_partial_matches_direct_loop():
     table = sieve_mobius(300)
     rho = mpc(mpf(1) / 2, 14)
-    n = 2
-    ours = dirichlet_partial(rho, n, 300, table, CTX)
+    cps = (1, 100, 300)  # 100 is not squarefree
+    ours = dirichlet_partial(rho, (0, 2), cps, table, CTX)
     with CTX.wp():
-        direct = mpc(0)
-        for k in range(2, 301):
-            muk = table.mobius(k)
-            if muk == 0:
-                continue
-            direct += muk * mp.ln(k) ** n * mp.exp(-rho * mp.ln(k))
-        assert abs(ours - direct) < mpf(10) ** -27
+        for n in (0, 2):
+            direct = mpc(0)
+            want = []
+            for k in range(1, 301):
+                muk = oracles.mu_factor(k)
+                if muk:
+                    direct += muk * mp.ln(k) ** n * mp.exp(-rho * mp.ln(k))
+                if k in cps:
+                    want.append(direct)
+            for got, ref in zip(ours[n], want):
+                assert abs(got - ref) < mpf(10) ** -27
+
+
+def test_dirichlet_partial_validation():
+    table = sieve_mobius(100)
+    rho = mpc(mpf(1) / 2, 14)
+    for ns, cps in (((), (10,)), ((7,), (10,)), ((-1,), (10,)), ((0,), ()),
+                    ((0,), (0, 10)), ((0,), (10, 10)), ((0,), (10, 101))):
+        with pytest.raises(RangeError):
+            dirichlet_partial(rho, ns, cps, table, CTX)
 
 
 def test_dirichlet_partial_approximates_inverse_zeta_at_2():
     # sum mu(k)/k^2 -> 6/pi^2 like O(1/K).
     table = sieve_mobius(5000)
-    ours = dirichlet_partial(mpc(2, 0), 0, 5000, table, CTX)
+    ours = dirichlet_partial(mpc(2, 0), (0,), (5000,), table, CTX)[0][0]
     with CTX.wp():
         assert abs(ours - 6 / mp.pi**2) < mpf(10) ** -3
 

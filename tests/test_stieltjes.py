@@ -10,6 +10,7 @@ from zetakit.stieltjes import (
     euler_gamma_partial,
     stieltjes_gamma,
 )
+from zetakit.zeta import _ring_cache
 
 CTX = PrecisionContext.from_digits(30)
 
@@ -70,6 +71,13 @@ def test_expansion_reconstructs_zeta_near_one():
             acc += sign * stieltjes_gamma(n, CTX) * h**n / mp.factorial(n)
             sign = -sign
         assert abs(acc - direct) < mpf(10) ** -26
+
+
+def test_stieltjes_gamma_reads_one_ring():
+    _ring_cache.clear()
+    for n in range(13):
+        stieltjes_gamma(n, CTX)
+    assert len(_ring_cache) == 1
 
 
 def test_gamma_n_range_validation():

@@ -17,6 +17,7 @@ from zetakit.zeros import (
     scan_zeros,
     write_cache,
 )
+from zetakit.zeta import zeta
 
 CTX = PrecisionContext.from_digits(30)
 
@@ -38,7 +39,7 @@ def test_scan_to_35_finds_five_zeros():
         for rec, ref in zip(records, T_FIRST_FIVE):
             assert abs(rec.t - mpf(ref)) < mpf(10) ** -25
             assert rec.rho.real == mpf(1) / 2
-            assert rec.zeta_at_rho_abs < mpf(10) ** -28
+            assert abs(zeta(rec.rho, CTX).value) < mpf(10) ** -28
             assert rec.status == STATUS_REFINED
     assert [rec.index for rec in records] == [1, 2, 3, 4, 5]
 
@@ -59,6 +60,10 @@ def test_scan_range_validation():
 def test_count_by_argument_low_heights():
     assert count_by_argument(15, CTX) == 1
     assert count_by_argument(30, CTX) == 3
+    # Contours passing within 1e-4 of the first two zeros: the count
+    # still refers to the requested height, below each zero.
+    assert count_by_argument(14.1347, CTX) == 0
+    assert count_by_argument(21.0220, CTX) == 1
 
 
 def test_rvm_estimate_reference_points():
@@ -93,7 +98,7 @@ def test_audit_marks_zeros_simple():
     for rec in audited:
         assert rec.status == STATUS_SIMPLE
         assert rec.winding == 1
-        assert abs(rec.zeta_prime_at_rho) > mpf(10) ** -6
+        assert rec.zeta_prime_abs > mpf(10) ** -6
 
 
 def test_density_report_flags_disagreement():
@@ -122,7 +127,7 @@ def test_cache_round_trip(tmp_path):
         for a, b in zip(records, loaded):
             assert a.index == b.index
             assert abs(a.t - b.t) < mpf(10) ** -32
-            assert abs(abs(a.zeta_prime_at_rho) - abs(b.zeta_prime_at_rho)) < mpf(10) ** -32
+            assert abs(a.zeta_prime_abs - b.zeta_prime_abs) < mpf(10) ** -32
             assert a.status == b.status
 
 
