@@ -1,7 +1,7 @@
 """Locating, refining, counting, and auditing nontrivial zeros.
 
 Zeros on the critical line are found as sign changes of Hardy Z on an
-adaptive grid, polished by Newton iteration, and cross-checked for
+adaptive grid, polished by Newton iteration on zeta, and cross-checked for
 completeness against an independent argument-principle count over the
 rectangle [-1, 2] x [eps, T].  Each zero's multiplicity is then measured
 directly as the winding number of zeta'/zeta around a small circle; the
@@ -29,7 +29,7 @@ from .errors import (
 )
 from .parallel import map_ordered
 from .precision import PrecisionContext, real_from, to_decimal
-from .zeta import hardy_Z, hardy_Z_fast, rs_error_bound, zeta_and_deriv_raw, zeta_deriv
+from .zeta import hardy_Z, hardy_Z_fast, rs_error_bound, zeta_and_deriv_raw
 
 STATUS_REFINED = "refined"
 STATUS_SIMPLE = "simple-confirmed"
@@ -124,37 +124,39 @@ def _scan_brackets(T: float, step: float) -> list[tuple[float, float]]:
     return brackets
 
 
-def _newton_refine(a: mpf, b: mpf, ctx: PrecisionContext) -> mpf:
-    """Zero of Z in [a, b]: bisect to 1e-3, then Newton with a central
-    finite-difference slope until |dt| < 10^-target_digits."""
-    with _LOW_CTX.wp():
-        lo, hi = mpf(a), mpf(b)
-        slo = 1 if hardy_Z(lo, _LOW_CTX) >= 0 else -1
-        while hi - lo > mpf("1e-3"):
-            mid = (lo + hi) / 2
-            smid = 1 if hardy_Z(mid, _LOW_CTX) >= 0 else -1
-            if smid == slo:
-                lo = mid
-            else:
-                hi = mid
+def _newton_refine(a: float, b: float, ctx: PrecisionContext) -> tuple[mpf, mpc]:
+    """(t, zeta'(1/2 + it)) at the zero in [a, b].
+
+    Bisects on the scan's sign test to 1e-3, then iterates
+    t <- t - Im(zeta/zeta'): Newton on zeta(1/2 + it), whose t-derivative
+    is i zeta'(s).  Both come from one Euler-Maclaurin sum at ten guard
+    digits; one more sum at the rounded t gives zeta'(rho)."""
+    lo, hi = a, b
+    slo = _grid_sign(lo)
+    while hi - lo > 1e-3:
+        mid = (lo + hi) / 2
+        if _grid_sign(mid) == slo:
+            lo = mid
+        else:
+            hi = mid
+    guard = PrecisionContext.from_digits(ctx.target_digits + 10)
     with ctx.wp(20):
-        t = (mpf(lo) + mpf(hi)) / 2
-        start = t
-        basin = max(mpf("0.05"), mpf(b) - mpf(a))
-        h = mpf(10) ** (-max(6, ctx.target_digits // 3))
+        t = start = mpf(lo + hi) / 2
+        basin = max(0.05, b - a)
         tol = mpf(10) ** (-ctx.target_digits)
         for _ in range(60):
-            z0 = hardy_Z(t, ctx)
-            dz = (hardy_Z(t + h, ctx) - hardy_Z(t - h, ctx)) / (2 * h)
-            if dz == 0:
-                raise NoConvergenceError("flat Z slope during Newton refinement")
-            dt = z0 / dz
+            v, dv = zeta_and_deriv_raw(mpc(0.5, t), guard)
+            if dv == 0:
+                raise NoConvergenceError("flat zeta' during Newton refinement")
+            dt = (v / dv).imag
             t -= dt
             if abs(t - start) > basin:
                 raise NoConvergenceError(f"Newton left the bracket basin near t={float(start)}")
             if abs(dt) < tol:
                 with ctx.wp():
-                    return +t
+                    t = +t
+                _, dv = zeta_and_deriv_raw(mpc(0.5, t), guard)
+                return t, dv
         raise NoConvergenceError(f"Newton did not converge near t={float(start)}")
 
 
@@ -163,13 +165,7 @@ def _refine_bracket_worker(args: tuple) -> tuple:
     byte-identical whether run inline or in a worker process."""
     a_str, b_str, bits, digits = args
     ctx = PrecisionContext(bits, digits)
-    with ctx.wp():
-        a = mpf(a_str)
-        b = mpf(b_str)
-    t = _newton_refine(a, b, ctx)
-    with ctx.wp():
-        rho = mpc(mpf(1) / 2, t)
-    zp = zeta_deriv(rho, 1, ctx)
+    t, zp = _newton_refine(float(a_str), float(b_str), ctx)
     d = ctx.target_digits + 5
     with ctx.wp():
         return to_decimal(t, ctx, d), to_decimal(abs(zp), ctx, d)
@@ -276,36 +272,36 @@ def _geometric_breaks(center: float, reach: float, floor: float) -> list[float]:
     return left + [center] + right
 
 
-def _winding_rectangle(T: mpf, ctx: PrecisionContext) -> mpc:
+def _winding_rectangle(T: mpf, ctx: PrecisionContext, panels: dict) -> mpc:
     eps = mpf("0.001")
     sigma_lo, sigma_hi = mpf(-1), mpf(2)
 
     def f(s):
         return _logderiv_on_contour(s, ctx)
 
+    def panel(sa, sb):
+        if (sa, sb) not in panels:
+            panels[sa, sb] = _gl_panel(f, sa, sb)
+        return panels[sa, sb]
+
     total = mpc(0)
     # bottom edge, refined toward the pole at s = 1
     bps = _geometric_breaks(1.0, 2.0, 0.001)
     bps = [b for b in bps if -1.0 <= b <= 2.0]
     for a, b in zip(bps, bps[1:]):
-        total += _gl_panel(f, mpc(mpf(repr(a)), eps), mpc(mpf(repr(b)), eps))
-    # right edge upward, unit-scale oscillation
+        total += panel(mpc(mpf(repr(a)), eps), mpc(mpf(repr(b)), eps))
+    # right edge upward and left edge downward, unit-scale oscillation
     t = eps
     while t < T:
         t2 = min(t + 2, T)
-        total += _gl_panel(f, mpc(sigma_hi, t), mpc(sigma_hi, t2))
+        total += panel(mpc(sigma_hi, t), mpc(sigma_hi, t2))
+        total -= panel(mpc(sigma_lo, t), mpc(sigma_lo, t2))
         t = t2
     # top edge right to left, refined toward sigma = 1/2
     tps = _geometric_breaks(0.5, 1.5, 0.04)
     tps = [b for b in tps if -1.0 <= b <= 2.0]
     for a, b in zip(reversed(tps), list(reversed(tps))[1:]):
-        total += _gl_panel(f, mpc(mpf(repr(a)), T), mpc(mpf(repr(b)), T))
-    # left edge downward
-    t = T
-    while t > eps:
-        t2 = max(t - 2, eps)
-        total += _gl_panel(f, mpc(sigma_lo, t), mpc(sigma_lo, t2))
-        t = t2
+        total += panel(mpc(mpf(repr(a)), T), mpc(mpf(repr(b)), T))
     return total / (2 * mp.pi * mpc(0, 1))
 
 
@@ -324,16 +320,19 @@ def count_by_argument(T, ctx: PrecisionContext) -> int:
     contour lands too near a zero, the top edge is nudged up by 0.05, at
     most five times, to T'; the zeros in (T, T'] are then taken off the
     count as Z sign changes on a 0.005 grid, so the result is always the
-    count at T itself.
+    count at T itself.  Panel integrals are kept across shifts, and both
+    sides share the breakpoints 0.001, 2.001, ..., so a shift pays only
+    for the new top edge and the top panel of each side.
     """
     count_ctx = PrecisionContext.from_digits(_COUNT_DIGITS)
+    panels: dict = {}
     shift = mpf(0)
     last_err: Exception | None = None
     for _ in range(6):
         with count_ctx.wp():
             Ts = mpf(T) + shift
             try:
-                w = _winding_rectangle(Ts, count_ctx)
+                w = _winding_rectangle(Ts, count_ctx, panels)
             except ContourNearZeroError as exc:
                 last_err = exc
                 shift += mpf("0.05")

@@ -7,7 +7,7 @@ The correctness reference at every height is Euler-Maclaurin summation,
 
 with N = max(50, ceil(3 |Im s|)) and M grown until the first omitted term
 drops below 10^-(digits+5).  The same expression differentiated term by
-term supplies zeta'(s) for contour work.  For Re(s) < 1/2 (away from the
+term supplies zeta'(s) for contour work and zero refinement.  For Re(s) < 1/2 (away from the
 removable point s = 0) values are reflected through the symmetric
 functional equation; a float-precision Riemann-Siegel main sum is
 available as a scanning tier only.
@@ -177,7 +177,8 @@ def zeta(s, ctx: PrecisionContext, method: str | None = None, certify: bool = Fa
 def zeta_and_deriv_raw(s, ctx: PrecisionContext) -> tuple[mpc, mpc]:
     """(zeta(s), zeta'(s)) by direct differentiated Euler-Maclaurin.
 
-    Contour workhorse for winding-number quadrature; valid on the desk
+    Workhorse for winding-number quadrature and for Newton refinement of
+    zeros, which reads zeta'(rho) from the same sum; valid on the desk
     range Re(s) >= -1.5 without reflection.
     """
     with ctx.wp():

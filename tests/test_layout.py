@@ -21,3 +21,17 @@ def test_no_module_imports_another_modules_private_names():
                 if alias.name.startswith("_"):
                     found.append(f"{path.name}:{node.lineno} imports {alias.name}")
     assert not found, "; ".join(found)
+
+
+def test_zero_pipeline_does_not_use_the_cauchy_ring():
+    """Refinement takes zeta'(rho) from the Euler-Maclaurin pair; the ring
+    is the independent second route of the Laurent data only."""
+    tree = ast.parse((SRC / "zeros.py").read_text())
+    found = [
+        f"zeros.py:{node.lineno} imports {alias.name}"
+        for node in ast.walk(tree)
+        if isinstance(node, (ast.Import, ast.ImportFrom))
+        for alias in node.names
+        if alias.name.split(".")[-1] in ("taylor_ring", "zeta_deriv")
+    ]
+    assert not found, "; ".join(found)

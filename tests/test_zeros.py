@@ -2,8 +2,9 @@ import pytest
 from mpmath import mp, mpc, mpf
 
 import shared
+from zetakit import zeros
 from zetakit.errors import CacheFormatError, RangeError
-from zetakit.precision import PrecisionContext
+from zetakit.precision import PrecisionContext, real_from, to_decimal
 from zetakit.zeros import (
     STATUS_REFINED,
     STATUS_SIMPLE,
@@ -50,6 +51,28 @@ def test_refine_zero_from_rough_seed():
         assert abs(rec.t - mpf(T_FIRST_FIVE[0])) < mpf(10) ** -25
 
 
+@pytest.mark.parametrize("digits", [30, 60])
+def test_refined_ordinates_are_correctly_rounded(digits):
+    """Newton returns mp.zetazero(n) rounded to ctx.bits, and the records
+    carry it through the cache's (digits + 5)-digit decimal form."""
+    ctx = shared.ctx_digits(digits)
+    if digits == 30:
+        records, _ = shared.zeros_to(35)
+    else:
+        records = [refine_zero(float(t), ctx) for t in T_FIRST_FIVE]
+    for n, (rec, t_seed) in enumerate(zip(records, T_FIRST_FIVE), start=1):
+        with mp.workprec(ctx.bits + 64):
+            rho = mp.zetazero(n)
+            zp_abs = abs(mp.zeta(rho, derivative=1))
+        with mp.workprec(ctx.bits):
+            t_exact = +rho.imag
+        t, _ = zeros._newton_refine(float(t_seed) - 0.01, float(t_seed) + 0.01, ctx)
+        assert t == t_exact, f"zero {n}"
+        assert rec.t == real_from(to_decimal(t_exact, ctx, digits + 5), ctx), f"zero {n}"
+        with mp.workprec(ctx.bits + 64):
+            assert abs(rec.zeta_prime_abs - zp_abs) < zp_abs * mpf(10) ** -(digits + 3), f"zero {n}"
+
+
 def test_scan_range_validation():
     with pytest.raises(RangeError):
         scan_zeros(1001, CTX)
@@ -57,13 +80,27 @@ def test_scan_range_validation():
         scan_zeros(5, CTX)
 
 
-def test_count_by_argument_low_heights():
+def test_count_by_argument_low_heights(monkeypatch):
     assert count_by_argument(15, CTX) == 1
     assert count_by_argument(30, CTX) == 3
     # Contours passing within 1e-4 of the first two zeros: the count
     # still refers to the requested height, below each zero.
     assert count_by_argument(14.1347, CTX) == 0
+    evals = []
+    raw = zeros.zeta_and_deriv_raw
+
+    def counting(s, ctx):
+        evals.append(s)
+        return raw(s, ctx)
+
+    monkeypatch.setattr(zeros, "zeta_and_deriv_raw", counting)
+    assert count_by_argument(21.1, CTX) == 2
+    plain = len(evals)
+    evals.clear()
     assert count_by_argument(21.0220, CTX) == 1
+    # The shifted retry reuses every panel below T: it adds one top edge
+    # (12 panels of 16 nodes) and at most two new panels per side.
+    assert len(evals) <= plain + 192 + 64
 
 
 def test_rvm_estimate_reference_points():
