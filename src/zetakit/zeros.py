@@ -139,7 +139,7 @@ def _newton_refine(a: float, b: float, ctx: PrecisionContext) -> tuple[mpf, mpc]
             lo = mid
         else:
             hi = mid
-    guard = PrecisionContext.from_digits(ctx.target_digits + 10)
+    guard = PrecisionContext(ctx.bits + 34, ctx.target_digits + 10)
     with ctx.wp(20):
         t = start = mpf(lo + hi) / 2
         basin = max(0.05, b - a)
@@ -272,36 +272,32 @@ def _geometric_breaks(center: float, reach: float, floor: float) -> list[float]:
     return left + [center] + right
 
 
-def _winding_rectangle(T: mpf, ctx: PrecisionContext, panels: dict) -> mpc:
+def _winding_rectangle(T: mpf, ctx: PrecisionContext) -> mpc:
     eps = mpf("0.001")
     sigma_lo, sigma_hi = mpf(-1), mpf(2)
 
     def f(s):
         return _logderiv_on_contour(s, ctx)
 
-    def panel(sa, sb):
-        if (sa, sb) not in panels:
-            panels[sa, sb] = _gl_panel(f, sa, sb)
-        return panels[sa, sb]
-
     total = mpc(0)
     # bottom edge, refined toward the pole at s = 1
     bps = _geometric_breaks(1.0, 2.0, 0.001)
     bps = [b for b in bps if -1.0 <= b <= 2.0]
     for a, b in zip(bps, bps[1:]):
-        total += panel(mpc(mpf(repr(a)), eps), mpc(mpf(repr(b)), eps))
-    # right edge upward and left edge downward, unit-scale oscillation
+        total += _gl_panel(f, mpc(mpf(repr(a)), eps), mpc(mpf(repr(b)), eps))
+    # right edge upward and left edge downward (integrated upward on the
+    # same breakpoints and subtracted), unit-scale oscillation
     t = eps
     while t < T:
         t2 = min(t + 2, T)
-        total += panel(mpc(sigma_hi, t), mpc(sigma_hi, t2))
-        total -= panel(mpc(sigma_lo, t), mpc(sigma_lo, t2))
+        total += _gl_panel(f, mpc(sigma_hi, t), mpc(sigma_hi, t2))
+        total -= _gl_panel(f, mpc(sigma_lo, t), mpc(sigma_lo, t2))
         t = t2
     # top edge right to left, refined toward sigma = 1/2
     tps = _geometric_breaks(0.5, 1.5, 0.04)
     tps = [b for b in tps if -1.0 <= b <= 2.0]
     for a, b in zip(reversed(tps), list(reversed(tps))[1:]):
-        total += panel(mpc(mpf(repr(a)), T), mpc(mpf(repr(b)), T))
+        total += _gl_panel(f, mpc(mpf(repr(a)), T), mpc(mpf(repr(b)), T))
     return total / (2 * mp.pi * mpc(0, 1))
 
 
@@ -320,19 +316,16 @@ def count_by_argument(T, ctx: PrecisionContext) -> int:
     contour lands too near a zero, the top edge is nudged up by 0.05, at
     most five times, to T'; the zeros in (T, T'] are then taken off the
     count as Z sign changes on a 0.005 grid, so the result is always the
-    count at T itself.  Panel integrals are kept across shifts, and both
-    sides share the breakpoints 0.001, 2.001, ..., so a shift pays only
-    for the new top edge and the top panel of each side.
+    count at T itself.
     """
     count_ctx = PrecisionContext.from_digits(_COUNT_DIGITS)
-    panels: dict = {}
     shift = mpf(0)
     last_err: Exception | None = None
     for _ in range(6):
         with count_ctx.wp():
             Ts = mpf(T) + shift
             try:
-                w = _winding_rectangle(Ts, count_ctx, panels)
+                w = _winding_rectangle(Ts, count_ctx)
             except ContourNearZeroError as exc:
                 last_err = exc
                 shift += mpf("0.05")
