@@ -346,8 +346,8 @@ def multiplicity_probe(rho, r, ctx: PrecisionContext, nodes: int = 128) -> int:
 
     The trapezoid rule on the circle integrates the enclosed principal
     part exactly, so modest node counts give integer-sharp results; the
-    caller keeps r small enough (r <= 1/16 in routine audits) that no
-    neighboring zero falls inside.
+    caller keeps r small enough (r <= 1/32 in routine audits, see
+    :func:`audit_zeros`) that no neighboring zero falls inside.
     """
     probe_ctx = PrecisionContext.from_digits(_COUNT_DIGITS)
     with probe_ctx.wp():

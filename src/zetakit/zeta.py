@@ -5,12 +5,16 @@ The correctness reference at every height is Euler-Maclaurin summation,
     zeta(s) = sum_{n<=N} n^-s + N^(1-s)/(s-1) - N^-s/2
               + sum_{m=1..M} B_2m/(2m)! (s)_{2m-1} N^(-s-2m+1),
 
-with N = max(50, ceil(3 |Im s|)) and M grown until the first omitted term
-drops below 10^-(digits+5).  The same expression differentiated term by
-term supplies zeta'(s) for contour work and zero refinement.  For Re(s) < 1/2 (away from the
-removable point s = 0) values are reflected through the symmetric
-functional equation; a float-precision Riemann-Siegel main sum is
-available as a scanning tier only.
+with N = ceil(|Im s| q/(2 pi)) + digits, q = max(2, 10^((digits+5)/360)),
+and M grown until the last term kept drops below 10^-(digits+5).  Tail
+terms shrink by about (|Im s|/(2 pi N))^2 a step: q holds that ratio to
+1/4, or lower where 180 terms must gain digits+5 digits (the cap is 200),
+and the added digits cover small |Im s|, where the terms go like
+(2m)!/(2 pi N)^(2m).  The same expression differentiated term by term
+supplies zeta'(s) for contour work and zero refinement.  For Re(s) < 1/2
+(away from the removable point s = 0) values are reflected through the
+symmetric functional equation; a float-precision Riemann-Siegel main sum
+is available as a scanning tier only.
 
 Taylor coefficients come from one cached Cauchy ring, :func:`taylor_ring`.
 Centred on the pole s = 1 it samples the regular part zeta(s) - 1/(s-1)
@@ -32,9 +36,10 @@ from .precision import PrecisionContext, log_gamma
 EULER_MACLAURIN = "euler-maclaurin"
 REFLECTED = "reflected"
 
-# ln(n) memo keyed by (n, working precision) so results never depend on
-# evaluation order; shared across the hot Euler-Maclaurin loops.
+# ln(n) and B_2m/(2m)! memos keyed by (n or m, working precision), so results
+# never depend on evaluation order; shared across the hot Euler-Maclaurin loops.
 _ln_cache: dict[tuple[int, int], mpf] = {}
+_bern_cache: dict[tuple[int, int], mpf] = {}
 
 
 def _ln_int(n: int) -> mpf:
@@ -44,6 +49,14 @@ def _ln_int(n: int) -> mpf:
         v = mp.ln(n)
         if len(_ln_cache) < 200_000:
             _ln_cache[key] = v
+    return v
+
+
+def _bernoulli_coeff(m: int) -> mpf:
+    key = (m, mp.mp.prec)
+    v = _bern_cache.get(key)
+    if v is None:
+        v = _bern_cache[key] = mp.bernoulli(2 * m) / mp.factorial(2 * m)
     return v
 
 
@@ -59,11 +72,12 @@ class ZetaValue:
 def _em_pair(s: mpc, digits: int, want_deriv: bool):
     """(zeta(s), zeta'(s) or None) by Euler-Maclaurin at current workprec.
 
-    Truncation is controlled so the first omitted Bernoulli term is below
-    10^-(digits+5); if the asymptotic tail stalls first, the main sum is
-    lengthened and the evaluation retried.
+    N is sized from |Im s| and the digits (see the module docstring); the
+    Bernoulli tail runs until its last term is below 10^-(digits+5), and if
+    it stalls first the main sum is doubled and the evaluation retried.
     """
-    N = max(50, int(math.ceil(3 * abs(s.imag))))
+    q = max(2, 10 ** ((digits + 5) / 360))
+    N = int(math.ceil(abs(s.imag) * q / (2 * math.pi))) + digits
     thresh = mpf(10) ** (-(digits + 5))
     for _ in range(4):
         out = _em_attempt(s, N, thresh, want_deriv)
@@ -97,7 +111,7 @@ def _em_attempt(s: mpc, N: int, thresh: mpf, want_deriv: bool):
     m = 1
     prev = mp.inf
     while True:
-        coeff = mp.bernoulli(2 * m) / mp.factorial(2 * m)
+        coeff = _bernoulli_coeff(m)
         term = coeff * P * Npow
         acc += term
         size = abs(term)

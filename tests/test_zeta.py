@@ -1,4 +1,5 @@
 import random
+import sys
 
 import pytest
 from mpmath import mp, mpc, mpf
@@ -94,6 +95,50 @@ def test_derivative_against_mpmath():
             _, dv = zeta_and_deriv_raw(s, CTX)
             ref = mp.zeta(s, derivative=1)
             assert abs(dv - ref) < TOL, f"s={s}"
+
+
+def test_em_pair_matches_mpmath_across_heights_and_digits():
+    # The main-sum length follows |t| and the digits, so pin the accuracy
+    # over the whole desk range: sigma from -1 to 2, t from 0.001 to 1000.
+    grid = [
+        mpc(sigma, t)
+        for sigma in (-1, 0.25, 0.5, 2)
+        for t in (0.001, 3, 17, 45, 120, 333, 640, 1000)
+    ]
+    for digits in (12, 30, 60):
+        ctx = PrecisionContext.from_digits(digits)
+        with mp.workdps(digits + 20):
+            tol = mpf(10) ** -(digits + 3)
+            for s in grid:
+                v, dv = zeta_and_deriv_raw(s, ctx)
+                ref, dref = mp.zeta(s), mp.zeta(s, derivative=1)
+                assert abs(v - ref) / abs(ref) < tol, f"zeta({s}), {digits} digits"
+                assert abs(dv - dref) / abs(dref) < tol, f"zeta'({s}), {digits} digits"
+
+
+def test_em_pair_never_stalls_in_cli_range(monkeypatch):
+    # A stalled Bernoulli tail throws away a whole main sum and redoes it at
+    # twice the length, so across the CLI's digits and heights every
+    # evaluation has to succeed with its first N.
+    em = sys.modules["zetakit.zeta"]
+    attempts = []
+    attempt = em._em_attempt
+
+    def recording(s, N, thresh, want_deriv):
+        out = attempt(s, N, thresh, want_deriv)
+        attempts.append((N, out is not None))
+        return out
+
+    monkeypatch.setattr(em, "_em_attempt", recording)
+    for digits in (10, 12, 30, 60, 100, 200):
+        ctx = PrecisionContext.from_digits(digits)
+        for t in (0.001, 20, 100, 1000):
+            for sigma in (-1, 0.5, 2):
+                attempts.clear()
+                zeta_and_deriv_raw(mpc(sigma, t), ctx)
+                assert len(attempts) == 1 and attempts[0][1], (digits, t, sigma, attempts)
+                if digits == 30 and t == 1000:
+                    assert attempts[0][0] <= 400, attempts
 
 
 def test_logderiv_consistency():
@@ -216,6 +261,17 @@ def test_fast_Z_error_bound_against_siegelz():
     with mp.workdps(20):
         for _ in range(200):
             t = rng.uniform(200, 1000)
+            err = abs(hardy_Z_fast(t) - mp.siegelz(t))
+            assert err <= rs_error_bound(t), f"t={t}"
+
+
+def test_fast_Z_error_bound_below_200_against_siegelz():
+    # Below t = 200 the bound is 0.5 tau^(-3/4); check it against an oracle
+    # outside the package, not against its own hardy_Z.
+    rng = random.Random(1979)
+    with mp.workdps(20):
+        for _ in range(200):
+            t = rng.uniform(10, 200)
             err = abs(hardy_Z_fast(t) - mp.siegelz(t))
             assert err <= rs_error_bound(t), f"t={t}"
 
