@@ -109,7 +109,7 @@ def cmd_zeros(cfg: RunConfig) -> int:
     records are trusted for the overlap (cross-checked against the fresh
     scan); newly found zeros are added by rewriting the whole file
     atomically.  Exit 1 signals a count mismatch between sign changes and
-    the argument-principle winding.
+    the argument-principle (Backlund) count.
     """
     ctx = PrecisionContext.from_digits(cfg.digits)
     path = _resolve_cache(cfg)

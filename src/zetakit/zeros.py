@@ -2,8 +2,9 @@
 
 Zeros on the critical line are found as sign changes of Hardy Z on an
 adaptive grid, polished by Newton iteration on zeta, and cross-checked for
-completeness against an independent argument-principle count over the
-rectangle [-1, 2] x [eps, T].  Each zero's multiplicity is then measured
+completeness against an independent count by Backlund's formula
+N(T) = theta(T)/pi + 1 + S(T), with S(T) integrated along the segment
+from 2 + iT to 1/2 + iT.  Each zero's multiplicity is then measured
 directly as the winding number of zeta'/zeta around a small circle; the
 audit records |zeta'(rho)| against a simplicity floor rather than
 asserting simplicity axiomatically.
@@ -29,7 +30,7 @@ from .errors import (
 )
 from .parallel import map_ordered
 from .precision import PrecisionContext, real_from, to_decimal
-from .zeta import hardy_Z, hardy_Z_fast, rs_error_bound, zeta_and_deriv_raw
+from .zeta import hardy_Z, hardy_Z_fast, rs_error_bound, theta, zeta_and_deriv_raw
 
 STATUS_REFINED = "refined"
 STATUS_SIMPLE = "simple-confirmed"
@@ -42,6 +43,8 @@ CACHE_HEADER_PREFIX = "# zeta-zeros v1 digits="
 # Internal precision for integer-valued contour work; the quadrature
 # only needs to land within 0.1 of an integer.
 _COUNT_DIGITS = 12
+
+_PROBE_NODES = 128
 
 _GL_X, _GL_W = leggauss(16)
 
@@ -60,7 +63,7 @@ class ZeroRecord:
 class CountReport:
     T: mpf
     n_sign_changes: int
-    n_winding: int
+    n_winding: int  # count_by_argument's Backlund count, printed as n_winding
     rvm_estimate: mpf
     n_simple: int
     ratio_simple: mpf
@@ -210,8 +213,6 @@ def _record_from_strings(index: int, packed: tuple, ctx: PrecisionContext) -> Ze
 def scan_with_count(T, ctx: PrecisionContext, workers: int = 1) -> tuple[list[ZeroRecord], int]:
     """(records, argument-principle count) for zeros with 0 < t <= T."""
     Tf = float(T)
-    if not 10 <= Tf <= 1000:
-        raise RangeError("scan height must satisfy 10 <= T <= 1000")
     n_winding = count_by_argument(T, ctx)
     step = 0.25 / math.log(Tf)
     for _ in range(3):
@@ -252,53 +253,30 @@ def _logderiv_on_contour(s: mpc, ctx: PrecisionContext) -> mpc:
     return dv / v
 
 
-def _gl_panel(f, sa: mpc, sb: mpc) -> mpc:
+def _gl_panel(sa: mpc, sb: mpc, ctx: PrecisionContext) -> mpc:
+    """16-point Gauss-Legendre integral of zeta'/zeta along [sa, sb]."""
     half = (sb - sa) / 2
     mid = (sa + sb) / 2
     acc = mpc(0)
     for x, w in zip(_GL_X, _GL_W):
-        acc += mpf(w) * f(mid + half * mpf(x))
+        acc += mpf(w) * _logderiv_on_contour(mid + half * mpf(x), ctx)
     return acc * half
 
 
-def _geometric_breaks(center: float, reach: float, floor: float) -> list[float]:
-    """Offsets center +- reach*2^-k down to the floor scale, as sorted
-    breakpoints including both extremes and the center."""
-    offs = [reach]
-    while offs[-1] / 2 > floor:
-        offs.append(offs[-1] / 2)
-    left = [center - o for o in offs]
-    right = [center + o for o in reversed(offs)]
-    return left + [center] + right
+def _backlund_count(T: mpf, ctx: PrecisionContext) -> mpf:
+    """N(T) = theta(T)/pi + 1 + S(T) (Backlund 1914; Edwards 1974, ch. 6).
 
-
-def _winding_rectangle(T: mpf, ctx: PrecisionContext) -> mpc:
-    eps = mpf("0.001")
-    sigma_lo, sigma_hi = mpf(-1), mpf(2)
-
-    def f(s):
-        return _logderiv_on_contour(s, ctx)
-
-    total = mpc(0)
-    # bottom edge, refined toward the pole at s = 1
-    bps = _geometric_breaks(1.0, 2.0, 0.001)
-    bps = [b for b in bps if -1.0 <= b <= 2.0]
-    for a, b in zip(bps, bps[1:]):
-        total += _gl_panel(f, mpc(mpf(repr(a)), eps), mpc(mpf(repr(b)), eps))
-    # right edge upward and left edge downward (integrated upward on the
-    # same breakpoints and subtracted), unit-scale oscillation
-    t = eps
-    while t < T:
-        t2 = min(t + 2, T)
-        total += _gl_panel(f, mpc(sigma_hi, t), mpc(sigma_hi, t2))
-        total -= _gl_panel(f, mpc(sigma_lo, t), mpc(sigma_lo, t2))
-        t = t2
-    # top edge right to left, refined toward sigma = 1/2
-    tps = _geometric_breaks(0.5, 1.5, 0.04)
-    tps = [b for b in tps if -1.0 <= b <= 2.0]
-    for a, b in zip(reversed(tps), list(reversed(tps))[1:]):
-        total += _gl_panel(f, mpc(mpf(repr(a)), T), mpc(mpf(repr(b)), T))
-    return total / (2 * mp.pi * mpc(0, 1))
+    pi S(T) = arg zeta(1/2 + iT), continued along the segment from 2 + iT,
+    where the principal arg is right because |zeta(2 + iT) - 1| <=
+    zeta(2) - 1 < 1.  The segment is integrated as Im of zeta'/zeta on
+    panels refined toward sigma = 1/2.
+    """
+    v, _ = zeta_and_deriv_raw(mpc(2, T), ctx)
+    arg = mp.arg(v)
+    breaks = [mpf("0.5") + mpf("1.5") / 2**k for k in range(6)] + [mpf("0.5")]
+    for a, b in zip(breaks, breaks[1:]):
+        arg += _gl_panel(mpc(a, T), mpc(b, T), ctx).imag
+    return theta(T, ctx) / mp.pi + 1 + arg / mp.pi
 
 
 def _sign_changes(a: float, b: float) -> int:
@@ -309,15 +287,20 @@ def _sign_changes(a: float, b: float) -> int:
 
 
 def count_by_argument(T, ctx: PrecisionContext) -> int:
-    """Number of zeros in [-1, 2] x [0.001, T] by winding of zeta'/zeta.
+    """Number of zeros with 0 < t <= T, for 10 <= T <= 1000, by
+    Backlund's formula N(T) = theta(T)/pi + 1 + S(T).
 
-    The pole at s = 1 sits just below the rectangle, so the winding
-    rounds directly to the zero count with no pole correction.  If the
-    contour lands too near a zero, the top edge is nudged up by 0.05, at
-    most five times, to T'; the zeros in (T, T'] are then taken off the
-    count as Z sign changes on a 0.005 grid, so the result is always the
-    count at T itself.
+    S(T) comes from integrating zeta'/zeta along the half of the line
+    t = T from sigma = 2 to 1/2, so the count is independent of the Z
+    sign-change scan it checks.  If that segment lands too near a zero,
+    it is moved up by 0.05, at most five times, to T'; the zeros in
+    (T, T'] are then taken off the count as Z sign changes on a 0.005
+    grid, so the result is always the count at T itself.  The range is
+    enforced because near T = 0 the segment passes next to the pole at
+    s = 1.
     """
+    if not 10 <= float(T) <= 1000:
+        raise RangeError("count height must satisfy 10 <= T <= 1000")
     count_ctx = PrecisionContext.from_digits(_COUNT_DIGITS)
     shift = mpf(0)
     last_err: Exception | None = None
@@ -325,22 +308,22 @@ def count_by_argument(T, ctx: PrecisionContext) -> int:
         with count_ctx.wp():
             Ts = mpf(T) + shift
             try:
-                w = _winding_rectangle(Ts, count_ctx)
+                c = _backlund_count(Ts, count_ctx)
             except ContourNearZeroError as exc:
                 last_err = exc
                 shift += mpf("0.05")
                 continue
-            n = int(mp.nint(w.real))
-            if abs(w - n) <= mpf("0.1"):
+            n = int(mp.nint(c))
+            if abs(c - n) <= mpf("0.1"):
                 return n - _sign_changes(float(T), float(Ts)) if shift else n
             last_err = NonIntegerWindingError(
-                f"rectangle winding {mp.nstr(w, 8)} is not near an integer at T={Ts}"
+                f"Backlund count {mp.nstr(c, 8)} is not near an integer at T={Ts}"
             )
             shift += mpf("0.05")
     raise ContourNearZeroError(f"count_by_argument failed after 5 shifts: {last_err}")
 
 
-def multiplicity_probe(rho, r, ctx: PrecisionContext, nodes: int = 128) -> int:
+def multiplicity_probe(rho, r, ctx: PrecisionContext) -> int:
     """Winding number of zeta'/zeta around |s - rho| = r: the
     multiplicity of rho as a zeta zero.
 
@@ -356,10 +339,10 @@ def multiplicity_probe(rho, r, ctx: PrecisionContext, nodes: int = 128) -> int:
         if not 0 < r <= mpf(1) / 4:
             raise RangeError("probe radius must satisfy 0 < r <= 1/4")
         acc = mpc(0)
-        for j in range(nodes):
-            w = mp.exp(mpc(0, 2) * mp.pi * j / nodes)
+        for j in range(_PROBE_NODES):
+            w = mp.exp(mpc(0, 2) * mp.pi * j / _PROBE_NODES)
             acc += _logderiv_on_contour(rho + r * w, probe_ctx) * r * w
-        val = acc / nodes
+        val = acc / _PROBE_NODES
         m = int(mp.nint(val.real))
         if abs(val - m) > mpf("0.1"):
             raise NonIntegerWindingError(
@@ -427,19 +410,14 @@ def audit_zeros(records: list[ZeroRecord], ctx: PrecisionContext, workers: int =
     return out
 
 
-def density_report(T, ctx: PrecisionContext, records: list[ZeroRecord] | None = None,
-                   n_winding: int | None = None, workers: int = 1) -> CountReport:
-    """CountReport at height T.
+def density_report(T, ctx: PrecisionContext, records: list[ZeroRecord],
+                   n_winding: int) -> CountReport:
+    """CountReport at height T from the scanned (and possibly audited)
+    records and the count_by_argument count.
 
-    When records are not supplied, a fresh scan plus audit is run.  The
-    report is flagged when the two counting methods disagree or when the
-    range is empty (ratio undefined).
+    The report is flagged when the two counts disagree or when the range
+    is empty (ratio undefined).
     """
-    if records is None:
-        records, n_winding = scan_with_count(T, ctx, workers)
-        records = audit_zeros(records, ctx, workers)
-    if n_winding is None:
-        n_winding = count_by_argument(T, ctx)
     with ctx.wp():
         T = mpf(T)
         n_sign = len(records)

@@ -1,3 +1,5 @@
+import sys
+
 import pytest
 from mpmath import mp, mpc, mpf
 
@@ -87,6 +89,37 @@ def test_count_by_argument_low_heights():
     # still refers to the requested height, below each zero.
     assert count_by_argument(14.1347, CTX) == 0
     assert count_by_argument(21.0220, CTX) == 1
+
+
+@pytest.mark.parametrize("T", [10, 14.2, 20, 31.5, 50, 100, 237, 500, 1000])
+def test_count_by_argument_matches_mpmath_nzeros(T):
+    assert count_by_argument(T, CTX) == mp.nzeros(T)
+
+
+@pytest.mark.parametrize("T", [-20, 5, 1001])
+def test_count_by_argument_range(T):
+    with pytest.raises(RangeError):
+        count_by_argument(T, CTX)
+
+
+def test_count_by_argument_cost_does_not_grow_with_height(monkeypatch):
+    """Backlund's formula integrates one fixed half of the top edge, so a
+    count costs the same number of zeta evaluations at every height."""
+    module = sys.modules["zetakit.zeros"]
+    calls = []
+    raw = module.zeta_and_deriv_raw
+
+    def counting(s, ctx):
+        calls.append(s)
+        return raw(s, ctx)
+
+    monkeypatch.setattr(module, "zeta_and_deriv_raw", counting)
+    assert count_by_argument(100, CTX) == 29
+    at_100 = len(calls)
+    assert at_100 <= 100
+    calls.clear()
+    assert count_by_argument(1000, CTX) == 649
+    assert len(calls) == at_100
 
 
 def test_rvm_estimate_reference_points():
