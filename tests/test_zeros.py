@@ -1,3 +1,4 @@
+import math
 import sys
 
 import pytest
@@ -5,7 +6,7 @@ from mpmath import mp, mpc, mpf
 
 import shared
 from zetakit import zeros
-from zetakit.errors import CacheFormatError, RangeError
+from zetakit.errors import CacheFormatError, NonIntegerWindingError, RangeError
 from zetakit.precision import PrecisionContext, real_from, to_decimal
 from zetakit.zeros import (
     STATUS_REFINED,
@@ -20,7 +21,7 @@ from zetakit.zeros import (
     scan_zeros,
     write_cache,
 )
-from zetakit.zeta import zeta
+from zetakit.zeta import hardy_Z_fast, rs_error_bound, zeta
 
 CTX = PrecisionContext.from_digits(30)
 
@@ -102,18 +103,24 @@ def test_count_by_argument_range(T):
         count_by_argument(T, CTX)
 
 
+def _count_calls(monkeypatch, name: str) -> list:
+    """First arguments of every call the zeros module makes to ``name``."""
+    module = sys.modules["zetakit.zeros"]
+    calls = []
+    raw = getattr(module, name)
+
+    def counting(x, ctx):
+        calls.append(x)
+        return raw(x, ctx)
+
+    monkeypatch.setattr(module, name, counting)
+    return calls
+
+
 def test_count_by_argument_cost_does_not_grow_with_height(monkeypatch):
     """Backlund's formula integrates one fixed half of the top edge, so a
     count costs the same number of zeta evaluations at every height."""
-    module = sys.modules["zetakit.zeros"]
-    calls = []
-    raw = module.zeta_and_deriv_raw
-
-    def counting(s, ctx):
-        calls.append(s)
-        return raw(s, ctx)
-
-    monkeypatch.setattr(module, "zeta_and_deriv_raw", counting)
+    calls = _count_calls(monkeypatch, "zeta_and_deriv_raw")
     assert count_by_argument(100, CTX) == 29
     at_100 = len(calls)
     assert at_100 <= 100
@@ -131,13 +138,78 @@ def test_rvm_estimate_reference_points():
         rvm_estimate(1)
 
 
-def test_multiplicity_probe_counts():
+def test_multiplicity_probe_counts(monkeypatch):
+    """16 nodes while the enclosed zero sits well inside the circle."""
+    calls = _count_calls(monkeypatch, "_logderiv_on_contour")
     records, _ = shared.zeros_to(35)
     rho1 = records[0].rho
-    assert multiplicity_probe(rho1, mpf(1) / 32, CTX) == 1
-    assert multiplicity_probe(rho1, mpf(1) / 4, CTX) == 1
+    for r in (mpf(1) / 32, mpf(1) / 4):
+        calls.clear()
+        assert multiplicity_probe(rho1, r, CTX) == 1
+        assert len(calls) == 16
     # Disk well away from any zero or pole.
     assert multiplicity_probe(mpc(mpf(1) / 2, 16.5), mpf(1) / 32, CTX) == 0
+
+
+def test_multiplicity_probe_nodes_grow_as_the_zero_nears_the_circle(monkeypatch):
+    """The node count doubles as the enclosed zero nears the circle, and
+    at 128 nodes a winding still not within 0.1 of an integer is an
+    error."""
+    calls = _count_calls(monkeypatch, "_logderiv_on_contour")
+    with CTX.wp():
+        t1 = mpf(T_FIRST_FIVE[0])
+    assert multiplicity_probe(mpc(0.5, t1 + mpf("0.2")), mpf(1) / 4, CTX) == 1
+    assert 16 < len(calls) < 128
+    calls.clear()
+    assert multiplicity_probe(mpc(0.5, t1 + mpf("0.225")), mpf(1) / 4, CTX) == 1
+    assert len(calls) == 128
+    calls.clear()
+    with pytest.raises(NonIntegerWindingError):
+        multiplicity_probe(mpc(0.5, t1 + mpf("0.2495")), mpf(1) / 4, CTX)
+    assert len(calls) == 128
+
+
+def test_audit_probes_take_16_nodes_to_100(monkeypatch):
+    """Every zero to T = 100 winds once at the audit's radius, and none of
+    those probes needs more than the first 16 nodes."""
+    records, _ = shared.zeros_to(100)
+    assert len(records) == 29
+    calls = _count_calls(monkeypatch, "_logderiv_on_contour")
+    audited = audit_zeros(records, CTX, workers=1)
+    assert [rec.winding for rec in audited] == [1] * 29
+    assert len(calls) == 16 * 29
+
+
+def test_audit_probes_wind_once_near_1000():
+    """Zeros 646-649 wind once at the audit's radius; ordinates and
+    |zeta'| come from mpmath, outside the package."""
+    with mp.workdps(20):
+        ts = [mp.zetazero(n).imag for n in range(645, 651)]
+        zps = [abs(mp.zeta(mpc(0.5, t), derivative=1)) for t in ts]
+    with CTX.wp():
+        records = [
+            zeros.ZeroRecord(n, +t, mpc(0.5, t), +zp, 0, STATUS_REFINED)
+            for n, t, zp in zip(range(645, 651), ts, zps)
+        ]
+    audited = audit_zeros(records, CTX, workers=1)
+    assert [rec.winding for rec in audited[1:-1]] == [1] * 4
+
+
+def test_fast_tier_signs_the_scan_grid_below_30(monkeypatch):
+    """Wherever the float Riemann-Siegel tier is trusted on the T = 100
+    scan grid (at its finest refinement) below t = 30, its sign is that of
+    mpmath's siegelz, and only the other points cost an Euler-Maclaurin Z."""
+    step = 0.25 / math.log(100.0) / 4
+    grid = [10.0 + i * step for i in range(math.ceil(20 / step))]
+    trusted = [t for t in grid if abs(hardy_Z_fast(t)) > 2 * rs_error_bound(t)]
+    assert len(trusted) > 0.8 * len(grid)
+    with mp.workdps(20):
+        for t in trusted:
+            assert (hardy_Z_fast(t) > 0) == (mp.siegelz(t) > 0), f"t={t}"
+    calls = _count_calls(monkeypatch, "hardy_Z")
+    for t in grid:
+        zeros._grid_sign(t)
+    assert len(calls) == len(grid) - len(trusted)
 
 
 def test_multiplicity_probe_radius_guard():
