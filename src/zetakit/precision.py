@@ -142,52 +142,20 @@ def _is_nonpositive_integer(z: mpc) -> bool:
 
 
 def log_gamma(z, ctx: PrecisionContext) -> mpc:
-    """Principal branch of log Gamma(z).
+    """Principal branch of log Gamma(z), from mpmath's ``loggamma``.
 
-    Stirling's asymptotic series
-
-        log Gamma(z) ~ (z - 1/2) log z - z + log(2 pi)/2
-                       + sum_m B_{2m} / (2m (2m-1) z^{2m-1})
-
-    applied after shifting the argument right via
-    log Gamma(z) = log Gamma(z + K) - sum_{j<K} log(z + j)
-    until Re(z + K) is large enough for the series to reach the target
-    accuracy.  Continuous on C minus the real ray (-inf, 0]; conjugate
-    symmetric.  exp(log_gamma(z)) equals Gamma(z) for every valid z.
+    The branch is continuous on C minus the real ray (-inf, 0] and
+    conjugate symmetric, so exp(log_gamma(z)) equals Gamma(z) but the
+    imaginary part is not reduced mod 2 pi.  Non-positive integers are
+    poles and raise :class:`GammaPoleError`.  The result is an ``mpc``
+    rounded to ``ctx.bits``, whatever the ambient mpmath precision: an
+    mpmath argument is taken as it is, not rounded first.
     """
-    z = mpc(z)
+    z = mp.mpmathify(z)
     if _is_nonpositive_integer(z):
         raise GammaPoleError(f"log_gamma pole at z={z}")
-    guard_digits = 12
-    with ctx.wp_digits(guard_digits):
-        thresh = mpf(10) ** (-(ctx.target_digits + guard_digits - 2))
-        # Shift right until the Stirling tail can reach the threshold.
-        r0 = max(12.0, 0.40 * (ctx.target_digits + 12))
-        shift = max(0, int(math.ceil(r0 - z.real)))
-        zs = z + shift
-        w = 1 / zs
-        w2 = w * w
-        acc = (zs - mpf(1) / 2) * mp.log(zs) - zs + mp.log(2 * mp.pi) / 2
-        zpow = w  # 1 / zs^(2m-1)
-        prev = mp.inf
-        m = 1
-        while True:
-            term = mp.bernoulli(2 * m) / (2 * m * (2 * m - 1)) * zpow
-            acc += term
-            size = abs(term)
-            if size < thresh * max(1, abs(acc)):
-                break
-            if size > prev or m > 300:
-                raise PrecisionEscalationError(
-                    f"Stirling series stalled at |z|={abs(zs)}, m={m}"
-                )
-            prev = size
-            zpow *= w2
-            m += 1
-        for j in range(shift):
-            acc -= mp.log(z + j)
     with ctx.wp():
-        return mpc(acc)
+        return mpc(mp.loggamma(z))
 
 
 def cpow(k: int, s, ctx: PrecisionContext) -> mpc:

@@ -133,21 +133,14 @@ def _scan_brackets(T: float, step: float) -> list[tuple[float, float]]:
 def _newton_refine(a: float, b: float, ctx: PrecisionContext) -> tuple[mpf, mpc]:
     """(t, zeta'(1/2 + it)) at the zero in [a, b].
 
-    Bisects on the scan's sign test to 1e-3, then iterates
-    t <- t - Im(zeta/zeta'): Newton on zeta(1/2 + it), whose t-derivative
-    is i zeta'(s).  Both come from one Euler-Maclaurin sum at ten guard
-    digits; one more sum at the rounded t gives zeta'(rho)."""
-    lo, hi = a, b
-    slo = _grid_sign(lo)
-    while hi - lo > 1e-3:
-        mid = (lo + hi) / 2
-        if _grid_sign(mid) == slo:
-            lo = mid
-        else:
-            hi = mid
+    Starts at the bracket midpoint and iterates t <- t - Im(zeta/zeta'):
+    Newton on zeta(1/2 + it), whose t-derivative is i zeta'(s).  Both come
+    from one Euler-Maclaurin sum at ten guard digits; one more sum at the
+    rounded t gives zeta'(rho).  An iterate farther than max(0.05, b - a)
+    from the start raises NoConvergenceError."""
     guard = PrecisionContext(ctx.bits + 34, ctx.target_digits + 10)
     with ctx.wp(20):
-        t = start = mpf(lo + hi) / 2
+        t = start = mpf(a + b) / 2
         basin = max(0.05, b - a)
         tol = mpf(10) ** (-ctx.target_digits)
         for _ in range(60):

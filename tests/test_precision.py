@@ -92,15 +92,29 @@ def test_certified_raises_on_unstable_function():
 
 
 def test_log_gamma_matches_mpmath():
-    ctx = PrecisionContext.from_digits(30)
     rng = random.Random(11)
     pts = [mpc(rng.uniform(-8, 12), rng.uniform(0.1, 40)) for _ in range(12)]
     pts += [mpc(5.5, 0), mpc(0.25, 0.5), mpc(-2.5, 0.01)]
-    with mp.workdps(45):
-        for z in pts:
-            ours = log_gamma(z, ctx)
-            ref = mp.loggamma(z)
-            assert abs(ours - ref) < mpf(10) ** -27, f"z={z}"
+    for digits in (12, 30, 60):
+        ctx = PrecisionContext.from_digits(digits)
+        with mp.workdps(digits + 15):
+            for z in pts:
+                ours = log_gamma(z, ctx)
+                ref = mp.loggamma(z)
+                assert abs(ours - ref) < mpf(10) ** -(digits - 3), f"z={z}, {digits} digits"
+
+
+def test_log_gamma_ignores_the_ambient_precision():
+    """The result is rounded to ctx.bits, and an mpmath argument is used as
+    it is, whatever precision the caller has set."""
+    ctx = PrecisionContext.from_digits(30)
+    with mp.workprec(400):
+        z = mpc(1, 2000) / 7
+    results = []
+    for prec in (53, 400):
+        with mp.workprec(prec):
+            results.append(log_gamma(z, ctx))
+    assert results[0] == results[1]
 
 
 def test_log_gamma_conjugate_symmetry():

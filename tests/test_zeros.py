@@ -129,6 +129,35 @@ def test_count_by_argument_cost_does_not_grow_with_height(monkeypatch):
     assert len(calls) == at_100
 
 
+def test_newton_refinement_makes_no_hardy_Z_call(monkeypatch):
+    """Newton starts at the bracket midpoint: refining the scan brackets of
+    zeros 1-5 signs no point of them again."""
+    brackets = zeros._scan_brackets(35.0, 0.25 / math.log(35.0))
+    assert len(brackets) == 5
+    calls = _count_calls(monkeypatch, "hardy_Z")
+    for (a, b), t_ref in zip(brackets, T_FIRST_FIVE):
+        t, _ = zeros._newton_refine(a, b, CTX)
+        with CTX.wp():
+            assert abs(t - mpf(t_ref)) < mpf(10) ** -25
+    assert calls == []
+
+
+def test_newton_converges_from_worst_case_midpoints_near_1000():
+    """Zeros 646-649 are found, correctly rounded, when the zero sits
+    0.499 of a T = 1000 scan step off the bracket midpoint on either side;
+    ordinates come from mpmath, outside the package."""
+    step = 0.25 / math.log(1000.0)
+    with mp.workprec(CTX.bits + 64):
+        ts = [mp.zetazero(n).imag for n in range(646, 650)]
+    for n, t_ref in zip(range(646, 650), ts):
+        with CTX.wp():
+            t_exact = +t_ref
+        for side in (1, -1):
+            mid = float(t_ref) + side * 0.499 * step
+            t, _ = zeros._newton_refine(mid - step / 2, mid + step / 2, CTX)
+            assert t == t_exact, f"zero {n}, side {side}"
+
+
 def test_rvm_estimate_reference_points():
     with mp.workdps(30):
         # Closed form at T = 2*pi: the main terms cancel to -1/8.

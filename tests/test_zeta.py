@@ -68,6 +68,20 @@ def test_matches_mpmath_at_random_points():
             assert abs(ours - ref) / scale < TOL, f"s={s}"
 
 
+@pytest.mark.parametrize("digits", [30, 60])
+def test_reflected_zeta_matches_mpmath_at_cli_heights(digits):
+    ctx = PrecisionContext.from_digits(digits)
+    with mp.workdps(digits + 20):
+        tol = mpf(10) ** -(digits + 3)
+        for sigma in (-1, 0.25):
+            for t in (100, 1000):
+                s = mpc(sigma, t)
+                out = zeta(s, ctx)
+                assert out.method == REFLECTED
+                ref = mp.zeta(s)
+                assert abs(out.value - ref) / abs(ref) < tol, f"s={s}"
+
+
 def test_high_ordinate_point():
     s = mpc(0.5, 1000)
     with mp.workdps(45):
@@ -232,8 +246,9 @@ def test_zeta_deriv_orders():
 
 def test_theta_and_hardy_Z():
     with mp.workdps(45):
+        for t in (14.1, 25.0, 50.0, 100.0, 500.0, 1000.0):
+            assert abs(theta(t, CTX) - mp.siegeltheta(t)) < TOL, f"t={t}"
         for t in (14.1, 25.0, 50.0):
-            assert abs(theta(t, CTX) - mp.siegeltheta(t)) < TOL
             assert abs(hardy_Z(t, CTX) - mp.siegelz(t)) < mpf(10) ** -25
 
 
