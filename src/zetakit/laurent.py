@@ -9,7 +9,7 @@ partial sums
       = D_n(K) - residue log^(n+1)(K+1) / (n+1),
 
 since the bridge terms telescope and log 1 = 0.  D_n(K) comes from the
-package's one compensated sweep over the Mobius table
+package's one sweep over the Mobius table
 (:func:`zetakit.mobius.dirichlet_partial`); the bridge is added in closed
 form at each checkpoint.  Their behavior as K grows is recorded as a
 diagnostic, never asserted: convergence of that series on the critical

@@ -62,9 +62,6 @@ class PrecisionContext:
         """Context manager setting the working precision for a block."""
         return mp.workprec(self.bits + extra_bits)
 
-    def wp_digits(self, extra_digits: int):
-        return mp.workprec(self.bits + math.ceil(extra_digits * _LOG2_10))
-
     @property
     def tol(self) -> mpf:
         """10^(-target_digits), the package-wide certification tolerance."""

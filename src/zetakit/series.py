@@ -1,13 +1,18 @@
-"""Compensated accumulation and partial-sum diagnostics.
+"""Partial-sum diagnostics, and the compensated accumulators kept for callers.
 
 Partial sums of conditionally convergent Dirichlet-type series are the
 object of study here, not just a means to a limit, so they are kept
-faithfully under one summation policy: Neumaier compensation at the
-working precision, whatever the number of terms (no widened-precision
-variant).  The Mobius sweep keeps one KahanComplexSum per log power, the
-Euler-constant series one KahanSum.  The series record keeps raw
-values, Cesaro-smoothed values, and an oscillation statistic side by
-side.
+faithfully under one summation policy: guard bits.  Each sum over K
+terms runs plainly at ctx.bits + ceil(log2 K) + 8 bits and is rounded
+once to ctx.bits at each checkpoint, so its rounding errors stay below
+the last bit kept (the Mobius sweep :func:`zetakit.mobius.dirichlet_partial`
+and :func:`zetakit.stieltjes.euler_gamma_partial`).  The series record
+keeps raw values, Cesaro-smoothed values, and an oscillation statistic
+side by side.
+
+:class:`KahanSum` and :class:`KahanComplexSum` (Neumaier compensation at
+the working precision) stay public for outside callers; the package
+itself no longer uses them.
 """
 
 from __future__ import annotations
@@ -19,7 +24,9 @@ from mpmath import mpc, mpf
 
 
 class KahanSum:
-    """Neumaier-compensated running sum of mpf values."""
+    """Neumaier-compensated running sum of mpf values.
+
+    Not used by the package, whose sums take guard bits instead."""
 
     __slots__ = ("s", "c")
 
@@ -41,7 +48,9 @@ class KahanSum:
 
 
 class KahanComplexSum:
-    """Componentwise Neumaier accumulator for mpc values."""
+    """Componentwise Neumaier accumulator for mpc values.
+
+    Not used by the package, whose sums take guard bits instead."""
 
     __slots__ = ("re", "im")
 

@@ -20,7 +20,7 @@ from mpmath import mpf
 
 from .errors import PrecisionEscalationError, RangeError
 from .precision import PrecisionContext
-from .series import KahanSum, PartialSumSeries, build_partial_series
+from .series import PartialSumSeries, build_partial_series
 from .zeta import taylor_ring
 
 N_MAX = 20
@@ -57,23 +57,28 @@ def stieltjes_gamma(n: int, ctx: PrecisionContext) -> mpf:
 
 
 def euler_gamma_partial(checkpoints, ctx: PrecisionContext) -> PartialSumSeries:
-    """Partial sums of sum_{k<=K} (1/k - log(1+1/k)) at each checkpoint."""
+    """Partial sums of sum_{k<=K} (1/k - log(1+1/k)) at each checkpoint.
+
+    The sum runs plainly at ctx.bits + ceil(log2 K) + 8 bits, K the last
+    checkpoint, and is rounded to ctx.bits at each checkpoint."""
     checkpoints = [int(K) for K in checkpoints]
     if not checkpoints or any(b <= a for a, b in zip(checkpoints, checkpoints[1:])):
         raise RangeError("checkpoints must be nonempty and strictly increasing")
     if checkpoints[0] < 1:
         raise RangeError("checkpoints start at K >= 1")
     raws = []
-    with ctx.wp():
-        acc = KahanSum()
+    with ctx.wp(math.ceil(math.log2(checkpoints[-1])) + 8):
+        acc = mpf(0)
         cp = set(checkpoints)
         ln_k = mpf(0)
         for k in range(1, checkpoints[-1] + 1):
             ln_k1 = mp.ln(k + 1)
-            acc.add(mpf(1) / k - (ln_k1 - ln_k))
+            acc += mpf(1) / k - (ln_k1 - ln_k)
             if k in cp:
-                raws.append(acc.total)
+                with ctx.wp():
+                    raws.append(+acc)
             ln_k = ln_k1
+    with ctx.wp():
         return build_partial_series(checkpoints, raws)
 
 

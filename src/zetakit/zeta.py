@@ -11,7 +11,10 @@ terms shrink by about (|Im s|/(2 pi N))^2 a step: q holds that ratio to
 1/4, or lower where 180 terms must gain digits+5 digits (the cap is 200),
 and the added digits cover small |Im s|, where the terms go like
 (2m)!/(2 pi N)^(2m).  The same expression differentiated term by term
-supplies zeta'(s) for contour work and zero refinement.  For Re(s) < 1/2
+supplies zeta'(s) for contour work and zero refinement.  The main sum
+takes n^-s and ln n from the multiplicative power kernel
+:func:`zetakit.mobius.dirichlet_powers`, so only primes take an exp, and
+the Bernoulli tail is summed with N^-s factored out.  For Re(s) < 1/2
 (away from the removable point s = 0) values are reflected through the
 symmetric functional equation; a float-precision Riemann-Siegel main sum
 is available as a scanning tier only.
@@ -31,25 +34,27 @@ import mpmath as mp
 from mpmath import mpc, mpf
 
 from .errors import NearZeroError, PoleError, PrecisionEscalationError, RangeError
+from .mobius import dirichlet_powers, smallest_prime_factors
 from .precision import PrecisionContext, log_gamma
 
 EULER_MACLAURIN = "euler-maclaurin"
 REFLECTED = "reflected"
 
-# ln(n) and B_2m/(2m)! memos keyed by (n or m, working precision), so results
-# never depend on evaluation order; shared across the hot Euler-Maclaurin loops.
-_ln_cache: dict[tuple[int, int], mpf] = {}
+# B_2m/(2m)! memo keyed by (m, working precision), so results never depend
+# on evaluation order; shared across the hot Euler-Maclaurin loops.
 _bern_cache: dict[tuple[int, int], mpf] = {}
 
+# Smallest-prime-factor tables for the main sum's power kernel, one per
+# power of two above N: built once per size class, never at import.
+_spf_cache: dict[int, object] = {}
 
-def _ln_int(n: int) -> mpf:
-    key = (n, mp.mp.prec)
-    v = _ln_cache.get(key)
-    if v is None:
-        v = mp.ln(n)
-        if len(_ln_cache) < 200_000:
-            _ln_cache[key] = v
-    return v
+
+def _spf_table(N: int):
+    size = 1 << N.bit_length()
+    spf = _spf_cache.get(size)
+    if spf is None:
+        spf = _spf_cache[size] = smallest_prime_factors(size)
+    return spf
 
 
 def _bernoulli_coeff(m: int) -> mpf:
@@ -88,39 +93,41 @@ def _em_pair(s: mpc, digits: int, want_deriv: bool):
 
 
 def _em_attempt(s: mpc, N: int, thresh: mpf, want_deriv: bool):
-    acc = mpc(1)  # n = 1 term
+    acc = mpc(0)
     dacc = mpc(0)
-    for n in range(2, N + 1):
-        ln = _ln_int(n)
-        term = mp.exp(-s * ln)
+    for n, ln, term in dirichlet_powers(s, N, spf=_spf_table(N)):
         acc += term
         if want_deriv:
             dacc -= ln * term
-    lnN = _ln_int(N)
-    NmS = mp.exp(-s * lnN)  # N^-s
+    lnN, NmS = ln, term  # the last term is N^-s
     sm1 = s - 1
     T1 = NmS * N / sm1
     acc += T1 - NmS / 2
     if want_deriv:
         dacc += -lnN * T1 - T1 / sm1 + lnN * NmS / 2
-    # Bernoulli tail: B_2m/(2m)! * s(s+1)...(s+2m-2) * N^(-s-2m+1)
+    # Bernoulli tail N^-s sum_m B_2m/(2m)! s(s+1)...(s+2m-2) N^(1-2m), with
+    # N^-s factored out so that each step multiplies a complex by a real.
     P = s  # rising-factorial product, currently (s)_1
     dP = mpc(1)
-    Npow = NmS / N  # N^(-s-1)
+    Npow = mpf(1) / N  # N^(1-2m)
     Nm2 = mpf(1) / (N * N)
+    scale = abs(NmS)
+    tail = mpc(0)
+    dtail = mpc(0)
     m = 1
     prev = mp.inf
     while True:
-        coeff = _bernoulli_coeff(m)
-        term = coeff * P * Npow
-        acc += term
-        size = abs(term)
+        coeff = _bernoulli_coeff(m) * Npow
+        term = coeff * P
+        tail += term
+        size = abs(term) * scale
         if want_deriv:
-            dterm = coeff * (dP - lnN * P) * Npow
-            dacc += dterm
-            size = max(size, abs(dterm))
+            dterm = coeff * (dP - lnN * P)
+            dtail += dterm
+            size = max(size, abs(dterm) * scale)
         if size < thresh:
-            return (acc, dacc if want_deriv else None)
+            acc += NmS * tail
+            return (acc, dacc + NmS * dtail if want_deriv else None)
         if size > prev or m >= 200:
             return None  # asymptotic tail stalled; caller doubles N
         prev = size

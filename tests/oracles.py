@@ -8,6 +8,9 @@ next to each formula so tolerances in the tests can be audited.
 
 from __future__ import annotations
 
+import math
+
+import numpy as np
 from mpmath import mp, mpf
 
 
@@ -76,6 +79,21 @@ def mu_factor(k: int) -> int:
     if k > 1:
         sign = -sign
     return sign
+
+
+def mu_eratosthenes(N: int) -> np.ndarray:
+    """mu(1..N) as int8 by one slice per prime: flip the sign on the
+    multiples of p, zero the multiples of p^2."""
+    comp = np.zeros(N + 1, dtype=bool)
+    comp[:2] = True
+    for p in range(2, math.isqrt(N) + 1):
+        if not comp[p]:
+            comp[p * p :: p] = True
+    mu = np.ones(N + 1, dtype=np.int8)
+    for p in np.flatnonzero(~comp).tolist():
+        mu[p::p] *= -1
+        mu[p * p :: p * p] = 0
+    return mu[1:]
 
 
 def mertens_brute(x: int) -> int:

@@ -190,6 +190,11 @@ def test_mertens_values():
     out = run_cli("mertens", "--x", "100", "--k-max", "1000")
     assert out.returncode == 0
     assert out.stdout.strip() == "1"
+    # Published values: M(10^6) = 212, M(10^7) = 1037.
+    for x, m in ((10**6, "212"), (10**7, "1037")):
+        out = run_cli("mertens", "--x", str(x), "--k-max", str(10**7))
+        assert out.returncode == 0
+        assert out.stdout.strip() == m
 
 
 def test_mertens_beyond_sieve():

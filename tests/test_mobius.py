@@ -1,11 +1,18 @@
-import random
-
+import numpy as np
 import pytest
 from mpmath import mp, mpc, mpf
 
 import oracles
 from zetakit.errors import LimitTooLargeError, RangeError
-from zetakit.mobius import MobiusTable, dirichlet_partial, mertens, sieve_mobius
+import zetakit.mobius as mobius
+from zetakit.mobius import (
+    MobiusTable,
+    dirichlet_partial,
+    dirichlet_powers,
+    mertens,
+    sieve_mobius,
+    smallest_prime_factors,
+)
 from zetakit.precision import PrecisionContext
 
 CTX = PrecisionContext.from_digits(30)
@@ -17,12 +24,22 @@ def test_first_values():
     assert [table.mobius(k) for k in range(1, 11)] == expected
 
 
-def test_sieve_against_trial_division():
-    table = sieve_mobius(10**4)
-    rng = random.Random(41)
-    for _ in range(300):
-        k = rng.randint(1, 10**4)
-        assert table.mobius(k) == oracles.mu_factor(k), f"k={k}"
+def test_sieve_against_trial_division(monkeypatch):
+    N = 2 * 10**4
+    want = [oracles.mu_factor(k) for k in range(1, N + 1)]
+    # A 997-integer segment puts 20 segment boundaries below N.
+    for segment in (mobius.SEGMENT, 997):
+        monkeypatch.setattr(mobius, "SEGMENT", segment)
+        assert sieve_mobius(N).values.tolist() == want, segment
+
+
+def test_sieve_at_tiny_limits_and_segment_edges():
+    # Limits whose square root is or is not an integer, and the default
+    # segment size +-1, against the one-slice-per-prime Eratosthenes sieve.
+    for N in (1, 2, 3, 4, 5, 9, 25):
+        assert sieve_mobius(N).values.tolist() == [oracles.mu_factor(k) for k in range(1, N + 1)]
+    for N in (mobius.SEGMENT - 1, mobius.SEGMENT, mobius.SEGMENT + 1):
+        assert np.array_equal(sieve_mobius(N).values, oracles.mu_eratosthenes(N)), N
 
 
 def test_mertens_small_values():
@@ -98,3 +115,60 @@ def test_mertens_prefix_matches_scalar():
     prefix = table.mertens_prefix()
     for x in (1, 7, 100, 499):
         assert prefix[x - 1] == mertens(x, table)
+
+
+def test_smallest_prime_factors_by_trial_division():
+    spf = smallest_prime_factors(2000).tolist()
+    for k in range(2, 2001):
+        p = next(d for d in range(2, k + 1) if k % d == 0)
+        assert spf[k] == p, k
+
+
+def test_dirichlet_powers_every_k_and_squarefree_k():
+    s = mpc(mpf(1) / 2, 21)
+    with CTX.wp():
+        every = list(dirichlet_powers(s, 200))
+        assert [k for k, _, _ in every] == list(range(1, 201))
+        for k, ln_k, kp in every:
+            assert abs(ln_k - mp.ln(k)) < mpf(10) ** -36
+            assert abs(kp - mp.exp(-s * mp.ln(k))) < mpf(10) ** -36
+        table = sieve_mobius(200)
+        squarefree = [(k, kp) for k, _, kp in dirichlet_powers(s, 200, table.values)]
+        assert [k for k, _ in squarefree] == [k for k in range(1, 201) if table.mobius(k)]
+        assert squarefree == [(k, kp) for k, _, kp in every if table.mobius(k)]
+
+
+def _direct_partial(rho, ns, checkpoints):
+    """sum_{k<=K} mu(k) ln^n(k) exp(-rho ln k), one exp per k, 20 bits past CTX."""
+    table = sieve_mobius(checkpoints[-1])
+    want = {n: [] for n in ns}
+    with CTX.wp(20):
+        acc = {n: mpc(0) for n in ns}
+        for k in range(1, checkpoints[-1] + 1):
+            muk = table.mobius(k)
+            if muk:
+                ln_k = mp.ln(k)
+                kp = muk * mp.exp(-rho * ln_k)
+                for n in ns:
+                    acc[n] += kp * ln_k**n
+            if k in checkpoints:
+                for n in ns:
+                    want[n].append(+acc[n])
+    return table, want
+
+
+def test_dirichlet_partial_against_exp_loop_at_zeros(monkeypatch):
+    ns = (0, 1, 2)
+    cps = (10**3, 10**4, 2 * 10**4)
+    for index in (1, 2, 3):
+        with mp.workdps(40):
+            rho = mp.zetazero(index)
+        table, want = _direct_partial(rho, ns, cps)
+        for cap in (mobius.POWER_MEMO_CAP, 100):
+            # A cap of 100 sends nearly every composite to the exp fallback.
+            monkeypatch.setattr(mobius, "POWER_MEMO_CAP", cap)
+            got = dirichlet_partial(rho, ns, cps, table, CTX)
+            with CTX.wp():
+                for n in ns:
+                    for g, w, K in zip(got[n], want[n], cps):
+                        assert abs(g - w) < mpf(10) ** -27, (index, cap, n, K)
