@@ -208,7 +208,11 @@ def cmd_laurent(cfg: RunConfig, zero_index: int, n_terms: int) -> int:
         raise UnknownIndexError(f"no cached zero with index {zero_index}")
     ctx = PrecisionContext.from_digits(cfg.digits)
     polished = refine_zero(rec.t, ctx)
-    neighbors = [r.t for r in cached if r.index in (zero_index - 1, zero_index + 1)]
+    # The lower neighbour alone can overstate the gap, so without the upper
+    # one cached the gap is walked on the scan grid.
+    neighbors = None
+    if any(r.index == zero_index + 1 for r in cached):
+        neighbors = [r.t for r in cached if r.index in (zero_index - 1, zero_index + 1)]
     table = sieve_mobius(cfg.k_max)
     checkpoints = [K for K in DEFAULT_CHECKPOINTS if K <= cfg.k_max] or [cfg.k_max]
     report = expansion_report(
@@ -218,7 +222,7 @@ def cmd_laurent(cfg: RunConfig, zero_index: int, n_terms: int) -> int:
         n_terms=n_terms,
         table=table,
         checkpoints=checkpoints,
-        neighbor_ts=neighbors or None,
+        neighbor_ts=neighbors,
     )
     print(json.dumps(report, indent=2, sort_keys=True))
     return EXIT_OK

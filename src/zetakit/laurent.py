@@ -35,7 +35,7 @@ from .mobius import MobiusTable, dirichlet_partial
 from .precision import PrecisionContext, cpow, to_decimal
 from .series import build_partial_series
 from .zeros import SIMPLICITY_FLOOR, neighbor_distance
-from .zeta import inverse_zeta, taylor_ring, zeta_deriv
+from .zeta import inverse_zeta, ring_samples, taylor_ring, zeta_deriv
 
 DEFAULT_CHECKPOINTS = (10**3, 10**4, 10**5, 10**6)
 
@@ -237,15 +237,20 @@ def residual_profile(rho, r, N_list, samples: int, ctx: PrecisionContext,
     N_list = sorted(set(int(N) for N in N_list))
     if N_list[0] < 0:
         raise RangeError("truncation order must be >= 0")
-    N_max = N_list[-1]
-    exp, _ = _expansion_full(rho, N_max, ctx, neighbor_ts)
+    exp, _ = _expansion_full(rho, N_list[-1], ctx, neighbor_ts)
+    return _residual_sweep(exp, r, N_list, samples, ctx)
+
+
+def _residual_sweep(exp: LaurentExpansion, r, N_list, samples: int, ctx: PrecisionContext) -> dict:
+    """{N: max |1/zeta - exp truncated to order N|} over ``samples`` points
+    of the circle |s-rho| = r."""
     with ctx.wp():
         r = mpf(r)
         if not 0 < r < exp.radius:
             raise OutsideDiskError(
                 f"sweep radius {mp.nstr(r, 6)} outside disk radius {mp.nstr(exp.radius, 6)}"
             )
-        points = [exp.rho + r * mp.exp(mpc(0, 2) * mp.pi * j / samples) for j in range(samples)]
+        points = ring_samples(lambda h: exp.rho + h, r, samples)
         targets = [inverse_zeta(s, ctx) for s in points]
         out = {}
         for N in N_list:
@@ -279,10 +284,12 @@ def expansion_report(index: int, rho, ctx: PrecisionContext, n_terms: int,
                      neighbor_ts=None) -> dict:
     """JSON-ready expansion report: oracle coefficients, residual ladder,
     and coefficient-series diagnostics.  All numerics decimal strings."""
+    if samples < 16:
+        raise RangeError("residual sweep needs at least 16 samples")
     exp, _ = _expansion_full(rho, n_terms, ctx, neighbor_ts)
     with ctx.wp():
         r = mpf(residual_r) if residual_r is not None else min(mpf(1) / 32, exp.radius / 2)
-    residuals = residual_profile(rho, r, list(range(n_terms + 1)), samples, ctx, neighbor_ts)
+    residuals = _residual_sweep(exp, r, range(n_terms + 1), samples, ctx)
     with ctx.wp():
         report = {
             "index": index,

@@ -26,7 +26,7 @@ bit kept.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import mpmath as mp
 import numpy as np
@@ -50,17 +50,11 @@ POWER_MEMO_CAP = 1 << 17
 class MobiusTable:
     limit: int
     values: np.ndarray  # values[k-1] = mu(k), dtype int8
-    _mertens: np.ndarray | None = field(default=None, repr=False)
 
     def mobius(self, k: int) -> int:
         if not 1 <= k <= self.limit:
             raise RangeError(f"mobius index {k} outside table limit {self.limit}")
         return int(self.values[k - 1])
-
-    def mertens_prefix(self) -> np.ndarray:
-        if self._mertens is None:
-            self._mertens = np.cumsum(self.values, dtype=np.int64)
-        return self._mertens
 
 
 def _small_primes(n: int) -> list:

@@ -21,6 +21,10 @@ from .errors import GammaPoleError, PrecisionEscalationError, RangeError
 
 _LOG2_10 = math.log2(10.0)
 
+# Factor by which bits grow when a two-precision agreement check fails and
+# the computation is retried.
+ESCALATION_FACTOR = 2.0
+
 
 @dataclass(frozen=True)
 class PrecisionContext:
@@ -28,13 +32,11 @@ class PrecisionContext:
 
     ``bits`` is the mantissa size every operation computes with and
     ``target_digits`` the number of decimal digits the caller wants
-    certified.  ``escalation_factor`` multiplies ``bits`` when a
-    two-precision agreement check fails and the computation is retried.
+    certified.
     """
 
     bits: int
     target_digits: int
-    escalation_factor: float = 2.0
 
     def __post_init__(self):
         if self.target_digits < 1:
@@ -46,8 +48,6 @@ class PrecisionContext:
                 f"bits={self.bits} too small for {self.target_digits} digits "
                 f"(need >= {self.min_bits(self.target_digits)})"
             )
-        if self.escalation_factor <= 1.0:
-            raise RangeError("escalation_factor must exceed 1")
 
     @staticmethod
     def min_bits(digits: int) -> int:
@@ -55,8 +55,8 @@ class PrecisionContext:
         return max(64, math.ceil(digits * _LOG2_10) + 32)
 
     @classmethod
-    def from_digits(cls, digits: int, escalation_factor: float = 2.0) -> "PrecisionContext":
-        return cls(cls.min_bits(digits), digits, escalation_factor)
+    def from_digits(cls, digits: int) -> "PrecisionContext":
+        return cls(cls.min_bits(digits), digits)
 
     def wp(self, extra_bits: int = 0):
         """Context manager setting the working precision for a block."""
@@ -71,8 +71,8 @@ class PrecisionContext:
     def escalated(self, rounds: int = 1) -> "PrecisionContext":
         bits = self.bits
         for _ in range(rounds):
-            bits = int(math.ceil(bits * self.escalation_factor))
-        return PrecisionContext(bits, self.target_digits, self.escalation_factor)
+            bits = int(math.ceil(bits * ESCALATION_FACTOR))
+        return PrecisionContext(bits, self.target_digits)
 
 
 DEFAULT_CONTEXT = PrecisionContext.from_digits(30)
@@ -115,14 +115,14 @@ def certified(fn, ctx: PrecisionContext, retries: int = 3):
     """Two-precision agreement harness.
 
     Evaluates ``fn(bits)`` at the context precision and again at
-    ``escalation_factor * bits``.  On agreement to ``target_digits`` the
+    ``ESCALATION_FACTOR * bits``.  On agreement to ``target_digits`` the
     higher-precision value is returned together with the measured digit
     count; otherwise the precision is escalated and the pair re-run, at
     most ``retries`` times before raising.
     """
     bits = ctx.bits
     for _ in range(retries):
-        hi_bits = int(math.ceil(bits * ctx.escalation_factor))
+        hi_bits = int(math.ceil(bits * ESCALATION_FACTOR))
         lo = fn(bits)
         hi = fn(hi_bits)
         digits = agreement_digits(lo, hi)

@@ -32,7 +32,7 @@ def _gammas(n_max: int, ctx: PrecisionContext) -> list:
     gamma_n = (-1)^n n! a_n scales the ring's error in a_n by n!, so the
     ring at s = 1 runs with ceil(log10(n_max!)) extra digits."""
     guard = math.ceil(math.log10(math.factorial(n_max)))
-    inner = PrecisionContext.from_digits(ctx.target_digits + guard, ctx.escalation_factor)
+    inner = PrecisionContext.from_digits(ctx.target_digits + guard)
     a = taylor_ring(1, mpf(1) / 2, n_max + 1, inner)
     with inner.wp():
         gammas = [mp.factorial(n) * a[n] * (-1) ** n for n in range(n_max + 1)]

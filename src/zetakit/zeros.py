@@ -30,7 +30,7 @@ from .errors import (
 )
 from .parallel import map_ordered
 from .precision import PrecisionContext, real_from, to_decimal
-from .zeta import hardy_Z, hardy_Z_fast, rs_error_bound, theta, zeta_and_deriv_raw
+from .zeta import hardy_Z, hardy_Z_fast, ring_samples, rs_error_bound, theta, zeta_and_deriv_raw
 
 STATUS_REFINED = "refined"
 STATUS_SIMPLE = "simple-confirmed"
@@ -329,10 +329,11 @@ def multiplicity_probe(rho, r, ctx: PrecisionContext) -> int:
     sec. 3); an enclosed zero at distance a from rho adds about (a/r)^n.
     The caller keeps r <= 0.4 times the zero gap (see
     :func:`audit_zeros`), so R >= 2.5r and 16 nodes are off by at most
-    2.5^-16, about 4e-7.  The probe starts at 16 nodes and doubles,
-    evaluating only the new nodes, while the winding is not within 1e-3
-    of an integer.  At the 128-node cap it accepts within 0.1 or raises
-    :class:`NonIntegerWindingError`.
+    2.5^-16, about 4e-7.  The winding is the mean of zeta'/zeta(rho + h) h
+    over the nodes h of :func:`zetakit.zeta.ring_samples`.  The probe
+    starts at 16 nodes and doubles, evaluating only the new nodes, while
+    the winding is not within 1e-3 of an integer.  At the 128-node cap it
+    accepts within 0.1 or raises :class:`NonIntegerWindingError`.
     """
     probe_ctx = PrecisionContext.from_digits(_COUNT_DIGITS)
     with probe_ctx.wp():
@@ -340,20 +341,20 @@ def multiplicity_probe(rho, r, ctx: PrecisionContext) -> int:
         r = mpf(r)
         if not 0 < r <= mpf(1) / 4:
             raise RangeError("probe radius must satisfy 0 < r <= 1/4")
-        acc = mpc(0)
-        n, new = _PROBE_MIN_NODES, range(_PROBE_MIN_NODES)
+
+        def f(h):
+            return _logderiv_on_contour(rho + h, probe_ctx) * h
+
+        n, samples = _PROBE_MIN_NODES, ()
         while True:
-            for j in new:
-                w = mp.exp(mpc(0, 2) * mp.pi * j / n)
-                acc += _logderiv_on_contour(rho + r * w, probe_ctx) * r * w
-            val = acc / n
+            samples = ring_samples(f, r, n, samples)
+            val = mp.fsum(samples) / n
             m = int(mp.nint(val.real))
             if abs(val - m) <= mpf("1e-3"):
                 return m
             if n >= _PROBE_NODES:
                 break
-            # Node j of the n-node ring is node 2j of the 2n-node ring.
-            n, new = 2 * n, range(1, 2 * n, 2)
+            n *= 2
         if abs(val - m) > mpf("0.1"):
             raise NonIntegerWindingError(
                 f"circle winding {mp.nstr(val, 8)} at rho={rho} is not near an integer"

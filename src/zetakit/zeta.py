@@ -22,11 +22,18 @@ is available as a scanning tier only.
 Taylor coefficients come from one cached Cauchy ring, :func:`taylor_ring`.
 Centred on the pole s = 1 it samples the regular part zeta(s) - 1/(s-1)
 and returns the Laurent coefficients there, which give the Stieltjes
-constants.
+constants.  Every circle of the package, this ring, its DFT roots, the
+multiplicity probe of :mod:`zetakit.zeros` and the residual sweep of
+:mod:`zetakit.laurent`, takes its nodes radius e^(2 pi i j/n) from
+:func:`ring_samples`, which doubles a ring by evaluating only the odd
+nodes.  The process caches (the ring of each node count, B_2m/(2m)! per
+precision, the smallest-prime-factor table per size class) are
+``functools.lru_cache``d functions.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -40,29 +47,20 @@ from .precision import PrecisionContext, log_gamma
 EULER_MACLAURIN = "euler-maclaurin"
 REFLECTED = "reflected"
 
-# B_2m/(2m)! memo keyed by (m, working precision), so results never depend
-# on evaluation order; shared across the hot Euler-Maclaurin loops.
-_bern_cache: dict[tuple[int, int], mpf] = {}
 
-# Smallest-prime-factor tables for the main sum's power kernel, one per
-# power of two above N: built once per size class, never at import.
-_spf_cache: dict[int, object] = {}
-
-
-def _spf_table(N: int):
-    size = 1 << N.bit_length()
-    spf = _spf_cache.get(size)
-    if spf is None:
-        spf = _spf_cache[size] = smallest_prime_factors(size)
-    return spf
+@functools.lru_cache(maxsize=None)
+def _spf_table(size: int):
+    """Smallest-prime-factor table for the main sum's power kernel.  Called
+    with the power of two above N, so it is built once per size class,
+    never at import."""
+    return smallest_prime_factors(size)
 
 
-def _bernoulli_coeff(m: int) -> mpf:
-    key = (m, mp.mp.prec)
-    v = _bern_cache.get(key)
-    if v is None:
-        v = _bern_cache[key] = mp.bernoulli(2 * m) / mp.factorial(2 * m)
-    return v
+@functools.lru_cache(maxsize=None)
+def _bernoulli_coeff(m: int, prec: int) -> mpf:
+    """B_2m/(2m)! at ``prec`` bits, so results never depend on evaluation order."""
+    with mp.workprec(prec):
+        return mp.bernoulli(2 * m) / mp.factorial(2 * m)
 
 
 @dataclass(frozen=True)
@@ -95,7 +93,7 @@ def _em_pair(s: mpc, digits: int, want_deriv: bool):
 def _em_attempt(s: mpc, N: int, thresh: mpf, want_deriv: bool):
     acc = mpc(0)
     dacc = mpc(0)
-    for n, ln, term in dirichlet_powers(s, N, spf=_spf_table(N)):
+    for n, ln, term in dirichlet_powers(s, N, spf=_spf_table(1 << N.bit_length())):
         acc += term
         if want_deriv:
             dacc -= ln * term
@@ -117,7 +115,7 @@ def _em_attempt(s: mpc, N: int, thresh: mpf, want_deriv: bool):
     m = 1
     prev = mp.inf
     while True:
-        coeff = _bernoulli_coeff(m) * Npow
+        coeff = _bernoulli_coeff(m, mp.mp.prec) * Npow
         term = coeff * P
         tail += term
         size = abs(term) * scale
@@ -178,7 +176,7 @@ def zeta(s, ctx: PrecisionContext, method: str | None = None, certify: bool = Fa
                 return ZetaValue(mpc(0), REFLECTED, ctx.target_digits)
 
         def run(bits):
-            rctx = PrecisionContext(max(bits, ctx.bits), ctx.target_digits, ctx.escalation_factor)
+            rctx = PrecisionContext(max(bits, ctx.bits), ctx.target_digits)
             with mp.workprec(bits + 40):
                 v, _ = _em_pair(1 - s, ctx.target_digits, False)
                 v *= _chi(s, rctx)
@@ -236,66 +234,58 @@ def inverse_zeta(s, ctx: PrecisionContext) -> mpc:
 # Cauchy-ring derivative extraction
 # ----------------------------------------------------------------------
 
-_ring_cache: dict[tuple, list] = {}
-
 # Adaptive rings start at this many nodes and double up to the cap.
 _RING_MIN_NODES = 16
 _RING_MAX_NODES = 4096
 
 
-def _ring_key(center: mpc, radius: mpf, prec: int):
-    return (mp.nstr(center.real, 40), mp.nstr(center.imag, 40), mp.nstr(radius, 25), prec)
+def ring_samples(f, radius, nodes: int, half=()) -> list:
+    """[f(h_j) for j < nodes], h_j = radius e^(2 pi i j / nodes).
+
+    The package's one source of circle nodes; h_j is computed at the
+    ambient working precision.  Node j of the ring with nodes/2 nodes is
+    node 2j here, bit for bit, so ``half``, that ring's samples, supplies
+    the even nodes and only the odd ones are evaluated, in increasing j.
+    """
+    out = []
+    for j in range(nodes):
+        if half and j % 2 == 0:
+            out.append(half[j // 2])
+        else:
+            out.append(f(radius * mp.exp(mpc(0, 2) * mp.pi * j / nodes)))
+    return out
 
 
-def _power_of_two_ratio(a: int, b: int) -> bool:
-    q, r = divmod(a, b)
-    return r == 0 and q & (q - 1) == 0
-
-
-def _zeta_ring_samples(center: mpc, radius: mpf, nodes: int, ctx: PrecisionContext) -> list:
-    """zeta on the circle center + radius*e^(2 pi i j / nodes), memoized.
+@functools.lru_cache(maxsize=4096)
+def _zeta_ring(center: mpc, radius: mpf, nodes: int, ctx: PrecisionContext) -> tuple:
+    """zeta on the circle center + radius e^(2 pi i j / nodes), memoized.
 
     A ring centred on the pole samples the regular part: the principal
-    part 1/h, h = radius*e^(2 pi i j / nodes), is subtracted from each
-    zeta(1 + h).
-
-    One cache entry per (center, radius, precision).  Node j of an n-node
-    ring is node 2j of the 2n-node ring, bit for bit, so a cached ring
-    2^m times the size of ``nodes`` is subsampled, and one 2^m times
-    smaller is extended by evaluating only the new nodes.  Any other
-    cached size is replaced.
+    part 1/h is subtracted from each zeta(1 + h).  Above 16 nodes the even
+    nodes come from the memoized ring of half the size, so doubling a ring
+    evaluates only the new nodes and gives the bits of a fresh ring.
 
     ctx must already carry the guard digits: coefficient extraction
     divides by radius^k, so sample accuracy has to track the widened
     working precision, not the caller's final target.
     """
-    key = _ring_key(center, radius, mp.mp.prec)
-    have = _ring_cache.get(key)
-    step = 0
-    if have is not None:
-        if _power_of_two_ratio(len(have), nodes):
-            return have[:: len(have) // nodes]
-        if _power_of_two_ratio(nodes, len(have)):
-            step = nodes // len(have)
-    samples = []
-    for j in range(nodes):
-        if step and j % step == 0:
-            samples.append(have[j // step])
-        else:
-            h = radius * mp.exp(mpc(0, 2) * mp.pi * j / nodes)
-            v = zeta(center + h, ctx).value
-            if center == 1:
-                v -= 1 / h
-            samples.append(v)
-    if have is not None or len(_ring_cache) < 4096:
-        _ring_cache[key] = samples
-    return samples
+
+    def f(h):
+        v = zeta(center + h, ctx).value
+        return v - 1 / h if center == 1 else v
+
+    half = _zeta_ring(center, radius, nodes // 2, ctx) if nodes > _RING_MIN_NODES else ()
+    with ctx.wp():
+        return tuple(ring_samples(f, radius, nodes, half))
 
 
-def _ring_dft(samples: list, ks) -> list:
-    """(1/n) sum_j samples[j] w^(-jk) for each k in ks, w = e^(2 pi i/n)."""
+def _ring_dft(samples, ks) -> list:
+    """(1/n) sum_j samples[j] w^(-jk) for each k in ks, w = e^(2 pi i/n).
+
+    The roots w^(-j) are the conjugate unit-circle nodes, bit for bit the
+    values exp(-2 pi i j/n)."""
     n = len(samples)
-    roots = [mp.exp(mpc(0, -2) * mp.pi * j / n) for j in range(n)]
+    roots = ring_samples(mp.conj, 1, n)
     return [mp.fdot(samples, [roots[j * k % n] for j in range(n)]) / n for k in ks]
 
 
@@ -353,15 +343,13 @@ def taylor_ring(center, radius, count: int, ctx: PrecisionContext) -> list:
     if center != 1 and abs(center - 1) <= radius:
         raise PoleError("derivative contour touches the pole at s=1")
     amplification = count * max(0.0, -math.log10(float(radius))) + 10
-    inner = PrecisionContext.from_digits(
-        ctx.target_digits + int(math.ceil(amplification)), ctx.escalation_factor
-    )
+    inner = PrecisionContext.from_digits(ctx.target_digits + int(math.ceil(amplification)))
     with inner.wp():
         n = _RING_MIN_NODES
         while n < 2 * count:
             n *= 2
         while True:
-            samples = _zeta_ring_samples(center, radius, n, inner)
+            samples = _zeta_ring(center, radius, n, inner)
             floor = inner.tol * max(abs(v) for v in samples)
             if _aliasing_estimate(samples) <= floor:
                 break

@@ -158,6 +158,28 @@ def test_laurent_report(seeded_cache):
     assert doc["rho"]["im"].startswith("21.02203963877")
 
 
+def test_laurent_radius_of_the_last_cached_zero(tmp_path):
+    """With zero index+1 not cached, the validity radius still respects the
+    gap to it: the cache holds zeros 1-4 from mpmath, and zero 5 lies
+    2.51 above zero 4, nearer than zero 3 below it."""
+    from mpmath import mp
+
+    with mp.workdps(40):
+        ts = [mp.zetazero(n).imag for n in range(1, 6)]
+        lines = ["# zeta-zeros v1 digits=30\n"]
+        for n, t in enumerate(ts[:4], start=1):
+            zp = abs(mp.zeta(mp.mpc(0.5, t), derivative=1))
+            lines.append(f"{n},{mp.nstr(t, 35)},{mp.nstr(zp, 35)},0,refined\n")
+    path = tmp_path / "zeros.cache"
+    path.write_text("".join(lines))
+    out = run_cli(
+        "laurent", "--index", "4", "--terms", "2", "--k-max", "1000", "--cache", str(path),
+    )
+    assert out.returncode == 0, out.stderr
+    radius = float(json.loads(out.stdout)["radius"])
+    assert 0 < radius <= 0.8 * float(ts[4] - ts[3])
+
+
 def test_laurent_unknown_index(seeded_cache):
     out = run_cli("laurent", "--index", "99", "--cache", str(seeded_cache))
     assert out.returncode == 2

@@ -35,3 +35,45 @@ def test_zero_pipeline_does_not_use_the_cauchy_ring():
         if alias.name.split(".")[-1] in ("taylor_ring", "zeta_deriv")
     ]
     assert not found, "; ".join(found)
+
+
+def _is_circle_node(node) -> bool:
+    """An ``mp.exp`` whose argument multiplies ``mp.pi`` by ``mpc(0, +-2)``."""
+
+    def is_attr(n, owner, attr):
+        return (isinstance(n, ast.Attribute) and n.attr == attr
+                and isinstance(n.value, ast.Name) and n.value.id == owner)
+
+    def is_two_i(n):
+        if not (isinstance(n, ast.Call) and isinstance(n.func, ast.Name)
+                and n.func.id == "mpc" and len(n.args) == 2):
+            return False
+        im = n.args[1]
+        if isinstance(im, ast.UnaryOp) and isinstance(im.op, ast.USub):
+            im = im.operand
+        return isinstance(im, ast.Constant) and im.value == 2
+
+    if not (isinstance(node, ast.Call) and is_attr(node.func, "mp", "exp") and node.args):
+        return False
+    inner = list(ast.walk(node.args[0]))
+    return any(is_attr(n, "mp", "pi") for n in inner) and any(is_two_i(n) for n in inner)
+
+
+def test_only_ring_samples_computes_circle_nodes():
+    """Every circle around a point, the Cauchy rings, the multiplicity
+    probe, the residual sweep and the DFT roots, takes its nodes from
+    zeta.ring_samples."""
+    found = []
+    for path in sorted(SRC.glob("*.py")):
+        tree = ast.parse(path.read_text(), filename=str(path))
+        allowed = set()
+        if path.name == "zeta.py":
+            for node in ast.walk(tree):
+                if isinstance(node, ast.FunctionDef) and node.name == "ring_samples":
+                    allowed = set(range(node.lineno, node.end_lineno + 1))
+        found += [
+            f"{path.name}:{node.lineno}"
+            for node in ast.walk(tree)
+            if _is_circle_node(node) and node.lineno not in allowed
+        ]
+    assert not found, "circle nodes computed outside zeta.ring_samples at " + ", ".join(found)

@@ -110,13 +110,6 @@ def test_dirichlet_partial_approximates_inverse_zeta_at_2():
         assert abs(ours - 6 / mp.pi**2) < mpf(10) ** -3
 
 
-def test_mertens_prefix_matches_scalar():
-    table = sieve_mobius(500)
-    prefix = table.mertens_prefix()
-    for x in (1, 7, 100, 499):
-        assert prefix[x - 1] == mertens(x, table)
-
-
 def test_smallest_prime_factors_by_trial_division():
     spf = smallest_prime_factors(2000).tolist()
     for k in range(2, 2001):

@@ -10,7 +10,7 @@ from zetakit.stieltjes import (
     euler_gamma_partial,
     stieltjes_gamma,
 )
-from zetakit.zeta import _ring_cache
+from zetakit.zeta import _zeta_ring
 
 CTX = PrecisionContext.from_digits(30)
 
@@ -74,10 +74,13 @@ def test_expansion_reconstructs_zeta_near_one():
 
 
 def test_stieltjes_gamma_reads_one_ring():
-    _ring_cache.clear()
-    for n in range(13):
+    _zeta_ring.cache_clear()
+    stieltjes_gamma(0, CTX)
+    misses = _zeta_ring.cache_info().misses
+    assert misses > 0
+    for n in range(1, 13):
         stieltjes_gamma(n, CTX)
-    assert len(_ring_cache) == 1
+    assert _zeta_ring.cache_info().misses == misses
 
 
 def test_gamma_n_range_validation():

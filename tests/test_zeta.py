@@ -10,12 +10,13 @@ from zetakit.precision import PrecisionContext
 from zetakit.zeta import (
     EULER_MACLAURIN,
     REFLECTED,
-    _ring_cache,
-    _zeta_ring_samples,
+    _ring_dft,
+    _zeta_ring,
     functional_equation_sides,
     hardy_Z,
     hardy_Z_fast,
     inverse_zeta,
+    ring_samples,
     rs_error_bound,
     taylor_ring,
     theta,
@@ -208,15 +209,47 @@ def test_ring_node_rule_near_height_1000():
 
 
 def test_ring_extension_matches_fresh_ring():
-    # Doubling a cached ring must give the bits of a ring sampled fresh,
-    # so results never depend on which ring was cached first.
+    # A ring doubled from the memoized smaller rings must give the bits of
+    # zeta sampled fresh at every node, so results never depend on which
+    # ring was memoized first.
     s, r = mpc(2, 3), mpf(1) / 4
     with CTX.wp():
-        _ring_cache.clear()
-        fresh = _zeta_ring_samples(s, r, 128, CTX)
-        _ring_cache.clear()
-        _zeta_ring_samples(s, r, 32, CTX)
-        assert _zeta_ring_samples(s, r, 128, CTX) == fresh
+        fresh = tuple(
+            zeta(s + r * mp.exp(mpc(0, 2) * mp.pi * j / 128), CTX).value for j in range(128)
+        )
+        _zeta_ring.cache_clear()
+        assert _zeta_ring(s, r, 128, CTX) == fresh
+        _zeta_ring.cache_clear()
+        _zeta_ring(s, r, 32, CTX)
+        assert _zeta_ring(s, r, 128, CTX) == fresh
+
+
+def test_ring_samples_doubles_by_evaluating_the_odd_nodes():
+    calls = []
+
+    def f(h):
+        calls.append(h)
+        return h * h
+
+    with CTX.wp():
+        half = ring_samples(f, mpf(1) / 4, 16)
+        calls.clear()
+        doubled = ring_samples(f, mpf(1) / 4, 32, half)
+        assert len(calls) == 16
+        assert doubled == ring_samples(f, mpf(1) / 4, 32)
+        assert doubled[::2] == half
+
+
+@pytest.mark.parametrize("bits", [53, 100, 700])
+def test_ring_dft_roots_are_the_conjugate_nodes(bits):
+    # The DFT of a unit sample at node 1 is w^-k, w = e^(2 pi i/n), bit for
+    # bit the root exp(-2 pi i k/n).
+    with mp.workprec(bits):
+        for n in (16, 256, 4096):
+            samples = [mpc(0)] * n
+            samples[1] = mpc(n)
+            for k, got in zip(range(0, n, n // 16), _ring_dft(samples, range(0, n, n // 16))):
+                assert got == mp.exp(mpc(0, -2) * mp.pi * k / n), (n, k)
 
 
 def test_taylor_ring_at_pole_gives_laurent_coefficients():
