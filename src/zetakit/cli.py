@@ -23,7 +23,7 @@ from .errors import (
     UnknownIndexError,
     ZetaKitError,
 )
-from .laurent import DEFAULT_CHECKPOINTS, expansion_report
+from .laurent import build_expansion, expansion_report
 from .mobius import mertens, sieve_mobius
 from .precision import PrecisionContext, to_decimal
 from .stieltjes import N_MAX, bound_check
@@ -214,16 +214,8 @@ def cmd_laurent(cfg: RunConfig, zero_index: int, n_terms: int) -> int:
     if any(r.index == zero_index + 1 for r in cached):
         neighbors = [r.t for r in cached if r.index in (zero_index - 1, zero_index + 1)]
     table = sieve_mobius(cfg.k_max)
-    checkpoints = [K for K in DEFAULT_CHECKPOINTS if K <= cfg.k_max] or [cfg.k_max]
-    report = expansion_report(
-        zero_index,
-        polished.rho,
-        ctx,
-        n_terms=n_terms,
-        table=table,
-        checkpoints=checkpoints,
-        neighbor_ts=neighbors,
-    )
+    exp = build_expansion(polished.rho, n_terms, ctx, neighbor_ts=neighbors)
+    report = expansion_report(zero_index, exp, ctx, table)
     print(json.dumps(report, indent=2, sort_keys=True))
     return EXIT_OK
 

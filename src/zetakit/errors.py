@@ -34,7 +34,8 @@ class NonIntegerWindingError(ZetaKitError):
 
 
 class ContourNearZeroError(ZetaKitError):
-    """Counting contour passes too close to a zero even after shifts."""
+    """zeta'/zeta asked for at a point where |zeta| < ctx.tol, or a
+    counting segment still passes that close to a zero after its shifts."""
 
 
 class SuspectZeroError(ZetaKitError):

@@ -16,6 +16,12 @@ diagnostic, never asserted: convergence of that series on the critical
 line is an open matter, so the artifact measures distances to the
 oracle coefficients and reports oscillation instead.  The two routes are
 kept strictly separate.
+
+:func:`build_expansion` is the one constructor of route one.  The
+:class:`LaurentExpansion` it returns carries the coefficients past its
+truncation, so :func:`tail_bound`, the residual sweep
+:func:`residual_profile` and :func:`expansion_report` all read the one
+expansion instead of rebuilding it.
 """
 
 from __future__ import annotations
@@ -47,6 +53,8 @@ class LaurentExpansion:
     coeffs holds the first n_terms Taylor coefficients c_0, c_1, ... from
     the inversion oracle (n_terms = 0 keeps only the residue term); the
     mapping to the coefficient series under study is c_n = (-1)^n phi_n/n!.
+    tail holds the computed coefficients past the truncation, from
+    c_{n_terms} on.
     """
 
     rho: mpc
@@ -54,11 +62,14 @@ class LaurentExpansion:
     coeffs: tuple
     radius: mpf
     n_terms: int
+    tail: tuple
 
     def truncated(self, N: int) -> "LaurentExpansion":
+        """The order-N expansion; the coefficients cut off go to the tail."""
         if not 0 <= N <= self.n_terms:
             raise RangeError(f"truncation {N} outside stored order {self.n_terms}")
-        return LaurentExpansion(self.rho, self.residue, self.coeffs[:N], self.radius, N)
+        return LaurentExpansion(self.rho, self.residue, self.coeffs[:N], self.radius, N,
+                                self.coeffs[N:] + self.tail)
 
 
 def residue(rho, ctx: PrecisionContext) -> mpc:
@@ -151,13 +162,13 @@ def phi_series_multi(rho, ns, checkpoints, table: MobiusTable, ctx: PrecisionCon
         return out
 
 
-def _expansion_full(rho, N: int, ctx: PrecisionContext, neighbor_ts=None):
-    """(LaurentExpansion, extended coefficient list) at a simple zero.
+def build_expansion(rho, N: int, ctx: PrecisionContext, neighbor_ts=None) -> LaurentExpansion:
+    """Order-N Laurent expansion of 1/zeta at the simple zero rho.
 
     Validity radius is 0.8 x min(distance to neighboring zeros, |rho-1|);
     neighbors come from supplied ordinates when available, otherwise
-    from a local sign-change walk.  The extended list carries a few
-    coefficients past the truncation for tail estimates.
+    from a local sign-change walk.  Up to three coefficients past the
+    truncation are kept in ``tail`` for :func:`tail_bound`.
     """
     if not 0 <= N <= 12:
         raise RangeError("expansion order limited to 0 <= N <= 12")
@@ -177,12 +188,7 @@ def _expansion_full(rho, N: int, ctx: PrecisionContext, neighbor_ts=None):
     a = taylor_at_zero(rho_c, M, ctx)
     with ctx.wp():
         res, c = invert_series(a, M)
-    return LaurentExpansion(rho_c, res, tuple(c[:N]), radius, N), c
-
-
-def build_expansion(rho, N: int, ctx: PrecisionContext, neighbor_ts=None) -> LaurentExpansion:
-    exp, _ = _expansion_full(rho, N, ctx, neighbor_ts)
-    return exp
+    return LaurentExpansion(rho_c, res, tuple(c[:N]), radius, N, tuple(c[N:]))
 
 
 def laurent_eval(s, exp: LaurentExpansion) -> mpc:
@@ -205,45 +211,38 @@ def laurent_eval(s, exp: LaurentExpansion) -> mpc:
     return exp.residue / h + acc
 
 
-def tail_bound(c_extended: list, N: int, r, radius) -> mpf:
-    """Geometric estimate of sum_{n>=N} |c_n| r^n, the tail left by a
-    truncation keeping c_0..c_{N-1}.
+def tail_bound(exp: LaurentExpansion, r) -> mpf:
+    """Geometric estimate of sum_{n>=N} |c_n| r^n, the tail left by the
+    order-N expansion ``exp`` (N = exp.n_terms).
 
     Models |c_n| <= B/radius^n with B calibrated on the computed
-    coefficients c_N..c_{N+2}; the result is B q^N/(1-q), q = r/radius.
+    coefficients c_N..c_{N+2} of ``exp.tail``, or on all of them when the
+    tail holds none of those; the result is B q^N/(1-q), q = r/radius.
     The validity radius understates the distance to the nearest
     singularity, so q overstates the actual term ratio.
     """
     r = mpf(r)
-    radius = mpf(radius)
+    radius = mpf(exp.radius)
     q = r / radius
     if not 0 < q < 1:
         raise RangeError("tail bound needs 0 < r < radius")
-    top = min(len(c_extended), N + 3)
+    N = exp.n_terms
     B = mpf(0)
-    for j in range(N, top):
-        B = max(B, abs(c_extended[j]) * radius**j)
+    for j, c in enumerate(exp.tail[:3], start=N):
+        B = max(B, abs(c) * radius**j)
     if B == 0:
-        B = max(abs(c) * radius**j for j, c in enumerate(c_extended))
+        B = max(abs(c) * radius**j for j, c in enumerate(exp.coeffs + exp.tail))
     return B * q**N / (1 - q)
 
 
-def residual_profile(rho, r, N_list, samples: int, ctx: PrecisionContext,
-                     neighbor_ts=None) -> dict:
-    """Max |1/zeta - truncated expansion| on the circle |s-rho| = r, for
-    several truncation orders from one sample sweep."""
+def residual_profile(exp: LaurentExpansion, r, N_list, samples: int, ctx: PrecisionContext) -> dict:
+    """{N: max |1/zeta - exp truncated to order N|} over ``samples`` points
+    of the circle |s-rho| = r, for every N in N_list from one sweep."""
     if samples < 16:
         raise RangeError("residual sweep needs at least 16 samples")
     N_list = sorted(set(int(N) for N in N_list))
     if N_list[0] < 0:
         raise RangeError("truncation order must be >= 0")
-    exp, _ = _expansion_full(rho, N_list[-1], ctx, neighbor_ts)
-    return _residual_sweep(exp, r, N_list, samples, ctx)
-
-
-def _residual_sweep(exp: LaurentExpansion, r, N_list, samples: int, ctx: PrecisionContext) -> dict:
-    """{N: max |1/zeta - exp truncated to order N|} over ``samples`` points
-    of the circle |s-rho| = r."""
     with ctx.wp():
         r = mpf(r)
         if not 0 < r < exp.radius:
@@ -262,12 +261,6 @@ def _residual_sweep(exp: LaurentExpansion, r, N_list, samples: int, ctx: Precisi
         return out
 
 
-def reconstruction_residual(rho, r, N: int, samples: int, ctx: PrecisionContext,
-                            neighbor_ts=None) -> mpf:
-    """Max reconstruction error of the order-N expansion on |s-rho| = r."""
-    return residual_profile(rho, r, [N], samples, ctx, neighbor_ts)[N]
-
-
 # ----------------------------------------------------------------------
 # Report assembly (consumed by the CLI)
 # ----------------------------------------------------------------------
@@ -278,18 +271,16 @@ def _cplx_str(z, ctx: PrecisionContext) -> dict:
     return {"re": to_decimal(z.real, ctx), "im": to_decimal(z.imag, ctx)}
 
 
-def expansion_report(index: int, rho, ctx: PrecisionContext, n_terms: int,
-                     table: MobiusTable | None = None, checkpoints=DEFAULT_CHECKPOINTS,
-                     phi_ns=(0, 1), residual_r=None, samples: int = 64,
-                     neighbor_ts=None) -> dict:
-    """JSON-ready expansion report: oracle coefficients, residual ladder,
-    and coefficient-series diagnostics.  All numerics decimal strings."""
-    if samples < 16:
-        raise RangeError("residual sweep needs at least 16 samples")
-    exp, _ = _expansion_full(rho, n_terms, ctx, neighbor_ts)
+def expansion_report(index: int, exp: LaurentExpansion, ctx: PrecisionContext,
+                     table: MobiusTable) -> dict:
+    """JSON-ready expansion report: oracle coefficients, the residual
+    ladder of ``exp`` on 64 points of |s-rho| = min(1/32, radius/2), and
+    the phi_0, phi_1 coefficient-series diagnostics at the checkpoints of
+    DEFAULT_CHECKPOINTS the table covers (its limit if it covers none).
+    All numerics decimal strings."""
     with ctx.wp():
-        r = mpf(residual_r) if residual_r is not None else min(mpf(1) / 32, exp.radius / 2)
-    residuals = _residual_sweep(exp, r, range(n_terms + 1), samples, ctx)
+        r = min(mpf(1) / 32, exp.radius / 2)
+    residuals = residual_profile(exp, r, range(exp.n_terms + 1), 64, ctx)
     with ctx.wp():
         report = {
             "index": index,
@@ -302,24 +293,23 @@ def expansion_report(index: int, rho, ctx: PrecisionContext, n_terms: int,
             "residuals": {str(N): to_decimal(v, ctx) for N, v in residuals.items()},
             "phi_diagnostics": {},
         }
-    if table is not None:
-        checkpoints = [K for K in checkpoints if K <= table.limit]
-        diag = phi_series_multi(rho, phi_ns, checkpoints, table, ctx, residue_val=exp.residue)
-        with ctx.wp():
-            for n, series in diag.items():
-                # oracle coefficient under the c_n = (-1)^n phi_n / n! mapping
-                oracle = exp.coeffs[n] if n < len(exp.coeffs) else None
-                dist = []
-                if oracle is not None:
-                    fact = mp.factorial(n)
-                    for v in series.smoothed:
-                        mapped = (-1) ** n * v / fact
-                        dist.append(to_decimal(abs(mapped - oracle), ctx))
-                report["phi_diagnostics"][str(n)] = {
-                    "checkpoints": list(series.checkpoints),
-                    "raw": [_cplx_str(v, ctx) for v in series.raw],
-                    "smoothed": [_cplx_str(v, ctx) for v in series.smoothed],
-                    "oscillation": to_decimal(series.oscillation, ctx),
-                    "distance_to_oracle": dist,
-                }
+    checkpoints = [K for K in DEFAULT_CHECKPOINTS if K <= table.limit] or [table.limit]
+    diag = phi_series_multi(exp.rho, (0, 1), checkpoints, table, ctx, residue_val=exp.residue)
+    with ctx.wp():
+        for n, series in diag.items():
+            # oracle coefficient under the c_n = (-1)^n phi_n / n! mapping
+            oracle = exp.coeffs[n] if n < len(exp.coeffs) else None
+            dist = []
+            if oracle is not None:
+                fact = mp.factorial(n)
+                for v in series.smoothed:
+                    mapped = (-1) ** n * v / fact
+                    dist.append(to_decimal(abs(mapped - oracle), ctx))
+            report["phi_diagnostics"][str(n)] = {
+                "checkpoints": list(series.checkpoints),
+                "raw": [_cplx_str(v, ctx) for v in series.raw],
+                "smoothed": [_cplx_str(v, ctx) for v in series.smoothed],
+                "oscillation": to_decimal(series.oscillation, ctx),
+                "distance_to_oracle": dist,
+            }
     return report

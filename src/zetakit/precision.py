@@ -68,12 +68,6 @@ class PrecisionContext:
         with mp.workprec(self.bits):
             return mpf(10) ** (-self.target_digits)
 
-    def escalated(self, rounds: int = 1) -> "PrecisionContext":
-        bits = self.bits
-        for _ in range(rounds):
-            bits = int(math.ceil(bits * ESCALATION_FACTOR))
-        return PrecisionContext(bits, self.target_digits)
-
 
 DEFAULT_CONTEXT = PrecisionContext.from_digits(30)
 

@@ -91,7 +91,9 @@ class StieltjesTable:
     gammas: tuple
     bound_margin: tuple  # entry i is the margin at n = i + 1
 
-    def bound(self, n: int) -> mpf:
+    @staticmethod
+    def bound(n: int) -> mpf:
+        """e n! / (2^n sqrt(n)) at the ambient precision."""
         if n < 1:
             raise RangeError("the growth bound applies for n >= 1")
         return mp.e * mp.factorial(n) / (mpf(2) ** n * mp.sqrt(n))
@@ -103,8 +105,5 @@ def bound_check(n_max: int, ctx: PrecisionContext) -> StieltjesTable:
         raise RangeError(f"bound_check supports 0 <= n_max <= {N_MAX}")
     gammas = [g.real for g in _gammas(n_max, ctx)]
     with ctx.wp():
-        margins = []
-        for n in range(1, n_max + 1):
-            bound = mp.e * mp.factorial(n) / (mpf(2) ** n * mp.sqrt(n))
-            margins.append(bound - abs(gammas[n]))
+        margins = [StieltjesTable.bound(n) - abs(gammas[n]) for n in range(1, n_max + 1)]
         return StieltjesTable(n_max=n_max, gammas=tuple(gammas), bound_margin=tuple(margins))

@@ -30,7 +30,7 @@ from .errors import (
 )
 from .parallel import map_ordered
 from .precision import PrecisionContext, real_from, to_decimal
-from .zeta import hardy_Z, hardy_Z_fast, ring_samples, rs_error_bound, theta, zeta_and_deriv_raw
+from .zeta import hardy_Z, hardy_Z_fast, ring_samples, rs_error_bound, theta, zeta_and_deriv_raw, zeta_logderiv
 
 STATUS_REFINED = "refined"
 STATUS_SIMPLE = "simple-confirmed"
@@ -40,9 +40,10 @@ SIMPLICITY_FLOOR = mpf("1e-6")
 
 CACHE_HEADER_PREFIX = "# zeta-zeros v1 digits="
 
-# Internal precision for integer-valued contour work; the quadrature
-# only needs to land within 0.1 of an integer.
-_COUNT_DIGITS = 12
+# Internal precision of the grid's sign tests and of integer-valued
+# contour work: the quadrature only needs to land within 0.1 of an
+# integer, and zeta'/zeta refuses points where |zeta| < 1e-12.
+_LOW_CTX = PrecisionContext.from_digits(12)
 
 # Multiplicity probes start at this many nodes and double up to the cap.
 _PROBE_MIN_NODES = 16
@@ -75,9 +76,6 @@ class CountReport:
 # ----------------------------------------------------------------------
 # Grid scan and Newton refinement
 # ----------------------------------------------------------------------
-
-_LOW_CTX = PrecisionContext.from_digits(12)
-
 
 def _grid_sign(t: float) -> int:
     """Sign of Z(t) for scanning: float Riemann-Siegel on its domain
@@ -242,20 +240,13 @@ def scan_zeros(T, ctx: PrecisionContext, workers: int = 1) -> list[ZeroRecord]:
 # ----------------------------------------------------------------------
 
 
-def _logderiv_on_contour(s: mpc, ctx: PrecisionContext) -> mpc:
-    v, dv = zeta_and_deriv_raw(s, ctx)
-    if abs(v) < mpf(10) ** (-_COUNT_DIGITS):
-        raise ContourNearZeroError(f"contour point {s} lies numerically on a zero")
-    return dv / v
-
-
 def _gl_panel(sa: mpc, sb: mpc, ctx: PrecisionContext) -> mpc:
     """16-point Gauss-Legendre integral of zeta'/zeta along [sa, sb]."""
     half = (sb - sa) / 2
     mid = (sa + sb) / 2
     acc = mpc(0)
     for x, w in zip(_GL_X, _GL_W):
-        acc += mpf(w) * _logderiv_on_contour(mid + half * mpf(x), ctx)
+        acc += mpf(w) * zeta_logderiv(mid + half * mpf(x), ctx)
     return acc * half
 
 
@@ -297,14 +288,13 @@ def count_by_argument(T, ctx: PrecisionContext) -> int:
     """
     if not 10 <= float(T) <= 1000:
         raise RangeError("count height must satisfy 10 <= T <= 1000")
-    count_ctx = PrecisionContext.from_digits(_COUNT_DIGITS)
     shift = mpf(0)
     last_err: Exception | None = None
     for _ in range(6):
-        with count_ctx.wp():
+        with _LOW_CTX.wp():
             Ts = mpf(T) + shift
             try:
-                c = _backlund_count(Ts, count_ctx)
+                c = _backlund_count(Ts, _LOW_CTX)
             except ContourNearZeroError as exc:
                 last_err = exc
                 shift += mpf("0.05")
@@ -335,15 +325,14 @@ def multiplicity_probe(rho, r, ctx: PrecisionContext) -> int:
     the winding is not within 1e-3 of an integer.  At the 128-node cap it
     accepts within 0.1 or raises :class:`NonIntegerWindingError`.
     """
-    probe_ctx = PrecisionContext.from_digits(_COUNT_DIGITS)
-    with probe_ctx.wp():
+    with _LOW_CTX.wp():
         rho = mpc(rho)
         r = mpf(r)
         if not 0 < r <= mpf(1) / 4:
             raise RangeError("probe radius must satisfy 0 < r <= 1/4")
 
         def f(h):
-            return _logderiv_on_contour(rho + h, probe_ctx) * h
+            return zeta_logderiv(rho + h, _LOW_CTX) * h
 
         n, samples = _PROBE_MIN_NODES, ()
         while True:
@@ -478,6 +467,8 @@ def read_cache(path: str) -> tuple[int, list[ZeroRecord]]:
 
     Stored fields round-trip exactly and rho is rebuilt from t.  The
     cache keeps |zeta'(rho)|, which is all a ZeroRecord holds of zeta'.
+    Records must carry the indices 1, 2, ... in order and increasing
+    ordinates; anything else raises CacheFormatError.
     """
     with open(path) as fh:
         header = fh.readline().rstrip("\n")
@@ -505,6 +496,10 @@ def read_cache(path: str) -> tuple[int, list[ZeroRecord]]:
                     winding = int(parts[3])
                 except (ValueError, RangeError) as exc:
                     raise CacheFormatError(f"line {lineno}: {exc}") from exc
+                if idx != len(records) + 1:
+                    raise CacheFormatError(
+                        f"line {lineno}: index {idx} where record {len(records) + 1} belongs"
+                    )
                 status = parts[4]
                 if status not in (STATUS_REFINED, STATUS_SIMPLE, STATUS_SUSPECT):
                     raise CacheFormatError(f"line {lineno}: unknown status {status!r}")

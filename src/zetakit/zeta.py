@@ -40,7 +40,7 @@ from dataclasses import dataclass
 import mpmath as mp
 from mpmath import mpc, mpf
 
-from .errors import NearZeroError, PoleError, PrecisionEscalationError, RangeError
+from .errors import ContourNearZeroError, NearZeroError, PoleError, PrecisionEscalationError, RangeError
 from .mobius import dirichlet_powers, smallest_prime_factors
 from .precision import PrecisionContext, log_gamma
 
@@ -213,11 +213,13 @@ def zeta_and_deriv_raw(s, ctx: PrecisionContext) -> tuple[mpc, mpc]:
 
 
 def zeta_logderiv(s, ctx: PrecisionContext) -> mpc:
-    """zeta'(s)/zeta(s) for contour quadrature."""
+    """zeta'(s)/zeta(s) for contour quadrature; raises
+    ContourNearZeroError where |zeta(s)| < ctx.tol, a point that lies
+    numerically on a zero."""
     v, dv = zeta_and_deriv_raw(s, ctx)
-    if v == 0:
-        raise PoleError(f"zeta'(s)/zeta(s) singular: zeta({s}) = 0")
     with ctx.wp():
+        if abs(v) < ctx.tol:
+            raise ContourNearZeroError(f"contour point {s} lies numerically on a zero")
         return dv / v
 
 

@@ -16,7 +16,7 @@ from mpmath import mp, mpc, mpf
 
 import oracles
 import shared
-from zetakit.laurent import _expansion_full, invert_series, residual_profile, residue, tail_bound, taylor_at_zero, v_term
+from zetakit.laurent import build_expansion, invert_series, residual_profile, residue, tail_bound, taylor_at_zero, v_term
 from zetakit.mobius import mertens, sieve_mobius
 from zetakit.precision import PrecisionContext
 from zetakit.stieltjes import bound_check, euler_gamma_partial, stieltjes_gamma
@@ -137,14 +137,12 @@ def test_criterion_05_laurent_reconstruction():
         for i in range(10):
             rho = records[i].rho
             neighbors = [records[i + 1].t] + ([records[i - 1].t] if i > 0 else [])
-            exp, c_ext = _expansion_full(rho, 8, CTX30, neighbor_ts=neighbors)
-            prof = residual_profile(
-                rho, SWEEP_RADIUS, range(9), SWEEP_SAMPLES, CTX30, neighbor_ts=neighbors
-            )
+            exp = build_expansion(rho, 8, CTX30, neighbor_ts=neighbors)
+            prof = residual_profile(exp, SWEEP_RADIUS, range(9), SWEEP_SAMPLES, CTX30)
             with CTX30.wp():
                 for N in range(1, 9):
                     assert prof[N] < prof[N - 1], f"zero {i+1}: ladder stalls at N={N}"
-                bound = tail_bound(c_ext, 8, SWEEP_RADIUS, exp.radius)
+                bound = tail_bound(exp, SWEEP_RADIUS)
                 assert prof[8] <= bound, f"zero {i+1}: residual above tail bound"
                 assert prof[8] < RESIDUAL_TARGET, f"zero {i+1}"
 

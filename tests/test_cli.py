@@ -84,6 +84,28 @@ def test_zeros_digits_checked_before_scan(tmp_path, seeded_cache, monkeypatch):
     assert copy.read_text() == seeded_cache.read_text()
 
 
+def test_cache_records_out_of_index_order_rejected(tmp_path, seeded_cache, monkeypatch):
+    """A cache whose second record claims index 5 is refused with exit 2
+    before any scan, by zeros (which would append a second index 5) and
+    by laurent (which would report zero 2 as zero 5)."""
+    from zetakit import cli
+
+    def no_scan(*args, **kwargs):
+        raise AssertionError("scan ran on a cache with misnumbered records")
+
+    monkeypatch.setattr(cli, "scan_with_count", no_scan)
+    bad = tmp_path / "bad.cache"
+    lines = seeded_cache.read_text().splitlines(keepends=True)
+    assert lines[2].startswith("2,")
+    lines[2] = "5," + lines[2][2:]
+    bad.write_text("".join(lines))
+    assert cli.main(["zeros", "--t-max", "33", "--cache", str(bad)]) == 2
+    assert bad.read_text() == "".join(lines)
+    out = run_cli("laurent", "--index", "5", "--terms", "1", "--k-max", "100", "--cache", str(bad))
+    assert out.returncode == 2
+    assert "index" in out.stderr
+
+
 def test_zeros_extension_matches_fresh_scan(tmp_path, seeded_cache):
     extended = tmp_path / "extended.cache"
     shutil.copy(seeded_cache, extended)

@@ -11,13 +11,11 @@ from zetakit.errors import (
     ZeroLeadingCoefficientError,
 )
 from zetakit.laurent import (
-    _expansion_full,
     build_expansion,
     expansion_report,
     invert_series,
     laurent_eval,
     phi_series_multi,
-    reconstruction_residual,
     residual_profile,
     residue,
     tail_bound,
@@ -217,57 +215,67 @@ def test_laurent_eval_outside_disk_rejected():
 
 def test_residual_profile_decreases_and_respects_tail_bound():
     records, _ = shared.zeros_to(35)
-    rho = records[0].rho
-    neighbor = [records[1].t]
-    exp, c_ext = _expansion_full(rho, 8, CTX, neighbor_ts=neighbor)
+    exp = build_expansion(records[0].rho, 8, CTX, neighbor_ts=[records[1].t])
     r = mpf(1) / 32
-    prof = residual_profile(rho, r, range(9), 32, CTX, neighbor_ts=neighbor)
+    prof = residual_profile(exp, r, range(9), 32, CTX)
     with CTX.wp():
         for N in range(1, 9):
             assert prof[N] < prof[N - 1], f"ladder stalls at N={N}"
         for N in (4, 8):
-            assert prof[N] <= tail_bound(c_ext, N, r, exp.radius)
+            assert prof[N] <= tail_bound(exp.truncated(N), r)
         assert prof[8] < mpf(10) ** -10
 
 
-def test_reconstruction_residual_is_profile_entry():
+def test_truncated_moves_the_cut_coefficients_to_the_tail():
+    """The expansion keeps three coefficients past its order, and a
+    truncation hands the ones it cuts to the tail, so the tail bound of
+    a truncation reads the same coefficients as one built at that order."""
     records, _ = shared.zeros_to(35)
-    rho = records[0].rho
     neighbor = [records[1].t]
-    single = reconstruction_residual(rho, mpf(1) / 32, 3, 32, CTX, neighbor_ts=neighbor)
-    prof = residual_profile(rho, mpf(1) / 32, [3], 32, CTX, neighbor_ts=neighbor)
-    assert single == prof[3]
+    exp = build_expansion(records[0].rho, 8, CTX, neighbor_ts=neighbor)
+    assert len(exp.tail) == 3
+    cut = exp.truncated(3)
+    assert cut.coeffs + cut.tail == exp.coeffs + exp.tail
+    direct = build_expansion(records[0].rho, 3, CTX, neighbor_ts=neighbor)
+    assert direct.tail == cut.tail[:3]
+    with CTX.wp():
+        assert tail_bound(direct, mpf(1) / 32) == tail_bound(cut, mpf(1) / 32)
+    assert len(build_expansion(records[0].rho, 12, CTX, neighbor_ts=neighbor).tail) == 0
 
 
 def test_residual_sweep_validation():
-    rho = _rho1()
+    exp = build_expansion(_rho1(), 2, CTX)
     with pytest.raises(RangeError):
-        residual_profile(rho, mpf(1) / 32, [2], 8, CTX)
+        residual_profile(exp, mpf(1) / 32, [2], 8, CTX)
+    with pytest.raises(RangeError):
+        residual_profile(exp, mpf(1) / 32, [3], 32, CTX)
     with pytest.raises(OutsideDiskError):
-        residual_profile(rho, 100, [2], 32, CTX)
+        residual_profile(exp, 100, [2], 32, CTX)
 
 
 def test_tail_bound_validation():
+    exp = build_expansion(_rho1(), 2, CTX)
     with pytest.raises(RangeError):
-        tail_bound([mpc(1)], 0, 2, 1)
+        tail_bound(exp, 2 * exp.radius)
 
 
 def test_expansion_report_shape():
     records, _ = shared.zeros_to(35)
     rho, t2 = records[0].rho, records[1].t
-    table = sieve_mobius(1000)
-    report = expansion_report(
-        1, rho, CTX, n_terms=2, table=table, checkpoints=(100, 1000),
-        phi_ns=(0, 1), samples=16, neighbor_ts=[t2],
-    )
+    exp = build_expansion(rho, 2, CTX, neighbor_ts=[t2])
+    report = expansion_report(1, exp, CTX, sieve_mobius(1000))
     assert report["index"] == 1
     assert set(report["rho"]) == {"re", "im"}
     assert len(report["coeffs"]) == 2
     assert set(report["residuals"]) == {"0", "1", "2"}
     for n in ("0", "1"):
         diag = report["phi_diagnostics"][n]
-        assert diag["checkpoints"] == [100, 1000]
-        assert len(diag["raw"]) == 2
-        assert len(diag["smoothed"]) == 2
-        assert len(diag["distance_to_oracle"]) == 2
+        assert diag["checkpoints"] == [1000]
+        assert len(diag["raw"]) == 1
+        assert len(diag["smoothed"]) == 1
+        assert len(diag["distance_to_oracle"]) == 1
         assert isinstance(diag["oscillation"], str)
+    # A table below the first default checkpoint is swept to its limit.
+    short = expansion_report(1, exp, CTX, sieve_mobius(500))
+    assert short["phi_diagnostics"]["0"]["checkpoints"] == [500]
+    assert short["residuals"] == report["residuals"]

@@ -37,13 +37,6 @@ def test_wp_extra_bits_stack():
         assert mp.prec >= ctx.bits + 64
 
 
-def test_escalated_grows_bits():
-    ctx = PrecisionContext.from_digits(30)
-    up = ctx.escalated()
-    assert up.bits > ctx.bits
-    assert up.target_digits == ctx.target_digits
-
-
 def test_to_decimal_round_trip():
     ctx = PrecisionContext.from_digits(30)
     rng = random.Random(7)

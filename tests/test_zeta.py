@@ -5,7 +5,7 @@ import pytest
 from mpmath import mp, mpc, mpf
 
 import oracles
-from zetakit.errors import NearZeroError, PoleError, RangeError
+from zetakit.errors import ContourNearZeroError, NearZeroError, PoleError, RangeError
 from zetakit.precision import PrecisionContext
 from zetakit.zeta import (
     EULER_MACLAURIN,
@@ -161,6 +161,16 @@ def test_logderiv_consistency():
     with CTX.wp():
         v, dv = zeta_and_deriv_raw(s, CTX)
         assert abs(zeta_logderiv(s, CTX) - dv / v) < TOL
+
+
+def test_logderiv_near_zero_guard():
+    """zeta'/zeta refuses a point where |zeta| is below the context's
+    tolerance: the first zero at 12 digits, but not 1e-3 above it."""
+    ctx = PrecisionContext.from_digits(12)
+    t1 = mpf("14.134725141734693790457251983562")
+    with pytest.raises(ContourNearZeroError):
+        zeta_logderiv(mpc(0.5, t1), ctx)
+    assert abs(zeta_logderiv(mpc(0.5, t1 + mpf("1e-3")), ctx)) > 100
 
 
 def test_inverse_zeta_near_zero_guard():
