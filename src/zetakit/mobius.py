@@ -9,18 +9,31 @@ is mu(1..N) as one int8 array.  That table is the package's only source
 of mu(k): the Dirichlet sweep below, the Mertens sums and the Laurent
 module's spot terms all read it.
 
+The Dirichlet sums run in Python-int fixed point, the idiom of mpmath's
+own ``zetasum_sieved``: a real x is the int floor(x 2^wp).
 :func:`dirichlet_powers` is the one power kernel of every Dirichlet sum:
 the sweep below and the Euler-Maclaurin main sum of :mod:`zetakit.zeta`.
+A prime p takes ln p, exp(-Re(s) ln p) and cos, sin of Im(s) ln p in
+fixed point.
 k -> k^(-s) is completely multiplicative, so a composite k = p q, with p
 its smallest prime factor, takes p^(-s) q^(-s) and ln p + ln q from a
-memo of earlier values, and only primes take an ``exp``.
+memo of earlier values: integer products and a shift.  s itself is
+converted to fixed point from all of its bits, never rounded to the
+working precision first.
 
 :func:`dirichlet_partial` is the one loop over k that weights by mu(k).
 It sums mu(k) log^n(k) k^(-rho) in increasing k, for several log powers
-n at once.  Its summation policy is guard bits: plain sums at
-ctx.bits + ceil(log2 K) + 8 bits, rounded once to ctx.bits at each
-checkpoint, so the K rounding errors of the sweep stay below the last
-bit kept.
+n at once.  Its summation policy is guard bits: integer sums at
+wp = ctx.bits + ceil(log2 K) + 24 bits, rounded once to ctx.bits at each
+checkpoint.  Each power carries an error of at most about
+ceil(log2 K) + 2 units of 2^(-wp), one per product along its factor
+chain, so the K terms of the sweep are off by about
+K (ceil(log2 K) + 2) 2^(-wp), below the last bit kept.
+
+This module is the package's only user of mpmath's internal ``libmp``
+layer, which carries no API promise.  Other modules take the conversions
+:func:`fixed_pair`, :func:`fixed_to_mpf` and :func:`fixed_to_mpc`, and
+``log_int_fixed``, from here.
 """
 
 from __future__ import annotations
@@ -30,7 +43,8 @@ from dataclasses import dataclass
 
 import mpmath as mp
 import numpy as np
-from mpmath import mpc
+from mpmath.libmp import fzero, from_man_exp, ln2_fixed, pi_fixed, to_fixed
+from mpmath.libmp.libelefun import cos_sin_fixed, exp_fixed, log_int_fixed
 
 from .errors import LimitTooLargeError, RangeError
 from .precision import PrecisionContext
@@ -40,11 +54,6 @@ SIEVE_CAP = 10**8
 # Integers per sieve segment and per block of the power kernel; an int8
 # segment and its int32 product then stay within a core's cache.
 SEGMENT = 1 << 18
-
-# Most memoized k^(-s) values one power kernel keeps, about 0.9 kB each at
-# 30 digits; past it a power whose factors are not memoized takes an exp.
-POWER_MEMO_CAP = 1 << 17
-
 
 @dataclass
 class MobiusTable:
@@ -107,23 +116,43 @@ def smallest_prime_factors(K: int) -> np.ndarray:
     return spf
 
 
-def dirichlet_powers(s, K: int, mu=None, spf=None):
-    """Yield (k, ln k, k^(-s)) for k = 1..K in increasing order.
+def fixed_pair(z, wp: int) -> tuple:
+    """(Re z, Im z) as wp-bit fixed-point ints, truncated from every bit of
+    z; z is never rounded to the working precision first."""
+    z = mp.mpmathify(z)
+    re, im = z._mpc_ if isinstance(z, mp.mpc) else (z._mpf_, fzero)
+    return to_fixed(re, wp), to_fixed(im, wp)
 
-    Everything is computed at the ambient working precision.  With
-    ``mu`` (``mu[k-1] = mu(k)``, e.g. ``MobiusTable.values``) only the
+
+def fixed_to_mpf(x: int, wp: int, prec: int):
+    """The wp-bit fixed-point int x as an mpf rounded to nearest at prec bits."""
+    return mp.make_mpf(from_man_exp(x, -wp, prec, "n"))
+
+
+def fixed_to_mpc(re: int, im: int, wp: int, prec: int):
+    """re + i im, wp-bit fixed-point ints, as an mpc rounded to nearest at
+    prec bits."""
+    return mp.make_mpc((from_man_exp(re, -wp, prec, "n"), from_man_exp(im, -wp, prec, "n")))
+
+
+def dirichlet_powers(s, K: int, wp: int, mu=None, spf=None):
+    """Yield (k, ln, re, im) for k = 1..K in increasing order, with
+    ln k and k^(-s) = re + i im as wp-bit fixed-point ints.
+
+    With ``mu`` (``mu[k-1] = mu(k)``, e.g. ``MobiusTable.values``) only the
     squarefree k are visited.  ``spf`` is ``smallest_prime_factors(M)``
     for some M >= K, built here when omitted.
 
-    Composite k = p q, p = spf[k], takes k^(-s) = p^(-s) q^(-s) and
-    ln k = ln p + ln q from a memo, so only primes pay ln and exp.  A
-    value is memoized only if it can serve as a factor later: its k is
-    at most K/2, and in a squarefree sweep it is odd or 2, since an even
-    q > 2 makes p q divisible by 4.  The memo holds at most
-    ``POWER_MEMO_CAP`` values; a k with a factor past the cap takes
-    ln k and exp(-s ln k) directly.
+    A prime p takes ln p from ``log_int_fixed`` and p^(-s) as
+    exp(-Re(s) ln p) (cos, sin)(-Im(s) ln p).  A composite k = p q,
+    p = spf[k], takes k^(-s) = p^(-s) q^(-s) and ln k = ln p + ln q from a
+    memo.  A value is memoized only if it can serve as a factor later: its
+    k is at most K/2, and in a squarefree sweep it is odd or 2, since an
+    even q > 2 makes p q divisible by 4.
     """
-    s = mpc(s)
+    sre, sim = fixed_pair(s, wp)
+    ln2 = ln2_fixed(wp)
+    pi2 = pi_fixed(wp - 1)  # pi/2 at wp bits
     if spf is None:
         spf = smallest_prime_factors(K)
     memo = {}
@@ -131,17 +160,23 @@ def dirichlet_powers(s, K: int, mu=None, spf=None):
         hi = min(lo + SEGMENT, K + 1)
         ks = np.arange(lo, hi) if mu is None else np.flatnonzero(mu[lo - 1 : hi - 1]) + lo
         for k, p in zip(ks.tolist(), spf[ks].tolist()):
-            a = memo.get(p)
-            b = memo.get(k // p)
-            if a is None or b is None:  # k = 1 (exactly 0 and 1), a prime, or past the cap
-                ln_k = mp.ln(k)
-                kp = mp.exp(-s * ln_k)
+            if p != k:
+                a_ln, a_re, a_im = memo[p]
+                b_ln, b_re, b_im = memo[k // p]
+                ln = a_ln + b_ln
+                re = (a_re * b_re - a_im * b_im) >> wp
+                im = (a_re * b_im + a_im * b_re) >> wp
+            elif k == 1:
+                ln, re, im = 0, 1 << wp, 0
             else:
-                ln_k = a[0] + b[0]
-                kp = a[1] * b[1]
-            if 1 < k <= K // 2 and (mu is None or k & 1 or k == 2) and len(memo) < POWER_MEMO_CAP:
-                memo[k] = (ln_k, kp)
-            yield k, ln_k, kp
+                ln = log_int_fixed(k, wp, ln2)
+                cos, sin = cos_sin_fixed(-sim * ln >> wp, wp, pi2)
+                u = exp_fixed(-sre * ln >> wp, wp, ln2)
+                re = u * cos >> wp
+                im = u * sin >> wp
+            if 1 < k <= K // 2 and (mu is None or k & 1 or k == 2):
+                memo[k] = (ln, re, im)
+            yield k, ln, re, im
 
 
 def mertens(x: int, table: MobiusTable) -> int:
@@ -156,8 +191,8 @@ def dirichlet_partial(rho, ns, checkpoints, table: MobiusTable, ctx: PrecisionCo
 
     One sweep over the squarefree k <= max(checkpoints) serves every
     requested log power 0 <= n <= 6, with the powers from
-    :func:`dirichlet_powers`.  The sums run plainly at
-    ctx.bits + ceil(log2 K) + 8 bits and are rounded to ctx.bits at each
+    :func:`dirichlet_powers`.  The sums are ints at
+    wp = ctx.bits + ceil(log2 K) + 24 bits, rounded to ctx.bits at each
     checkpoint.
     """
     ns = sorted(set(int(n) for n in ns))
@@ -172,24 +207,30 @@ def dirichlet_partial(rho, ns, checkpoints, table: MobiusTable, ctx: PrecisionCo
         raise RangeError(f"checkpoint {checkpoints[-1]} exceeds table limit {table.limit}")
     K = checkpoints[-1]
     mu = table.values[:K]
+    wp = ctx.bits + math.ceil(math.log2(K)) + 24
+    powers = range(1, ns[-1] + 1)
+    acc_re = [0] * (ns[-1] + 1)  # every log power up to the largest requested
+    acc_im = [0] * (ns[-1] + 1)
     sums = {n: [] for n in ns}
 
     def close():
-        with ctx.wp():
-            for n in ns:
-                sums[n].append(+acc[n])
+        for n in ns:
+            sums[n].append(fixed_to_mpc(acc_re[n], acc_im[n], wp, ctx.bits))
 
-    with ctx.wp(math.ceil(math.log2(K)) + 8):
-        acc = {n: mpc(0) for n in ns}
-        i = 0
-        for k, ln_k, kp in dirichlet_powers(rho, K, mu):
-            while k > checkpoints[i]:
-                close()
-                i += 1
-            if mu[k - 1] < 0:
-                kp = -kp
-            for n in ns:
-                acc[n] += kp if n == 0 else kp * ln_k**n
-        for _ in checkpoints[i:]:
+    i = 0
+    for k, ln, re, im in dirichlet_powers(rho, K, wp, mu):
+        while k > checkpoints[i]:
             close()
+            i += 1
+        if mu[k - 1] < 0:
+            re, im = -re, -im
+        acc_re[0] += re
+        acc_im[0] += im
+        for n in powers:
+            re = re * ln >> wp
+            im = im * ln >> wp
+            acc_re[n] += re
+            acc_im[n] += im
+    for _ in checkpoints[i:]:
+        close()
     return sums

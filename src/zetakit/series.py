@@ -3,10 +3,11 @@
 Partial sums of conditionally convergent Dirichlet-type series are the
 object of study here, not just a means to a limit, so they are kept
 faithfully under one summation policy: guard bits.  Each sum over K
-terms runs plainly at ctx.bits + ceil(log2 K) + 8 bits and is rounded
-once to ctx.bits at each checkpoint, so its rounding errors stay below
-the last bit kept (the Mobius sweep :func:`zetakit.mobius.dirichlet_partial`
-and :func:`zetakit.stieltjes.euler_gamma_partial`).  The series record
+terms runs in Python-int fixed point at ctx.bits + ceil(log2 K) + 24
+bits and is rounded once to ctx.bits at each checkpoint, so its rounding
+errors stay below the last bit kept (the Mobius sweep
+:func:`zetakit.mobius.dirichlet_partial` and
+:func:`zetakit.stieltjes.euler_gamma_partial`).  The series record
 keeps raw values, Cesaro-smoothed values, and an oscillation statistic
 side by side.
 

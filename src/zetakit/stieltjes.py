@@ -19,6 +19,7 @@ import mpmath as mp
 from mpmath import mpf
 
 from .errors import PrecisionEscalationError, RangeError
+from .mobius import fixed_to_mpf, log_int_fixed
 from .precision import PrecisionContext
 from .series import PartialSumSeries, build_partial_series
 from .zeta import taylor_ring
@@ -59,25 +60,24 @@ def stieltjes_gamma(n: int, ctx: PrecisionContext) -> mpf:
 def euler_gamma_partial(checkpoints, ctx: PrecisionContext) -> PartialSumSeries:
     """Partial sums of sum_{k<=K} (1/k - log(1+1/k)) at each checkpoint.
 
-    The sum runs plainly at ctx.bits + ceil(log2 K) + 8 bits, K the last
-    checkpoint, and is rounded to ctx.bits at each checkpoint."""
+    The sum runs in fixed point at wp = ctx.bits + ceil(log2 K) + 24 bits,
+    K the last checkpoint, under the policy of
+    :func:`zetakit.mobius.dirichlet_partial`: 1/k is the int 2^wp // k and
+    log(1+1/k) is ``log_int_fixed(k+1) - log_int_fixed(k)``, whose sum over
+    k <= K telescopes exactly to ``log_int_fixed(K+1)``.  Each checkpoint
+    is rounded once to ctx.bits."""
     checkpoints = [int(K) for K in checkpoints]
     if not checkpoints or any(b <= a for a, b in zip(checkpoints, checkpoints[1:])):
         raise RangeError("checkpoints must be nonempty and strictly increasing")
     if checkpoints[0] < 1:
         raise RangeError("checkpoints start at K >= 1")
+    wp = ctx.bits + math.ceil(math.log2(checkpoints[-1])) + 24
+    one = 1 << wp
     raws = []
-    with ctx.wp(math.ceil(math.log2(checkpoints[-1])) + 8):
-        acc = mpf(0)
-        cp = set(checkpoints)
-        ln_k = mpf(0)
-        for k in range(1, checkpoints[-1] + 1):
-            ln_k1 = mp.ln(k + 1)
-            acc += mpf(1) / k - (ln_k1 - ln_k)
-            if k in cp:
-                with ctx.wp():
-                    raws.append(+acc)
-            ln_k = ln_k1
+    harmonic = 0
+    for lo, K in zip([0] + checkpoints, checkpoints):
+        harmonic += sum(one // k for k in range(lo + 1, K + 1))
+        raws.append(fixed_to_mpf(harmonic - log_int_fixed(K + 1, wp), wp, ctx.bits))
     with ctx.wp():
         return build_partial_series(checkpoints, raws)
 

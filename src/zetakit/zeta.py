@@ -12,9 +12,15 @@ terms shrink by about (|Im s|/(2 pi N))^2 a step: q holds that ratio to
 and the added digits cover small |Im s|, where the terms go like
 (2m)!/(2 pi N)^(2m).  The same expression differentiated term by term
 supplies zeta'(s) for contour work and zero refinement.  The main sum
-takes n^-s and ln n from the multiplicative power kernel
+and the Bernoulli tail run in Python-int fixed point at
+wp = prec + bit_length(N) + 24 bits, prec the working precision: n^-s and
+ln n come from the multiplicative power kernel
 :func:`zetakit.mobius.dirichlet_powers`, so only primes take an exp, and
-the Bernoulli tail is summed with N^-s factored out.  For Re(s) < 1/2
+each tail term, with N^-s factored out, is the last one times the exact
+ratio of consecutive B_2m/(2m)!, two linear factors and 1/N^2.  Each
+power carries at most about bit_length(N) + 2 units of 2^(-wp), so the N
+terms are off by about N (bit_length(N) + 2) 2^(-wp) < 2^(-prec), below
+the last bit kept when the sums are rounded once to prec.  For Re(s) < 1/2
 (away from the removable point s = 0) values are reflected through the
 symmetric functional equation; a float-precision Riemann-Siegel main sum
 is available as a scanning tier only.
@@ -26,8 +32,8 @@ constants.  Every circle of the package, this ring, its DFT roots, the
 multiplicity probe of :mod:`zetakit.zeros` and the residual sweep of
 :mod:`zetakit.laurent`, takes its nodes radius e^(2 pi i j/n) from
 :func:`ring_samples`, which doubles a ring by evaluating only the odd
-nodes.  The process caches (the ring of each node count, B_2m/(2m)! per
-precision, the smallest-prime-factor table per size class) are
+nodes.  The process caches (the ring of each node count, the Bernoulli
+ratios per precision, the smallest-prime-factor table per size class) are
 ``functools.lru_cache``d functions.
 """
 
@@ -41,7 +47,7 @@ import mpmath as mp
 from mpmath import mpc, mpf
 
 from .errors import ContourNearZeroError, NearZeroError, PoleError, PrecisionEscalationError, RangeError
-from .mobius import dirichlet_powers, smallest_prime_factors
+from .mobius import dirichlet_powers, fixed_pair, fixed_to_mpc, fixed_to_mpf, smallest_prime_factors
 from .precision import PrecisionContext, log_gamma
 
 EULER_MACLAURIN = "euler-maclaurin"
@@ -57,10 +63,12 @@ def _spf_table(size: int):
 
 
 @functools.lru_cache(maxsize=None)
-def _bernoulli_coeff(m: int, prec: int) -> mpf:
-    """B_2m/(2m)! at ``prec`` bits, so results never depend on evaluation order."""
-    with mp.workprec(prec):
-        return mp.bernoulli(2 * m) / mp.factorial(2 * m)
+def _bernoulli_ratio(m: int, wp: int) -> int:
+    """c_(m+1)/c_m, c_m = B_2m/(2m)!, as a wp-bit fixed-point int taken
+    from the exact fractions, so results never depend on evaluation order."""
+    p1, q1 = mp.bernfrac(2 * m)
+    p2, q2 = mp.bernfrac(2 * m + 2)
+    return (p2 * q1 << wp) // (q2 * p1 * (2 * m + 1) * (2 * m + 2))
 
 
 @dataclass(frozen=True)
@@ -91,50 +99,74 @@ def _em_pair(s: mpc, digits: int, want_deriv: bool):
 
 
 def _em_attempt(s: mpc, N: int, thresh: mpf, want_deriv: bool):
-    acc = mpc(0)
-    dacc = mpc(0)
-    for n, ln, term in dirichlet_powers(s, N, spf=_spf_table(1 << N.bit_length())):
-        acc += term
+    prec = mp.mp.prec
+    wp = prec + N.bit_length() + 24
+    one = 1 << wp
+    acc_re = acc_im = 0
+    dacc_re = dacc_im = 0  # -sum ln(n) n^-s, at 2 wp bits
+    for n, ln, re, im in dirichlet_powers(s, N, wp, spf=_spf_table(1 << N.bit_length())):
+        acc_re += re
+        acc_im += im
         if want_deriv:
-            dacc -= ln * term
-    lnN, NmS = ln, term  # the last term is N^-s
+            dacc_re -= ln * re
+            dacc_im -= ln * im
+    lnN, NmS_re, NmS_im = ln, re, im  # the last power is N^-s
+    # Bernoulli tail N^-s sum_m u_m, u_m = B_2m/(2m)! (s)_{2m-1} N^(1-2m),
+    # in fixed point with N^-s factored out: u_1 = s/(12 N), and
+    # u_(m+1) = u_m (c_(m+1)/c_m) (s+2m-1)(s+2m)/N^2.  v_m is d u_m/ds, by the
+    # product rule on the rising factorial, so the term of zeta' is
+    # v_m - ln(N) u_m.
+    sre, sim = fixed_pair(s, wp)
+    u_re, u_im = sre // (12 * N), sim // (12 * N)
+    v_re, v_im = one // (12 * N), 0
+    tail_re = tail_im = dtail_re = dtail_im = 0
+    # Sizes are compared squared, as exact ints at 4 wp bits: |term|^2 |N^-s|^2
+    # against thresh^2, so no wp-bit int is ever converted to a float.
+    scale2 = NmS_re * NmS_re + NmS_im * NmS_im
+    thresh2 = fixed_pair(thresh, wp)[0] ** 2 << 2 * wp
+    N2 = N * N
+    m = 1
+    prev = math.inf
+    while True:
+        tail_re += u_re
+        tail_im += u_im
+        size2 = (u_re * u_re + u_im * u_im) * scale2
+        if want_deriv:
+            d_re = v_re - (lnN * u_re >> wp)
+            d_im = v_im - (lnN * u_im >> wp)
+            dtail_re += d_re
+            dtail_im += d_im
+            size2 = max(size2, (d_re * d_re + d_im * d_im) * scale2)
+        if size2 < thresh2:
+            break
+        if size2 > prev or m >= 200:
+            return None  # asymptotic tail stalled; caller doubles N
+        prev = size2
+        # extend (s)_{2m-1} by the factors (s+2m-1)(s+2m), then scale by
+        # c_(m+1)/c_m / N^2
+        for j in (2 * m - 1, 2 * m):
+            a = sre + j * one
+            if want_deriv:
+                v_re, v_im = (v_re * a - v_im * sim >> wp) + u_re, (v_re * sim + v_im * a >> wp) + u_im
+            u_re, u_im = u_re * a - u_im * sim >> wp, u_re * sim + u_im * a >> wp
+        r = _bernoulli_ratio(m, wp)
+        u_re, u_im = (u_re * r >> wp) // N2, (u_im * r >> wp) // N2
+        if want_deriv:
+            v_re, v_im = (v_re * r >> wp) // N2, (v_im * r >> wp) // N2
+        m += 1
+    acc_re += NmS_re * tail_re - NmS_im * tail_im >> wp
+    acc_im += NmS_re * tail_im + NmS_im * tail_re >> wp
+    NmS = fixed_to_mpc(NmS_re, NmS_im, wp, prec)
     sm1 = s - 1
     T1 = NmS * N / sm1
-    acc += T1 - NmS / 2
-    if want_deriv:
-        dacc += -lnN * T1 - T1 / sm1 + lnN * NmS / 2
-    # Bernoulli tail N^-s sum_m B_2m/(2m)! s(s+1)...(s+2m-2) N^(1-2m), with
-    # N^-s factored out so that each step multiplies a complex by a real.
-    P = s  # rising-factorial product, currently (s)_1
-    dP = mpc(1)
-    Npow = mpf(1) / N  # N^(1-2m)
-    Nm2 = mpf(1) / (N * N)
-    scale = abs(NmS)
-    tail = mpc(0)
-    dtail = mpc(0)
-    m = 1
-    prev = mp.inf
-    while True:
-        coeff = _bernoulli_coeff(m, mp.mp.prec) * Npow
-        term = coeff * P
-        tail += term
-        size = abs(term) * scale
-        if want_deriv:
-            dterm = coeff * (dP - lnN * P)
-            dtail += dterm
-            size = max(size, abs(dterm) * scale)
-        if size < thresh:
-            acc += NmS * tail
-            return (acc, dacc + NmS * dtail if want_deriv else None)
-        if size > prev or m >= 200:
-            return None  # asymptotic tail stalled; caller doubles N
-        prev = size
-        # extend (s)_{2m-1} by the factors (s+2m-1)(s+2m)
-        for j in (2 * m - 1, 2 * m):
-            dP = dP * (s + j) + P
-            P = P * (s + j)
-        Npow *= Nm2
-        m += 1
+    acc = fixed_to_mpc(acc_re, acc_im, wp, prec) + T1 - NmS / 2
+    if not want_deriv:
+        return acc, None
+    dacc_re += NmS_re * dtail_re - NmS_im * dtail_im
+    dacc_im += NmS_re * dtail_im + NmS_im * dtail_re
+    lnN = fixed_to_mpf(lnN, wp, prec)
+    dacc = fixed_to_mpc(dacc_re, dacc_im, 2 * wp, prec) - lnN * T1 - T1 / sm1 + lnN * NmS / 2
+    return acc, dacc
 
 
 def _is_trivial_zero(s: mpc) -> bool:
@@ -441,18 +473,17 @@ def _theta_float(t: float) -> float:
 
 
 def rs_error_bound(t: float) -> float:
-    """Empirical error bound for the Riemann-Siegel sum with correction C0.
+    """Error bound for the Riemann-Siegel sum with correction C0.
 
-    Gabcke (1979) bounds the remainder by 0.127 tau^(-3/4) after C0 and by
-    0.053 tau^(-5/4) after C1, tau = t/2pi, for t >= 200.  The bound used
-    here, 0.053 tau^(-3/4) for t >= 200, is not Gabcke's: it is an
-    empirical constant, about twice the largest error measured against
-    mpmath's siegelz on [200, 1000], some 0.03 tau^(-3/4).  Below t = 200
-    a conservative 0.5 tau^(-3/4) is used.  Scanning treats any |Z| under
-    this bound as sign-indeterminate and re-evaluates by Euler-Maclaurin.
+    For t >= 200 this is Gabcke's proven bound on the remainder after C0,
+    0.127 tau^(-3/4), tau = t/2pi (Gabcke 1979; after C1 it would be
+    0.053 tau^(-5/4)).  Below t = 200, where the proof does not apply, a
+    conservative 0.5 tau^(-3/4) is used, checked against mpmath's siegelz.
+    Scanning treats any |Z| under twice this bound as sign-indeterminate
+    and re-evaluates by Euler-Maclaurin.
     """
     a = t / (2 * math.pi)
-    c = 0.053 if t >= 200 else 0.5
+    c = 0.127 if t >= 200 else 0.5
     return c * a ** (-0.75)
 
 

@@ -77,3 +77,26 @@ def test_only_ring_samples_computes_circle_nodes():
             if _is_circle_node(node) and node.lineno not in allowed
         ]
     assert not found, "circle nodes computed outside zeta.ring_samples at " + ", ".join(found)
+
+
+def test_only_mobius_touches_mpmath_internals():
+    """mpmath.libmp carries no API promise, so one module imports it: the
+    fixed-point kernel in mobius.py.  Every other module takes its
+    fixed-point conversions from mobius by a public name."""
+    found = []
+    for path in sorted(SRC.glob("*.py")):
+        if path.name == "mobius.py":
+            continue
+        tree = ast.parse(path.read_text(), filename=str(path))
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ImportFrom):
+                names = [node.module or ""] + [f"{node.module}.{a.name}" for a in node.names]
+            elif isinstance(node, ast.Import):
+                names = [a.name for a in node.names]
+            elif isinstance(node, ast.Attribute):
+                names = [node.attr]
+            else:
+                continue
+            if any(n == "libmp" or n.startswith("mpmath.libmp") for n in names):
+                found.append(f"{path.name}:{node.lineno}")
+    assert not found, "mpmath.libmp used outside mobius.py at " + ", ".join(found)

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 from mpmath import mp, mpc, mpf
+from mpmath.libmp.libelefun import cos_sin_fixed, exp_fixed
 
 import oracles
 from zetakit.errors import LimitTooLargeError, RangeError
@@ -9,6 +10,10 @@ from zetakit.mobius import (
     MobiusTable,
     dirichlet_partial,
     dirichlet_powers,
+    fixed_pair,
+    fixed_to_mpc,
+    fixed_to_mpf,
+    log_int_fixed,
     mertens,
     sieve_mobius,
     smallest_prime_factors,
@@ -119,16 +124,46 @@ def test_smallest_prime_factors_by_trial_division():
 
 def test_dirichlet_powers_every_k_and_squarefree_k():
     s = mpc(mpf(1) / 2, 21)
+    wp = CTX.bits
     with CTX.wp():
-        every = list(dirichlet_powers(s, 200))
-        assert [k for k, _, _ in every] == list(range(1, 201))
-        for k, ln_k, kp in every:
-            assert abs(ln_k - mp.ln(k)) < mpf(10) ** -36
-            assert abs(kp - mp.exp(-s * mp.ln(k))) < mpf(10) ** -36
+        every = list(dirichlet_powers(s, 200, wp))
+        assert [k for k, *_ in every] == list(range(1, 201))
+        for k, ln, re, im in every:
+            assert abs(fixed_to_mpf(ln, wp, CTX.bits) - mp.ln(k)) < mpf(10) ** -36
+            assert abs(fixed_to_mpc(re, im, wp, CTX.bits) - mp.exp(-s * mp.ln(k))) < mpf(10) ** -36
         table = sieve_mobius(200)
-        squarefree = [(k, kp) for k, _, kp in dirichlet_powers(s, 200, table.values)]
-        assert [k for k, _ in squarefree] == [k for k in range(1, 201) if table.mobius(k)]
-        assert squarefree == [(k, kp) for k, _, kp in every if table.mobius(k)]
+        squarefree = [(k, re, im) for k, _, re, im in dirichlet_powers(s, 200, wp, table.values)]
+        assert [k for k, *_ in squarefree] == [k for k in range(1, 201) if table.mobius(k)]
+        assert squarefree == [(k, re, im) for k, _, re, im in every if table.mobius(k)]
+
+
+@pytest.mark.parametrize("digits", [12, 30, 200])
+def test_mpmath_fixed_point_internals(digits):
+    """The libmp functions the power kernel rests on are mpmath internals
+    with no API promise; pin them against mp.ln, mp.exp, mp.cos and mp.sin.
+    The phases reach t ln K = 1000 ln 10^6, about 1.4e4."""
+    wp = PrecisionContext.from_digits(digits).bits + 24
+    ulp = mpf(2) ** -wp
+    with mp.workprec(wp + 40):
+        for n in (2, 3, 97, 1999, 2003, 65537, 999983, 10**6):
+            assert abs(fixed_to_mpf(log_int_fixed(n, wp), wp, mp.prec) - mp.ln(n)) < 4 * ulp, n
+        for x in (-35, -13.8, -1, -0.25, 0, 0.5, 2.5, 20):
+            got = fixed_to_mpf(exp_fixed(fixed_pair(x, wp)[0], wp), wp, mp.prec)
+            assert abs(got - mp.exp(x)) < 8 * ulp * max(1, mp.exp(x)), x
+        for x in (-14000, -1000 * mp.ln(10**6), -3.5, -1, 0, 0.7, 1.6, 3.2, 100, 13815.5):
+            cos, sin = cos_sin_fixed(fixed_pair(x, wp)[0], wp)
+            tol = (abs(x) + 16) * ulp
+            assert abs(fixed_to_mpf(cos, wp, mp.prec) - mp.cos(x)) < tol, x
+            assert abs(fixed_to_mpf(sin, wp, mp.prec) - mp.sin(x)) < tol, x
+    # fixed_pair truncates from every bit of z; fixed_to_mpc rounds back to nearest.
+    prec = PrecisionContext.from_digits(digits).bits
+    with mp.workprec(prec):
+        z = mpc(1, 1000) / 3 + mp.pi
+        assert fixed_to_mpc(*fixed_pair(z, wp), wp, prec) == z
+        for x in (mp.pi * 10**6, -mp.e / 10**6):
+            man = fixed_pair(x, wp)[0]
+            assert man == mp.floor(x * 2**wp)
+            assert fixed_to_mpf(man, wp, prec) == mpf(man) / 2**wp
 
 
 def _direct_partial(rho, ns, checkpoints):
@@ -150,18 +185,15 @@ def _direct_partial(rho, ns, checkpoints):
     return table, want
 
 
-def test_dirichlet_partial_against_exp_loop_at_zeros(monkeypatch):
+def test_dirichlet_partial_against_exp_loop_at_zeros():
     ns = (0, 1, 2)
     cps = (10**3, 10**4, 2 * 10**4)
     for index in (1, 2, 3):
         with mp.workdps(40):
             rho = mp.zetazero(index)
         table, want = _direct_partial(rho, ns, cps)
-        for cap in (mobius.POWER_MEMO_CAP, 100):
-            # A cap of 100 sends nearly every composite to the exp fallback.
-            monkeypatch.setattr(mobius, "POWER_MEMO_CAP", cap)
-            got = dirichlet_partial(rho, ns, cps, table, CTX)
-            with CTX.wp():
-                for n in ns:
-                    for g, w, K in zip(got[n], want[n], cps):
-                        assert abs(g - w) < mpf(10) ** -27, (index, cap, n, K)
+        got = dirichlet_partial(rho, ns, cps, table, CTX)
+        with CTX.wp():
+            for n in ns:
+                for g, w, K in zip(got[n], want[n], cps):
+                    assert abs(g - w) < mpf(10) ** -27, (index, n, K)

@@ -243,6 +243,27 @@ def test_fast_tier_signs_the_scan_grid_below_30(monkeypatch):
     assert len(calls) == len(grid) - len(trusted)
 
 
+def test_grid_sign_falls_back_inside_twice_the_error_bound(monkeypatch):
+    """A Riemann-Siegel value just inside 2 x rs_error_bound is not trusted:
+    the scan signs that point by the Euler-Maclaurin hardy_Z, with the sign
+    of Z there, not of the injected value.  Just outside, it is trusted."""
+    for t in (20.5, 150.0, 250.0, 999.0):
+        z = mp.siegelz(t)
+        sign = 1 if z > 0 else -1
+        inside = -sign * 2 * rs_error_bound(t) * (1 - 1e-9)
+        monkeypatch.setattr(zeros, "hardy_Z_fast", lambda _t, v=inside: v)
+        calls = _count_calls(monkeypatch, "hardy_Z")
+        assert zeros._grid_sign(t) == sign, t
+        assert len(calls) == 1, t
+        monkeypatch.undo()
+        outside = -sign * 2 * rs_error_bound(t) * (1 + 1e-9)
+        monkeypatch.setattr(zeros, "hardy_Z_fast", lambda _t, v=outside: v)
+        calls = _count_calls(monkeypatch, "hardy_Z")
+        assert zeros._grid_sign(t) == -sign, t
+        assert not calls, t
+        monkeypatch.undo()
+
+
 def test_multiplicity_probe_radius_guard():
     with pytest.raises(RangeError):
         multiplicity_probe(mpc(0.5, 14.1), 0.3, CTX)

@@ -131,6 +131,20 @@ def test_em_pair_matches_mpmath_across_heights_and_digits():
                 assert abs(dv - dref) / abs(dref) < tol, f"zeta'({s}), {digits} digits"
 
 
+def test_em_pair_at_200_digits():
+    # At 200 digits the fixed-point ints of the Bernoulli tail pass 2^1024,
+    # the range of a float, so its stop test must compare them exactly.
+    digits = 200
+    ctx = PrecisionContext.from_digits(digits)
+    with mp.workdps(digits + 20):
+        tol = mpf(10) ** -(digits + 3)
+        for s in (mpc(0.5, 3), mpc(0.5, 1000)):
+            v, dv = zeta_and_deriv_raw(s, ctx)
+            ref, dref = mp.zeta(s), mp.zeta(s, derivative=1)
+            assert abs(v - ref) / abs(ref) < tol, f"zeta({s})"
+            assert abs(dv - dref) / abs(dref) < tol, f"zeta'({s})"
+
+
 def test_em_pair_never_stalls_in_cli_range(monkeypatch):
     # A stalled Bernoulli tail throws away a whole main sum and redoes it at
     # twice the length, so across the CLI's digits and heights every
@@ -313,7 +327,7 @@ def test_fast_Z_stays_within_error_bound():
 
 
 def test_fast_Z_error_bound_against_siegelz():
-    # rs_error_bound's 0.053 tau^(-3/4) on [200, 1000] is empirical; pin it
+    # rs_error_bound on [200, 1000] is Gabcke's proven 0.127 tau^(-3/4); pin it
     # against an independent oracle (the largest error seen is ~0.03 tau^(-3/4)).
     rng = random.Random(2014)
     with mp.workdps(20):
