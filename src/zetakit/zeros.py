@@ -8,13 +8,23 @@ from 2 + iT to 1/2 + iT.  Each zero's multiplicity is then measured
 directly as the winding number of zeta'/zeta around a small circle; the
 audit records |zeta'(rho)| against a simplicity floor rather than
 asserting simplicity axiomatically.
+
+The count, the probe, the Newton start and the scan grid's sign each try
+the double-precision pair :func:`zetakit.zeta.em_pair_float` first.  That
+tier may only accept: a count not within 0.1 of an integer, a winding not
+within 1e-3, a Newton iterate that leaves the bracket's basin, a |Z| that
+does not clear twice its stated error, or any float failure hands the
+same question to the mpmath path as before, and only that path raises.
 """
 
 from __future__ import annotations
 
+import cmath
+import functools
 import math
 import os
 from dataclasses import dataclass, replace
+from types import SimpleNamespace
 
 import mpmath as mp
 from mpmath import mpc, mpf
@@ -30,7 +40,19 @@ from .errors import (
 )
 from .parallel import map_ordered
 from .precision import PrecisionContext, real_from, to_decimal
-from .zeta import hardy_Z, hardy_Z_fast, ring_samples, rs_error_bound, theta, zeta_and_deriv_raw, zeta_logderiv
+from .zeta import (
+    em_float_error,
+    em_pair_float,
+    hardy_Z,
+    hardy_Z_fast,
+    ring_samples,
+    rs_error_bound,
+    theta,
+    theta_float,
+    theta_float_error,
+    zeta_and_deriv_raw,
+    zeta_logderiv,
+)
 
 STATUS_REFINED = "refined"
 STATUS_SIMPLE = "simple-confirmed"
@@ -50,6 +72,10 @@ _PROBE_MIN_NODES = 16
 _PROBE_NODES = 128
 
 _GL_X, _GL_W = leggauss(16)
+
+# The names the Backlund count takes from mpmath, in double precision, so
+# one formula runs in either tier.
+_FLOAT = SimpleNamespace(mpf=float, mpc=complex, arg=cmath.phase, pi=math.pi)
 
 
 @dataclass(frozen=True)
@@ -74,17 +100,111 @@ class CountReport:
 
 
 # ----------------------------------------------------------------------
+# The double-precision tier
+# ----------------------------------------------------------------------
+
+
+def _float_tier(fn):
+    """A float-tier step returns its accepted result or None; an
+    arithmetic failure (a division by zero, an overflow) is a None too."""
+
+    @functools.wraps(fn)
+    def run(*args):
+        try:
+            return fn(*args)
+        except ArithmeticError:
+            return None
+
+    return run
+
+
+def _near_integer(x, tol: float) -> int | None:
+    """The integer within tol of the float or complex x, else None; a NaN
+    or an infinity is never near one."""
+    if not cmath.isfinite(x):
+        return None
+    n = round(x.real)
+    return n if abs(x - n) <= tol else None
+
+
+def _float_logderiv(s: complex) -> complex:
+    v, dv = em_pair_float(s)
+    return dv / v
+
+
+@functools.lru_cache(maxsize=None)
+def _float_ring(nodes: int) -> tuple:
+    """The unit-circle nodes of ring_samples, in double."""
+    with _LOW_CTX.wp():
+        return tuple(ring_samples(complex, 1, nodes))
+
+
+@_float_tier
+def _float_grid_sign(t: float) -> int | None:
+    """Sign of Z(t) = Re(e^(i theta) zeta(1/2 + it)) from the float pair,
+    where |Z| clears twice its error: the pair's stated bound plus |zeta|
+    times the error of the float theta."""
+    s = complex(0.5, t)
+    v, _ = em_pair_float(s)
+    z = (cmath.exp(1j * theta_float(t)) * v).real
+    if abs(z) > 2 * (em_float_error(s) + abs(v) * theta_float_error(t)):
+        return 1 if z > 0 else -1
+    return None
+
+
+@_float_tier
+def _float_count(T: float) -> int | None:
+    """The Backlund count at T from the float pair, if within 0.1 of an
+    integer."""
+    c = _backlund_count(T, lambda s: em_pair_float(s)[0], _float_logderiv, theta_float, _FLOAT)
+    return _near_integer(c, 0.1)
+
+
+@_float_tier
+def _float_winding(rho: complex, r: float) -> int | None:
+    """The 16-node winding of zeta'/zeta around |s - rho| = r from the
+    float pair, if within 1e-3 of an integer."""
+    hs = [r * w for w in _float_ring(_PROBE_MIN_NODES)]
+    val = sum(_float_logderiv(rho + h) * h for h in hs) / len(hs)
+    return _near_integer(val, 1e-3)
+
+
+@_float_tier
+def _float_newton(a: float, b: float) -> float | None:
+    """Newton in double from the bracket midpoint, as in _newton_refine.
+    It stops after a step below 1e-7, which leaves the iterate about
+    |zeta''/2 zeta'| 1e-14 from the zero, or at the pair's rounding
+    floor; an iterate farther than max(0.05, b - a) from the midpoint, or
+    20 steps without that, is a rejection."""
+    t = start = (a + b) / 2
+    basin = max(0.05, b - a)
+    for _ in range(20):
+        v, dv = em_pair_float(complex(0.5, t))
+        dt = (v / dv).imag
+        t -= dt
+        if not abs(t - start) <= basin:
+            return None
+        if abs(dt) < 1e-7:
+            return t
+    return None
+
+
+# ----------------------------------------------------------------------
 # Grid scan and Newton refinement
 # ----------------------------------------------------------------------
 
 def _grid_sign(t: float) -> int:
-    """Sign of Z(t) for scanning: float Riemann-Siegel on its domain
-    t >= 10 when |Z| clears twice its error bound, low-precision
-    Euler-Maclaurin otherwise."""
+    """Sign of Z(t) for scanning.  On t >= 10: float Riemann-Siegel when
+    |Z| clears twice its error bound, else the float Euler-Maclaurin Z
+    when |Z| clears twice its stated error.  Otherwise, and below t = 10,
+    a 12-digit Euler-Maclaurin Z."""
     if t >= 10:
         z = hardy_Z_fast(t)
         if abs(z) > 2 * rs_error_bound(t):
             return 1 if z > 0 else -1
+        sign = _float_grid_sign(t)
+        if sign is not None:
+            return sign
     zlow = hardy_Z(mpf(t), _LOW_CTX)
     return 1 if zlow >= 0 else -1
 
@@ -131,14 +251,19 @@ def _scan_brackets(T: float, step: float) -> list[tuple[float, float]]:
 def _newton_refine(a: float, b: float, ctx: PrecisionContext) -> tuple[mpf, mpc]:
     """(t, zeta'(1/2 + it)) at the zero in [a, b].
 
-    Starts at the bracket midpoint and iterates t <- t - Im(zeta/zeta'):
-    Newton on zeta(1/2 + it), whose t-derivative is i zeta'(s).  Both come
-    from one Euler-Maclaurin sum at ten guard digits; one more sum at the
-    rounded t gives zeta'(rho).  An iterate farther than max(0.05, b - a)
-    from the start raises NoConvergenceError."""
+    Iterates t <- t - Im(zeta/zeta'): Newton on zeta(1/2 + it), whose
+    t-derivative is i zeta'(s).  Both come from one Euler-Maclaurin sum at
+    ten guard digits; one more sum at the rounded t gives zeta'(rho).  The
+    start is the double-precision Newton result of _float_newton, about
+    1e-13 from the zero, or the bracket midpoint where that tier rejects.
+    An iterate farther than max(0.05, b - a) from the midpoint raises
+    NoConvergenceError."""
     guard = PrecisionContext(ctx.bits + 34, ctx.target_digits + 10)
+    seed = _float_newton(a, b)
     with ctx.wp(20):
         t = start = mpf(a + b) / 2
+        if seed is not None:
+            t = mpf(seed)
         basin = max(0.05, b - a)
         tol = mpf(10) ** (-ctx.target_digits)
         for _ in range(60):
@@ -240,30 +365,32 @@ def scan_zeros(T, ctx: PrecisionContext, workers: int = 1) -> list[ZeroRecord]:
 # ----------------------------------------------------------------------
 
 
-def _gl_panel(sa: mpc, sb: mpc, ctx: PrecisionContext) -> mpc:
-    """16-point Gauss-Legendre integral of zeta'/zeta along [sa, sb]."""
+def _gl_panel(sa, sb, logderiv, lib):
+    """16-point Gauss-Legendre integral of logderiv along [sa, sb], in the
+    numbers of lib (mpmath, or _FLOAT)."""
     half = (sb - sa) / 2
     mid = (sa + sb) / 2
-    acc = mpc(0)
+    acc = lib.mpc(0)
     for x, w in zip(_GL_X, _GL_W):
-        acc += mpf(w) * zeta_logderiv(mid + half * mpf(x), ctx)
+        acc += lib.mpf(w) * logderiv(mid + half * lib.mpf(x))
     return acc * half
 
 
-def _backlund_count(T: mpf, ctx: PrecisionContext) -> mpf:
+def _backlund_count(T, value, logderiv, theta_of, lib=mp):
     """N(T) = theta(T)/pi + 1 + S(T) (Backlund 1914; Edwards 1974, ch. 6).
 
     pi S(T) = arg zeta(1/2 + iT), continued along the segment from 2 + iT,
     where the principal arg is right because |zeta(2 + iT) - 1| <=
     zeta(2) - 1 < 1.  The segment is integrated as Im of zeta'/zeta on
-    panels refined toward sigma = 1/2.
+    panels refined toward sigma = 1/2.  ``value``, ``logderiv`` and
+    ``theta_of`` supply zeta, zeta'/zeta and theta, and ``lib`` the
+    numbers: mpmath for the 12-digit path, _FLOAT for the float tier.
     """
-    v, _ = zeta_and_deriv_raw(mpc(2, T), ctx)
-    arg = mp.arg(v)
-    breaks = [mpf("0.5") + mpf("1.5") / 2**k for k in range(6)] + [mpf("0.5")]
+    arg = lib.arg(value(lib.mpc(2, T)))
+    breaks = [lib.mpf("0.5") + lib.mpf("1.5") / 2**k for k in range(6)] + [lib.mpf("0.5")]
     for a, b in zip(breaks, breaks[1:]):
-        arg += _gl_panel(mpc(a, T), mpc(b, T), ctx).imag
-    return theta(T, ctx) / mp.pi + 1 + arg / mp.pi
+        arg += _gl_panel(lib.mpc(a, T), lib.mpc(b, T), logderiv, lib).imag
+    return theta_of(T) / lib.pi + 1 + arg / lib.pi
 
 
 def _sign_changes(a: float, b: float) -> int:
@@ -284,7 +411,8 @@ def count_by_argument(T, ctx: PrecisionContext) -> int:
     (T, T'] are then taken off the count as Z sign changes on a 0.005
     grid, so the result is always the count at T itself.  The range is
     enforced because near T = 0 the segment passes next to the pole at
-    s = 1.
+    s = 1.  At each height the float pair counts first; where its count
+    is not within 0.1 of an integer the 12-digit path counts again.
     """
     if not 10 <= float(T) <= 1000:
         raise RangeError("count height must satisfy 10 <= T <= 1000")
@@ -293,19 +421,27 @@ def count_by_argument(T, ctx: PrecisionContext) -> int:
     for _ in range(6):
         with _LOW_CTX.wp():
             Ts = mpf(T) + shift
-            try:
-                c = _backlund_count(Ts, _LOW_CTX)
-            except ContourNearZeroError as exc:
-                last_err = exc
-                shift += mpf("0.05")
-                continue
-            n = int(mp.nint(c))
-            if abs(c - n) <= mpf("0.1"):
-                return n - _sign_changes(float(T), float(Ts)) if shift else n
-            last_err = NonIntegerWindingError(
-                f"Backlund count {mp.nstr(c, 8)} is not near an integer at T={Ts}"
-            )
-            shift += mpf("0.05")
+            n = _float_count(float(Ts))
+            if n is None:
+                try:
+                    c = _backlund_count(
+                        Ts,
+                        lambda s: zeta_and_deriv_raw(s, _LOW_CTX)[0],
+                        lambda s: zeta_logderiv(s, _LOW_CTX),
+                        lambda t: theta(t, _LOW_CTX),
+                    )
+                except ContourNearZeroError as exc:
+                    last_err = exc
+                    shift += mpf("0.05")
+                    continue
+                n = int(mp.nint(c))
+                if abs(c - n) > mpf("0.1"):
+                    last_err = NonIntegerWindingError(
+                        f"Backlund count {mp.nstr(c, 8)} is not near an integer at T={Ts}"
+                    )
+                    shift += mpf("0.05")
+                    continue
+            return n - _sign_changes(float(T), float(Ts)) if shift else n
     raise ContourNearZeroError(f"count_by_argument failed after 5 shifts: {last_err}")
 
 
@@ -320,16 +456,21 @@ def multiplicity_probe(rho, r, ctx: PrecisionContext) -> int:
     The caller keeps r <= 0.4 times the zero gap (see
     :func:`audit_zeros`), so R >= 2.5r and 16 nodes are off by at most
     2.5^-16, about 4e-7.  The winding is the mean of zeta'/zeta(rho + h) h
-    over the nodes h of :func:`zetakit.zeta.ring_samples`.  The probe
-    starts at 16 nodes and doubles, evaluating only the new nodes, while
-    the winding is not within 1e-3 of an integer.  At the 128-node cap it
-    accepts within 0.1 or raises :class:`NonIntegerWindingError`.
+    over the nodes h of :func:`zetakit.zeta.ring_samples`.  The float
+    pair takes the first 16 nodes; if its winding is not within 1e-3 of
+    an integer, the 12-digit probe starts over at 16 nodes and doubles,
+    evaluating only the new nodes, while the winding is not within 1e-3
+    of an integer.  At the 128-node cap it accepts within 0.1 or raises
+    :class:`NonIntegerWindingError`.
     """
     with _LOW_CTX.wp():
         rho = mpc(rho)
         r = mpf(r)
         if not 0 < r <= mpf(1) / 4:
             raise RangeError("probe radius must satisfy 0 < r <= 1/4")
+        m = _float_winding(complex(rho), float(r))
+        if m is not None:
+            return m
 
         def f(h):
             return zeta_logderiv(rho + h, _LOW_CTX) * h

@@ -22,8 +22,11 @@ power carries at most about bit_length(N) + 2 units of 2^(-wp), so the N
 terms are off by about N (bit_length(N) + 2) 2^(-wp) < 2^(-prec), below
 the last bit kept when the sums are rounded once to prec.  For Re(s) < 1/2
 (away from the removable point s = 0) values are reflected through the
-symmetric functional equation; a float-precision Riemann-Siegel main sum
-is available as a scanning tier only.
+symmetric functional equation.  Two double-precision tiers serve the
+zero pipeline only, each with a stated error: a Riemann-Siegel main sum
+for scanning, and :func:`em_pair_float`, this formula in Python complex
+arithmetic, for the integer-valued work (counts, windings, Newton seeds)
+and the grid signs Riemann-Siegel leaves open.
 
 Taylor coefficients come from one cached Cauchy ring, :func:`taylor_ring`.
 Centred on the pole s = 1 it samples the regular part zeta(s) - 1/(s-1)
@@ -39,6 +42,7 @@ ratios per precision, the smallest-prime-factor table per size class) are
 
 from __future__ import annotations
 
+import cmath
 import functools
 import math
 from dataclasses import dataclass
@@ -461,7 +465,12 @@ def hardy_Z(t, ctx: PrecisionContext) -> mpf:
         return +val
 
 
-def _theta_float(t: float) -> float:
+def theta_float(t: float) -> float:
+    """Riemann-Siegel theta in double precision, for t >= 10, by the
+    asymptotic series t/2 log(t/2pi) - t/2 - pi/8 + 1/(48t) + 7/(5760t^3).
+
+    Its error is about the first term left out, 31/(80640 t^5), 3.8e-9 at
+    t = 10 (see :func:`theta_float_error`)."""
     u = t / (2 * math.pi)
     return (
         t / 2 * math.log(u)
@@ -470,6 +479,13 @@ def _theta_float(t: float) -> float:
         + 1 / (48 * t)
         + 7 / (5760 * t**3)
     )
+
+
+def theta_float_error(t: float) -> float:
+    """Bound on |theta_float(t) - theta(t)| for t >= 10: twice the first
+    omitted term 31/(80640 t^5) (the next one is 0.77/t^2 times it), plus
+    2^-51 |theta| for the rounding of the sum."""
+    return 62 / (80640 * t**5) + abs(theta_float(t)) * 2.0**-51
 
 
 def rs_error_bound(t: float) -> float:
@@ -498,7 +514,7 @@ def hardy_Z_fast(t: float) -> float:
     a = math.sqrt(t / (2 * math.pi))
     nu = int(a)
     p = a - nu
-    th = _theta_float(t)
+    th = theta_float(t)
     acc = 0.0
     for n in range(1, nu + 1):
         acc += math.cos(th - t * math.log(n)) / math.sqrt(n)
@@ -514,6 +530,101 @@ def hardy_Z_fast(t: float) -> float:
 
 def _rs_c0(p: float) -> float:
     return math.cos(2 * math.pi * (p * p - p - 1.0 / 16.0)) / math.cos(2 * math.pi * p)
+
+
+# ----------------------------------------------------------------------
+# The double-precision tier
+# ----------------------------------------------------------------------
+
+# A Bernoulli tail term, with N^-s factored out, below this ends the tail.
+_FLOAT_TAIL_EPS = 1e-17
+
+
+def _float_terms(t: float) -> int:
+    """Main-sum length N of the double-precision pair: the tail ratio
+    (|s|/(2 pi N))^2 is then at most about 1/4."""
+    return math.ceil(abs(t) / math.pi) + 15
+
+
+@functools.lru_cache(maxsize=None)
+def _float_logs(N: int) -> tuple:
+    """(ln 1, ..., ln N) in double, memoized per main-sum length."""
+    return tuple(math.log(n) for n in range(1, N + 1))
+
+
+@functools.lru_cache(maxsize=None)
+def _float_bernoulli_ratios() -> tuple:
+    """c_(m+1)/c_m, c_m = B_2m/(2m)!, for m = 1..32, in double; built on
+    first use from the exact fractions.  With the tail ratio at most about
+    1/4 and u_1 about 1/4, the tail reaches 1e-17 by m = 29 at any height."""
+    return tuple(_bernoulli_ratio(m, 64) / 2.0**64 for m in range(1, 33))
+
+
+def em_pair_float(s: complex) -> tuple[complex, complex]:
+    """(zeta(s), zeta'(s)) by Euler-Maclaurin in double precision.
+
+    The formula of the module docstring in Python ``complex`` arithmetic,
+    with N = ceil(|t|/pi) + 15 terms, ln n memoized per N, and the
+    Bernoulli tail summed until a term, with N^-s factored out, is below
+    1e-17.  Meant for 10 <= |Im s| <= 1000 and 1/4 <= Re s <= 2, where the
+    tail ends by its 28th term, before its 32 tabulated ratios run out.
+
+    Rounding.  Each power n^-s = exp(-s ln n) carries a phase error of
+    about t ln n 2^-52 (the rounding of ln n, times t, and of the
+    product) and a few units of 2^-53 in its modulus; summing N terms in
+    double adds at most (N - 1) 2^-53 sum n^-sigma.  The error in zeta(s)
+    is therefore about (N + t ln N) 2^-53 sum_{n<=N} n^-sigma, which
+    :func:`em_float_error` bounds with a factor 4 to spare; zeta'(s),
+    whose terms carry ln n, is within ln N times that.  The result is a
+    first tier only: its callers accept it where an integer or a sign is
+    decided with room to spare, and otherwise rerun in mpmath.
+    """
+    t = s.imag
+    N = _float_terms(t)
+    ms = -s
+    acc = dacc = 0j
+    for ln in _float_logs(N):
+        p = cmath.exp(ms * ln)
+        acc += p
+        dacc -= ln * p
+    lnN, NmS = ln, p  # the last power is N^-s
+    # Tail N^-s sum_m u_m and its s-derivative sum_m v_m, as in _em_attempt.
+    u = s / (12 * N)
+    v = 1 / (12 * N)
+    tail = dtail = 0j
+    N2 = N * N
+    for m, r in enumerate(_float_bernoulli_ratios(), start=1):
+        d = v - lnN * u
+        tail += u
+        dtail += d
+        if abs(u) < _FLOAT_TAIL_EPS and abs(d) < _FLOAT_TAIL_EPS:
+            break
+        for j in (2 * m - 1, 2 * m):
+            a = s + j
+            v = v * a + u
+            u = u * a
+        v *= r / N2
+        u *= r / N2
+    sm1 = s - 1
+    T1 = NmS * N / sm1
+    zeta_s = acc + T1 - NmS / 2 + NmS * tail
+    dzeta_s = dacc - lnN * T1 - T1 / sm1 + lnN * NmS / 2 + NmS * dtail
+    return zeta_s, dzeta_s
+
+
+def em_float_error(s: complex) -> float:
+    """Stated bound on |em_pair_float(s)[0] - zeta(s)|:
+    4 (N + t ln N) 2^-53 (1 + int_1^N x^-sigma dx), the rounding argument
+    of :func:`em_pair_float` with sum n^-sigma bounded by its integral.
+    The error in zeta'(s) is within ln N times this."""
+    sigma, t = s.real, abs(s.imag)
+    N = _float_terms(t)
+    lnN = math.log(N)
+    if sigma == 1:
+        total = 1 + lnN
+    else:
+        total = 1 + (N ** (1 - sigma) - 1) / (1 - sigma)
+    return 4 * (N + t * lnN) * total * 2.0**-53
 
 
 def functional_equation_sides(s, ctx: PrecisionContext) -> tuple[mpc, mpc]:

@@ -1,17 +1,23 @@
-"""Byte-for-byte pins on the CLI at 30 digits and one worker.
+"""Byte-for-byte pins on the CLI at 30 digits.
 
 One session runs ``zeros`` then ``audit`` at --t-max 31.5 on a fresh
 cache, then ``laurent`` for zero 1 (its upper neighbour is cached) and
 zero 4 (the last cached zero, so the gap is walked on the scan grid),
-and ``stieltjes --n-max 20``.  Every stdout, exit code and the cache
-after each of the first two commands must match the files under
-``tests/golden/``.
+and ``stieltjes --n-max 20``, all on one worker.  A second session runs
+``zeros`` then ``audit`` at --t-max 100.3 on two workers, with its own
+cache.  Every stdout, exit code and the cache after each ``zeros`` and
+``audit`` must match the files under ``tests/golden/``.
 
 A change that means to move these bytes regenerates them with
 
     ZETAKIT_REGEN_GOLDEN=1 PYTHONPATH=src python -m pytest tests/test_golden.py
 
 and says why in its change notes.
+
+The double-precision tier may only accept.  With its float pair replaced
+by garbage, ``zeros`` then ``audit`` at --t-max 31.5 must still print
+the pinned bytes, and a real finding still exits 1 through the mpmath
+path.
 """
 
 import os
@@ -21,28 +27,35 @@ from pathlib import Path
 
 import pytest
 
+from zetakit import cli, zeros
+from zetakit.zeta import em_pair_float
+
 GOLDEN = Path(__file__).parent / "golden"
 REGEN = os.environ.get("ZETAKIT_REGEN_GOLDEN") == "1"
-COMMON = ("--digits", "30", "--workers", "1")
 
-# (name, argv, expected exit code, whether the cache is pinned after it)
+# (name, argv, expected exit code, whether the cache is pinned after it,
+# cache name, workers); steps sharing a cache name run in order on it.
 STEPS = (
-    ("zeros", ("zeros", "--t-max", "31.5"), 0, True),
-    ("audit", ("audit", "--t-max", "31.5"), 0, True),
-    ("laurent_1", ("laurent", "--index", "1", "--terms", "8", "--k-max", "10000"), 0, False),
-    ("laurent_4", ("laurent", "--index", "4", "--terms", "8", "--k-max", "10000"), 0, False),
-    ("stieltjes", ("stieltjes", "--n-max", "20"), 0, False),
+    ("zeros", ("zeros", "--t-max", "31.5"), 0, True, "t31", 1),
+    ("audit", ("audit", "--t-max", "31.5"), 0, True, "t31", 1),
+    ("laurent_1", ("laurent", "--index", "1", "--terms", "8", "--k-max", "10000"), 0, False, "t31", 1),
+    ("laurent_4", ("laurent", "--index", "4", "--terms", "8", "--k-max", "10000"), 0, False, "t31", 1),
+    ("stieltjes", ("stieltjes", "--n-max", "20"), 0, False, "t31", 1),
+    ("zeros_100", ("zeros", "--t-max", "100.3"), 0, True, "t100", 2),
+    ("audit_100", ("audit", "--t-max", "100.3"), 0, True, "t100", 2),
 )
 
 
 @pytest.fixture(scope="module")
 def session(tmp_path_factory):
     """{name: (exit code, stdout bytes, cache bytes or None)} for STEPS."""
-    cache = tmp_path_factory.mktemp("golden") / "zeros.cache"
+    root = tmp_path_factory.mktemp("golden")
     out = {}
-    for name, argv, _, pin_cache in STEPS:
+    for name, argv, _, pin_cache, cache_name, workers in STEPS:
+        cache = root / f"{cache_name}.cache"
         run = subprocess.run(
-            [sys.executable, "-m", "zetakit.cli", *argv, *COMMON, "--cache", str(cache)],
+            [sys.executable, "-m", "zetakit.cli", *argv, "--digits", "30",
+             "--workers", str(workers), "--cache", str(cache)],
             capture_output=True,
         )
         out[name] = (run.returncode, run.stdout, cache.read_bytes() if pin_cache else None)
@@ -63,3 +76,66 @@ def test_cli_bytes(session, name, expected_code, pin_cache):
     _check(GOLDEN / f"{name}.out", stdout)
     if pin_cache:
         _check(GOLDEN / f"{name}.cache", cache)
+
+
+# Ordinates of the zeros below 31.5, to double precision.
+ZEROS_31 = (14.134725141734694, 21.022039638771555, 25.010857580145689, 30.424876125859513)
+
+
+def _nan_pair(s):
+    nan = complex("nan")
+    return nan, nan
+
+
+def _half_integer_pair(s):
+    """zeta and zeta' turned by a quarter turn, which puts the count half
+    an integer high, and near each zero zeta'/zeta gains 0.5/(s - rho),
+    which puts the winding there at 1.5."""
+    v, dv = em_pair_float(s)
+    v, dv = 1j * v, 1j * dv
+    for t in ZEROS_31:
+        h = s - complex(0.5, t)
+        if abs(h) < 0.3:
+            dv += 0.5 * v / h
+    return v, dv
+
+
+def _off_basin_pair(s):
+    """On the critical line zeta' is a billionfold too small, so the first
+    Newton step leaves the bracket's basin."""
+    v, dv = em_pair_float(s)
+    return (v, dv * 1e-9) if s.real == 0.5 else (v, dv)
+
+
+GARBAGE = {"nan": _nan_pair, "half-integer": _half_integer_pair, "off-basin": _off_basin_pair}
+
+
+def _cli(argv, cache, capsys):
+    code = cli.main([*argv, "--digits", "30", "--workers", "1", "--cache", str(cache)])
+    return code, capsys.readouterr().out.encode()
+
+
+@pytest.mark.parametrize("garbage", sorted(GARBAGE))
+def test_garbage_float_pair_leaves_the_bytes(garbage, monkeypatch, tmp_path, capsys):
+    monkeypatch.setattr(zeros, "em_pair_float", GARBAGE[garbage])
+    cache = tmp_path / "zeros.cache"
+    for name in ("zeros", "audit"):
+        code, stdout = _cli((name, "--t-max", "31.5"), cache, capsys)
+        assert code == 0, name
+        assert stdout == (GOLDEN / f"{name}.out").read_bytes(), name
+        assert cache.read_bytes() == (GOLDEN / f"{name}.cache").read_bytes(), name
+
+
+def test_real_finding_exits_1_through_the_mpmath_path(monkeypatch, tmp_path, capsys):
+    """A cached "zero" at t = 16.5, where there is none, winds 0 times on
+    the 12-digit probe, so the audit calls it suspect and exits 1."""
+    monkeypatch.setattr(zeros, "em_pair_float", _nan_pair)
+    calls = []
+    logderiv = zeros.zeta_logderiv
+    monkeypatch.setattr(zeros, "zeta_logderiv", lambda s, ctx: calls.append(s) or logderiv(s, ctx))
+    cache = tmp_path / "zeros.cache"
+    cache.write_text("# zeta-zeros v1 digits=30\n1,16.5,1.0,0,refined\n")
+    code, stdout = _cli(("audit", "--t-max", "20"), cache, capsys)
+    assert code == 1
+    assert b",0,suspect\n" in stdout
+    assert len(calls) >= 16

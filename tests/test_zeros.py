@@ -109,17 +109,40 @@ def _count_calls(monkeypatch, name: str) -> list:
     calls = []
     raw = getattr(module, name)
 
-    def counting(x, ctx):
+    def counting(x, *rest):
         calls.append(x)
-        return raw(x, ctx)
+        return raw(x, *rest)
 
     monkeypatch.setattr(module, name, counting)
     return calls
 
 
+def _reject_float_tier(monkeypatch) -> None:
+    """Make every float-tier step reject, so the mpmath path runs."""
+    nan = complex("nan")
+    monkeypatch.setattr(zeros, "em_pair_float", lambda s: (nan, nan))
+
+
 def test_count_by_argument_cost_does_not_grow_with_height(monkeypatch):
     """Backlund's formula integrates one fixed half of the top edge, so a
-    count costs the same number of zeta evaluations at every height."""
+    count costs the same number of float pairs at every height, and the
+    float tier settles both counts without a 12-digit evaluation."""
+    pairs = _count_calls(monkeypatch, "em_pair_float")
+    raw = _count_calls(monkeypatch, "zeta_and_deriv_raw")
+    logderiv = _count_calls(monkeypatch, "zeta_logderiv")
+    assert count_by_argument(100, CTX) == 29
+    at_100 = len(pairs)
+    assert 0 < at_100 <= 100
+    pairs.clear()
+    assert count_by_argument(1000, CTX) == 649
+    assert len(pairs) == at_100
+    assert raw == [] and logderiv == []
+
+
+def test_count_by_argument_mpmath_cost_does_not_grow_with_height(monkeypatch):
+    """Where the float tier rejects, the 12-digit count costs the same
+    number of zeta evaluations at every height."""
+    _reject_float_tier(monkeypatch)
     raw = _count_calls(monkeypatch, "zeta_and_deriv_raw")
     logderiv = _count_calls(monkeypatch, "zeta_logderiv")
     assert count_by_argument(100, CTX) == 29
@@ -142,6 +165,21 @@ def test_newton_refinement_makes_no_hardy_Z_call(monkeypatch):
         with CTX.wp():
             assert abs(t - mpf(t_ref)) < mpf(10) ** -25
     assert calls == []
+
+
+def test_float_newton_seed_saves_pairs_and_keeps_the_ordinate(monkeypatch):
+    """Seeded by double-precision Newton, refinement of zeros 1-5 takes at
+    most 4 mpmath pairs a zero (3 steps and zeta'(rho)) and returns, bit
+    for bit, what Newton from the bracket midpoint returns."""
+    brackets = zeros._scan_brackets(35.0, 0.25 / math.log(35.0))
+    raw = _count_calls(monkeypatch, "zeta_and_deriv_raw")
+    seeded = [zeros._newton_refine(a, b, CTX) for a, b in brackets]
+    n_seeded = len(raw)
+    raw.clear()
+    _reject_float_tier(monkeypatch)
+    plain = [zeros._newton_refine(a, b, CTX) for a, b in brackets]
+    assert seeded == plain
+    assert n_seeded <= 4 * len(brackets) < len(raw)
 
 
 def test_newton_converges_from_worst_case_midpoints_near_1000():
@@ -170,7 +208,27 @@ def test_rvm_estimate_reference_points():
 
 
 def test_multiplicity_probe_counts(monkeypatch):
-    """16 nodes while the enclosed zero sits well inside the circle."""
+    """16 float pairs, and no 12-digit evaluation, while the enclosed zero
+    sits well inside the circle."""
+    pairs = _count_calls(monkeypatch, "em_pair_float")
+    calls = _count_calls(monkeypatch, "zeta_logderiv")
+    records, _ = shared.zeros_to(35)
+    rho1 = records[0].rho
+    for r in (mpf(1) / 32, mpf(1) / 4):
+        pairs.clear()
+        assert multiplicity_probe(rho1, r, CTX) == 1
+        assert len(pairs) == 16
+    # Disk well away from any zero or pole.
+    pairs.clear()
+    assert multiplicity_probe(mpc(mpf(1) / 2, 16.5), mpf(1) / 32, CTX) == 0
+    assert len(pairs) == 16
+    assert calls == []
+
+
+def test_multiplicity_probe_mpmath_counts(monkeypatch):
+    """Where the float tier rejects, the 12-digit probe takes 16 nodes
+    while the enclosed zero sits well inside the circle."""
+    _reject_float_tier(monkeypatch)
     calls = _count_calls(monkeypatch, "zeta_logderiv")
     records, _ = shared.zeros_to(35)
     rho1 = records[0].rho
@@ -178,14 +236,14 @@ def test_multiplicity_probe_counts(monkeypatch):
         calls.clear()
         assert multiplicity_probe(rho1, r, CTX) == 1
         assert len(calls) == 16
-    # Disk well away from any zero or pole.
     assert multiplicity_probe(mpc(mpf(1) / 2, 16.5), mpf(1) / 32, CTX) == 0
 
 
 def test_multiplicity_probe_nodes_grow_as_the_zero_nears_the_circle(monkeypatch):
-    """The node count doubles as the enclosed zero nears the circle, and
-    at 128 nodes a winding still not within 0.1 of an integer is an
-    error."""
+    """On the 12-digit path the node count doubles as the enclosed zero
+    nears the circle, and at 128 nodes a winding still not within 0.1 of
+    an integer is an error."""
+    _reject_float_tier(monkeypatch)
     calls = _count_calls(monkeypatch, "zeta_logderiv")
     with CTX.wp():
         t1 = mpf(T_FIRST_FIVE[0])
@@ -201,14 +259,17 @@ def test_multiplicity_probe_nodes_grow_as_the_zero_nears_the_circle(monkeypatch)
 
 
 def test_audit_probes_take_16_nodes_to_100(monkeypatch):
-    """Every zero to T = 100 winds once at the audit's radius, and none of
-    those probes needs more than the first 16 nodes."""
+    """Every zero to T = 100 winds once at the audit's radius, and every
+    probe is settled by the float tier's 16 nodes, with no 12-digit
+    evaluation."""
     records, _ = shared.zeros_to(100)
     assert len(records) == 29
+    pairs = _count_calls(monkeypatch, "em_pair_float")
     calls = _count_calls(monkeypatch, "zeta_logderiv")
     audited = audit_zeros(records, CTX, workers=1)
     assert [rec.winding for rec in audited] == [1] * 29
-    assert len(calls) == 16 * 29
+    assert len(pairs) == 16 * 29
+    assert calls == []
 
 
 def test_audit_probes_wind_once_near_1000():
@@ -229,7 +290,9 @@ def test_audit_probes_wind_once_near_1000():
 def test_fast_tier_signs_the_scan_grid_below_30(monkeypatch):
     """Wherever the float Riemann-Siegel tier is trusted on the T = 100
     scan grid (at its finest refinement) below t = 30, its sign is that of
-    mpmath's siegelz, and only the other points cost an Euler-Maclaurin Z."""
+    mpmath's siegelz.  Only the other points cost a float Euler-Maclaurin
+    Z, which signs each of them as siegelz does, and none costs a 12-digit
+    Z."""
     step = 0.25 / math.log(100.0) / 4
     grid = [10.0 + i * step for i in range(math.ceil(20 / step))]
     trusted = [t for t in grid if abs(hardy_Z_fast(t)) > 2 * rs_error_bound(t)]
@@ -237,21 +300,33 @@ def test_fast_tier_signs_the_scan_grid_below_30(monkeypatch):
     with mp.workdps(20):
         for t in trusted:
             assert (hardy_Z_fast(t) > 0) == (mp.siegelz(t) > 0), f"t={t}"
+    pairs = _count_calls(monkeypatch, "em_pair_float")
     calls = _count_calls(monkeypatch, "hardy_Z")
-    for t in grid:
-        zeros._grid_sign(t)
-    assert len(calls) == len(grid) - len(trusted)
+    signs = {t: zeros._grid_sign(t) for t in grid}
+    assert len(pairs) == len(grid) - len(trusted)
+    assert calls == []
+    with mp.workdps(20):
+        for t in pairs:
+            assert signs[t.imag] == (1 if mp.siegelz(t.imag) > 0 else -1), f"t={t.imag}"
 
 
 def test_grid_sign_falls_back_inside_twice_the_error_bound(monkeypatch):
     """A Riemann-Siegel value just inside 2 x rs_error_bound is not trusted:
-    the scan signs that point by the Euler-Maclaurin hardy_Z, with the sign
-    of Z there, not of the injected value.  Just outside, it is trusted."""
+    the scan signs that point by one float Euler-Maclaurin Z, or, where
+    that tier rejects, by the 12-digit hardy_Z, with the sign of Z there,
+    not of the injected value.  Just outside, it is trusted."""
     for t in (20.5, 150.0, 250.0, 999.0):
         z = mp.siegelz(t)
         sign = 1 if z > 0 else -1
         inside = -sign * 2 * rs_error_bound(t) * (1 - 1e-9)
         monkeypatch.setattr(zeros, "hardy_Z_fast", lambda _t, v=inside: v)
+        pairs = _count_calls(monkeypatch, "em_pair_float")
+        calls = _count_calls(monkeypatch, "hardy_Z")
+        assert zeros._grid_sign(t) == sign, t
+        assert len(pairs) == 1 and not calls, t
+        monkeypatch.undo()
+        monkeypatch.setattr(zeros, "hardy_Z_fast", lambda _t, v=inside: v)
+        _reject_float_tier(monkeypatch)
         calls = _count_calls(monkeypatch, "hardy_Z")
         assert zeros._grid_sign(t) == sign, t
         assert len(calls) == 1, t

@@ -1,3 +1,4 @@
+import math
 import random
 import sys
 
@@ -12,6 +13,8 @@ from zetakit.zeta import (
     REFLECTED,
     _ring_dft,
     _zeta_ring,
+    em_float_error,
+    em_pair_float,
     functional_equation_sides,
     hardy_Z,
     hardy_Z_fast,
@@ -20,6 +23,8 @@ from zetakit.zeta import (
     rs_error_bound,
     taylor_ring,
     theta,
+    theta_float,
+    theta_float_error,
     zeta,
     zeta_and_deriv_raw,
     zeta_deriv,
@@ -351,3 +356,33 @@ def test_fast_Z_error_bound_below_200_against_siegelz():
 def test_fast_Z_domain():
     with pytest.raises(RangeError):
         hardy_Z_fast(5.0)
+
+
+@pytest.mark.parametrize("sigma", [0.5, 0.75, 1.0, 1.5, 2.0])
+def test_em_pair_float_within_its_stated_bound(sigma):
+    """The float pair against mpmath's zeta and zeta' across the heights
+    the CLI accepts: zeta within em_float_error, zeta' within ln N times
+    it, and the bound itself far below what an integer test needs."""
+    for t in (10.0, 14.13, 31.5, 100.3, 237.7, 500.1, 999.9):
+        s = complex(sigma, t)
+        v, dv = em_pair_float(s)
+        bound = em_float_error(s)
+        with mp.workdps(25):
+            z = complex(mp.zeta(s))
+            dz = complex(mp.zeta(s, derivative=1))
+        assert abs(v - z) <= bound, f"s={s}"
+        assert abs(dv - dz) <= bound * math.log(math.ceil(t / math.pi) + 15), f"s={s}"
+        assert bound < 1e-10, f"s={s}"
+
+
+def test_theta_float_within_its_stated_error():
+    """The float theta against mpmath's siegeltheta; at t = 10 the error
+    is within 1 % of the first omitted term, 31/(80640 t^5), about 3.8e-9."""
+    for t in (10.0, 12.5, 20.0, 50.0, 100.0, 300.0, 1000.0):
+        with mp.workdps(30):
+            ref = float(mp.siegeltheta(t))
+        assert abs(theta_float(t) - ref) <= theta_float_error(t), f"t={t}"
+    with mp.workdps(30):
+        err10 = abs(theta_float(10.0) - mp.siegeltheta(10))
+    first_omitted = mpf(31) / (80640 * 10**5)
+    assert abs(err10 - first_omitted) < first_omitted / 100
