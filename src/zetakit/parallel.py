@@ -7,12 +7,16 @@ depend on scheduling.
 
 from __future__ import annotations
 
+import os
 from concurrent.futures import ProcessPoolExecutor
 
 
 def map_ordered(fn, items, workers: int = 1) -> list:
+    """[fn(x) for x in items] on at most workers processes, and never more
+    than there are items or CPUs; one is an inline loop."""
     items = list(items)
-    if workers <= 1 or len(items) <= 1:
+    workers = min(workers, len(items), os.cpu_count() or 1)
+    if workers <= 1:
         return [fn(x) for x in items]
-    with ProcessPoolExecutor(max_workers=min(workers, len(items))) as pool:
+    with ProcessPoolExecutor(max_workers=workers) as pool:
         return list(pool.map(fn, items))

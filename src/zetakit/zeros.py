@@ -15,12 +15,16 @@ tier may only accept: a count not within 0.1 of an integer, a winding not
 within 1e-3, a Newton iterate that leaves the bracket's basin, a |Z| that
 does not clear twice its stated error, or any float failure hands the
 same question to the mpmath path as before, and only that path raises.
+Both tiers share each step and supply only their pair (zeta, zeta'): one
+walker, :func:`_sign_brackets`, signs every grid of Z, one :func:`_newton`
+iterates, and :func:`_near_integer` reads every count and winding.
 """
 
 from __future__ import annotations
 
 import cmath
 import functools
+import itertools
 import math
 import os
 from dataclasses import dataclass, replace
@@ -119,8 +123,8 @@ def _float_tier(fn):
 
 
 def _near_integer(x, tol: float) -> int | None:
-    """The integer within tol of the float or complex x, else None; a NaN
-    or an infinity is never near one."""
+    """The integer within tol of x, a real or complex float or mpmath
+    number, else None; a NaN or an infinity is never near one."""
     if not cmath.isfinite(x):
         return None
     n = round(x.real)
@@ -169,26 +173,6 @@ def _float_winding(rho: complex, r: float) -> int | None:
     return _near_integer(val, 1e-3)
 
 
-@_float_tier
-def _float_newton(a: float, b: float) -> float | None:
-    """Newton in double from the bracket midpoint, as in _newton_refine.
-    It stops after a step below 1e-7, which leaves the iterate about
-    |zeta''/2 zeta'| 1e-14 from the zero, or at the pair's rounding
-    floor; an iterate farther than max(0.05, b - a) from the midpoint, or
-    20 steps without that, is a rejection."""
-    t = start = (a + b) / 2
-    basin = max(0.05, b - a)
-    for _ in range(20):
-        v, dv = em_pair_float(complex(0.5, t))
-        dt = (v / dv).imag
-        t -= dt
-        if not abs(t - start) <= basin:
-            return None
-        if abs(dt) < 1e-7:
-            return t
-    return None
-
-
 # ----------------------------------------------------------------------
 # Grid scan and Newton refinement
 # ----------------------------------------------------------------------
@@ -209,26 +193,29 @@ def _grid_sign(t: float) -> int:
     return 1 if zlow >= 0 else -1
 
 
+def _sign_brackets(ts):
+    """Each (a, b) of consecutive points of ts between which the sign of
+    Z changes.  Points are signed lazily and in order, at max(t, 0.5)."""
+    a = sa = None
+    for b in ts:
+        sb = _grid_sign(max(b, 0.5))
+        if sa is not None and sb != sa:
+            yield a, b
+        a, sa = b, sb
+
+
 def neighbor_distance(t_val: float) -> float:
     """Distance from ordinate t to the nearest other zero, located by
     walking the scan grid outward until Z changes sign."""
     h = 0.25 / math.log(max(t_val, 10.0))
-    best = None
+    gaps = []
     for direction in (1.0, -1.0):
-        t = t_val + direction * h / 2
-        s0 = _grid_sign(max(t, 0.5))
-        for i in range(1, 4000):
-            t2 = t_val + direction * (h / 2 + i * h)
-            if t2 < 0.5:
-                break
-            s = _grid_sign(t2)
-            if s != s0:
-                d = abs(t2 - t_val) - h  # nearer bracket edge: conservative
-                best = d if best is None else min(best, d)
-                break
-    if best is None:
-        best = 2 * t_val  # nothing found: conjugate partner bounds the gap
-    return best
+        ts = (t_val + direction * (h / 2 + i * h) for i in range(4000))
+        ts = itertools.chain([next(ts)], itertools.takewhile(lambda t: t >= 0.5, ts))
+        bracket = next(_sign_brackets(ts), None)
+        if bracket is not None:
+            gaps.append(abs(bracket[1] - t_val) - h)  # nearer bracket edge: conservative
+    return min(gaps) if gaps else 2 * t_val  # nothing found: conjugate partner bounds the gap
 
 
 def _scan_brackets(T: float, step: float) -> list[tuple[float, float]]:
@@ -236,50 +223,51 @@ def _scan_brackets(T: float, step: float) -> list[tuple[float, float]]:
     if T <= lo:
         return []
     n = int(math.ceil((T - lo) / step))
-    brackets = []
-    t_prev = lo
-    s_prev = _grid_sign(lo)
-    for i in range(1, n + 1):
-        t = min(lo + i * step, T)
-        s = _grid_sign(t)
-        if s != s_prev:
-            brackets.append((t_prev, t))
-        t_prev, s_prev = t, s
-    return brackets
+    return list(_sign_brackets([lo] + [min(lo + i * step, T) for i in range(1, n + 1)]))
+
+
+def _newton(pair, t, start, basin, tol):
+    """Newton on zeta(1/2 + it), whose t-derivative is i zeta'(s):
+    t <- t - Im(zeta/zeta'), with (zeta, zeta') = pair(t).  Returns the
+    iterate after the first step below tol, or None on zeta' = 0, on an
+    iterate farther than basin from start, or after 60 steps."""
+    for _ in range(60):
+        v, dv = pair(t)
+        if dv == 0:
+            return None
+        dt = (v / dv).imag
+        t -= dt
+        if not abs(t - start) <= basin:
+            return None
+        if abs(dt) < tol:
+            return t
+    return None
 
 
 def _newton_refine(a: float, b: float, ctx: PrecisionContext) -> tuple[mpf, mpc]:
     """(t, zeta'(1/2 + it)) at the zero in [a, b].
 
-    Iterates t <- t - Im(zeta/zeta'): Newton on zeta(1/2 + it), whose
-    t-derivative is i zeta'(s).  Both come from one Euler-Maclaurin sum at
-    ten guard digits; one more sum at the rounded t gives zeta'(rho).  The
-    start is the double-precision Newton result of _float_newton, about
-    1e-13 from the zero, or the bracket midpoint where that tier rejects.
-    An iterate farther than max(0.05, b - a) from the midpoint raises
-    NoConvergenceError."""
+    :func:`_newton` runs from the bracket midpoint, basin max(0.05, b - a),
+    first on the double pair to a step below 1e-7 (about 1e-13 from the
+    zero), then from there, or from the midpoint where that tier rejects,
+    on one Euler-Maclaurin sum at ten guard digits to a step below
+    10^-digits; a None from it raises NoConvergenceError.  One more sum at
+    the rounded t gives zeta'(rho)."""
     guard = PrecisionContext(ctx.bits + 34, ctx.target_digits + 10)
-    seed = _float_newton(a, b)
+    mid = (a + b) / 2
+    basin = max(0.05, b - a)
+    seed = _float_tier(_newton)(lambda t: em_pair_float(complex(0.5, t)), mid, mid, basin, 1e-7)
     with ctx.wp(20):
-        t = start = mpf(a + b) / 2
-        if seed is not None:
-            t = mpf(seed)
-        basin = max(0.05, b - a)
-        tol = mpf(10) ** (-ctx.target_digits)
-        for _ in range(60):
-            v, dv = zeta_and_deriv_raw(mpc(0.5, t), guard)
-            if dv == 0:
-                raise NoConvergenceError("flat zeta' during Newton refinement")
-            dt = (v / dv).imag
-            t -= dt
-            if abs(t - start) > basin:
-                raise NoConvergenceError(f"Newton left the bracket basin near t={float(start)}")
-            if abs(dt) < tol:
-                with ctx.wp():
-                    t = +t
-                _, dv = zeta_and_deriv_raw(mpc(0.5, t), guard)
-                return t, dv
-        raise NoConvergenceError(f"Newton did not converge near t={float(start)}")
+        start = mpf(mid)
+        t = _newton(lambda t: zeta_and_deriv_raw(mpc(0.5, t), guard),
+                    start if seed is None else mpf(seed), start, basin,
+                    mpf(10) ** (-ctx.target_digits))
+        if t is None:
+            raise NoConvergenceError(f"Newton did not converge near t={float(start)}")
+        with ctx.wp():
+            t = +t
+        _, dv = zeta_and_deriv_raw(mpc(0.5, t), guard)
+        return t, dv
 
 
 def _refine_bracket_worker(args: tuple) -> tuple:
@@ -300,13 +288,7 @@ def refine_zero(t0, ctx: PrecisionContext) -> ZeroRecord:
     those in.
     """
     seed = float(t0)
-    pts = [seed + k * 0.01 for k in range(-5, 6)]
-    signs = [_grid_sign(max(t, 0.5)) for t in pts]
-    bracket = None
-    for i in range(len(pts) - 1):
-        if signs[i] != signs[i + 1]:
-            bracket = (pts[i], pts[i + 1])
-            break
+    bracket = next(_sign_brackets(seed + k * 0.01 for k in range(-5, 6)), None)
     if bracket is None:
         raise NoConvergenceError(f"no Z sign change within 0.05 of t={seed}")
     packed = _refine_bracket_worker(
@@ -396,8 +378,7 @@ def _backlund_count(T, value, logderiv, theta_of, lib=mp):
 def _sign_changes(a: float, b: float) -> int:
     """Z sign changes on a uniform grid of spacing at most 0.005 over (a, b]."""
     n = math.ceil((b - a) / 0.005)
-    signs = [_grid_sign(a + (b - a) * i / n) for i in range(n + 1)]
-    return sum(s1 != s2 for s1, s2 in zip(signs, signs[1:]))
+    return sum(1 for _ in _sign_brackets(a + (b - a) * i / n for i in range(n + 1)))
 
 
 def count_by_argument(T, ctx: PrecisionContext) -> int:
@@ -434,8 +415,8 @@ def count_by_argument(T, ctx: PrecisionContext) -> int:
                     last_err = exc
                     shift += mpf("0.05")
                     continue
-                n = int(mp.nint(c))
-                if abs(c - n) > mpf("0.1"):
+                n = _near_integer(c, 0.1)
+                if n is None:
                     last_err = NonIntegerWindingError(
                         f"Backlund count {mp.nstr(c, 8)} is not near an integer at T={Ts}"
                     )
@@ -479,17 +460,14 @@ def multiplicity_probe(rho, r, ctx: PrecisionContext) -> int:
         while True:
             samples = ring_samples(f, r, n, samples)
             val = mp.fsum(samples) / n
-            m = int(mp.nint(val.real))
-            if abs(val - m) <= mpf("1e-3"):
+            m = _near_integer(val, 1e-3 if n < _PROBE_NODES else 0.1)
+            if m is not None:
                 return m
             if n >= _PROBE_NODES:
-                break
+                raise NonIntegerWindingError(
+                    f"circle winding {mp.nstr(val, 8)} at rho={rho} is not near an integer"
+                )
             n *= 2
-        if abs(val - m) > mpf("0.1"):
-            raise NonIntegerWindingError(
-                f"circle winding {mp.nstr(val, 8)} at rho={rho} is not near an integer"
-            )
-        return m
 
 
 def rvm_estimate(T) -> mpf:

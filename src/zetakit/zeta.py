@@ -200,26 +200,20 @@ def zeta(s, ctx: PrecisionContext, method: str | None = None, certify: bool = Fa
     if method is None:
         method = EULER_MACLAURIN if (s.real >= 0.5 or abs(s) <= 0.5) else REFLECTED
 
-    if method == EULER_MACLAURIN:
-        def run(bits):
-            with mp.workprec(bits + 40):
-                v, _ = _em_pair(s, ctx.target_digits, False)
-            with mp.workprec(bits):
-                return +v
-    elif method == REFLECTED:
-        if _is_trivial_zero(s):
-            with ctx.wp():
-                return ZetaValue(mpc(0), REFLECTED, ctx.target_digits)
-
-        def run(bits):
-            rctx = PrecisionContext(max(bits, ctx.bits), ctx.target_digits)
-            with mp.workprec(bits + 40):
-                v, _ = _em_pair(1 - s, ctx.target_digits, False)
-                v *= _chi(s, rctx)
-            with mp.workprec(bits):
-                return +v
-    else:
+    if method not in (EULER_MACLAURIN, REFLECTED):
         raise RangeError(f"unknown zeta method {method!r}")
+    reflect = method == REFLECTED
+    if reflect and _is_trivial_zero(s):
+        with ctx.wp():
+            return ZetaValue(mpc(0), REFLECTED, ctx.target_digits)
+
+    def run(bits):
+        with mp.workprec(bits + 40):
+            v, _ = _em_pair(1 - s if reflect else s, ctx.target_digits, False)
+            if reflect:
+                v *= _chi(s, PrecisionContext(max(bits, ctx.bits), ctx.target_digits))
+        with mp.workprec(bits):
+            return +v
 
     if certify:
         from .precision import certified

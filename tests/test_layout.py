@@ -100,3 +100,37 @@ def test_only_mobius_touches_mpmath_internals():
             if any(n == "libmp" or n.startswith("mpmath.libmp") for n in names):
                 found.append(f"{path.name}:{node.lineno}")
     assert not found, "mpmath.libmp used outside mobius.py at " + ", ".join(found)
+
+
+def _enclosing_functions(tree) -> dict:
+    """Each node of tree mapped to the name of its innermost function."""
+    owner = {}
+
+    def visit(node, name):
+        for child in ast.iter_child_nodes(node):
+            inner = child.name if isinstance(child, ast.FunctionDef) else name
+            owner[child] = inner
+            visit(child, inner)
+
+    visit(tree, None)
+    return owner
+
+
+def test_one_sign_walker_and_one_newton_step_serve_both_tiers():
+    """In zeros.py the grid's Z signs are taken only inside _sign_brackets,
+    and only _newton takes a Newton step (v / dv).imag, so the double and
+    the mpmath tier share the walk and the iteration."""
+    tree = ast.parse((SRC / "zeros.py").read_text())
+    owner = _enclosing_functions(tree)
+    signs = [
+        owner[node] for node in ast.walk(tree)
+        if isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+        and node.func.id == "_grid_sign"
+    ]
+    steps = [
+        owner[node] for node in ast.walk(tree)
+        if isinstance(node, ast.Attribute) and node.attr == "imag"
+        and isinstance(node.value, ast.BinOp) and isinstance(node.value.op, ast.Div)
+    ]
+    assert signs and set(signs) == {"_sign_brackets"}, signs
+    assert steps == ["_newton"], steps

@@ -6,7 +6,12 @@ from mpmath import mp, mpc, mpf
 
 import shared
 from zetakit import zeros
-from zetakit.errors import CacheFormatError, NonIntegerWindingError, RangeError
+from zetakit.errors import (
+    CacheFormatError,
+    NoConvergenceError,
+    NonIntegerWindingError,
+    RangeError,
+)
 from zetakit.precision import PrecisionContext, real_from, to_decimal
 from zetakit.zeros import (
     STATUS_REFINED,
@@ -196,6 +201,32 @@ def test_newton_converges_from_worst_case_midpoints_near_1000():
             mid = float(t_ref) + side * 0.499 * step
             t, _ = zeros._newton_refine(mid - step / 2, mid + step / 2, CTX)
             assert t == t_exact, f"zero {n}, side {side}"
+
+
+@pytest.mark.parametrize("v, dv", [(1, 0), (1j, 1)], ids=["flat-derivative", "off-basin"])
+def test_newton_exits_raise_no_convergence(v, dv, monkeypatch):
+    """With the float tier rejecting, an mpmath pair whose zeta' is 0, or
+    whose first step Im(zeta/zeta') = 1 leaves the 0.05 basin, makes
+    refinement raise NoConvergenceError, the CLI's exit-1 path, after that
+    one pair, and never ZeroDivisionError."""
+    _reject_float_tier(monkeypatch)
+    calls = []
+    monkeypatch.setattr(
+        zeros, "zeta_and_deriv_raw", lambda s, ctx: calls.append(s) or (mpc(v), mpc(dv))
+    )
+    with pytest.raises(NoConvergenceError):
+        zeros._newton_refine(14.1, 14.15, CTX)
+    assert len(calls) == 1
+
+
+def test_flat_float_derivative_rejects_the_seed(monkeypatch):
+    """A float pair whose zeta' is 0 is a rejection of the double seed, not
+    a ZeroDivisionError: refinement then returns what it returns with the
+    float tier rejecting."""
+    monkeypatch.setattr(zeros, "em_pair_float", lambda s: (1 + 0j, 0j))
+    flat = zeros._newton_refine(14.1, 14.15, CTX)
+    _reject_float_tier(monkeypatch)
+    assert flat == zeros._newton_refine(14.1, 14.15, CTX)
 
 
 def test_rvm_estimate_reference_points():
