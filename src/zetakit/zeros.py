@@ -314,7 +314,7 @@ def _record_from_strings(index: int, packed: tuple, ctx: PrecisionContext) -> Ze
 def scan_with_count(T, ctx: PrecisionContext, workers: int = 1) -> tuple[list[ZeroRecord], int]:
     """(records, argument-principle count) for zeros with 0 < t <= T."""
     Tf = float(T)
-    n_winding = count_by_argument(T, ctx)
+    n_winding = count_by_argument(T)
     step = 0.25 / math.log(Tf)
     for _ in range(3):
         brackets = _scan_brackets(Tf, step)
@@ -333,13 +333,6 @@ def scan_with_count(T, ctx: PrecisionContext, workers: int = 1) -> tuple[list[Ze
         f"sign-change count disagrees with winding count {n_winding} at T={Tf} "
         "after two grid refinements"
     )
-
-
-def scan_zeros(T, ctx: PrecisionContext, workers: int = 1) -> list[ZeroRecord]:
-    """All zeros with 0 < t <= T, refined to target_digits and
-    completeness-checked against count_by_argument."""
-    records, _ = scan_with_count(T, ctx, workers)
-    return records
 
 
 # ----------------------------------------------------------------------
@@ -381,7 +374,7 @@ def _sign_changes(a: float, b: float) -> int:
     return sum(1 for _ in _sign_brackets(a + (b - a) * i / n for i in range(n + 1)))
 
 
-def count_by_argument(T, ctx: PrecisionContext) -> int:
+def count_by_argument(T) -> int:
     """Number of zeros with 0 < t <= T, for 10 <= T <= 1000, by
     Backlund's formula N(T) = theta(T)/pi + 1 + S(T).
 
@@ -426,7 +419,7 @@ def count_by_argument(T, ctx: PrecisionContext) -> int:
     raise ContourNearZeroError(f"count_by_argument failed after 5 shifts: {last_err}")
 
 
-def multiplicity_probe(rho, r, ctx: PrecisionContext) -> int:
+def multiplicity_probe(rho, r) -> int:
     """Winding number of zeta'/zeta around |s - rho| = r: the
     multiplicity of rho as a zeta zero.
 
@@ -490,7 +483,7 @@ def _probe_worker(args: tuple) -> int:
     with ctx.wp():
         rho = mpc(mpf(rho_re), mpf(rho_im))
         r = mpf(r_str)
-    return multiplicity_probe(rho, r, ctx)
+    return multiplicity_probe(rho, r)
 
 
 def audit_zeros(records: list[ZeroRecord], ctx: PrecisionContext, workers: int = 1) -> list[ZeroRecord]:

@@ -84,6 +84,13 @@ class ZetaValue:
     certified_digits: int
 
 
+def _em_terms(t, digits: int) -> int:
+    """Main-sum length N = ceil(|t| q/(2 pi)) + digits, q = max(2,
+    10^((digits+5)/360)), of the module docstring; both tiers use it."""
+    q = max(2, 10 ** ((digits + 5) / 360))
+    return int(math.ceil(abs(t) * q / (2 * math.pi))) + digits
+
+
 def _em_pair(s: mpc, digits: int, want_deriv: bool):
     """(zeta(s), zeta'(s) or None) by Euler-Maclaurin at current workprec.
 
@@ -91,8 +98,7 @@ def _em_pair(s: mpc, digits: int, want_deriv: bool):
     Bernoulli tail runs until its last term is below 10^-(digits+5), and if
     it stalls first the main sum is doubled and the evaluation retried.
     """
-    q = max(2, 10 ** ((digits + 5) / 360))
-    N = int(math.ceil(abs(s.imag) * q / (2 * math.pi))) + digits
+    N = _em_terms(s.imag, digits)
     thresh = mpf(10) ** (-(digits + 5))
     for _ in range(4):
         out = _em_attempt(s, N, thresh, want_deriv)
@@ -532,12 +538,9 @@ def _rs_c0(p: float) -> float:
 
 # A Bernoulli tail term, with N^-s factored out, below this ends the tail.
 _FLOAT_TAIL_EPS = 1e-17
-
-
-def _float_terms(t: float) -> int:
-    """Main-sum length N of the double-precision pair: the tail ratio
-    (|s|/(2 pi N))^2 is then at most about 1/4."""
-    return math.ceil(abs(t) / math.pi) + 15
+# The main sum is sized as at 15 digits: N = ceil(|t|/pi) + 15, so the
+# tail ratio (|s|/(2 pi N))^2 is at most about 1/4.
+_FLOAT_DIGITS = 15
 
 
 @functools.lru_cache(maxsize=None)
@@ -574,7 +577,7 @@ def em_pair_float(s: complex) -> tuple[complex, complex]:
     decided with room to spare, and otherwise rerun in mpmath.
     """
     t = s.imag
-    N = _float_terms(t)
+    N = _em_terms(t, _FLOAT_DIGITS)
     ms = -s
     acc = dacc = 0j
     for ln in _float_logs(N):
@@ -612,7 +615,7 @@ def em_float_error(s: complex) -> float:
     of :func:`em_pair_float` with sum n^-sigma bounded by its integral.
     The error in zeta'(s) is within ln N times this."""
     sigma, t = s.real, abs(s.imag)
-    N = _float_terms(t)
+    N = _em_terms(t, _FLOAT_DIGITS)
     lnN = math.log(N)
     if sigma == 1:
         total = 1 + lnN

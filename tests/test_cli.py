@@ -278,3 +278,60 @@ def test_worker_count_does_not_change_output(tmp_path):
     assert a.returncode == b.returncode == 0
     assert a.stdout == b.stdout
     assert a_cache.read_text() == b_cache.read_text()
+
+
+# Each subcommand against the common options it does not read.
+UNREAD = [
+    (command, option)
+    for command, reads in (
+        (("zeros",), {"--digits", "--t-max", "--format", "--cache", "--workers"}),
+        (("audit",), {"--digits", "--t-max", "--format", "--cache", "--workers"}),
+        (("laurent", "--index", "1"), {"--digits", "--k-max", "--cache"}),
+        (("stieltjes",), {"--digits"}),
+        (("mertens", "--x", "10"), {"--digits", "--k-max"}),
+    )
+    for option in ("--digits", "--t-max", "--k-max", "--format", "--cache", "--workers")
+    if option not in reads
+]
+VALUES = {"--t-max": "30", "--k-max": "1000", "--format": "json", "--cache": "c.cache", "--workers": "2"}
+
+
+@pytest.mark.parametrize("command,option", UNREAD, ids=[f"{c[0]}{o}" for c, o in UNREAD])
+def test_unread_option_rejected(command, option, capsys):
+    from zetakit import cli
+
+    with pytest.raises(SystemExit) as exc:
+        cli.main([*command, option, VALUES[option]])
+    assert exc.value.code == 2
+    assert "unrecognized arguments" in capsys.readouterr().err
+
+
+def test_audit_digits_mismatch_rejected_before_any_probe(tmp_path, seeded_cache, monkeypatch):
+    from zetakit import cli
+
+    def no_probe(*args, **kwargs):
+        raise AssertionError("audit probed before the cache digits were checked")
+
+    monkeypatch.setattr(cli, "audit_zeros", no_probe)
+    copy = tmp_path / "copy.cache"
+    shutil.copy(seeded_cache, copy)
+    assert cli.main(["audit", "--t-max", "30", "--digits", "20", "--cache", str(copy)]) == 2
+    assert copy.read_bytes() == seeded_cache.read_bytes()
+
+
+def test_audit_takes_its_digits_from_the_cache(tmp_path):
+    path = tmp_path / "d20.cache"
+    assert run_cli("zeros", "--t-max", "15", "--digits", "20", "--cache", str(path)).returncode == 0
+    out = run_cli("audit", "--t-max", "15", "--cache", str(path))
+    assert out.returncode == 0, out.stderr
+    assert out.stdout.splitlines()[1].startswith("1,14.134725141734693790,")
+    assert path.read_text().splitlines()[1].endswith("simple-confirmed")
+
+
+def test_main_runs_the_handler_bound_at_call_time(monkeypatch):
+    from zetakit import cli
+
+    seen = []
+    monkeypatch.setattr(cli, "cmd_stieltjes", lambda args: seen.append(args.n_max) or 0)
+    assert cli.main(["stieltjes", "--n-max", "3"]) == 0
+    assert seen == [3]

@@ -23,7 +23,7 @@ from zetakit.zeros import (
     read_cache,
     refine_zero,
     rvm_estimate,
-    scan_zeros,
+    scan_with_count,
     write_cache,
 )
 from zetakit.zeta import hardy_Z_fast, rs_error_bound, zeta
@@ -83,29 +83,29 @@ def test_refined_ordinates_are_correctly_rounded(digits):
 
 def test_scan_range_validation():
     with pytest.raises(RangeError):
-        scan_zeros(1001, CTX)
+        scan_with_count(1001, CTX)
     with pytest.raises(RangeError):
-        scan_zeros(5, CTX)
+        scan_with_count(5, CTX)
 
 
 def test_count_by_argument_low_heights():
-    assert count_by_argument(15, CTX) == 1
-    assert count_by_argument(30, CTX) == 3
+    assert count_by_argument(15) == 1
+    assert count_by_argument(30) == 3
     # Contours passing within 1e-4 of the first two zeros: the count
     # still refers to the requested height, below each zero.
-    assert count_by_argument(14.1347, CTX) == 0
-    assert count_by_argument(21.0220, CTX) == 1
+    assert count_by_argument(14.1347) == 0
+    assert count_by_argument(21.0220) == 1
 
 
 @pytest.mark.parametrize("T", [10, 14.2, 20, 31.5, 50, 100, 237, 500, 1000])
 def test_count_by_argument_matches_mpmath_nzeros(T):
-    assert count_by_argument(T, CTX) == mp.nzeros(T)
+    assert count_by_argument(T) == mp.nzeros(T)
 
 
 @pytest.mark.parametrize("T", [-20, 5, 1001])
 def test_count_by_argument_range(T):
     with pytest.raises(RangeError):
-        count_by_argument(T, CTX)
+        count_by_argument(T)
 
 
 def _count_calls(monkeypatch, name: str) -> list:
@@ -135,11 +135,11 @@ def test_count_by_argument_cost_does_not_grow_with_height(monkeypatch):
     pairs = _count_calls(monkeypatch, "em_pair_float")
     raw = _count_calls(monkeypatch, "zeta_and_deriv_raw")
     logderiv = _count_calls(monkeypatch, "zeta_logderiv")
-    assert count_by_argument(100, CTX) == 29
+    assert count_by_argument(100) == 29
     at_100 = len(pairs)
     assert 0 < at_100 <= 100
     pairs.clear()
-    assert count_by_argument(1000, CTX) == 649
+    assert count_by_argument(1000) == 649
     assert len(pairs) == at_100
     assert raw == [] and logderiv == []
 
@@ -150,12 +150,12 @@ def test_count_by_argument_mpmath_cost_does_not_grow_with_height(monkeypatch):
     _reject_float_tier(monkeypatch)
     raw = _count_calls(monkeypatch, "zeta_and_deriv_raw")
     logderiv = _count_calls(monkeypatch, "zeta_logderiv")
-    assert count_by_argument(100, CTX) == 29
+    assert count_by_argument(100) == 29
     at_100 = len(raw) + len(logderiv)
     assert at_100 <= 100
     raw.clear()
     logderiv.clear()
-    assert count_by_argument(1000, CTX) == 649
+    assert count_by_argument(1000) == 649
     assert len(raw) + len(logderiv) == at_100
 
 
@@ -247,11 +247,11 @@ def test_multiplicity_probe_counts(monkeypatch):
     rho1 = records[0].rho
     for r in (mpf(1) / 32, mpf(1) / 4):
         pairs.clear()
-        assert multiplicity_probe(rho1, r, CTX) == 1
+        assert multiplicity_probe(rho1, r) == 1
         assert len(pairs) == 16
     # Disk well away from any zero or pole.
     pairs.clear()
-    assert multiplicity_probe(mpc(mpf(1) / 2, 16.5), mpf(1) / 32, CTX) == 0
+    assert multiplicity_probe(mpc(mpf(1) / 2, 16.5), mpf(1) / 32) == 0
     assert len(pairs) == 16
     assert calls == []
 
@@ -265,9 +265,9 @@ def test_multiplicity_probe_mpmath_counts(monkeypatch):
     rho1 = records[0].rho
     for r in (mpf(1) / 32, mpf(1) / 4):
         calls.clear()
-        assert multiplicity_probe(rho1, r, CTX) == 1
+        assert multiplicity_probe(rho1, r) == 1
         assert len(calls) == 16
-    assert multiplicity_probe(mpc(mpf(1) / 2, 16.5), mpf(1) / 32, CTX) == 0
+    assert multiplicity_probe(mpc(mpf(1) / 2, 16.5), mpf(1) / 32) == 0
 
 
 def test_multiplicity_probe_nodes_grow_as_the_zero_nears_the_circle(monkeypatch):
@@ -278,14 +278,14 @@ def test_multiplicity_probe_nodes_grow_as_the_zero_nears_the_circle(monkeypatch)
     calls = _count_calls(monkeypatch, "zeta_logderiv")
     with CTX.wp():
         t1 = mpf(T_FIRST_FIVE[0])
-    assert multiplicity_probe(mpc(0.5, t1 + mpf("0.2")), mpf(1) / 4, CTX) == 1
+    assert multiplicity_probe(mpc(0.5, t1 + mpf("0.2")), mpf(1) / 4) == 1
     assert 16 < len(calls) < 128
     calls.clear()
-    assert multiplicity_probe(mpc(0.5, t1 + mpf("0.225")), mpf(1) / 4, CTX) == 1
+    assert multiplicity_probe(mpc(0.5, t1 + mpf("0.225")), mpf(1) / 4) == 1
     assert len(calls) == 128
     calls.clear()
     with pytest.raises(NonIntegerWindingError):
-        multiplicity_probe(mpc(0.5, t1 + mpf("0.2495")), mpf(1) / 4, CTX)
+        multiplicity_probe(mpc(0.5, t1 + mpf("0.2495")), mpf(1) / 4)
     assert len(calls) == 128
 
 
@@ -372,9 +372,9 @@ def test_grid_sign_falls_back_inside_twice_the_error_bound(monkeypatch):
 
 def test_multiplicity_probe_radius_guard():
     with pytest.raises(RangeError):
-        multiplicity_probe(mpc(0.5, 14.1), 0.3, CTX)
+        multiplicity_probe(mpc(0.5, 14.1), 0.3)
     with pytest.raises(RangeError):
-        multiplicity_probe(mpc(0.5, 14.1), 0, CTX)
+        multiplicity_probe(mpc(0.5, 14.1), 0)
 
 
 def test_audit_marks_zeros_simple():
