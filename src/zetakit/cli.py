@@ -23,7 +23,7 @@ from .errors import (
     ZetaKitError,
 )
 from .laurent import build_expansion, expansion_report
-from .mobius import mertens, sieve_mobius
+from .mobius import mertens_sublinear, sieve_mobius
 from .precision import PrecisionContext, to_decimal
 from .stieltjes import N_MAX, bound_check
 from .zeros import (
@@ -55,7 +55,7 @@ _OPTIONS = {
                  lambda v: 10 <= v <= 200, "--digits must be in [10, 200], got {}"),
     "--t-max": ({"type": float, "default": 100.0, "help": "scan/audit height (<= 1000)"},
                 lambda v: 0 < v <= 1000, "--t-max must be in (0, 1000], got {}"),
-    "--k-max": ({"type": int, "default": 10**6, "help": "Mobius sieve limit"},
+    "--k-max": ({"type": int, "default": 10**6, "help": "Mobius sieve size (laurent); largest accepted --x (mertens)"},
                 lambda v: 1 <= v <= 10**8, "--k-max must be in [1, 10^8], got {}"),
     "--format": ({"choices": ("csv", "json"), "default": "csv"}, None, None),
     "--cache": ({"default": None, "help": "zero cache path (env ZETA_CACHE as fallback)"}, None, None),
@@ -237,13 +237,12 @@ def cmd_stieltjes(args: argparse.Namespace) -> int:
 
 
 def cmd_mertens(args: argparse.Namespace) -> int:
-    """Print M(x) from a sieve of size k_max."""
+    """Print M(x) for 1 <= x <= k_max, by the hyperbola recursion."""
     if args.x < 1:
         raise RangeError(f"mertens argument must be >= 1, got {args.x}")
     if args.x > args.k_max:
-        raise RangeError(f"mertens argument {args.x} exceeds sieve limit {args.k_max}")
-    table = sieve_mobius(args.k_max)
-    print(mertens(args.x, table))
+        raise RangeError(f"mertens argument {args.x} exceeds --k-max {args.k_max}")
+    print(mertens_sublinear(args.x))
     return EXIT_OK
 
 

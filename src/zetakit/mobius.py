@@ -7,7 +7,8 @@ factors of k.  A squarefree k whose product is still below k has exactly
 one prime factor above sqrt(N), so its sign flips once more.  The result
 is mu(1..N) as one int8 array.  That table is the package's only source
 of mu(k): the Dirichlet sweep below, the Mertens sums and the Laurent
-module's spot terms all read it.
+module's spot terms all read it.  :func:`mertens_sublinear` needs it
+only up to about x^(2/3), by the hyperbola recursion for M(x).
 
 The Dirichlet sums run in Python-int fixed point, the idiom of mpmath's
 own ``zetasum_sieved``: a real x is the int floor(x 2^wp).
@@ -184,6 +185,53 @@ def mertens(x: int, table: MobiusTable) -> int:
     if not 1 <= x <= table.limit:
         raise RangeError(f"mertens argument {x} outside table limit {table.limit}")
     return int(table.values[:x].sum(dtype=np.int64))
+
+
+def mertens_sublinear(x: int) -> int:
+    """M(x) = sum_{n <= x} mu(n) from a sieve to y = min(x, ceil(2 x^(2/3))).
+
+    The hyperbola recursion (Lehman 1960; Deleglise and Rivat 1996):
+    sum_{m <= v} M(floor(v/m)) = 1 for every v >= 1.  Splitting m at
+    r = isqrt(v), and grouping the m > r by j = floor(v/m) <= r,
+
+        M(v) = 1 - sum_{2 <= m <= r} M(floor(v/m))
+                 - sum_{1 <= j <= floor(v/(r+1))} M(j) (floor(v/j) - floor(v/(j+1))).
+
+    Every floor(x/n) is a floor(x/q) again, so the v that need the
+    recursion are v = floor(x/q) > y, q <= Q = floor(x/(y+1)), taken in
+    decreasing q: M(floor(v/m)) is the already computed big[q m] when
+    q m <= Q, and otherwise floor(x/(q m)) <= y is read from the int64
+    prefix sums of the sieve, as are the M(j), j <= r <= y.  The cost is
+    the sieve to y plus about 2 sqrt(x Q) ~ 2 x^(2/3) vector terms.  At
+    x = 10^7, y = c x^(2/3) with c = 1/2, 1, 2 and 4 took 11, 7, 5 and
+    5 ms on one core of a 2-core x86 host; c = 2 is the smaller sieve of
+    the fastest two.
+
+    Each of the three sums is exact in int64: the first has at most
+    sqrt(x) terms |M(w)| <= w <= x, the second the same, and in the third
+    |M(j)| <= j <= sqrt(x) while the counts floor(v/j) - floor(v/(j+1))
+    add up to at most v <= x.  With x <= SIEVE_CAP = 10^8 every partial
+    sum is below x^(3/2) = 10^12, far from 2^63.
+    """
+    if x < 1:
+        raise RangeError(f"mertens argument must be >= 1, got {x}")
+    if x > SIEVE_CAP:
+        raise LimitTooLargeError(f"mertens argument {x} exceeds cap {SIEVE_CAP}")
+    y = min(x, math.ceil(2 * x ** (2 / 3)))
+    small = np.zeros(y + 1, dtype=np.int64)  # small[v] = M(v) for v <= y
+    np.cumsum(sieve_mobius(y).values, out=small[1:])
+    Q = x // (y + 1)
+    big = np.zeros(Q + 1, dtype=np.int64)  # big[q] = M(floor(x/q)) for q <= Q
+    for q in range(Q, 0, -1):
+        v = x // q
+        r = math.isqrt(v)
+        cut = min(r, Q // q)  # m <= cut have q m <= Q
+        total = int(big[2 * q : cut * q + 1 : q].sum())
+        total += int(small[x // (q * np.arange(cut + 1, r + 1))].sum())
+        js = np.arange(1, v // (r + 1) + 1)
+        total += int(small[js] @ (v // js - v // (js + 1)))
+        big[q] = 1 - total
+    return int(big[1]) if Q else int(small[x])
 
 
 def dirichlet_partial(rho, ns, checkpoints, table: MobiusTable, ctx: PrecisionContext) -> dict:

@@ -234,11 +234,23 @@ def test_mertens_values():
     out = run_cli("mertens", "--x", "100", "--k-max", "1000")
     assert out.returncode == 0
     assert out.stdout.strip() == "1"
-    # Published values: M(10^6) = 212, M(10^7) = 1037.
-    for x, m in ((10**6, "212"), (10**7, "1037")):
-        out = run_cli("mertens", "--x", str(x), "--k-max", str(10**7))
+    # Published values: M(10^6) = 212, M(10^7) = 1037, M(10^8) = 1928.
+    for x, k_max, m in ((10**6, 10**7, "212"), (10**7, 10**7, "1037"), (10**8, 10**8, "1928")):
+        out = run_cli("mertens", "--x", str(x), "--k-max", str(k_max))
         assert out.returncode == 0
         assert out.stdout.strip() == m
+
+
+def test_mertens_sieves_about_x_to_the_two_thirds(monkeypatch, capsys):
+    from zetakit import cli, mobius
+
+    limits = []
+    sieve = mobius.sieve_mobius
+    monkeypatch.setattr(mobius, "sieve_mobius", lambda N: limits.append(N) or sieve(N))
+    x = 10**7
+    assert cli.main(["mertens", "--x", str(x), "--k-max", str(x)]) == 0
+    assert capsys.readouterr().out == "1037\n"
+    assert limits and max(limits) <= 4 * x ** (2 / 3)
 
 
 def test_mertens_beyond_sieve():

@@ -1,3 +1,6 @@
+import math
+import random
+
 import numpy as np
 import pytest
 from mpmath import mp, mpc, mpf
@@ -15,6 +18,7 @@ from zetakit.mobius import (
     fixed_to_mpf,
     log_int_fixed,
     mertens,
+    mertens_sublinear,
     sieve_mobius,
     smallest_prime_factors,
 )
@@ -62,6 +66,60 @@ def test_mertens_rejects_x_beyond_table():
         mertens(101, table)
     with pytest.raises(RangeError):
         mertens(0, table)
+
+
+def _sublinear_sieve_limit(x):
+    """The y = min(x, ceil(2 x^(2/3))) of mertens_sublinear's docstring."""
+    return min(x, math.ceil(2 * x ** (2 / 3)))
+
+
+def test_mertens_sublinear_every_x_to_2000():
+    table = sieve_mobius(2000)
+    assert [mertens_sublinear(x) for x in range(1, 2001)] == [mertens(x, table) for x in range(1, 2001)]
+
+
+def test_mertens_sublinear_structured_edges(monkeypatch):
+    limits = []
+    sieve = mobius.sieve_mobius
+    monkeypatch.setattr(mobius, "sieve_mobius", lambda N: limits.append(N) or sieve(N))
+    mertens_sublinear(10**6)
+    assert limits == [_sublinear_sieve_limit(10**6)]
+    monkeypatch.undo()
+
+    xs = set()
+    for k in [*range(1, 200), 999, 1000, 1414]:
+        xs |= {k * k - 1, k * k, k * k + 1, k * (k + 1)}
+    # Near x = (2q)^3, floor(x/q) passes y(x): floor(x/q) = y reads the
+    # last table value and floor(x/q) = y + 1 is the first recursed one.
+    # Each q contributes the first and last x of both kinds.
+    for q in range(1, 40):
+        for d in (0, 1):
+            run = [x for x in range(max(1, (2 * q) ** 3 - 20 * q), (2 * q) ** 3 + 20 * q)
+                   if x // q - _sublinear_sieve_limit(x) == d]
+            xs |= {run[0], run[-1]}
+    xs.discard(0)
+    table = sieve_mobius(max(xs))
+    for x in sorted(xs):
+        assert mertens_sublinear(x) == mertens(x, table), x
+
+
+def test_mertens_sublinear_seeded_x_to_2e6():
+    rng = random.Random(20261019)
+    table = sieve_mobius(2 * 10**6)
+    for x in (rng.randint(1, 2 * 10**6) for _ in range(200)):
+        assert mertens_sublinear(x) == mertens(x, table), x
+
+
+def test_mertens_sublinear_published_values():
+    for k, m in enumerate((1, -1, 1, 2, -23, -48, 212, 1037, 1928)):
+        assert mertens_sublinear(10**k) == m, k
+
+
+def test_mertens_sublinear_validation():
+    with pytest.raises(RangeError):
+        mertens_sublinear(0)
+    with pytest.raises(LimitTooLargeError):
+        mertens_sublinear(mobius.SIEVE_CAP + 1)
 
 
 def test_sieve_limit_validation():
