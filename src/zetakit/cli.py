@@ -22,7 +22,7 @@ from .errors import (
     UnknownIndexError,
     ZetaKitError,
 )
-from .laurent import build_expansion, expansion_report
+from .laurent import DEFAULT_CHECKPOINTS, build_expansion, expansion_report
 from .mobius import mertens_sublinear, sieve_mobius
 from .precision import PrecisionContext, to_decimal
 from .stieltjes import N_MAX, bound_check
@@ -55,7 +55,7 @@ _OPTIONS = {
                  lambda v: 10 <= v <= 200, "--digits must be in [10, 200], got {}"),
     "--t-max": ({"type": float, "default": 100.0, "help": "scan/audit height (<= 1000)"},
                 lambda v: 0 < v <= 1000, "--t-max must be in (0, 1000], got {}"),
-    "--k-max": ({"type": int, "default": 10**6, "help": "Mobius sieve size (laurent); largest accepted --x (mertens)"},
+    "--k-max": ({"type": int, "default": 10**6, "help": "largest Mobius sum checkpoint, read up to 10^6 (laurent); largest accepted --x (mertens)"},
                 lambda v: 1 <= v <= 10**8, "--k-max must be in [1, 10^8], got {}"),
     "--format": ({"choices": ("csv", "json"), "default": "csv"}, None, None),
     "--cache": ({"default": None, "help": "zero cache path (env ZETA_CACHE as fallback)"}, None, None),
@@ -209,7 +209,9 @@ def cmd_laurent(args: argparse.Namespace) -> int:
     neighbors = None
     if any(r.index == args.index + 1 for r in cached):
         neighbors = [r.t for r in cached if r.index in (args.index - 1, args.index + 1)]
-    table = sieve_mobius(args.k_max)
+    # The report reads mu only up to its last checkpoint, at most the last
+    # default one, so a larger --k-max changes no byte of it.
+    table = sieve_mobius(min(args.k_max, DEFAULT_CHECKPOINTS[-1]))
     exp = build_expansion(polished.rho, args.terms, ctx, neighbor_ts=neighbors)
     report = expansion_report(args.index, exp, ctx, table)
     print(json.dumps(report, indent=2, sort_keys=True))

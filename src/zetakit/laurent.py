@@ -8,14 +8,16 @@ partial sums
                  - residue (log^(n+1)(k+1) - log^(n+1)(k)) / (n+1) ]
       = D_n(K) - residue log^(n+1)(K+1) / (n+1),
 
-since the bridge terms telescope and log 1 = 0.  D_n(K) comes from the
-package's one sweep over the Mobius table
-(:func:`zetakit.mobius.dirichlet_partial`); the bridge is added in closed
-form at each checkpoint.  Their behavior as K grows is recorded as a
-diagnostic, never asserted: convergence of that series on the critical
-line is an open matter, so the artifact measures distances to the
-oracle coefficients and reports oscillation instead.  The two routes are
-kept strictly separate.
+since the bridge terms telescope and log 1 = 0.  D_n(K) comes from
+:func:`zetakit.mobius.dirichlet_partial`, which reads the Mobius table up
+to about 2 K^(2/3) and recurses on the floor values of K by the
+hyperbola method, in about K^(2/3) steps; where its error bound does not
+hold it sweeps every squarefree k <= K.  Both paths give the same bits
+after rounding.  The bridge is added in closed form at each checkpoint.
+Their behavior as K grows is recorded as a diagnostic, never asserted:
+convergence of that series on the critical line is an open matter, so
+the artifact measures distances to the oracle coefficients and reports
+oscillation instead.  The two routes are kept strictly separate.
 
 :func:`build_expansion` is the one constructor of route one.  The
 :class:`LaurentExpansion` it returns carries the coefficients past its
@@ -143,7 +145,7 @@ def phi_series_multi(rho, ns, checkpoints, table: MobiusTable, ctx: PrecisionCon
     """PartialSumSeries of the coefficient series for each log power n.
 
     The raw value at checkpoint K is D_n(K) - residue ln^(n+1)(K+1)/(n+1),
-    where D_n comes from the one Mobius sweep
+    where D_n comes from the Mobius-weighted sums
     :func:`zetakit.mobius.dirichlet_partial`, which also validates n, the
     checkpoints and the table size.  The second term is the per-k bridge
     -residue (ln^(n+1)(k+1) - ln^(n+1)(k))/(n+1) summed over k <= K in

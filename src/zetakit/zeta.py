@@ -17,7 +17,9 @@ wp = prec + bit_length(N) + 24 bits, prec the working precision: n^-s and
 ln n come from the multiplicative power kernel
 :func:`zetakit.mobius.dirichlet_powers`, so only primes take an exp, and
 each tail term, with N^-s factored out, is the last one times the exact
-ratio of consecutive B_2m/(2m)!, two linear factors and 1/N^2.  Each
+ratio of consecutive B_2m/(2m)!, two linear factors and 1/N^2 (the
+Euler-Maclaurin tail jet :func:`zetakit.mobius.bernoulli_tail` at order
+0, or 1 with zeta').  Each
 power carries at most about bit_length(N) + 2 units of 2^(-wp), so the N
 terms are off by about N (bit_length(N) + 2) 2^(-wp) < 2^(-prec), below
 the last bit kept when the sums are rounded once to prec.  For Re(s) < 1/2
@@ -35,8 +37,9 @@ constants.  Every circle of the package, this ring, its DFT roots, the
 multiplicity probe of :mod:`zetakit.zeros` and the residual sweep of
 :mod:`zetakit.laurent`, takes its nodes radius e^(2 pi i j/n) from
 :func:`ring_samples`, which doubles a ring by evaluating only the odd
-nodes.  The process caches (the ring of each node count, the Bernoulli
-ratios per precision, the smallest-prime-factor table per size class) are
+nodes.  The DFT of a ring sums exact ints and rounds once.  The process
+caches (the ring of each node count, the DFT roots per node count and
+precision, the smallest-prime-factor table per size class) are
 ``functools.lru_cache``d functions.
 """
 
@@ -45,13 +48,23 @@ from __future__ import annotations
 import cmath
 import functools
 import math
+import operator
 from dataclasses import dataclass
 
 import mpmath as mp
 from mpmath import mpc, mpf
 
 from .errors import ContourNearZeroError, NearZeroError, PoleError, PrecisionEscalationError, RangeError
-from .mobius import dirichlet_powers, fixed_pair, fixed_to_mpc, fixed_to_mpf, smallest_prime_factors
+from .mobius import (
+    bernoulli_ratio,
+    bernoulli_tail,
+    dirichlet_powers,
+    em_terms,
+    fixed_pair,
+    fixed_to_mpc,
+    fixed_to_mpf,
+    smallest_prime_factors,
+)
 from .precision import PrecisionContext, log_gamma
 
 EULER_MACLAURIN = "euler-maclaurin"
@@ -66,15 +79,6 @@ def _spf_table(size: int):
     return smallest_prime_factors(size)
 
 
-@functools.lru_cache(maxsize=None)
-def _bernoulli_ratio(m: int, wp: int) -> int:
-    """c_(m+1)/c_m, c_m = B_2m/(2m)!, as a wp-bit fixed-point int taken
-    from the exact fractions, so results never depend on evaluation order."""
-    p1, q1 = mp.bernfrac(2 * m)
-    p2, q2 = mp.bernfrac(2 * m + 2)
-    return (p2 * q1 << wp) // (q2 * p1 * (2 * m + 1) * (2 * m + 2))
-
-
 @dataclass(frozen=True)
 class ZetaValue:
     """A certified zeta evaluation: value, producing method, digit count."""
@@ -84,13 +88,6 @@ class ZetaValue:
     certified_digits: int
 
 
-def _em_terms(t, digits: int) -> int:
-    """Main-sum length N = ceil(|t| q/(2 pi)) + digits, q = max(2,
-    10^((digits+5)/360)), of the module docstring; both tiers use it."""
-    q = max(2, 10 ** ((digits + 5) / 360))
-    return int(math.ceil(abs(t) * q / (2 * math.pi))) + digits
-
-
 def _em_pair(s: mpc, digits: int, want_deriv: bool):
     """(zeta(s), zeta'(s) or None) by Euler-Maclaurin at current workprec.
 
@@ -98,7 +95,7 @@ def _em_pair(s: mpc, digits: int, want_deriv: bool):
     Bernoulli tail runs until its last term is below 10^-(digits+5), and if
     it stalls first the main sum is doubled and the evaluation retried.
     """
-    N = _em_terms(s.imag, digits)
+    N = em_terms(s.imag, digits)
     thresh = mpf(10) ** (-(digits + 5))
     for _ in range(4):
         out = _em_attempt(s, N, thresh, want_deriv)
@@ -111,7 +108,6 @@ def _em_pair(s: mpc, digits: int, want_deriv: bool):
 def _em_attempt(s: mpc, N: int, thresh: mpf, want_deriv: bool):
     prec = mp.mp.prec
     wp = prec + N.bit_length() + 24
-    one = 1 << wp
     acc_re = acc_im = 0
     dacc_re = dacc_im = 0  # -sum ln(n) n^-s, at 2 wp bits
     for n, ln, re, im in dirichlet_powers(s, N, wp, spf=_spf_table(1 << N.bit_length())):
@@ -121,49 +117,15 @@ def _em_attempt(s: mpc, N: int, thresh: mpf, want_deriv: bool):
             dacc_re -= ln * re
             dacc_im -= ln * im
     lnN, NmS_re, NmS_im = ln, re, im  # the last power is N^-s
-    # Bernoulli tail N^-s sum_m u_m, u_m = B_2m/(2m)! (s)_{2m-1} N^(1-2m),
-    # in fixed point with N^-s factored out: u_1 = s/(12 N), and
-    # u_(m+1) = u_m (c_(m+1)/c_m) (s+2m-1)(s+2m)/N^2.  v_m is d u_m/ds, by the
-    # product rule on the rising factorial, so the term of zeta' is
-    # v_m - ln(N) u_m.
-    sre, sim = fixed_pair(s, wp)
-    u_re, u_im = sre // (12 * N), sim // (12 * N)
-    v_re, v_im = one // (12 * N), 0
-    tail_re = tail_im = dtail_re = dtail_im = 0
-    # Sizes are compared squared, as exact ints at 4 wp bits: |term|^2 |N^-s|^2
-    # against thresh^2, so no wp-bit int is ever converted to a float.
+    # Bernoulli tail N^-s sum_m u_m, u_m = B_2m/(2m)! (s)_{2m-1} N^(1-2m), and
+    # for zeta' the sum of N^s d/ds (N^-s u_m), until the terms times |N^-s|
+    # drop below thresh.
     scale2 = NmS_re * NmS_re + NmS_im * NmS_im
     thresh2 = fixed_pair(thresh, wp)[0] ** 2 << 2 * wp
-    N2 = N * N
-    m = 1
-    prev = math.inf
-    while True:
-        tail_re += u_re
-        tail_im += u_im
-        size2 = (u_re * u_re + u_im * u_im) * scale2
-        if want_deriv:
-            d_re = v_re - (lnN * u_re >> wp)
-            d_im = v_im - (lnN * u_im >> wp)
-            dtail_re += d_re
-            dtail_im += d_im
-            size2 = max(size2, (d_re * d_re + d_im * d_im) * scale2)
-        if size2 < thresh2:
-            break
-        if size2 > prev or m >= 200:
-            return None  # asymptotic tail stalled; caller doubles N
-        prev = size2
-        # extend (s)_{2m-1} by the factors (s+2m-1)(s+2m), then scale by
-        # c_(m+1)/c_m / N^2
-        for j in (2 * m - 1, 2 * m):
-            a = sre + j * one
-            if want_deriv:
-                v_re, v_im = (v_re * a - v_im * sim >> wp) + u_re, (v_re * sim + v_im * a >> wp) + u_im
-            u_re, u_im = u_re * a - u_im * sim >> wp, u_re * sim + u_im * a >> wp
-        r = _bernoulli_ratio(m, wp)
-        u_re, u_im = (u_re * r >> wp) // N2, (u_im * r >> wp) // N2
-        if want_deriv:
-            v_re, v_im = (v_re * r >> wp) // N2, (v_im * r >> wp) // N2
-        m += 1
+    tail = bernoulli_tail(fixed_pair(s, wp), N, lnN, scale2, 1 if want_deriv else 0, wp, thresh2)
+    if tail is None:
+        return None  # asymptotic tail stalled; caller doubles N
+    tail_re, tail_im = tail[0]
     acc_re += NmS_re * tail_re - NmS_im * tail_im >> wp
     acc_im += NmS_re * tail_im + NmS_im * tail_re >> wp
     NmS = fixed_to_mpc(NmS_re, NmS_im, wp, prec)
@@ -172,6 +134,7 @@ def _em_attempt(s: mpc, N: int, thresh: mpf, want_deriv: bool):
     acc = fixed_to_mpc(acc_re, acc_im, wp, prec) + T1 - NmS / 2
     if not want_deriv:
         return acc, None
+    dtail_re, dtail_im = tail[1]
     dacc_re += NmS_re * dtail_re - NmS_im * dtail_im
     dacc_im += NmS_re * dtail_im + NmS_im * dtail_re
     lnN = fixed_to_mpf(lnN, wp, prec)
@@ -317,14 +280,43 @@ def _zeta_ring(center: mpc, radius: mpf, nodes: int, ctx: PrecisionContext) -> t
         return tuple(ring_samples(f, radius, nodes, half))
 
 
+def _exact_ints(values) -> tuple:
+    """(E, re, im): every value of ``values`` is exactly (re[j] + i im[j]) 2^E,
+    E the smallest exponent among their nonzero parts."""
+    exps = [x.exp for z in values for x in (z.real, z.imag) if x]
+    wp = -min(exps, default=0)
+    pairs = [fixed_pair(z, wp) for z in values]
+    return -wp, [p[0] for p in pairs], [p[1] for p in pairs]
+
+
+@functools.lru_cache(maxsize=None)
+def _dft_roots(n: int, prec: int) -> tuple:
+    """The conjugate ring nodes w^(-j), j < n, of :func:`ring_samples` at
+    prec bits, as the exact ints of :func:`_exact_ints`."""
+    with mp.workprec(prec):
+        return _exact_ints(ring_samples(mp.conj, 1, n))
+
+
 def _ring_dft(samples, ks) -> list:
     """(1/n) sum_j samples[j] w^(-jk) for each k in ks, w = e^(2 pi i/n).
 
     The roots w^(-j) are the conjugate unit-circle nodes, bit for bit the
-    values exp(-2 pi i j/n)."""
+    values exp(-2 pi i j/n).  Samples and roots are exact ints at one
+    exponent each, so every sum is exact and rounded once to the working
+    precision, as ``mp.fdot`` rounds its exact sum; then it is divided
+    by n."""
     n = len(samples)
-    roots = ring_samples(mp.conj, 1, n)
-    return [mp.fdot(samples, [roots[j * k % n] for j in range(n)]) / n for k in ks]
+    prec = mp.mp.prec
+    e_r, rr, ri = _dft_roots(n, prec)
+    e_s, sr, si = _exact_ints(samples)
+    out = []
+    for k in ks:
+        roots = operator.itemgetter(*(j * k % n for j in range(n)))
+        rk, ik = roots(rr), roots(ri)
+        re = sum(map(operator.mul, sr, rk)) - sum(map(operator.mul, si, ik))
+        im = sum(map(operator.mul, sr, ik)) + sum(map(operator.mul, si, rk))
+        out.append(fixed_to_mpc(re, im, -(e_r + e_s), prec) / n)
+    return out
 
 
 def _aliasing_estimate(samples: list) -> mpf:
@@ -554,7 +546,7 @@ def _float_bernoulli_ratios() -> tuple:
     """c_(m+1)/c_m, c_m = B_2m/(2m)!, for m = 1..32, in double; built on
     first use from the exact fractions.  With the tail ratio at most about
     1/4 and u_1 about 1/4, the tail reaches 1e-17 by m = 29 at any height."""
-    return tuple(_bernoulli_ratio(m, 64) / 2.0**64 for m in range(1, 33))
+    return tuple(bernoulli_ratio(m, 64) / 2.0**64 for m in range(1, 33))
 
 
 def em_pair_float(s: complex) -> tuple[complex, complex]:
@@ -577,7 +569,7 @@ def em_pair_float(s: complex) -> tuple[complex, complex]:
     decided with room to spare, and otherwise rerun in mpmath.
     """
     t = s.imag
-    N = _em_terms(t, _FLOAT_DIGITS)
+    N = em_terms(t, _FLOAT_DIGITS)
     ms = -s
     acc = dacc = 0j
     for ln in _float_logs(N):
@@ -615,7 +607,7 @@ def em_float_error(s: complex) -> float:
     of :func:`em_pair_float` with sum n^-sigma bounded by its integral.
     The error in zeta'(s) is within ln N times this."""
     sigma, t = s.real, abs(s.imag)
-    N = _em_terms(t, _FLOAT_DIGITS)
+    N = em_terms(t, _FLOAT_DIGITS)
     lnN = math.log(N)
     if sigma == 1:
         total = 1 + lnN

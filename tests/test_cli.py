@@ -202,6 +202,42 @@ def test_laurent_radius_of_the_last_cached_zero(tmp_path):
     assert 0 < radius <= 0.8 * float(ts[4] - ts[3])
 
 
+def test_laurent_reads_mu_only_to_the_last_default_checkpoint(seeded_cache, monkeypatch, capsys):
+    # The report's checkpoints stop at 10^6, so --k-max 10^8 sieves to
+    # 10^6 and prints the bytes of --k-max 10^6.
+    from zetakit import cli
+
+    limits = []
+    sieve = cli.sieve_mobius
+    monkeypatch.setattr(cli, "sieve_mobius", lambda N: limits.append(N) or sieve(N))
+    outs = []
+    for k_max in (10**8, 10**6):
+        argv = ["laurent", "--index", "1", "--terms", "2", "--k-max", str(k_max), "--cache", str(seeded_cache)]
+        assert cli.main(argv) == 0
+        outs.append(capsys.readouterr().out)
+    assert limits == [10**6, 10**6]
+    assert outs[0] == outs[1]
+
+
+def test_laurent_default_k_max_peak_memory(seeded_cache):
+    # The Mobius sums to K = 10^6 keep their jets only at the floor values
+    # of the recursion; the direct sweep's power memo peaked near 120 MB.
+    # The child reads its own high-water mark, VmHWM: its ru_maxrss would
+    # also count the pages of this test process it was started from, since
+    # Linux keeps the old image's high-water mark across exec.
+    code = (
+        "import sys\n"
+        "from zetakit import cli\n"
+        f"rc = cli.main(['laurent', '--index', '1', '--k-max', '1000000', '--cache', {str(seeded_cache)!r}])\n"
+        "peak = next(line.split()[1] for line in open('/proc/self/status') if line.startswith('VmHWM:'))\n"
+        "print(rc, peak, file=sys.stderr)\n"
+    )
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+    rc, peak_kb = out.stderr.split()[-2:]
+    assert rc == "0", out.stderr
+    assert int(peak_kb) / 1024 < 60, f"peak RSS {int(peak_kb) / 1024:.1f} MB"
+
+
 def test_laurent_unknown_index(seeded_cache):
     out = run_cli("laurent", "--index", "99", "--cache", str(seeded_cache))
     assert out.returncode == 2

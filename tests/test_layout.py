@@ -134,3 +134,18 @@ def test_one_sign_walker_and_one_newton_step_serve_both_tiers():
     ]
     assert signs and set(signs) == {"_sign_brackets"}, signs
     assert steps == ["_newton"], steps
+
+
+def test_one_function_reads_the_bernoulli_numbers():
+    """The Euler-Maclaurin tails of zeta and of the Mobius recursion share
+    one Bernoulli table: ``mp.bernfrac`` is called in one function only."""
+    found = []
+    for path in sorted(SRC.glob("*.py")):
+        tree = ast.parse(path.read_text(), filename=str(path))
+        owner = _enclosing_functions(tree)
+        found += [
+            f"{path.name}:{owner[node]}" for node in ast.walk(tree)
+            if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+            and node.func.attr == "bernfrac"
+        ]
+    assert len(set(found)) == 1, found

@@ -13,6 +13,7 @@ from zetakit.mobius import (
     MobiusTable,
     dirichlet_partial,
     dirichlet_powers,
+    em_terms,
     fixed_pair,
     fixed_to_mpc,
     fixed_to_mpf,
@@ -21,6 +22,7 @@ from zetakit.mobius import (
     mertens_sublinear,
     sieve_mobius,
     smallest_prime_factors,
+    tail_jet,
 )
 from zetakit.precision import PrecisionContext
 
@@ -255,3 +257,78 @@ def test_dirichlet_partial_against_exp_loop_at_zeros():
             for n in ns:
                 for g, w, K in zip(got[n], want[n], cps):
                     assert abs(g - w) < mpf(10) ** -27, (index, n, K)
+
+
+def _recursion_only(monkeypatch):
+    """Make dirichlet_partial fail unless the hyperbola recursion serves it."""
+    def refuse(*args):
+        raise AssertionError("the direct sweep ran")
+
+    monkeypatch.setattr(mobius, "_dirichlet_sweep", refuse)
+
+
+@pytest.mark.parametrize("index,digits", [(1, 30), (29, 30), (2, 60)])
+def test_hyperbola_recursion_equals_the_direct_sweep_bit_for_bit(index, digits, monkeypatch):
+    # The direct sweep is the oracle: after rounding to ctx.bits both give
+    # the same bits, at K = 10^4 and 10^5 and at a checkpoint that is not
+    # a floor value of the others.
+    ctx = PrecisionContext.from_digits(digits)
+    ns = (0, 1, 2, 6)
+    cps = (1000, 10**4, 12345, 10**5)
+    table = sieve_mobius(cps[-1])
+    with mp.workdps(digits + 20):
+        rho = mp.zetazero(index)
+    want = mobius._dirichlet_sweep(rho, 6, list(cps), table.values, ctx)
+    _recursion_only(monkeypatch)
+    got = dirichlet_partial(rho, ns, cps, table, ctx)
+    for n in ns:
+        assert got[n] == want[n], n
+
+
+@pytest.mark.parametrize("digits", [30, 60])
+def test_tail_jet_against_hurwitz_zeta(digits):
+    # T_j(w) = sum_{m>w} ln^j(m) m^(-s) = (-1)^j zeta^(j)(s, w+1), for w
+    # from the main-sum length rule up; below the rule at t = 1000 the
+    # tail stalls and says so.
+    ctx = PrecisionContext.from_digits(digits)
+    wp = ctx.bits + 20
+    for t in (14.13, 400.5, 999.79):
+        s = mpc(mpf(1) / 2, t)
+        rule = em_terms(t, digits)
+        for w in (rule, 2 * rule + 1, 10**4):
+            jet = tail_jet(s, w, 6, wp)
+            with mp.workdps(digits + 20):
+                for j, (re, im) in enumerate(jet):
+                    ref = (-1) ** j * mp.zeta(s, w + 1, derivative=j)
+                    assert abs(fixed_to_mpc(re, im, wp, wp) - ref) < abs(ref) * mpf(2) ** -ctx.bits, (t, w, j)
+    assert tail_jet(mpc(0.5, 999.79), 200, 1, wp) is None
+
+
+def test_dirichlet_partial_falls_back_where_a_tail_stalls(monkeypatch):
+    # With the length rule cut to 1, y = ceil(2 K^(2/3)) = 200 lies below
+    # the rule at t = 1000: every tail stalls, the direct sweep serves the
+    # sums, and nothing raises.
+    table = sieve_mobius(1000)
+    rho = mpc(mpf(1) / 2, mpf("999.79"))
+    want = mobius._dirichlet_sweep(rho, 1, [100, 1000], table.values, CTX)
+    stalls = []
+    recursion = mobius._hyperbola_partial
+    monkeypatch.setattr(mobius, "em_terms", lambda t, digits: 1)
+    monkeypatch.setattr(mobius, "_hyperbola_partial", lambda *a: stalls.append(recursion(*a)))
+    got = dirichlet_partial(rho, (0, 1), (100, 1000), table, CTX)
+    assert stalls == [None]
+    assert [got[0], got[1]] == want
+
+
+def test_dirichlet_partial_recursion_at_real_s_and_every_k(monkeypatch):
+    # At s = 2 and s = 3/2 + 5i, every third K from 70 to 400 against the
+    # sweep, so checkpoints fall on and between the floor values of K.
+    table = sieve_mobius(400)
+    cps = list(range(70, 401, 3))
+    for s in (mpc(2, 0), mpc(1.5, 5)):
+        want = mobius._dirichlet_sweep(s, 2, cps, table.values, CTX)
+        with monkeypatch.context() as m:
+            _recursion_only(m)
+            got = dirichlet_partial(s, (0, 1, 2), cps, table, CTX)
+        for n in (0, 1, 2):
+            assert got[n] == want[n], (s, n)

@@ -281,6 +281,32 @@ def test_ring_dft_roots_are_the_conjugate_nodes(bits):
                 assert got == mp.exp(mpc(0, -2) * mp.pi * k / n), (n, k)
 
 
+def test_ring_dft_rounds_as_fdot_on_the_laurent_and_stieltjes_rings(monkeypatch):
+    # The exact-int sums round once, as mp.fdot rounds its exact sum, so
+    # every coefficient keeps its bits: the 48-digit ring at zero 1 of
+    # laurent --terms 8 and the 66-digit ring at s = 1 of stieltjes --n-max 20.
+    em = sys.modules["zetakit.zeta"]
+    dft = em._ring_dft
+    checked = []
+
+    def pinned(samples, ks):
+        ks = list(ks)
+        n = len(samples)
+        roots = ring_samples(mp.conj, 1, n)
+        want = [mp.fdot(samples, [roots[j * k % n] for j in range(n)]) / n for k in ks]
+        got = dft(samples, ks)
+        assert got == want, (n, mp.prec)
+        checked.append((n, mp.prec))
+        return got
+
+    monkeypatch.setattr(em, "_ring_dft", pinned)
+    with mp.workdps(40):
+        rho = mp.zetazero(1)
+    taylor_ring(rho, mpf(1) / 4, 13, CTX)
+    taylor_ring(1, mpf(1) / 2, 21, PrecisionContext.from_digits(49))
+    assert {PrecisionContext.from_digits(d).bits for d in (48, 66)} <= {p for _, p in checked}
+
+
 def test_taylor_ring_at_pole_gives_laurent_coefficients():
     # Centred on s = 1 the ring expands zeta(s) - 1/(s-1), whose Taylor
     # coefficients are (-1)^k gamma_k / k!.
