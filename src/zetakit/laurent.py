@@ -203,14 +203,25 @@ def laurent_eval(s, exp: LaurentExpansion) -> mpc:
     """
     if not isinstance(s, (mpf, mpc)):
         s = mpc(s)
+    h = _disk_offset(s, exp)
+    return exp.residue / h + _horner(exp.coeffs, h)
+
+
+def _disk_offset(s, exp: LaurentExpansion):
+    """s - rho, checked to lie inside the validity disk and off the pole."""
     h = s - exp.rho
     ah = abs(h)
     if not 0 < ah < exp.radius:
         raise OutsideDiskError(f"|s-rho| = {mp.nstr(ah, 6)} outside disk radius {mp.nstr(exp.radius, 6)}")
+    return h
+
+
+def _horner(coeffs, h) -> mpc:
+    """sum c_n h^n by Horner's rule, from the last coefficient down."""
     acc = mpc(0)
-    for c in reversed(exp.coeffs):
+    for c in reversed(coeffs):
         acc = acc * h + c
-    return exp.residue / h + acc
+    return acc
 
 
 def tail_bound(exp: LaurentExpansion, r) -> mpf:
@@ -253,13 +264,13 @@ def residual_profile(exp: LaurentExpansion, r, N_list, samples: int, ctx: Precis
             )
         points = ring_samples(lambda h: exp.rho + h, r, samples)
         targets = [inverse_zeta(s, ctx) for s in points]
-        out = {}
-        for N in N_list:
-            trunc = exp.truncated(N)
-            worst = mpf(0)
-            for s, target in zip(points, targets):
-                worst = max(worst, abs(target - laurent_eval(s, trunc)))
-            out[N] = worst
+        orders = {N: exp.truncated(N).coeffs for N in N_list}
+        out = dict.fromkeys(N_list, mpf(0))
+        for s, target in zip(points, targets):
+            h = _disk_offset(s, exp)
+            pole = exp.residue / h
+            for N, coeffs in orders.items():
+                out[N] = max(out[N], abs(target - (pole + _horner(coeffs, h))))
         return out
 
 

@@ -303,12 +303,20 @@ def em_terms(t, digits: int) -> int:
 
 
 @functools.lru_cache(maxsize=None)
-def bernoulli_ratio(m: int, wp: int) -> int:
-    """c_(m+1)/c_m, c_m = B_2m/(2m)!, as a wp-bit fixed-point int taken
-    from the exact fractions, so results never depend on evaluation order."""
+def _bernoulli_ratio_fraction(m: int) -> tuple[int, int]:
+    """(p, q), p/q = c_(m+1)/c_m exactly, c_m = B_2m/(2m)!."""
     p1, q1 = mp.bernfrac(2 * m)
     p2, q2 = mp.bernfrac(2 * m + 2)
-    return (p2 * q1 << wp) // (q2 * p1 * (2 * m + 1) * (2 * m + 2))
+    return p2 * q1, q2 * p1 * (2 * m + 1) * (2 * m + 2)
+
+
+@functools.lru_cache(maxsize=None)
+def bernoulli_ratio(m: int, wp: int) -> int:
+    """c_(m+1)/c_m, c_m = B_2m/(2m)!, as a wp-bit fixed-point int: the
+    floor of the exact fraction times 2^wp, so results never depend on
+    evaluation order."""
+    p, q = _bernoulli_ratio_fraction(m)
+    return (p << wp) // q
 
 
 def _fixed_powers(x: int, order: int, wp: int) -> list:

@@ -36,11 +36,17 @@ and returns the Laurent coefficients there, which give the Stieltjes
 constants.  Every circle of the package, this ring, its DFT roots, the
 multiplicity probe of :mod:`zetakit.zeros` and the residual sweep of
 :mod:`zetakit.laurent`, takes its nodes radius e^(2 pi i j/n) from
-:func:`ring_samples`, which doubles a ring by evaluating only the odd
-nodes.  The DFT of a ring sums exact ints and rounds once.  The process
-caches (the ring of each node count, the DFT roots per node count and
-precision, the smallest-prime-factor table per size class) are
-``functools.lru_cache``d functions.
+:func:`ring_samples`.  It takes an exp only on the first octant and
+builds the other nodes by exact swaps and sign flips, so the ring is
+exactly symmetric about both axes, and it doubles a ring by evaluating
+only the odd nodes.  A ring on a real centre (the pole) or on the
+critical line (every zero) runs n/2 + 1 Euler-Maclaurin sums for its n
+nodes: the other node of each mirror pair is the conjugate of its
+partner's value, or on the critical line chi times that conjugate.  The
+DFT of a ring sums exact ints and rounds once.  The process caches (the
+ring of each node count, the DFT roots per node count and precision, the
+smallest-prime-factor table per size class) are ``functools.lru_cache``d
+functions.
 """
 
 from __future__ import annotations
@@ -153,6 +159,15 @@ def _chi(s: mpc, ctx: PrecisionContext) -> mpc:
     return mp.exp((s - mpf(1) / 2) * mp.log(mp.pi) + lg1 - lg2)
 
 
+def _reflected(s: mpc, v: mpc, bits: int, ctx: PrecisionContext) -> mpc:
+    """zeta(s) = chi(s) zeta(1-s) rounded to ``bits``, from v = zeta(1-s);
+    the product is taken at bits + 40."""
+    with mp.workprec(bits + 40):
+        v = v * _chi(s, PrecisionContext(max(bits, ctx.bits), ctx.target_digits))
+    with mp.workprec(bits):
+        return +v
+
+
 def zeta(s, ctx: PrecisionContext, method: str | None = None, certify: bool = False) -> ZetaValue:
     """zeta(s) to ctx.target_digits.
 
@@ -179,8 +194,8 @@ def zeta(s, ctx: PrecisionContext, method: str | None = None, certify: bool = Fa
     def run(bits):
         with mp.workprec(bits + 40):
             v, _ = _em_pair(1 - s if reflect else s, ctx.target_digits, False)
-            if reflect:
-                v *= _chi(s, PrecisionContext(max(bits, ctx.bits), ctx.target_digits))
+        if reflect:
+            return _reflected(s, v, bits, ctx)
         with mp.workprec(bits):
             return +v
 
@@ -243,41 +258,85 @@ _RING_MAX_NODES = 4096
 def ring_samples(f, radius, nodes: int, half=()) -> list:
     """[f(h_j) for j < nodes], h_j = radius e^(2 pi i j / nodes).
 
-    The package's one source of circle nodes; h_j is computed at the
-    ambient working precision.  Node j of the ring with nodes/2 nodes is
-    node 2j here, bit for bit, so ``half``, that ring's samples, supplies
-    the even nodes and only the odd ones are evaluated, in increasing j.
+    The package's one source of circle nodes, built at the ambient working
+    precision.  For n = nodes divisible by 8 only the first octant,
+    j <= n/8, takes an exp, with 20 guard bits, so each part of a node is
+    within half an ulp of e^(2 pi i j/n) (times radius, rounded once).
+    The other nodes are exact swaps and sign flips of the octant: bit for
+    bit, h_(n-j) = conj(h_j), h_(n/2-j) = -conj(h_j) and
+    h_(n/4-j) = i conj(h_j), so n/8 + 1 exps build the ring.  Other n use
+    the symmetries their divisibility allows.  For n divisible by 8, node
+    j of the ring with n/2 nodes is node 2j here, bit for bit, so
+    ``half``, that ring's samples, supplies the even nodes and only the
+    odd ones are evaluated, in increasing j.
     """
-    out = []
-    for j in range(nodes):
-        if half and j % 2 == 0:
-            out.append(half[j // 2])
+    n = nodes
+    w = []
+    for j in range(n):
+        if 2 * j > n:
+            w.append(mp.conj(w[n - j]))
+        elif n % 2 == 0 and 4 * j > n:
+            w.append(-mp.conj(w[n // 2 - j]))
+        elif n % 4 == 0 and 8 * j > n:
+            z = w[n // 4 - j]
+            w.append(mpc(z.imag, z.real))
         else:
-            out.append(f(radius * mp.exp(mpc(0, 2) * mp.pi * j / nodes)))
-    return out
+            with mp.extraprec(20):
+                z = mp.exp(mpc(0, 2) * mp.pi * j / n)
+            w.append(+z)
+    return [half[j // 2] if half and j % 2 == 0 else f(radius * z) for j, z in enumerate(w)]
 
 
 @functools.lru_cache(maxsize=4096)
 def _zeta_ring(center: mpc, radius: mpf, nodes: int, ctx: PrecisionContext) -> tuple:
-    """zeta on the circle center + radius e^(2 pi i j / nodes), memoized.
+    """zeta on the nodes center + h_j of :func:`ring_samples`, memoized.
 
     A ring centred on the pole samples the regular part: the principal
     part 1/h is subtracted from each zeta(1 + h).  Above 16 nodes the even
     nodes come from the memoized ring of half the size, so doubling a ring
     evaluates only the new nodes and gives the bits of a fresh ring.
 
+    One node of each mirror pair is evaluated by :func:`zeta`, n/2 + 1 of
+    the n nodes, wherever the ring is symmetric.  On a real centre
+    zeta(conj s) = conj zeta(s), and so does the regular part: node n - j
+    is the conjugate of node j <= n/2.  On a centre with real part 1/2
+    the nodes with Re h >= 0 are evaluated, and node n/2 - j, Re h < 0,
+    is placed at 1 - conj(s), s = center + h_j, and reflected through the
+    functional equation from zeta(conj s) = conj zeta(s): it costs a chi
+    in place of a sum.  Elsewhere every node is evaluated.
+
     ctx must already carry the guard digits: coefficient extraction
     divides by radius^k, so sample accuracy has to track the widened
-    working precision, not the caller's final target.
+    working precision, not the caller's final target.  A reflected node
+    takes its partner's value rounded to ctx, so it may be off by one
+    more unit in the last place than a fresh evaluation.
     """
-
-    def f(h):
-        v = zeta(center + h, ctx).value
-        return v - 1 / h if center == 1 else v
-
     half = _zeta_ring(center, radius, nodes // 2, ctx) if nodes > _RING_MIN_NODES else ()
+    out = [None] * nodes
+    if half:
+        out[::2] = half
     with ctx.wp():
-        return tuple(ring_samples(f, radius, nodes, half))
+        hs = ring_samples(mpc, radius, nodes)
+        if center.imag == 0:
+            for j in range(nodes // 2 + 1):
+                if out[j] is None:
+                    v = zeta(center + hs[j], ctx).value
+                    out[j] = v - 1 / hs[j] if center == 1 else v
+                    if 0 < j < nodes // 2:
+                        out[nodes - j] = mp.conj(out[j])
+        elif center.real == mpf(1) / 2:
+            for j, h in enumerate(hs):
+                if out[j] is None and h.real >= 0:
+                    s = center + h
+                    out[j] = zeta(s, ctx).value
+                    k = (nodes // 2 - j) % nodes
+                    if k != j:
+                        out[k] = _reflected(1 - mp.conj(s), mp.conj(out[j]), ctx.bits, ctx)
+        else:
+            for j, h in enumerate(hs):
+                if out[j] is None:
+                    out[j] = zeta(center + h, ctx).value
+    return tuple(out)
 
 
 def _exact_ints(values) -> tuple:

@@ -24,7 +24,7 @@ from zetakit.laurent import (
 )
 from zetakit.mobius import sieve_mobius
 from zetakit.precision import PrecisionContext
-from zetakit.zeta import zeta_and_deriv_raw, zeta_deriv
+from zetakit.zeta import inverse_zeta, ring_samples, zeta_and_deriv_raw, zeta_deriv
 
 CTX = PrecisionContext.from_digits(30)
 
@@ -219,6 +219,12 @@ def test_residual_profile_decreases_and_respects_tail_bound():
     r = mpf(1) / 32
     prof = residual_profile(exp, r, range(9), 32, CTX)
     with CTX.wp():
+        # one sweep gives the bits of laurent_eval at every order
+        points = ring_samples(lambda h: exp.rho + h, r, 32)
+        targets = [inverse_zeta(s, CTX) for s in points]
+        for N in range(9):
+            trunc = exp.truncated(N)
+            assert prof[N] == max(abs(z - laurent_eval(s, trunc)) for s, z in zip(points, targets))
         for N in range(1, 9):
             assert prof[N] < prof[N - 1], f"ladder stalls at N={N}"
         for N in (4, 8):

@@ -11,6 +11,7 @@ from zetakit.errors import LimitTooLargeError, RangeError
 import zetakit.mobius as mobius
 from zetakit.mobius import (
     MobiusTable,
+    bernoulli_ratio,
     dirichlet_partial,
     dirichlet_powers,
     em_terms,
@@ -283,6 +284,17 @@ def test_hyperbola_recursion_equals_the_direct_sweep_bit_for_bit(index, digits, 
     got = dirichlet_partial(rho, ns, cps, table, ctx)
     for n in ns:
         assert got[n] == want[n], n
+
+
+def test_bernoulli_ratio_is_the_floor_of_the_exact_ratio():
+    # c_(m+1)/c_m, c_m = B_2m/(2m)!, times 2^wp and floored, at every
+    # precision from the one memoized fraction per m.
+    c = [mp.bernfrac(2 * m) for m in range(1, 42)]
+    for wp in (53, 64, 200, 201):
+        for m in range(1, 41):
+            (p1, q1), (p2, q2) = c[m - 1], c[m]
+            want = (p2 * q1 << wp) // (q2 * p1 * (2 * m + 1) * (2 * m + 2))
+            assert bernoulli_ratio(m, wp) == want, (m, wp)
 
 
 @pytest.mark.parametrize("digits", [30, 60])

@@ -10,7 +10,7 @@ from zetakit.stieltjes import (
     euler_gamma_partial,
     stieltjes_gamma,
 )
-from zetakit.zeta import _zeta_ring
+from zetakit.zeta import _zeta_ring, taylor_ring
 
 CTX = PrecisionContext.from_digits(30)
 
@@ -81,6 +81,14 @@ def test_stieltjes_gamma_reads_one_ring():
     for n in range(1, 13):
         stieltjes_gamma(n, CTX)
     assert _zeta_ring.cache_info().misses == misses
+
+
+def test_stieltjes_ring_coefficients_are_exactly_real():
+    # The pole ring conjugates node j <= n/2 into node n - j, so every
+    # imaginary part cancels exactly in the DFT.
+    inner = PrecisionContext.from_digits(CTX.target_digits + 19)
+    coeffs = taylor_ring(1, mpf(1) / 2, 21, inner)
+    assert all(c.imag == 0 for c in coeffs)
 
 
 def test_gamma_n_range_validation():

@@ -243,9 +243,7 @@ def test_ring_extension_matches_fresh_ring():
     # ring was memoized first.
     s, r = mpc(2, 3), mpf(1) / 4
     with CTX.wp():
-        fresh = tuple(
-            zeta(s + r * mp.exp(mpc(0, 2) * mp.pi * j / 128), CTX).value for j in range(128)
-        )
+        fresh = tuple(zeta(s + h, CTX).value for h in ring_samples(mpc, r, 128))
         _zeta_ring.cache_clear()
         assert _zeta_ring(s, r, 128, CTX) == fresh
         _zeta_ring.cache_clear()
@@ -272,13 +270,80 @@ def test_ring_samples_doubles_by_evaluating_the_odd_nodes():
 @pytest.mark.parametrize("bits", [53, 100, 700])
 def test_ring_dft_roots_are_the_conjugate_nodes(bits):
     # The DFT of a unit sample at node 1 is w^-k, w = e^(2 pi i/n), bit for
-    # bit the root exp(-2 pi i k/n).
+    # bit the conjugate of node k of ring_samples.
     with mp.workprec(bits):
         for n in (16, 256, 4096):
+            nodes = ring_samples(mpc, 1, n)
             samples = [mpc(0)] * n
             samples[1] = mpc(n)
             for k, got in zip(range(0, n, n // 16), _ring_dft(samples, range(0, n, n // 16))):
-                assert got == mp.exp(mpc(0, -2) * mp.pi * k / n), (n, k)
+                assert got == mp.conj(nodes[k]), (n, k)
+
+
+RING_SIZES = [2**k for k in range(4, 13)]
+
+
+@pytest.mark.parametrize("bits", [53, 100, 700])
+def test_ring_nodes_are_exactly_symmetric(bits):
+    # Bit for bit: h_(n-j) = conj(h_j), h_(n/2-j) = -conj(h_j), and node 2j
+    # of an n-node ring is node j of the n/2-node ring.
+    with mp.workprec(bits):
+        half = None
+        for n in RING_SIZES:
+            for r in (mpf(1), mpf(1) / 4, mpf("0.3")):
+                h = ring_samples(mpc, r, n)
+                for j in range(n):
+                    assert h[-j % n] == mp.conj(h[j]), (n, j)
+                    assert h[(n // 2 - j) % n] == -mp.conj(h[j]), (n, j)
+            nodes = ring_samples(mpc, 1, n)
+            if half is not None:
+                assert nodes[::2] == half, n
+            half = nodes
+
+
+@pytest.mark.parametrize("bits", [53, 100, 700])
+def test_ring_nodes_are_within_one_ulp_of_exp(bits):
+    for n in RING_SIZES:
+        with mp.workprec(bits):
+            nodes = ring_samples(mpc, 1, n)
+        with mp.workprec(bits + 60):
+            for j, h in enumerate(nodes):
+                exact = mp.exp(2j * mp.pi * j / n)
+                for got, want in ((h.real, exact.real), (h.imag, exact.imag)):
+                    ulp = mpf(2) ** (mp.frexp(want)[1] - bits) if abs(want) > 2**-bits else mpf(2) ** -bits
+                    assert abs(got - want) <= ulp, (n, j)
+
+
+@pytest.mark.parametrize("center, radius", [
+    (mpc(1), mpf(1) / 2),
+    (mpc("0.5", "14.13"), mpf(1) / 4),
+    (mpc("0.5", "87.4"), mpf(1) / 4),
+])
+def test_symmetric_ring_sums_one_node_of_each_mirror_pair(monkeypatch, center, radius):
+    # On the pole ring and on rings centred on the critical line, n/2 + 1
+    # Euler-Maclaurin sums give all n samples, and every sample agrees with
+    # a fresh evaluation: of the regular part zeta(1 + h) - 1/h at the pole,
+    # of zeta(center + h) elsewhere.
+    em = sys.modules["zetakit.zeta"]
+    calls = []
+    real_em = em._em_pair
+
+    def counted(*args):
+        calls.append(args[0])
+        return real_em(*args)
+
+    monkeypatch.setattr(em, "_em_pair", counted)
+    for n in (16, 32, 64):
+        _zeta_ring.cache_clear()
+        calls.clear()
+        samples = _zeta_ring(center, radius, n, CTX)
+        assert len(calls) == n // 2 + 1, n
+    with CTX.wp():
+        for h, got in zip(ring_samples(mpc, radius, 64), samples):
+            fresh = zeta(center + h, CTX).value
+            if center == 1:
+                fresh -= 1 / h
+            assert abs(got - fresh) <= CTX.tol, h
 
 
 def test_ring_dft_rounds_as_fdot_on_the_laurent_and_stieltjes_rings(monkeypatch):
