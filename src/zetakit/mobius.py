@@ -1,14 +1,16 @@
 """Mobius function tables, Mertens sums, and weighted Dirichlet partial sums.
 
-The sieve runs over 1..N in segments of ``SEGMENT`` integers.  Each prime
-p <= sqrt(N) flips the sign of its multiples, zeroes the multiples of p^2
-and multiplies itself into a per-segment product of the small prime
-factors of k.  A squarefree k whose product is still below k has exactly
-one prime factor above sqrt(N), so its sign flips once more.  The result
-is mu(1..N) as one int8 array.  That table is the package's only source
-of mu(k): the Dirichlet sums below, the Mertens sums and the Laurent
-module's spot terms all read it.  :func:`mertens_sublinear` needs it
-only up to about x^(2/3), by the hyperbola recursion for M(x).
+The sieve runs over 1..N in segments of ``SEGMENT`` integers, one byte
+each.  Each prime p <= sqrt(N) flips the sign bit of its multiples and
+adds about 3 log2 p to their log sum, in one ``bytes.translate`` of
+their strided slice.  A squarefree k whose log sum falls well short of
+3 log2 k has exactly one prime factor above sqrt(N), so its sign flips
+once more; then the multiples of p^2 are zeroed (see
+:func:`sieve_mobius` for the margin).  The result is mu(1..N) as one
+``array('b')``.  That table is the package's only source of mu(k): the
+Dirichlet sums below, the Mertens sums and the Laurent module's spot
+terms all read it.  :func:`mertens_sublinear` needs it only up to about
+x^(2/3), by the hyperbola recursion for M(x).
 
 The Dirichlet sums run in Python-int fixed point, the idiom of mpmath's
 own ``zetasum_sieved``: a real x is the int floor(x 2^wp).
@@ -93,10 +95,12 @@ from __future__ import annotations
 
 import functools
 import math
+from array import array
 from dataclasses import dataclass
+from itertools import accumulate, compress
+from operator import mul, sub
 
 import mpmath as mp
-import numpy as np
 from mpmath.libmp import fzero, from_man_exp, ln2_fixed, pi_fixed, to_fixed
 from mpmath.libmp.libelefun import cos_sin_fixed, exp_fixed, log_int_fixed
 
@@ -105,58 +109,113 @@ from .precision import PrecisionContext
 
 SIEVE_CAP = 10**8
 
-# Integers per sieve segment and per block of the power kernel; an int8
-# segment and its int32 product then stay within a core's cache.
+# Integers per sieve segment: a segment of one byte per integer then
+# stays within a core's cache.
 SEGMENT = 1 << 18
 
 @dataclass
 class MobiusTable:
     limit: int
-    values: np.ndarray  # values[k-1] = mu(k), dtype int8
+    values: array  # values[k-1] = mu(k), typecode 'b'
 
     def mobius(self, k: int) -> int:
         if not 1 <= k <= self.limit:
             raise RangeError(f"mobius index {k} outside table limit {self.limit}")
-        return int(self.values[k - 1])
+        return self.values[k - 1]
 
 
 def _small_primes(n: int) -> list:
-    """The primes <= n, by a boolean Eratosthenes sieve."""
-    comp = np.zeros(n + 1, dtype=bool)
-    comp[:2] = True
+    """The primes <= n, by an Eratosthenes sieve over one byte per integer."""
+    flags = bytearray(2) + bytearray([1]) * (n - 1)
     for p in range(2, math.isqrt(n) + 1):
-        if not comp[p]:
-            comp[p * p :: p] = True
-    return np.flatnonzero(~comp).tolist()
+        if flags[p]:
+            flags[p * p :: p] = bytes(len(range(p * p, n + 1, p)))
+    return list(compress(range(n + 1), flags))
+
+
+def _icbrt(n: int) -> int:
+    """floor(n^(1/3)) for an int n >= 0."""
+    k = round(n ** (1 / 3))
+    while k**3 > n:
+        k -= 1
+    while (k + 1) ** 3 <= n:
+        k += 1
+    return k
+
+
+@functools.lru_cache(maxsize=None)
+def _prime_step(log: int) -> bytes:
+    """The byte map of one small prime p with log = round(3 log2 p): flip
+    bit 7 and add log to bits 0-6."""
+    return bytes((b ^ 0x80) & 0x80 | (b + log) & 0x7F for b in range(256))
+
+
+def _mu_step(t: int) -> bytes:
+    """The byte map to mu(k) as an int8 byte at threshold 0 <= t < 128: a
+    log sum below t is one more prime factor, above sqrt(N)."""
+    plus, minus = b"\x01", b"\xff"
+    return minus * t + plus * (128 - t) + plus * t + minus * (128 - t)
 
 
 def sieve_mobius(N: int) -> MobiusTable:
-    """MobiusTable for 1..N, sieved in segments by the primes <= sqrt(N)."""
+    """MobiusTable for 1..N, sieved in segments by the primes <= sqrt(N).
+
+    Each k has one byte: bit 7 holds the parity of the number of small
+    primes p <= sqrt(N) that divide k, and bits 0-6 the sum L of their
+    l_p = round(3 log2 p).  Each small prime is one ``bytes.translate``
+    on its strided slice, which flips the sign and adds l_p in one step.
+
+    A squarefree k <= N is s q, with s the product of its small prime
+    factors and q = 1 or one prime above sqrt(N); two would exceed N.
+    Then L = 3 log2 s + E, where l_2 = 3 exactly and every odd l_p is off
+    by at most 1/2.  At most log3 N odd primes divide s <= N, so
+    |E| <= log3(N)/2 < 0.32 log2 N, and L < 3.32 log2 N < 128 fits in
+    bits 0-6 for N <= SIEVE_CAP.  With M = floor(N^(3/4)), let t(k) be
+    the least t >= 0 with 2^t M >= k^3; then L < t(k) exactly when
+    L + log2 M < 3 log2 k.  For q = 1 that fails, as E = 0 for N < 9
+    (only p = 2 is small) and log2 M >= 0.75 log2 N - 1 >= |E| for
+    N >= 5.  For q > sqrt(N) it holds, as L + log2 M <= 3 log2 s +
+    1.07 log2 N while 3 log2 k > 3 log2 s + 1.5 log2 N.  So one more
+    translate per run of equal t(k) sets mu(k) = +-1, and a last pass
+    zeroes the multiples of each p^2.
+    """
     if N < 1:
         raise RangeError("sieve limit must be >= 1")
     if N > SIEVE_CAP:
         raise LimitTooLargeError(f"sieve limit {N} exceeds cap {SIEVE_CAP}")
     primes = _small_primes(math.isqrt(N))
-    mu = np.empty(N, dtype=np.int8)
+    steps = [(p, _prime_step(round(3 * math.log2(p)))) for p in primes]
+    M = math.isqrt(math.isqrt(N**3))
+    runs = []  # (first k, last k + 1, map) for each run of equal t(k)
+    k = 1
+    while k <= N:
+        t = (-(-(k**3) // M) - 1).bit_length()
+        end = min(N, _icbrt(M << t)) + 1
+        runs.append((k, end, _mu_step(t)))
+        k = end
+    mu = array("b", [0]) * N
+    out = memoryview(mu).cast("B")
     for lo in range(1, N + 1, SEGMENT):
         hi = min(lo + SEGMENT, N + 1)
-        seg = np.ones(hi - lo, dtype=np.int8)
-        prod = np.ones(hi - lo, dtype=np.int32)  # <= k <= SIEVE_CAP < 2^31
-        for p in primes:
+        seg = bytearray(hi - lo)
+        for p, step in steps:
             i = -lo % p  # offset of the first multiple of p in the segment
-            flip = seg[i::p]
-            np.negative(flip, out=flip)
-            part = prod[i::p]
-            part *= p
+            seg[i::p] = seg[i::p].translate(step)
+        for a, b, step in runs:
+            a, b = max(a, lo) - lo, min(b, hi) - lo
+            if a < b:
+                seg[a:b] = seg[a:b].translate(step)
+        for p in primes:
             pp = p * p
-            seg[-lo % pp :: pp] = 0
-        big = prod < np.arange(lo, hi, dtype=np.int32)  # one prime factor > sqrt(N) left
-        np.negative(seg, out=seg, where=big)
-        mu[lo - 1 : hi - 1] = seg
+            if pp >= hi:
+                break
+            i = -lo % pp
+            seg[i::pp] = bytes(len(range(i, hi - lo, pp)))
+        out[lo - 1 : hi - 1] = seg
     return MobiusTable(limit=N, values=mu)
 
 
-def smallest_prime_factors(K: int) -> np.ndarray:
+def smallest_prime_factors(K: int) -> array:
     """spf with spf[k] the smallest prime factor of k for 2 <= k <= K.
 
     The sieve's small-prime step: every prime p <= sqrt(K), largest
@@ -164,9 +223,9 @@ def smallest_prime_factors(K: int) -> np.ndarray:
     writes last; k left unmarked is prime and keeps spf[k] = k, as do 0
     and 1.
     """
-    spf = np.arange(K + 1, dtype=np.int32)
+    spf = array("i", range(K + 1))
     for p in reversed(_small_primes(math.isqrt(K))):
-        spf[p * p :: p] = p
+        spf[p * p :: p] = array("i", [p]) * len(range(p * p, K + 1, p))
     return spf
 
 
@@ -220,30 +279,31 @@ def dirichlet_powers(s, K: int, wp: int, mu=None, spf=None):
     if spf is None:
         spf = smallest_prime_factors(K)
     memo = {}
-    for lo in range(1, K + 1, SEGMENT):
-        hi = min(lo + SEGMENT, K + 1)
-        ks = np.arange(lo, hi) if mu is None else np.flatnonzero(mu[lo - 1 : hi - 1]) + lo
-        for k, p in zip(ks.tolist(), spf[ks].tolist()):
-            if p != k:
-                a_ln, a_re, a_im = memo[p]
-                b_ln, b_re, b_im = memo[k // p]
-                ln = a_ln + b_ln
-                re = (a_re * b_re - a_im * b_im) >> wp
-                im = (a_re * b_im + a_im * b_re) >> wp
-            elif k == 1:
-                ln, re, im = 0, 1 << wp, 0
-            else:
-                ln, re, im = _power(k, sre, sim, wp, ln2, pi2)
-            if 1 < k <= K // 2 and (mu is None or k & 1 or k == 2):
-                memo[k] = (ln, re, im)
-            yield k, ln, re, im
+    pairs = zip(range(1, K + 1), spf[1 : K + 1])  # (k, spf[k])
+    if mu is not None:
+        pairs = compress(pairs, mu)
+    for k, p in pairs:
+        if p != k:
+            a_ln, a_re, a_im = memo[p]
+            b_ln, b_re, b_im = memo[k // p]
+            ln = a_ln + b_ln
+            re = (a_re * b_re - a_im * b_im) >> wp
+            im = (a_re * b_im + a_im * b_re) >> wp
+        elif k == 1:
+            ln, re, im = 0, 1 << wp, 0
+        else:
+            ln, re, im = _power(k, sre, sim, wp, ln2, pi2)
+        if 1 < k <= K // 2 and (mu is None or k & 1 or k == 2):
+            memo[k] = (ln, re, im)
+        yield k, ln, re, im
 
 
 def mertens(x: int, table: MobiusTable) -> int:
-    """M(x) = sum_{n <= x} mu(n)."""
+    """M(x) = sum_{n <= x} mu(n), from the counts of the bytes +1 and -1."""
     if not 1 <= x <= table.limit:
         raise RangeError(f"mertens argument {x} outside table limit {table.limit}")
-    return int(table.values[:x].sum(dtype=np.int64))
+    data = memoryview(table.values)[:x].tobytes()
+    return data.count(1) - data.count(0xFF)
 
 
 def mertens_sublinear(x: int) -> int:
@@ -259,38 +319,29 @@ def mertens_sublinear(x: int) -> int:
     Every floor(x/n) is a floor(x/q) again, so the v that need the
     recursion are v = floor(x/q) > y, q <= Q = floor(x/(y+1)), taken in
     decreasing q: M(floor(v/m)) is the already computed big[q m] when
-    q m <= Q, and otherwise floor(x/(q m)) <= y is read from the int64
-    prefix sums of the sieve, as are the M(j), j <= r <= y.  The cost is
-    the sieve to y plus about 2 sqrt(x Q) ~ 2 x^(2/3) vector terms.  At
-    x = 10^7, y = c x^(2/3) with c = 1/2, 1, 2 and 4 took 11, 7, 5 and
-    5 ms on one core of a 2-core x86 host; c = 2 is the smaller sieve of
-    the fastest two.
-
-    Each of the three sums is exact in int64: the first has at most
-    sqrt(x) terms |M(w)| <= w <= x, the second the same, and in the third
-    |M(j)| <= j <= sqrt(x) while the counts floor(v/j) - floor(v/(j+1))
-    add up to at most v <= x.  With x <= SIEVE_CAP = 10^8 every partial
-    sum is below x^(3/2) = 10^12, far from 2^63.
+    q m <= Q, and otherwise floor(v/m) = floor(x/(q m)) <= y is read from
+    the prefix sums of the sieve, as are the M(j), j <= r <= y.  The
+    cost is the sieve to y plus about 2 sqrt(x Q) ~ 2 x^(2/3) terms, each
+    summed by ``map`` over Python ints, so every sum is exact.
     """
     if x < 1:
         raise RangeError(f"mertens argument must be >= 1, got {x}")
     if x > SIEVE_CAP:
         raise LimitTooLargeError(f"mertens argument {x} exceeds cap {SIEVE_CAP}")
     y = min(x, math.ceil(2 * x ** (2 / 3)))
-    small = np.zeros(y + 1, dtype=np.int64)  # small[v] = M(v) for v <= y
-    np.cumsum(sieve_mobius(y).values, out=small[1:])
+    small = [0, *accumulate(sieve_mobius(y).values)]  # small[v] = M(v) for v <= y
     Q = x // (y + 1)
-    big = np.zeros(Q + 1, dtype=np.int64)  # big[q] = M(floor(x/q)) for q <= Q
+    big = [0] * (Q + 1)  # big[q] = M(floor(x/q)) for q <= Q
     for q in range(Q, 0, -1):
         v = x // q
         r = math.isqrt(v)
         cut = min(r, Q // q)  # m <= cut have q m <= Q
-        total = int(big[2 * q : cut * q + 1 : q].sum())
-        total += int(small[x // (q * np.arange(cut + 1, r + 1))].sum())
-        js = np.arange(1, v // (r + 1) + 1)
-        total += int(small[js] @ (v // js - v // (js + 1)))
+        total = sum(big[2 * q : cut * q + 1 : q])
+        total += sum(map(small.__getitem__, map(v.__floordiv__, range(cut + 1, r + 1))))
+        ends = list(map(v.__floordiv__, range(1, v // (r + 1) + 2)))  # floor(v/j), j <= J + 1
+        total += sum(map(mul, small[1 : len(ends)], map(sub, ends, ends[1:])))
         big[q] = 1 - total
-    return int(big[1]) if Q else int(small[x])
+    return big[1] if Q else small[x]
 
 
 def em_terms(t, digits: int) -> int:

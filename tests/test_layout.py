@@ -1,6 +1,8 @@
 """Source-layout rules checked on the package's syntax trees."""
 
 import ast
+import subprocess
+import sys
 from pathlib import Path
 
 import zetakit
@@ -21,6 +23,30 @@ def test_no_module_imports_another_modules_private_names():
                 if alias.name.startswith("_"):
                     found.append(f"{path.name}:{node.lineno} imports {alias.name}")
     assert not found, "; ".join(found)
+
+
+def test_no_module_imports_numpy():
+    """mpmath is the package's one numerics dependency; numpy serves the
+    tests as an independent oracle only."""
+    found = []
+    for path in sorted(SRC.glob("*.py")):
+        tree = ast.parse(path.read_text(), filename=str(path))
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Import):
+                names = [a.name for a in node.names]
+            elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                names = [node.module or ""]
+            else:
+                continue
+            if any(n.split(".")[0] == "numpy" for n in names):
+                found.append(f"{path.name}:{node.lineno}")
+    assert not found, "numpy imported at " + ", ".join(found)
+
+
+def test_importing_the_package_and_cli_loads_no_numpy():
+    code = "import sys, zetakit, zetakit.cli; print(sorted(m for m in sys.modules if m.split('.')[0] == 'numpy'))"
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True)
+    assert out.stdout.strip() == "[]", out.stdout
 
 
 def test_zero_pipeline_does_not_use_the_cauchy_ring():

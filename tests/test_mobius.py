@@ -54,6 +54,22 @@ def test_sieve_at_tiny_limits_and_segment_edges():
         assert np.array_equal(sieve_mobius(N).values, oracles.mu_eratosthenes(N)), N
 
 
+def test_sieve_log_margin_at_every_small_limit():
+    # The cut between one prime factor above sqrt(N) and none moves with N
+    # and has the least room at small N: every N to 300, and the Mertens
+    # sum of each table by its byte counts.
+    want = [oracles.mu_factor(k) for k in range(1, 301)]
+    for N in range(1, 301):
+        table = sieve_mobius(N)
+        assert table.values.tolist() == want[:N], N
+        assert mertens(N, table) == oracles.mertens_brute(N), N
+
+
+def test_sieve_log_margin_at_a_million():
+    N = 10**6
+    assert sieve_mobius(N).values.tobytes() == oracles.mu_eratosthenes(N).tobytes()
+
+
 def test_mertens_small_values():
     table = sieve_mobius(1000)
     assert mertens(10, table) == -1

@@ -3,6 +3,7 @@ import sys
 
 import pytest
 from mpmath import mp, mpc, mpf
+from numpy.polynomial.legendre import leggauss
 
 import shared
 from zetakit import zeros
@@ -100,6 +101,21 @@ def test_count_by_argument_low_heights():
 @pytest.mark.parametrize("T", [10, 14.2, 20, 31.5, 50, 100, 237, 500, 1000])
 def test_count_by_argument_matches_mpmath_nzeros(T):
     assert count_by_argument(T) == mp.nzeros(T)
+
+
+def test_gauss_legendre_constants():
+    # The literals are numpy's leggauss(16) bit for bit.  Its nodes are
+    # correctly rounded; its weights come from a double-precision
+    # recurrence and sit up to about 32 eps (relative) from the exact ones.
+    x, w = leggauss(16)
+    assert zeros._GL_X == tuple(x.tolist())
+    assert zeros._GL_W == tuple(w.tolist())
+    with mp.workdps(30):
+        nodes, weights = mp.gauss_quadrature(16, "legendre")
+        for got, want in zip(zeros._GL_X, nodes):
+            assert abs(got - want) <= math.ulp(got), got
+        for got, want in zip(zeros._GL_W, weights):
+            assert abs(got - want) <= 1e-14 * got, got
 
 
 @pytest.mark.parametrize("T", [-20, 5, 1001])
@@ -385,6 +401,24 @@ def test_audit_marks_zeros_simple():
         assert rec.status == STATUS_SIMPLE
         assert rec.winding == 1
         assert rec.zeta_prime_abs > mpf(10) ** -6
+
+
+def test_small_batches_map_inline(monkeypatch):
+    """Five zeros on eight workers are refined and audited inline: a
+    worker is started only for at least _MIN_ITEMS_PER_WORKER items."""
+    maps = []
+    map_ordered = zeros.map_ordered
+
+    def spy(fn, items, workers=1):
+        maps.append((fn.__name__, len(items), workers))
+        return map_ordered(fn, items, workers)
+
+    monkeypatch.setattr(zeros, "map_ordered", spy)
+    records, _ = scan_with_count(35, CTX, workers=8)
+    audit_zeros(records, CTX, workers=8)
+    assert maps == [("_refine_bracket_worker", 5, 1), ("_probe_worker", 5, 1)]
+    sizes = [zeros._useful_workers(w, n) for w, n in ((8, 16), (8, 15), (2, 649), (1, 649))]
+    assert sizes == [2, 1, 2, 1]
 
 
 def test_density_report_flags_disagreement():
