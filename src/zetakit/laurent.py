@@ -23,7 +23,10 @@ oscillation instead.  The two routes are kept strictly separate.
 :class:`LaurentExpansion` it returns carries the coefficients past its
 truncation, so :func:`tail_bound`, the residual sweep
 :func:`residual_profile` and :func:`expansion_report` all read the one
-expansion instead of rebuilding it.
+expansion instead of rebuilding it.  The sweep inverts the memoized ring
+:func:`zetakit.zeta.zeta_ring` at rho, so its 64 nodes at a zero take 33
+Euler-Maclaurin sums and 31 chi, and it builds every truncation order
+from one pass of partial sums per node.
 """
 
 from __future__ import annotations
@@ -43,7 +46,7 @@ from .mobius import MobiusTable, dirichlet_partial
 from .precision import PrecisionContext, cpow, to_decimal
 from .series import build_partial_series
 from .zeros import SIMPLICITY_FLOOR, neighbor_distance
-from .zeta import inverse_zeta, ring_samples, taylor_ring, zeta_deriv
+from .zeta import inverse_zeta_value, ring_samples, taylor_ring, zeta_deriv, zeta_ring
 
 DEFAULT_CHECKPOINTS = (10**3, 10**4, 10**5, 10**6)
 
@@ -203,8 +206,7 @@ def laurent_eval(s, exp: LaurentExpansion) -> mpc:
     """
     if not isinstance(s, (mpf, mpc)):
         s = mpc(s)
-    h = _disk_offset(s, exp)
-    return exp.residue / h + _horner(exp.coeffs, h)
+    return _laurent_sums(exp, _disk_offset(s, exp))[-1]
 
 
 def _disk_offset(s, exp: LaurentExpansion):
@@ -216,12 +218,13 @@ def _disk_offset(s, exp: LaurentExpansion):
     return h
 
 
-def _horner(coeffs, h) -> mpc:
-    """sum c_n h^n by Horner's rule, from the last coefficient down."""
-    acc = mpc(0)
-    for c in reversed(coeffs):
-        acc = acc * h + c
-    return acc
+def _laurent_sums(exp: LaurentExpansion, h) -> list:
+    """[residue/h + sum_{n<N} c_n h^n for N = 0..n_terms], one forward pass."""
+    sums, hn = [exp.residue / h], mpc(1)
+    for c in exp.coeffs:
+        sums.append(sums[-1] + c * hn)
+        hn *= h
+    return sums
 
 
 def tail_bound(exp: LaurentExpansion, r) -> mpf:
@@ -250,28 +253,23 @@ def tail_bound(exp: LaurentExpansion, r) -> mpf:
 
 def residual_profile(exp: LaurentExpansion, r, N_list, samples: int, ctx: PrecisionContext) -> dict:
     """{N: max |1/zeta - exp truncated to order N|} over ``samples`` points
-    of the circle |s-rho| = r, for every N in N_list from one sweep."""
+    of the circle |s-rho| = r, for every N in N_list from one pass of
+    partial sums per node, with the bits of :func:`laurent_eval`.  The
+    1/zeta values invert :func:`zetakit.zeta.zeta_ring` at rho."""
     if samples < 16:
         raise RangeError("residual sweep needs at least 16 samples")
     N_list = sorted(set(int(N) for N in N_list))
     if N_list[0] < 0:
         raise RangeError("truncation order must be >= 0")
+    top = exp.truncated(N_list[-1])
     with ctx.wp():
         r = mpf(r)
         if not 0 < r < exp.radius:
-            raise OutsideDiskError(
-                f"sweep radius {mp.nstr(r, 6)} outside disk radius {mp.nstr(exp.radius, 6)}"
-            )
+            raise OutsideDiskError(f"sweep radius {mp.nstr(r, 6)} outside disk radius {mp.nstr(exp.radius, 6)}")
         points = ring_samples(lambda h: exp.rho + h, r, samples)
-        targets = [inverse_zeta(s, ctx) for s in points]
-        orders = {N: exp.truncated(N).coeffs for N in N_list}
-        out = dict.fromkeys(N_list, mpf(0))
-        for s, target in zip(points, targets):
-            h = _disk_offset(s, exp)
-            pole = exp.residue / h
-            for N, coeffs in orders.items():
-                out[N] = max(out[N], abs(target - (pole + _horner(coeffs, h))))
-        return out
+        rows = [(inverse_zeta_value(zv, s, ctx), _laurent_sums(top, _disk_offset(s, exp)))
+                for s, zv in zip(points, zeta_ring(exp.rho, r, samples, ctx))]
+        return {N: max(abs(target - sums[N]) for target, sums in rows) for N in N_list}
 
 
 # ----------------------------------------------------------------------

@@ -8,7 +8,6 @@ depend on scheduling.
 from __future__ import annotations
 
 import os
-from concurrent.futures import ProcessPoolExecutor
 
 
 def map_ordered(fn, items, workers: int = 1) -> list:
@@ -18,5 +17,9 @@ def map_ordered(fn, items, workers: int = 1) -> list:
     workers = min(workers, len(items), os.cpu_count() or 1)
     if workers <= 1:
         return [fn(x) for x in items]
+    # Imported here, so that a process that never starts a pool does not
+    # pay the pool machinery's import (about 30 ms of CPU for `--help`).
+    from concurrent.futures import ProcessPoolExecutor
+
     with ProcessPoolExecutor(max_workers=workers) as pool:
         return list(pool.map(fn, items))

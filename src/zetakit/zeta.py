@@ -33,7 +33,10 @@ and the grid signs Riemann-Siegel leaves open.
 Taylor coefficients come from one cached Cauchy ring, :func:`taylor_ring`.
 Centred on the pole s = 1 it samples the regular part zeta(s) - 1/(s-1)
 and returns the Laurent coefficients there, which give the Stieltjes
-constants.  Every circle of the package, this ring, its DFT roots, the
+constants.  Its samples are those of the memoized ring :func:`zeta_ring`,
+which the residual sweep of :mod:`zetakit.laurent` also inverts for its
+1/zeta targets, through the basin check of :func:`inverse_zeta_value`.
+Every circle of the package, this ring, its DFT roots, the
 multiplicity probe of :mod:`zetakit.zeros` and the residual sweep of
 :mod:`zetakit.laurent`, takes its nodes radius e^(2 pi i j/n) from
 :func:`ring_samples`.  It takes an exp only on the first octant and
@@ -41,8 +44,9 @@ builds the other nodes by exact swaps and sign flips, so the ring is
 exactly symmetric about both axes, and it doubles a ring by evaluating
 only the odd nodes.  A ring on a real centre (the pole) or on the
 critical line (every zero) runs n/2 + 1 Euler-Maclaurin sums for its n
-nodes: the other node of each mirror pair is the conjugate of its
+nodes, n even: the other node of each mirror pair is the conjugate of its
 partner's value, or on the critical line chi times that conjugate.  The
+64-node residual circle at a zero so takes 33 sums and 31 chi.  The
 DFT of a ring sums exact ints and rounds once.  The process caches (the
 ring of each node count, the DFT roots per node count and precision, the
 smallest-prime-factor table per size class) are ``functools.lru_cache``d
@@ -62,7 +66,6 @@ from mpmath import mpc, mpf
 
 from .errors import ContourNearZeroError, NearZeroError, PoleError, PrecisionEscalationError, RangeError
 from .mobius import (
-    bernoulli_ratio,
     bernoulli_tail,
     dirichlet_powers,
     em_terms,
@@ -239,7 +242,12 @@ def zeta_logderiv(s, ctx: PrecisionContext) -> mpc:
 
 def inverse_zeta(s, ctx: PrecisionContext) -> mpc:
     """1/zeta(s); refuses evaluation inside a zero's numerical basin."""
-    zv = zeta(s, ctx).value
+    return inverse_zeta_value(zeta(s, ctx).value, s, ctx)
+
+
+def inverse_zeta_value(zv, s, ctx: PrecisionContext) -> mpc:
+    """1/zv for zv = zeta(s), raising NearZeroError where
+    |zv| < 10^(-digits/2): s then lies in a zero's numerical basin."""
     with ctx.wp():
         if abs(zv) < mpf(10) ** (-mpf(ctx.target_digits) / 2):
             raise NearZeroError(f"|zeta({s})| = {mp.nstr(abs(zv), 6)} is inside a zero basin")
@@ -288,54 +296,53 @@ def ring_samples(f, radius, nodes: int, half=()) -> list:
 
 
 @functools.lru_cache(maxsize=4096)
-def _zeta_ring(center: mpc, radius: mpf, nodes: int, ctx: PrecisionContext) -> tuple:
+def zeta_ring(center: mpc, radius: mpf, nodes: int, ctx: PrecisionContext) -> tuple:
     """zeta on the nodes center + h_j of :func:`ring_samples`, memoized.
 
     A ring centred on the pole samples the regular part: the principal
-    part 1/h is subtracted from each zeta(1 + h).  Above 16 nodes the even
-    nodes come from the memoized ring of half the size, so doubling a ring
-    evaluates only the new nodes and gives the bits of a fresh ring.
+    part 1/h is subtracted from each zeta(1 + h).  Above 16 nodes, for a
+    node count divisible by 8, the even nodes come from the memoized ring
+    of half the size, so doubling a ring evaluates only the new nodes and
+    gives the bits of a fresh ring.
 
-    One node of each mirror pair is evaluated by :func:`zeta`, n/2 + 1 of
-    the n nodes, wherever the ring is symmetric.  On a real centre
-    zeta(conj s) = conj zeta(s), and so does the regular part: node n - j
-    is the conjugate of node j <= n/2.  On a centre with real part 1/2
-    the nodes with Re h >= 0 are evaluated, and node n/2 - j, Re h < 0,
-    is placed at 1 - conj(s), s = center + h_j, and reflected through the
-    functional equation from zeta(conj s) = conj zeta(s): it costs a chi
-    in place of a sum.  Elsewhere every node is evaluated.
+    For an even node count one node of each mirror pair is evaluated by
+    :func:`zeta`, n/2 + 1 of the n nodes, wherever the ring is symmetric.
+    On a real centre zeta(conj s) = conj zeta(s), and so does the regular
+    part: node n - j is the conjugate of node j <= n/2.  On a centre with
+    real part 1/2 the nodes with Re h >= 0 are evaluated, and node
+    n/2 - j, Re h < 0, is placed at 1 - conj(s), s = center + h_j, and
+    reflected through the functional equation from
+    zeta(conj s) = conj zeta(s): it costs a chi in place of a sum.  An odd
+    node count, or any other centre, evaluates every node.
 
     ctx must already carry the guard digits: coefficient extraction
     divides by radius^k, so sample accuracy has to track the widened
     working precision, not the caller's final target.  A reflected node
-    takes its partner's value rounded to ctx, so it may be off by one
-    more unit in the last place than a fresh evaluation.
+    takes its partner's value rounded to ctx and multiplies it by chi, so
+    it need not have the bits of a fresh evaluation, but it stays within
+    the Euler-Maclaurin tail threshold 10^-(digits+5) of one (up to a few
+    tens of ulps of |zeta| at 30 and 60 digits, zeros 1, 4, 26 and 29).
     """
-    half = _zeta_ring(center, radius, nodes // 2, ctx) if nodes > _RING_MIN_NODES else ()
-    out = [None] * nodes
+    n = nodes
+    half = zeta_ring(center, radius, n // 2, ctx) if n > _RING_MIN_NODES and n % 8 == 0 else ()
+    out = [None] * n
     if half:
         out[::2] = half
+    pairs = n % 2 == 0
+    on_axis = pairs and center.imag == 0
+    on_line = pairs and not on_axis and center.real == mpf(1) / 2
     with ctx.wp():
-        hs = ring_samples(mpc, radius, nodes)
-        if center.imag == 0:
-            for j in range(nodes // 2 + 1):
-                if out[j] is None:
-                    v = zeta(center + hs[j], ctx).value
-                    out[j] = v - 1 / hs[j] if center == 1 else v
-                    if 0 < j < nodes // 2:
-                        out[nodes - j] = mp.conj(out[j])
-        elif center.real == mpf(1) / 2:
-            for j, h in enumerate(hs):
-                if out[j] is None and h.real >= 0:
-                    s = center + h
-                    out[j] = zeta(s, ctx).value
-                    k = (nodes // 2 - j) % nodes
-                    if k != j:
-                        out[k] = _reflected(1 - mp.conj(s), mp.conj(out[j]), ctx.bits, ctx)
-        else:
-            for j, h in enumerate(hs):
-                if out[j] is None:
-                    out[j] = zeta(center + h, ctx).value
+        for j, h in enumerate(ring_samples(mpc, radius, n)):
+            if out[j] is not None or on_line and h.real < 0:
+                continue
+            s = center + h
+            v = zeta(s, ctx).value
+            out[j] = v - 1 / h if center == 1 else v
+            k = (n // 2 - j) % n
+            if on_axis and 0 < j < n // 2:
+                out[n - j] = mp.conj(out[j])
+            elif on_line and k != j:
+                out[k] = _reflected(1 - mp.conj(s), mp.conj(v), ctx.bits, ctx)
     return tuple(out)
 
 
@@ -438,7 +445,7 @@ def taylor_ring(center, radius, count: int, ctx: PrecisionContext) -> list:
         while n < 2 * count:
             n *= 2
         while True:
-            samples = _zeta_ring(center, radius, n, inner)
+            samples = zeta_ring(center, radius, n, inner)
             floor = inner.tol * max(abs(v) for v in samples)
             if _aliasing_estimate(samples) <= floor:
                 break
@@ -600,12 +607,24 @@ def _float_logs(N: int) -> tuple:
     return tuple(math.log(n) for n in range(1, N + 1))
 
 
-@functools.lru_cache(maxsize=None)
-def _float_bernoulli_ratios() -> tuple:
-    """c_(m+1)/c_m, c_m = B_2m/(2m)!, for m = 1..32, in double; built on
-    first use from the exact fractions.  With the tail ratio at most about
-    1/4 and u_1 about 1/4, the tail reaches 1e-17 by m = 29 at any height."""
-    return tuple(bernoulli_ratio(m, 64) / 2.0**64 for m in range(1, 33))
+# c_(m+1)/c_m, c_m = B_2m/(2m)!, for m = 1..32, in double: the ratios
+# mobius.bernoulli_ratio(m, 64) / 2**64, written out so that no process
+# computes a Bernoulli number for the float tier.  With the tail ratio at
+# most about 1/4 and u_1 about 1/4, the tail reaches 1e-17 by m = 29 at
+# any height.
+_FLOAT_BERNOULLI_RATIOS = (
+    -0.016666666666666666, -0.023809523809523808, -0.025,
+    -0.025252525252525252, -0.02531135531135531, -0.02532561505065123,
+    -0.025329131652661065, -0.025330005504037488, -0.02533022338183393,
+    -0.025330277786482922, -0.025330291380456796, -0.025330294778152237,
+    -0.025330295627487467, -0.025330295839811428, -0.025330295892891326,
+    -0.02533029590616118, -0.025330295909478627, -0.025330295910307988,
+    -0.02533029591051533, -0.025330295910567166, -0.025330295910580124,
+    -0.02533029591058336, -0.025330295910584173, -0.025330295910584374,
+    -0.025330295910584427, -0.025330295910584437, -0.02533029591058444,
+    -0.025330295910584444, -0.025330295910584444, -0.025330295910584444,
+    -0.025330295910584444, -0.025330295910584444,
+)
 
 
 def em_pair_float(s: complex) -> tuple[complex, complex]:
@@ -641,7 +660,7 @@ def em_pair_float(s: complex) -> tuple[complex, complex]:
     v = 1 / (12 * N)
     tail = dtail = 0j
     N2 = N * N
-    for m, r in enumerate(_float_bernoulli_ratios(), start=1):
+    for m, r in enumerate(_FLOAT_BERNOULLI_RATIOS, start=1):
         d = v - lnN * u
         tail += u
         dtail += d

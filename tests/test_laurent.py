@@ -1,4 +1,6 @@
+import collections
 import random
+import sys
 
 import pytest
 from mpmath import mp, mpc, mpf
@@ -24,7 +26,14 @@ from zetakit.laurent import (
 )
 from zetakit.mobius import sieve_mobius
 from zetakit.precision import PrecisionContext
-from zetakit.zeta import inverse_zeta, ring_samples, zeta_and_deriv_raw, zeta_deriv
+from zetakit.zeta import (
+    EULER_MACLAURIN,
+    inverse_zeta,
+    ring_samples,
+    zeta_and_deriv_raw,
+    zeta_deriv,
+    zeta_ring,
+)
 
 CTX = PrecisionContext.from_digits(30)
 
@@ -213,15 +222,34 @@ def test_laurent_eval_outside_disk_rejected():
         laurent_eval(exp.rho, exp)
 
 
+def _per_point_profile(exp, r, N_list, samples, ctx) -> tuple:
+    """(profile, max |1/zeta|) by the route the sweep replaced: a fresh
+    inverse_zeta at every node and Horner's rule for every order."""
+    with ctx.wp():
+        points = ring_samples(lambda h: exp.rho + h, r, samples)
+        targets = [inverse_zeta(s, ctx) for s in points]
+        prof = {}
+        for N in N_list:
+            worst = mpf(0)
+            for s, z in zip(points, targets):
+                h = s - exp.rho
+                acc = mpc(0)
+                for c in reversed(exp.coeffs[:N]):
+                    acc = acc * h + c
+                worst = max(worst, abs(z - (exp.residue / h + acc)))
+            prof[N] = worst
+        return prof, max(abs(z) for z in targets)
+
+
 def test_residual_profile_decreases_and_respects_tail_bound():
     records, _ = shared.zeros_to(35)
     exp = build_expansion(records[0].rho, 8, CTX, neighbor_ts=[records[1].t])
     r = mpf(1) / 32
     prof = residual_profile(exp, r, range(9), 32, CTX)
     with CTX.wp():
-        # one sweep gives the bits of laurent_eval at every order
+        # one sweep gives the bits of laurent_eval on the ring's targets
         points = ring_samples(lambda h: exp.rho + h, r, 32)
-        targets = [inverse_zeta(s, CTX) for s in points]
+        targets = [1 / z for z in zeta_ring(exp.rho, r, 32, CTX)]
         for N in range(9):
             trunc = exp.truncated(N)
             assert prof[N] == max(abs(z - laurent_eval(s, trunc)) for s, z in zip(points, targets))
@@ -230,6 +258,45 @@ def test_residual_profile_decreases_and_respects_tail_bound():
         for N in (4, 8):
             assert prof[N] <= tail_bound(exp.truncated(N), r)
         assert prof[8] < mpf(10) ** -10
+        # and stays within 10^-(digits+3) max|1/zeta| of per-point targets
+        old, top = _per_point_profile(exp, r, range(9), 32, CTX)
+        for N in range(9):
+            assert abs(prof[N] - old[N]) <= mpf(10) ** -(CTX.target_digits + 3) * top, N
+
+
+@pytest.mark.parametrize("index, samples", [(1, 17), (1, 24), (1, 64), (4, 64)])
+def test_residual_sweep_matches_per_point_inverse_zeta(index, samples):
+    """At any node count, and at the 64 nodes and radius of the report at
+    zeros 1 and 4, every residual is within 10^-(digits+3) max|1/zeta| of
+    the per-point route's value."""
+    records, _ = shared.zeros_to(35)
+    exp = build_expansion(records[index - 1].rho, 8, CTX, neighbor_ts=[records[index].t])
+    with CTX.wp():
+        r = min(mpf(1) / 32, exp.radius / 2)
+    prof = residual_profile(exp, r, range(9), samples, CTX)
+    old, top = _per_point_profile(exp, r, range(9), samples, CTX)
+    with CTX.wp():
+        for N in range(9):
+            assert abs(prof[N] - old[N]) <= mpf(10) ** -(CTX.target_digits + 3) * top, N
+
+
+def test_residual_sweep_sums_one_node_of_each_mirror_pair(monkeypatch):
+    """The 64 targets at zero 1 take 33 Euler-Maclaurin sums, not 64: the
+    other 31 nodes are reflected from their mirror nodes' values."""
+    em = sys.modules["zetakit.zeta"]
+    methods = []
+    real_zeta = em.zeta
+
+    def counted(*args, **kwargs):
+        value = real_zeta(*args, **kwargs)
+        methods.append(value.method)
+        return value
+
+    exp = build_expansion(_rho1(), 8, CTX)
+    monkeypatch.setattr(em, "zeta", counted)
+    zeta_ring.cache_clear()
+    residual_profile(exp, mpf(1) / 32, range(9), 64, CTX)
+    assert collections.Counter(methods) == {EULER_MACLAURIN: 33}
 
 
 def test_truncated_moves_the_cut_coefficients_to_the_tail():

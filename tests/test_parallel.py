@@ -1,5 +1,6 @@
 """map_ordered's pool size, checked without starting a process."""
 
+import concurrent.futures
 import os
 
 import pytest
@@ -26,7 +27,7 @@ def pool_sizes(monkeypatch) -> list:
         def map(self, fn, items):
             return map(fn, items)
 
-    monkeypatch.setattr(parallel, "ProcessPoolExecutor", FakePool)
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", FakePool)
     return sizes
 
 

@@ -10,7 +10,7 @@ from zetakit.stieltjes import (
     euler_gamma_partial,
     stieltjes_gamma,
 )
-from zetakit.zeta import _zeta_ring, taylor_ring
+from zetakit.zeta import taylor_ring, zeta_ring
 
 CTX = PrecisionContext.from_digits(30)
 
@@ -74,13 +74,13 @@ def test_expansion_reconstructs_zeta_near_one():
 
 
 def test_stieltjes_gamma_reads_one_ring():
-    _zeta_ring.cache_clear()
+    zeta_ring.cache_clear()
     stieltjes_gamma(0, CTX)
-    misses = _zeta_ring.cache_info().misses
+    misses = zeta_ring.cache_info().misses
     assert misses > 0
     for n in range(1, 13):
         stieltjes_gamma(n, CTX)
-    assert _zeta_ring.cache_info().misses == misses
+    assert zeta_ring.cache_info().misses == misses
 
 
 def test_stieltjes_ring_coefficients_are_exactly_real():

@@ -7,12 +7,13 @@ from mpmath import mp, mpc, mpf
 
 import oracles
 from zetakit.errors import ContourNearZeroError, NearZeroError, PoleError, RangeError
+from zetakit.mobius import bernoulli_ratio
 from zetakit.precision import PrecisionContext
 from zetakit.zeta import (
     EULER_MACLAURIN,
     REFLECTED,
+    _FLOAT_BERNOULLI_RATIOS,
     _ring_dft,
-    _zeta_ring,
     em_float_error,
     em_pair_float,
     functional_equation_sides,
@@ -29,6 +30,7 @@ from zetakit.zeta import (
     zeta_and_deriv_raw,
     zeta_deriv,
     zeta_logderiv,
+    zeta_ring,
 )
 
 CTX = PrecisionContext.from_digits(30)
@@ -244,11 +246,11 @@ def test_ring_extension_matches_fresh_ring():
     s, r = mpc(2, 3), mpf(1) / 4
     with CTX.wp():
         fresh = tuple(zeta(s + h, CTX).value for h in ring_samples(mpc, r, 128))
-        _zeta_ring.cache_clear()
-        assert _zeta_ring(s, r, 128, CTX) == fresh
-        _zeta_ring.cache_clear()
-        _zeta_ring(s, r, 32, CTX)
-        assert _zeta_ring(s, r, 128, CTX) == fresh
+        zeta_ring.cache_clear()
+        assert zeta_ring(s, r, 128, CTX) == fresh
+        zeta_ring.cache_clear()
+        zeta_ring(s, r, 32, CTX)
+        assert zeta_ring(s, r, 128, CTX) == fresh
 
 
 def test_ring_samples_doubles_by_evaluating_the_odd_nodes():
@@ -334,9 +336,9 @@ def test_symmetric_ring_sums_one_node_of_each_mirror_pair(monkeypatch, center, r
 
     monkeypatch.setattr(em, "_em_pair", counted)
     for n in (16, 32, 64):
-        _zeta_ring.cache_clear()
+        zeta_ring.cache_clear()
         calls.clear()
-        samples = _zeta_ring(center, radius, n, CTX)
+        samples = zeta_ring(center, radius, n, CTX)
         assert len(calls) == n // 2 + 1, n
     with CTX.wp():
         for h, got in zip(ring_samples(mpc, radius, 64), samples):
@@ -344,6 +346,49 @@ def test_symmetric_ring_sums_one_node_of_each_mirror_pair(monkeypatch, center, r
             if center == 1:
                 fresh -= 1 / h
             assert abs(got - fresh) <= CTX.tol, h
+
+
+@pytest.mark.parametrize("digits", [30, 60])
+@pytest.mark.parametrize("index", [1, 4])
+def test_mirror_nodes_within_the_em_threshold_of_fresh_zeta(digits, index):
+    # On a zero's ring a node with Re h >= 0 has the bits of a fresh zeta;
+    # a reflected node takes chi times its partner's rounded value, which
+    # need not, but stays within the Euler-Maclaurin tail threshold
+    # 10^-(digits+5) of it (measured: about 1e-40 at 30 digits).
+    ctx = PrecisionContext.from_digits(digits)
+    with ctx.wp():
+        center = mpc(mpf(1) / 2, mp.zetazero(index).imag)
+        for radius in (mpf(1) / 4, mpf(1) / 32):
+            samples = zeta_ring(center, radius, 64, ctx)
+            for h, got in zip(ring_samples(mpc, radius, 64), samples):
+                fresh = zeta(center + h, ctx).value
+                if h.real >= 0:
+                    assert got == fresh, h
+                else:
+                    assert abs(got - fresh) <= mpf(10) ** -(digits + 5), h
+
+
+@pytest.mark.parametrize("nodes", [17, 18, 24, 40])
+@pytest.mark.parametrize("center", [mpc(1), mpc("0.5", "14.13"), mpc(2, 3)])
+def test_ring_of_any_node_count_matches_fresh_zeta(center, nodes):
+    # An odd count evaluates every node, an even one pairs mirror nodes,
+    # and only a count divisible by 8 takes its even nodes from the half
+    # ring.  Every sample is within 10^-(digits+5) of a fresh evaluation.
+    radius = mpf(1) / 4
+    samples = zeta_ring(center, radius, nodes, CTX)
+    assert len(samples) == nodes
+    with CTX.wp():
+        for h, got in zip(ring_samples(mpc, radius, nodes), samples):
+            fresh = zeta(center + h, CTX).value
+            if center == 1:
+                fresh -= 1 / h
+            assert abs(got - fresh) <= mpf(10) ** -(CTX.target_digits + 5), h
+
+
+def test_float_bernoulli_ratios_are_the_exact_ratios_in_double():
+    assert len(_FLOAT_BERNOULLI_RATIOS) == 32
+    for m, got in enumerate(_FLOAT_BERNOULLI_RATIOS, start=1):
+        assert got == bernoulli_ratio(m, 64) / 2**64, m
 
 
 def test_ring_dft_rounds_as_fdot_on_the_laurent_and_stieltjes_rings(monkeypatch):
