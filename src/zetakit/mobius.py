@@ -22,12 +22,13 @@ k -> k^(-s) is completely multiplicative, so a composite k = p q, with p
 its smallest prime factor, takes p^(-s) q^(-s) and ln p + ln q from a
 memo of earlier values: integer products and a shift.  s itself is
 converted to fixed point from all of its bits, never rounded to the
-working precision first.  The Euler-Maclaurin tail is here too, as one
-jet in s: :func:`bernoulli_tail` carries each Bernoulli term with its
+working precision first.  The Euler-Maclaurin remainder is here too, as
+one jet in s: :func:`tail_jet` gives T_j(w) = sum_{m>w} ln^j(m) m^(-s)
+for j <= order, its Bernoulli part carrying each term with its
 s-derivatives, from the package's one table of Bernoulli ratios,
-:func:`bernoulli_ratio`.  Orders 0 and 1 of it are the tails of zeta and
-zeta' in :mod:`zetakit.zeta`; :func:`tail_jet` completes it to
-T_j(w) = sum_{m>w} ln^j(m) m^(-s) for the recursion below.
+:func:`bernoulli_ratio`.  It is the remainder past N of the
+Euler-Maclaurin sum of :mod:`zetakit.zeta`, at order 0 for zeta and 1
+with zeta', and the tail of the recursion below.
 
 :func:`dirichlet_partial` gives D_n(K) = sum_{k<=K} mu(k) ln^n(k) k^(-s)
 for several log powers n and checkpoints K at once, rounded once to
@@ -378,7 +379,7 @@ def _fixed_powers(x: int, order: int, wp: int) -> list:
     return out
 
 
-def bernoulli_tail(s: tuple, N: int, lnN: int, scale2: int, order: int, wp: int, thresh2: int):
+def _bernoulli_tail(s: tuple, N: int, lnN: int, scale2: int, order: int, wp: int, thresh2: int):
     """The Bernoulli part of the Euler-Maclaurin tail at N, as a jet in s.
 
     With u_m(s) = B_2m/(2m)! (s)_{2m-1} N^(1-2m), returns
@@ -453,16 +454,20 @@ def bernoulli_tail(s: tuple, N: int, lnN: int, scale2: int, order: int, wp: int,
         m += 1
 
 
-def tail_jet(s, w: int, order: int, wp: int):
+def tail_jet(s, w: int, order: int, wp: int, stop: int = 1):
     """[T_j(w) for j <= order], T_j(w) = sum_{m>w} ln^j(m) m^(-s), as pairs
     of wp-bit ints, by Euler-Maclaurin from w; None where its Bernoulli
     tail stalls.
 
     T_0(w) = w^(-s) (w/(s-1) - 1/2 + sum_m u_m(s)) with the u_m of
-    :func:`bernoulli_tail`, and T_j = (-d/ds)^j T_0.  The first part gives
+    :func:`_bernoulli_tail`, and T_j = (-d/ds)^j T_0.  The first part gives
     w^(-s) sum_l C(j, l) ln^(j-l)(w) l! w/(s-1)^(l+1), with w^(1-s) formed
-    as an exact int product before it is divided by (s-1)^(l+1).  The
-    tail ends with its first term below 2^(-wp).  It is meant for w at or
+    as an exact int product before it is divided by (s-1)^(l+1).  s - 1 is
+    read from every bit of s with -log2|s - 1| bits more where it is below
+    1, so next to the pole 1/(s-1) keeps its relative precision.  The
+    Bernoulli tail ends with its first term below ``stop`` units of
+    2^(-wp): one unit for the recursion below, 10^-(digits+5) for the
+    Euler-Maclaurin sum of :mod:`zetakit.zeta`.  It is meant for w at or
     above ``em_terms(Im s, digits)``; below that the terms may stall.
     Everything runs at g = 8 + 5 order bits past wp: a term rounded
     towards -infinity stays at -1 unit instead of reaching 0, and its
@@ -472,14 +477,16 @@ def tail_jet(s, w: int, order: int, wp: int):
     g = 8 + 5 * order
     wp += g
     sre, sim = fixed_pair(s, wp)
-    one = 1 << wp
     ln, pre, pim = _power(w, sre, sim, wp, ln2_fixed(wp), pi_fixed(wp - 1))
-    bern = bernoulli_tail((sre, sim), w, ln, pre * pre + pim * pim, order, wp, 1 << 2 * wp + 2 * g)
+    bern = _bernoulli_tail((sre, sim), w, ln, pre * pre + pim * pim, order, wp, stop * stop << 2 * wp + 2 * g)
     if bern is None:
         return None
-    a, b = sre - one, sim
+    d = mp.mpmathify(s) - 1
+    e = max(0, -mp.mag(d)) if d else 0
+    a, b = fixed_pair(s, wp + e)
+    a -= 1 << wp + e  # s - 1 at wp + e bits, of about wp bits where e > 0
     den = a * a + b * b
-    ir, ii = (a << 2 * wp) // den, (-b << 2 * wp) // den  # 1/(s-1)
+    ir, ii = (a << 2 * wp + e) // den, (-b << 2 * wp + e) // den  # 1/(s-1)
     xr, xi = w * pre, w * pim  # w^(1-s)
     terms = []  # l! w^(1-s)/(s-1)^(l+1)
     for l in range(order + 1):

@@ -10,19 +10,23 @@ and M grown until the last term kept drops below 10^-(digits+5).  Tail
 terms shrink by about (|Im s|/(2 pi N))^2 a step: q holds that ratio to
 1/4, or lower where 180 terms must gain digits+5 digits (the cap is 200),
 and the added digits cover small |Im s|, where the terms go like
-(2m)!/(2 pi N)^(2m).  The same expression differentiated term by term
-supplies zeta'(s) for contour work and zero refinement.  The main sum
-and the Bernoulli tail run in Python-int fixed point at
-wp = prec + bit_length(N) + 24 bits, prec the working precision: n^-s and
-ln n come from the multiplicative power kernel
-:func:`zetakit.mobius.dirichlet_powers`, so only primes take an exp, and
-each tail term, with N^-s factored out, is the last one times the exact
-ratio of consecutive B_2m/(2m)!, two linear factors and 1/N^2 (the
-Euler-Maclaurin tail jet :func:`zetakit.mobius.bernoulli_tail` at order
-0, or 1 with zeta').  Each
-power carries at most about bit_length(N) + 2 units of 2^(-wp), so the N
-terms are off by about N (bit_length(N) + 2) 2^(-wp) < 2^(-prec), below
-the last bit kept when the sums are rounded once to prec.  For Re(s) < 1/2
+(2m)!/(2 pi N)^(2m).  Differentiated j times,
+
+    zeta^(j)(s) = (-1)^j (sum_{n<=N} ln^j(n) n^-s + T_j(N)),
+
+and the remainder past N, T_j(N) = sum_{n>N} ln^j(n) n^-s, is the
+Euler-Maclaurin jet :func:`zetakit.mobius.tail_jet` at ``order``: 0 for
+zeta, 1 with zeta' for contour work and zero refinement, any order for
+the jet of :func:`_em_pair`.  Both parts run in Python-int fixed point
+at wp = prec + bit_length(N) + 24 bits, prec the working precision, and
+the main sum's orders above 0 at 2 wp: n^-s and ln n come from the
+multiplicative power kernel :func:`zetakit.mobius.dirichlet_powers`, so
+only primes take an exp, and each tail term, with N^-s factored out, is
+the last one times the exact ratio of consecutive B_2m/(2m)!, two linear
+factors and 1/N^2.  Each power carries at most about bit_length(N) + 2
+units of 2^(-wp), so the N terms are off by about N (bit_length(N) + 2)
+2^(-wp) < 2^(-prec), below the last bit kept when each order is rounded
+once to prec.  For Re(s) < 1/2
 (away from the removable point s = 0) values are reflected through the
 symmetric functional equation.  Two double-precision tiers serve the
 zero pipeline only, each with a stated error: a Riemann-Siegel main sum
@@ -65,16 +69,8 @@ import mpmath as mp
 from mpmath import mpc, mpf
 
 from .errors import ContourNearZeroError, NearZeroError, PoleError, PrecisionEscalationError, RangeError
-from .mobius import (
-    bernoulli_tail,
-    dirichlet_powers,
-    em_terms,
-    fixed_pair,
-    fixed_to_mpc,
-    fixed_to_mpf,
-    smallest_prime_factors,
-)
-from .precision import PrecisionContext, log_gamma
+from .mobius import dirichlet_powers, em_terms, fixed_pair, fixed_to_mpc, smallest_prime_factors, tail_jet
+from .precision import PrecisionContext, certified, log_gamma
 
 EULER_MACLAURIN = "euler-maclaurin"
 REFLECTED = "reflected"
@@ -97,8 +93,8 @@ class ZetaValue:
     certified_digits: int
 
 
-def _em_pair(s: mpc, digits: int, want_deriv: bool):
-    """(zeta(s), zeta'(s) or None) by Euler-Maclaurin at current workprec.
+def _em_pair(s: mpc, digits: int, order: int):
+    """[zeta^(j)(s) for j <= order] by Euler-Maclaurin at current workprec.
 
     N is sized from |Im s| and the digits (see the module docstring); the
     Bernoulli tail runs until its last term is below 10^-(digits+5), and if
@@ -107,48 +103,43 @@ def _em_pair(s: mpc, digits: int, want_deriv: bool):
     N = em_terms(s.imag, digits)
     thresh = mpf(10) ** (-(digits + 5))
     for _ in range(4):
-        out = _em_attempt(s, N, thresh, want_deriv)
+        out = _em_attempt(s, N, thresh, order)
         if out is not None:
             return out
-        N *= 2
-    raise PrecisionEscalationError(f"Euler-Maclaurin stalled at s={s}, N={N}")
+        last, N = N, 2 * N
+    raise PrecisionEscalationError(f"Euler-Maclaurin stalled at s={s}, N={last}")
 
 
-def _em_attempt(s: mpc, N: int, thresh: mpf, want_deriv: bool):
+def _em_attempt(s: mpc, N: int, thresh: mpf, order: int):
+    """[zeta^(j)(s) for j <= order] = (-1)^j (sum_{n<=N} ln^j(n) n^-s + T_j(N)),
+    the remainder T_j(N) from :func:`zetakit.mobius.tail_jet`, or None where
+    its Bernoulli tail stalls.  Order 0 sums at wp bits, the orders above at
+    2 wp; each value is rounded once to the working precision."""
     prec = mp.mp.prec
     wp = prec + N.bit_length() + 24
     acc_re = acc_im = 0
-    dacc_re = dacc_im = 0  # -sum ln(n) n^-s, at 2 wp bits
-    for n, ln, re, im in dirichlet_powers(s, N, wp, spf=_spf_table(1 << N.bit_length())):
+    jet_re = [0] * order  # sum ln^j(n) n^-s for 1 <= j <= order, at 2 wp bits
+    jet_im = [0] * order
+    for _, ln, re, im in dirichlet_powers(s, N, wp, spf=_spf_table(1 << N.bit_length())):
         acc_re += re
         acc_im += im
-        if want_deriv:
-            dacc_re -= ln * re
-            dacc_im -= ln * im
-    lnN, NmS_re, NmS_im = ln, re, im  # the last power is N^-s
-    # Bernoulli tail N^-s sum_m u_m, u_m = B_2m/(2m)! (s)_{2m-1} N^(1-2m), and
-    # for zeta' the sum of N^s d/ds (N^-s u_m), until the terms times |N^-s|
-    # drop below thresh.
-    scale2 = NmS_re * NmS_re + NmS_im * NmS_im
-    thresh2 = fixed_pair(thresh, wp)[0] ** 2 << 2 * wp
-    tail = bernoulli_tail(fixed_pair(s, wp), N, lnN, scale2, 1 if want_deriv else 0, wp, thresh2)
+        if order:
+            re, im = ln * re, ln * im
+            jet_re[0] += re
+            jet_im[0] += im
+            for j in range(1, order):
+                re, im = ln * re >> wp, ln * im >> wp
+                jet_re[j] += re
+                jet_im[j] += im
+    tail = tail_jet(s, N, order, wp, fixed_pair(thresh, wp)[0])
     if tail is None:
         return None  # asymptotic tail stalled; caller doubles N
-    tail_re, tail_im = tail[0]
-    acc_re += NmS_re * tail_re - NmS_im * tail_im >> wp
-    acc_im += NmS_re * tail_im + NmS_im * tail_re >> wp
-    NmS = fixed_to_mpc(NmS_re, NmS_im, wp, prec)
-    sm1 = s - 1
-    T1 = NmS * N / sm1
-    acc = fixed_to_mpc(acc_re, acc_im, wp, prec) + T1 - NmS / 2
-    if not want_deriv:
-        return acc, None
-    dtail_re, dtail_im = tail[1]
-    dacc_re += NmS_re * dtail_re - NmS_im * dtail_im
-    dacc_im += NmS_re * dtail_im + NmS_im * dtail_re
-    lnN = fixed_to_mpf(lnN, wp, prec)
-    dacc = fixed_to_mpc(dacc_re, dacc_im, 2 * wp, prec) - lnN * T1 - T1 / sm1 + lnN * NmS / 2
-    return acc, dacc
+    out = [fixed_to_mpc(acc_re + tail[0][0], acc_im + tail[0][1], wp, prec)]
+    for j in range(1, order + 1):
+        tr, ti = tail[j]
+        v = fixed_to_mpc(jet_re[j - 1] + (tr << wp), jet_im[j - 1] + (ti << wp), 2 * wp, prec)
+        out.append(-v if j % 2 else v)
+    return out
 
 
 def _is_trivial_zero(s: mpc) -> bool:
@@ -196,15 +187,13 @@ def zeta(s, ctx: PrecisionContext, method: str | None = None, certify: bool = Fa
 
     def run(bits):
         with mp.workprec(bits + 40):
-            v, _ = _em_pair(1 - s if reflect else s, ctx.target_digits, False)
+            v = _em_pair(1 - s if reflect else s, ctx.target_digits, 0)[0]
         if reflect:
             return _reflected(s, v, bits, ctx)
         with mp.workprec(bits):
             return +v
 
     if certify:
-        from .precision import certified
-
         value, digits = certified(run, ctx)
         return ZetaValue(value, method, digits)
     return ZetaValue(run(ctx.bits), method, ctx.target_digits)
@@ -224,7 +213,7 @@ def zeta_and_deriv_raw(s, ctx: PrecisionContext) -> tuple[mpc, mpc]:
     if s.real < -1.5:
         raise RangeError("direct Euler-Maclaurin derivative limited to Re(s) >= -1.5")
     with ctx.wp(40):
-        v, dv = _em_pair(s, ctx.target_digits, True)
+        v, dv = _em_pair(s, ctx.target_digits, 1)
     with ctx.wp():
         return +v, +dv
 
@@ -655,7 +644,8 @@ def em_pair_float(s: complex) -> tuple[complex, complex]:
         acc += p
         dacc -= ln * p
     lnN, NmS = ln, p  # the last power is N^-s
-    # Tail N^-s sum_m u_m and its s-derivative sum_m v_m, as in _em_attempt.
+    # Tail N^-s sum_m u_m and its s-derivative sum_m v_m, the Bernoulli part
+    # of mobius.tail_jet at order 1.
     u = s / (12 * N)
     v = 1 / (12 * N)
     tail = dtail = 0j

@@ -165,6 +165,28 @@ def test_one_sign_walker_and_one_newton_step_serve_both_tiers():
     assert steps == ["_newton"], steps
 
 
+def test_one_euler_maclaurin_remainder():
+    """zeta.py takes the remainder of its Euler-Maclaurin sum from
+    mobius.tail_jet: it imports neither the Bernoulli tail nor
+    fixed_to_mpf, and tail_jet is the only caller of _bernoulli_tail."""
+    tree = ast.parse((SRC / "zeta.py").read_text())
+    imported = [
+        alias.name for node in ast.walk(tree)
+        if isinstance(node, (ast.Import, ast.ImportFrom)) for alias in node.names
+    ]
+    assert not [n for n in imported if "bernoulli_tail" in n or "fixed_to_mpf" in n], imported
+    callers = []
+    for path in sorted(SRC.glob("*.py")):
+        tree = ast.parse(path.read_text(), filename=str(path))
+        owner = _enclosing_functions(tree)
+        callers += [
+            f"{path.name}:{owner[node]}" for node in ast.walk(tree)
+            if isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+            and node.func.id == "_bernoulli_tail"
+        ]
+    assert callers == ["mobius.py:tail_jet"], callers
+
+
 def test_one_function_reads_the_bernoulli_numbers():
     """The Euler-Maclaurin tails of zeta and of the Mobius recursion share
     one Bernoulli table: ``mp.bernfrac`` is called in one function only."""

@@ -330,6 +330,26 @@ def test_tail_jet_against_hurwitz_zeta(digits):
                     ref = (-1) ** j * mp.zeta(s, w + 1, derivative=j)
                     assert abs(fixed_to_mpc(re, im, wp, wp) - ref) < abs(ref) * mpf(2) ** -ctx.bits, (t, w, j)
     assert tail_jet(mpc(0.5, 999.79), 200, 1, wp) is None
+    # Stopped at the threshold of zeta's Euler-Maclaurin sum, as zeta calls
+    # it, the remainder is within that threshold of the reference.
+    thresh = mpf(10) ** -(digits + 5)
+    stop = fixed_pair(thresh, wp)[0]
+    for t in (14.13, 999.79):
+        s = mpc(mpf(1) / 2, t)
+        w = em_terms(t, digits)
+        jet = tail_jet(s, w, 3, wp, stop)
+        with mp.workdps(digits + 20):
+            for j, (re, im) in enumerate(jet):
+                ref = (-1) ** j * mp.zeta(s, w + 1, derivative=j)
+                assert abs(fixed_to_mpc(re, im, wp, wp) - ref) < thresh, (t, j)
+    # Next to the pole the remainder, about (-1)^j j! w^(1-s)/(s-1)^(j+1),
+    # keeps its relative precision.
+    for s in (mpc(1, 1e-40), mpc(1, -1e-300)):
+        jet = tail_jet(s, digits, 3, wp)
+        with mp.workdps(digits + 20):
+            for j, (re, im) in enumerate(jet):
+                ref = (-1) ** j * mp.zeta(s, digits + 1, derivative=j)
+                assert abs(fixed_to_mpc(re, im, wp, wp) - ref) < abs(ref) * mpf(2) ** -ctx.bits, (s, j)
 
 
 def test_dirichlet_partial_falls_back_where_a_tail_stalls(monkeypatch):

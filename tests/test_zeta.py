@@ -6,8 +6,8 @@ import pytest
 from mpmath import mp, mpc, mpf
 
 import oracles
-from zetakit.errors import ContourNearZeroError, NearZeroError, PoleError, RangeError
-from zetakit.mobius import bernoulli_ratio
+from zetakit.errors import ContourNearZeroError, NearZeroError, PoleError, PrecisionEscalationError, RangeError
+from zetakit.mobius import bernoulli_ratio, em_terms
 from zetakit.precision import PrecisionContext
 from zetakit.zeta import (
     EULER_MACLAURIN,
@@ -152,6 +152,20 @@ def test_em_pair_at_200_digits():
             assert abs(dv - dref) / abs(dref) < tol, f"zeta'({s})"
 
 
+@pytest.mark.parametrize("digits", [30, 60])
+def test_next_to_the_pole(digits):
+    # 1/(s-1) and -1/(s-1)^2 carry zeta and zeta' here: the remainder past
+    # N keeps them to the target digits however close s comes to 1.
+    ctx = PrecisionContext.from_digits(digits)
+    for s in (mpc(1, 1e-30), mpc(1, 1e-40), mpc(1, 1e-300), mpc(1, -1e-300)):
+        v = zeta(s, ctx).value
+        a, b = zeta_and_deriv_raw(s, ctx)
+        with mp.workdps(digits + 20):
+            for got, j in ((v, 0), (a, 0), (b, 1)):
+                ref = mp.zeta(s, derivative=j)
+                assert abs(got - ref) < abs(ref) * mpf(10) ** -digits, (s, j)
+
+
 def test_em_pair_never_stalls_in_cli_range(monkeypatch):
     # A stalled Bernoulli tail throws away a whole main sum and redoes it at
     # twice the length, so across the CLI's digits and heights every
@@ -160,8 +174,8 @@ def test_em_pair_never_stalls_in_cli_range(monkeypatch):
     attempts = []
     attempt = em._em_attempt
 
-    def recording(s, N, thresh, want_deriv):
-        out = attempt(s, N, thresh, want_deriv)
+    def recording(s, N, thresh, order):
+        out = attempt(s, N, thresh, order)
         attempts.append((N, out is not None))
         return out
 
@@ -175,6 +189,40 @@ def test_em_pair_never_stalls_in_cli_range(monkeypatch):
                 assert len(attempts) == 1 and attempts[0][1], (digits, t, sigma, attempts)
                 if digits == 30 and t == 1000:
                     assert attempts[0][0] <= 400, attempts
+
+
+def test_em_pair_stall_names_the_last_length_tried(monkeypatch):
+    # Four attempts run at N0, 2 N0, 4 N0 and 8 N0; the error names the last.
+    em = sys.modules["zetakit.zeta"]
+    tried = []
+
+    def stalled(s, N, thresh, order):
+        tried.append(N)
+
+    monkeypatch.setattr(em, "_em_attempt", stalled)
+    N0 = em_terms(14.13, 30)
+    with mp.workprec(CTX.bits + 40):
+        with pytest.raises(PrecisionEscalationError) as err:
+            em._em_pair(mpc(0.5, 14.13), 30, 0)
+    assert tried == [N0, 2 * N0, 4 * N0, 8 * N0]
+    assert str(err.value).endswith(f"N={8 * N0}"), str(err.value)
+
+
+@pytest.mark.parametrize("digits", [30, 60])
+def test_em_pair_orders_against_mpmath(digits):
+    # Every order of the jet, main sum plus tail_jet's remainder, against
+    # mpmath's own zeta derivatives on the critical line.
+    em = sys.modules["zetakit.zeta"]
+    ctx = PrecisionContext.from_digits(digits)
+    for t in (14.13, 95.3, 999.79):
+        with mp.workprec(ctx.bits + 40):
+            s = mpc(mpf(1) / 2, t)
+            jet = em._em_pair(s, digits, 3)
+        assert len(jet) == 4
+        with mp.workdps(digits + 20):
+            for j, got in enumerate(jet):
+                ref = mp.zeta(s, derivative=j)
+                assert abs(got - ref) < abs(ref) * mpf(10) ** -(digits + 3), (t, j)
 
 
 def test_logderiv_consistency():
