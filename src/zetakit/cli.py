@@ -22,8 +22,8 @@ from .errors import (
     UnknownIndexError,
     ZetaKitError,
 )
-from .laurent import DEFAULT_CHECKPOINTS, build_expansion, expansion_report
-from .mobius import mertens_sublinear, sieve_mobius
+from .laurent import build_expansion, expansion_report
+from .mobius import mertens_sublinear
 from .precision import PrecisionContext, to_decimal
 from .stieltjes import N_MAX, bound_check
 from .zeros import (
@@ -209,11 +209,8 @@ def cmd_laurent(args: argparse.Namespace) -> int:
     neighbors = None
     if any(r.index == args.index + 1 for r in cached):
         neighbors = [r.t for r in cached if r.index in (args.index - 1, args.index + 1)]
-    # The report reads mu only up to its last checkpoint, at most the last
-    # default one, so a larger --k-max changes no byte of it.
-    table = sieve_mobius(min(args.k_max, DEFAULT_CHECKPOINTS[-1]))
     exp = build_expansion(polished.rho, args.terms, ctx, neighbor_ts=neighbors)
-    report = expansion_report(args.index, exp, ctx, table)
+    report = expansion_report(args.index, exp, ctx, args.k_max)
     print(json.dumps(report, indent=2, sort_keys=True))
     return EXIT_OK
 

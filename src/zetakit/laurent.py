@@ -9,10 +9,10 @@ partial sums
       = D_n(K) - residue log^(n+1)(K+1) / (n+1),
 
 since the bridge terms telescope and log 1 = 0.  D_n(K) comes from
-:func:`zetakit.mobius.dirichlet_partial`, which reads the Mobius table up
-to about 2 K^(2/3) and recurses on the floor values of K by the
-hyperbola method, in about K^(2/3) steps; where its error bound does not
-hold it sweeps every squarefree k <= K.  Both paths give the same bits
+:func:`zetakit.mobius.dirichlet_partial`, which sieves mu up to about
+2 K^(2/3) and recurses on the floor values of K by the hyperbola method,
+in about K^(2/3) steps; where its error bound does not hold it sieves to
+K and sweeps every squarefree k <= K.  Both paths give the same bits
 after rounding.  The bridge is added in closed form at each checkpoint.
 Their behavior as K grows is recorded as a diagnostic, never asserted:
 convergence of that series on the critical line is an open matter, so
@@ -31,7 +31,7 @@ from one pass of partial sums per node.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import mpmath as mp
 from mpmath import mpc, mpf
@@ -42,7 +42,7 @@ from .errors import (
     SuspectZeroError,
     ZeroLeadingCoefficientError,
 )
-from .mobius import MobiusTable, dirichlet_partial
+from .mobius import MobiusTable, checkpoint_ladder, dirichlet_partial
 from .precision import PrecisionContext, cpow, to_decimal
 from .series import build_partial_series
 from .zeros import SIMPLICITY_FLOOR, neighbor_distance
@@ -66,15 +66,17 @@ class LaurentExpansion:
     residue: mpc
     coeffs: tuple
     radius: mpf
-    n_terms: int
     tail: tuple
+
+    @property
+    def n_terms(self) -> int:
+        return len(self.coeffs)
 
     def truncated(self, N: int) -> "LaurentExpansion":
         """The order-N expansion; the coefficients cut off go to the tail."""
         if not 0 <= N <= self.n_terms:
             raise RangeError(f"truncation {N} outside stored order {self.n_terms}")
-        return LaurentExpansion(self.rho, self.residue, self.coeffs[:N], self.radius, N,
-                                self.coeffs[N:] + self.tail)
+        return replace(self, coeffs=self.coeffs[:N], tail=self.coeffs[N:] + self.tail)
 
 
 def residue(rho, ctx: PrecisionContext) -> mpc:
@@ -143,19 +145,17 @@ def v_term(k: int, s, rho, residue_val, table: MobiusTable, ctx: PrecisionContex
         return term + bridge
 
 
-def phi_series_multi(rho, ns, checkpoints, table: MobiusTable, ctx: PrecisionContext,
-                     residue_val=None) -> dict:
+def phi_series_multi(rho, ns, checkpoints, ctx: PrecisionContext, residue_val=None) -> dict:
     """PartialSumSeries of the coefficient series for each log power n.
 
     The raw value at checkpoint K is D_n(K) - residue ln^(n+1)(K+1)/(n+1),
-    where D_n comes from the Mobius-weighted sums
-    :func:`zetakit.mobius.dirichlet_partial`, which also validates n, the
-    checkpoints and the table size.  The second term is the per-k bridge
+    with D_n from :func:`zetakit.mobius.dirichlet_partial`, which also
+    validates n and K <= SIEVE_CAP.  The second term is the per-k bridge
     -residue (ln^(n+1)(k+1) - ln^(n+1)(k))/(n+1) summed over k <= K in
     closed form: the sum telescopes and ln 1 = 0.
     """
-    checkpoints = [int(K) for K in checkpoints]
-    sums = dirichlet_partial(rho, ns, checkpoints, table, ctx)
+    checkpoints = checkpoint_ladder(checkpoints)
+    sums = dirichlet_partial(rho, ns, checkpoints, ctx)
     if residue_val is None:
         residue_val = residue(rho, ctx)
     with ctx.wp():
@@ -193,7 +193,7 @@ def build_expansion(rho, N: int, ctx: PrecisionContext, neighbor_ts=None) -> Lau
     a = taylor_at_zero(rho_c, M, ctx)
     with ctx.wp():
         res, c = invert_series(a, M)
-    return LaurentExpansion(rho_c, res, tuple(c[:N]), radius, N, tuple(c[N:]))
+    return LaurentExpansion(rho_c, res, tuple(c[:N]), radius, tuple(c[N:]))
 
 
 def laurent_eval(s, exp: LaurentExpansion) -> mpc:
@@ -282,13 +282,11 @@ def _cplx_str(z, ctx: PrecisionContext) -> dict:
     return {"re": to_decimal(z.real, ctx), "im": to_decimal(z.imag, ctx)}
 
 
-def expansion_report(index: int, exp: LaurentExpansion, ctx: PrecisionContext,
-                     table: MobiusTable) -> dict:
+def expansion_report(index: int, exp: LaurentExpansion, ctx: PrecisionContext, k_max: int) -> dict:
     """JSON-ready expansion report: oracle coefficients, the residual
     ladder of ``exp`` on 64 points of |s-rho| = min(1/32, radius/2), and
-    the phi_0, phi_1 coefficient-series diagnostics at the checkpoints of
-    DEFAULT_CHECKPOINTS the table covers (its limit if it covers none).
-    All numerics decimal strings."""
+    the phi_0, phi_1 diagnostics at the DEFAULT_CHECKPOINTS up to k_max
+    (k_max itself if none is).  All numerics decimal strings."""
     with ctx.wp():
         r = min(mpf(1) / 32, exp.radius / 2)
     residuals = residual_profile(exp, r, range(exp.n_terms + 1), 64, ctx)
@@ -304,8 +302,8 @@ def expansion_report(index: int, exp: LaurentExpansion, ctx: PrecisionContext,
             "residuals": {str(N): to_decimal(v, ctx) for N, v in residuals.items()},
             "phi_diagnostics": {},
         }
-    checkpoints = [K for K in DEFAULT_CHECKPOINTS if K <= table.limit] or [table.limit]
-    diag = phi_series_multi(exp.rho, (0, 1), checkpoints, table, ctx, residue_val=exp.residue)
+    checkpoints = [K for K in DEFAULT_CHECKPOINTS if K <= k_max] or [k_max]
+    diag = phi_series_multi(exp.rho, (0, 1), checkpoints, ctx, residue_val=exp.residue)
     with ctx.wp():
         for n, series in diag.items():
             # oracle coefficient under the c_n = (-1)^n phi_n / n! mapping

@@ -7,10 +7,10 @@ their strided slice.  A squarefree k whose log sum falls well short of
 3 log2 k has exactly one prime factor above sqrt(N), so its sign flips
 once more; then the multiples of p^2 are zeroed (see
 :func:`sieve_mobius` for the margin).  The result is mu(1..N) as one
-``array('b')``.  That table is the package's only source of mu(k): the
-Dirichlet sums below, the Mertens sums and the Laurent module's spot
-terms all read it.  :func:`mertens_sublinear` needs it only up to about
-x^(2/3), by the hyperbola recursion for M(x).
+``array('b')``, the package's only source of mu(k).  This module alone
+sieves it, to the range each sum reads: :func:`dirichlet_partial` to
+about 2 K^(2/3) for the recursion below or to K for its direct sweep,
+and :func:`mertens_sublinear` to about 2 x^(2/3).
 
 The Dirichlet sums run in Python-int fixed point, the idiom of mpmath's
 own ``zetasum_sieved``: a real x is the int floor(x 2^wp).
@@ -510,43 +510,47 @@ def tail_jet(s, w: int, order: int, wp: int, stop: int = 1):
     return out
 
 
-def dirichlet_partial(rho, ns, checkpoints, table: MobiusTable, ctx: PrecisionContext) -> dict:
+def checkpoint_ladder(checkpoints) -> list:
+    """The checkpoints as ints, checked nonempty, increasing and >= 1."""
+    ladder = [int(K) for K in checkpoints]
+    if not ladder or ladder[0] < 1 or any(b <= a for a, b in zip(ladder, ladder[1:])):
+        raise RangeError("checkpoints must be nonempty, strictly increasing and start at K >= 1")
+    return ladder
+
+
+def dirichlet_partial(rho, ns, checkpoints, ctx: PrecisionContext) -> dict:
     """{n: [D_n(K) for K in checkpoints]}, D_n(K) = sum_{k<=K} mu(k) log^n(k) k^(-rho).
 
     Every requested log power 0 <= n <= 6 comes from one pass, rounded to
-    ctx.bits at each checkpoint.  With K the last checkpoint and
-    y = max(ceil(2 K^(2/3)), em_terms(Im rho, ctx.target_digits)), the
-    hyperbola recursion of the module docstring serves K > y where
-    Re(rho) >= 1/2 and |rho - 1| >= 1/2, the range of its error bound.
-    Everywhere else, and where a tail of the recursion stalls, the sums
-    come from the direct sweep over the squarefree k <= K.
+    ctx.bits at each checkpoint.  With K <= SIEVE_CAP the last checkpoint
+    and y = max(ceil(2 K^(2/3)), em_terms(Im rho, ctx.target_digits)), the
+    hyperbola recursion of the module docstring sieves mu to y and serves
+    K > y where Re(rho) >= 1/2 and |rho - 1| >= 1/2, the range of its
+    error bound.  Everywhere else, and where a tail of the recursion
+    stalls, the direct sweep sieves mu to K and sums its squarefree k.
     """
     ns = sorted(set(int(n) for n in ns))
     if not ns or any(n < 0 or n > 6 for n in ns):
         raise RangeError("log powers must be nonempty with 0 <= n <= 6")
-    checkpoints = [int(K) for K in checkpoints]
-    if not checkpoints or any(b <= a for a, b in zip(checkpoints, checkpoints[1:])):
-        raise RangeError("checkpoints must be nonempty and strictly increasing")
-    if checkpoints[0] < 1:
-        raise RangeError("checkpoints start at K >= 1")
-    if checkpoints[-1] > table.limit:
-        raise RangeError(f"checkpoint {checkpoints[-1]} exceeds table limit {table.limit}")
+    checkpoints = checkpoint_ladder(checkpoints)
     K = checkpoints[-1]
+    if K > SIEVE_CAP:
+        raise LimitTooLargeError(f"checkpoint {K} exceeds cap {SIEVE_CAP}")
     s = mp.mpmathify(rho)
     y = max(math.ceil(2 * K ** (2 / 3)), em_terms(float(mp.im(s)), ctx.target_digits))
     sums = None
     if y < K and mp.re(s) >= 0.5 and abs(s - 1) >= 0.5:
-        sums = _hyperbola_partial(rho, ns[-1], checkpoints, y, table.values, ctx)
+        sums = _hyperbola_partial(rho, ns[-1], checkpoints, y, ctx)
     if sums is None:
-        sums = _dirichlet_sweep(rho, ns[-1], checkpoints, table.values, ctx)
+        sums = _dirichlet_sweep(rho, ns[-1], checkpoints, ctx)
     return {n: sums[n] for n in ns}
 
 
-def _dirichlet_sweep(rho, top: int, checkpoints: list, mu, ctx: PrecisionContext) -> list:
+def _dirichlet_sweep(rho, top: int, checkpoints: list, ctx: PrecisionContext) -> list:
     """[[D_n(K) for K in checkpoints] for n <= top] by one sweep over the
     squarefree k <= K, summed at wp = ctx.bits + ceil(log2 K) + 24 bits."""
     K = checkpoints[-1]
-    mu = mu[:K]
+    mu = sieve_mobius(K).values
     wp = ctx.bits + math.ceil(math.log2(K)) + 24
     acc_re = [0] * (top + 1)
     acc_im = [0] * (top + 1)
@@ -584,7 +588,7 @@ def _hyperbola_guard(K: int, y: int, top: int) -> int:
     return 24 + math.ceil(math.log2(bound))
 
 
-def _hyperbola_partial(rho, top: int, checkpoints: list, y: int, mu, ctx: PrecisionContext):
+def _hyperbola_partial(rho, top: int, checkpoints: list, y: int, ctx: PrecisionContext):
     """The sums of :func:`dirichlet_partial` by the hyperbola recursion, or
     None where a tail stalls.
 
@@ -597,7 +601,7 @@ def _hyperbola_partial(rho, top: int, checkpoints: list, y: int, mu, ctx: Precis
     wp = ctx.bits + _hyperbola_guard(K, y, top)
     width = 2 * (top + 1)
     R = math.isqrt(K)
-    mus = [0] + mu[:y].tolist()  # mus[k] = mu(k)
+    mus = [0] + sieve_mobius(y).values.tolist()  # mus[k] = mu(k)
     # The floor values v = floor(K_i/q) of the checkpoints: those above y
     # take the recursion in increasing order, and each floor(v/m) is a
     # floor value again.  Below y the recursion reads D and F only there

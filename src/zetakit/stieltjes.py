@@ -19,7 +19,7 @@ import mpmath as mp
 from mpmath import mpf
 
 from .errors import PrecisionEscalationError, RangeError
-from .mobius import fixed_to_mpf, log_int_fixed
+from .mobius import checkpoint_ladder, fixed_to_mpf, log_int_fixed
 from .precision import PrecisionContext
 from .series import PartialSumSeries, build_partial_series
 from .zeta import taylor_ring
@@ -66,11 +66,7 @@ def euler_gamma_partial(checkpoints, ctx: PrecisionContext) -> PartialSumSeries:
     log(1+1/k) is ``log_int_fixed(k+1) - log_int_fixed(k)``, whose sum over
     k <= K telescopes exactly to ``log_int_fixed(K+1)``.  Each checkpoint
     is rounded once to ctx.bits."""
-    checkpoints = [int(K) for K in checkpoints]
-    if not checkpoints or any(b <= a for a, b in zip(checkpoints, checkpoints[1:])):
-        raise RangeError("checkpoints must be nonempty and strictly increasing")
-    if checkpoints[0] < 1:
-        raise RangeError("checkpoints start at K >= 1")
+    checkpoints = checkpoint_ladder(checkpoints)
     wp = ctx.bits + math.ceil(math.log2(checkpoints[-1])) + 24
     one = 1 << wp
     raws = []

@@ -170,6 +170,9 @@ def zeta(s, ctx: PrecisionContext, method: str | None = None, certify: bool = Fa
     through the functional equation elsewhere on the left.  Passing
     ``method`` forces a path; ``certify=True`` re-runs the evaluation at
     escalated precision and reports the measured agreement.
+
+    Accuracy is relative to |zeta(s)|: next to the pole a component that
+    cancels against 1/(s-1), as Re zeta(1 + 10^-300 i), loses about log10(1/|s-1|) digits.
     """
     with ctx.wp():
         s = mpc(s)
@@ -204,7 +207,9 @@ def zeta_and_deriv_raw(s, ctx: PrecisionContext) -> tuple[mpc, mpc]:
 
     Workhorse for winding-number quadrature and for Newton refinement of
     zeros, which reads zeta'(rho) from the same sum; valid on the desk
-    range Re(s) >= -1.5 without reflection.
+    range Re(s) >= -1.5 without reflection.  Accuracy is relative, as in
+    :func:`zeta`; zeta' cancels against 1/(s-1)^2 and loses twice the
+    digits, as Im zeta'(1 + 10^-30 i) does.
     """
     with ctx.wp():
         s = mpc(s)

@@ -181,9 +181,7 @@ def test_criterion_07_phi_diagnostics():
         table = sieve_mobius(10**6)
         from zetakit.laurent import phi_series_multi
 
-        diag = phi_series_multi(
-            rho1, (0, 1), (10**3, 10**4, 10**5, 10**6), table, CTX30
-        )
+        diag = phi_series_multi(rho1, (0, 1), (10**3, 10**4, 10**5, 10**6), CTX30)
         for n in (0, 1):
             series = diag[n]
             assert len(series.raw) == 4

@@ -203,19 +203,20 @@ def test_laurent_radius_of_the_last_cached_zero(tmp_path):
 
 
 def test_laurent_reads_mu_only_to_the_last_default_checkpoint(seeded_cache, monkeypatch, capsys):
-    # The report's checkpoints stop at 10^6, so --k-max 10^8 sieves to
-    # 10^6 and prints the bytes of --k-max 10^6.
-    from zetakit import cli
+    # The report's checkpoints stop at 10^6, so --k-max 10^8 prints the
+    # bytes of --k-max 10^6, and both sieve mu only to the 2 (10^6)^(2/3)
+    # of the hyperbola recursion.
+    from zetakit import cli, mobius
 
     limits = []
-    sieve = cli.sieve_mobius
-    monkeypatch.setattr(cli, "sieve_mobius", lambda N: limits.append(N) or sieve(N))
+    sieve = mobius.sieve_mobius
+    monkeypatch.setattr(mobius, "sieve_mobius", lambda N: limits.append(N) or sieve(N))
     outs = []
     for k_max in (10**8, 10**6):
         argv = ["laurent", "--index", "1", "--terms", "2", "--k-max", str(k_max), "--cache", str(seeded_cache)]
         assert cli.main(argv) == 0
         outs.append(capsys.readouterr().out)
-    assert limits == [10**6, 10**6]
+    assert limits == [20000, 20000]
     assert outs[0] == outs[1]
 
 

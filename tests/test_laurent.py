@@ -24,7 +24,7 @@ from zetakit.laurent import (
     taylor_at_zero,
     v_term,
 )
-from zetakit.mobius import sieve_mobius
+from zetakit.mobius import SIEVE_CAP, sieve_mobius
 from zetakit.precision import PrecisionContext
 from zetakit.zeta import (
     EULER_MACLAURIN,
@@ -139,8 +139,7 @@ def test_v_term_rejects_s_equal_rho():
 def test_phi_series_first_checkpoint_by_hand():
     rho = _rho1()
     res = residue(rho, CTX)
-    table = sieve_mobius(10)
-    out = phi_series_multi(rho, (0, 1), (1, 10), table, CTX, residue_val=res)
+    out = phi_series_multi(rho, (0, 1), (1, 10), CTX, residue_val=res)
     with CTX.wp():
         ln2 = mp.ln(2)
         assert abs(out[0].raw[0] - (1 - res * ln2)) < mpf(10) ** -28
@@ -149,24 +148,22 @@ def test_phi_series_first_checkpoint_by_hand():
 
 def test_phi_series_multi_matches_single_runs():
     rho = _rho1()
-    table = sieve_mobius(500)
     cps = (10, 100, 500)
-    multi = phi_series_multi(rho, (0, 2), cps, table, CTX)
+    multi = phi_series_multi(rho, (0, 2), cps, CTX)
     for n in (0, 2):
-        single = phi_series_multi(rho, (n,), cps, table, CTX)[n]
+        single = phi_series_multi(rho, (n,), cps, CTX)[n]
         assert single.raw == multi[n].raw
         assert single.oscillation == multi[n].oscillation
 
 
 def test_phi_series_validation():
     rho = _rho1()
-    table = sieve_mobius(100)
     with pytest.raises(RangeError):
-        phi_series_multi(rho, (7,), (10, 100), table, CTX)
+        phi_series_multi(rho, (7,), (10, 100), CTX)
     with pytest.raises(RangeError):
-        phi_series_multi(rho, (0,), (100, 10), table, CTX)
+        phi_series_multi(rho, (0,), (100, 10), CTX)
     with pytest.raises(RangeError):
-        phi_series_multi(rho, (0,), (10, 1000), table, CTX)
+        phi_series_multi(rho, (0,), (10, SIEVE_CAP + 1), CTX)
 
 
 def test_phi_series_matches_per_k_bridge_reference():
@@ -176,7 +173,7 @@ def test_phi_series_matches_per_k_bridge_reference():
     res = residue(rho, CTX)
     cps = (10, 100, 1000)
     ns = (0, 1, 2)
-    ours = phi_series_multi(rho, ns, cps, sieve_mobius(1000), CTX, residue_val=res)
+    ours = phi_series_multi(rho, ns, cps, CTX, residue_val=res)
     with mp.workdps(50):
         want = {n: [] for n in ns}
         total = {n: mpc(0) for n in ns}
@@ -208,6 +205,7 @@ def test_expansion_radius_uses_neighbor_gap():
 
 def test_truncated_keeps_prefix():
     exp = build_expansion(_rho1(), 6, CTX)
+    assert exp.n_terms == len(exp.coeffs) == 6
     cut = exp.truncated(2)
     assert cut.n_terms == 2
     assert cut.coeffs == exp.coeffs[:2]
@@ -336,7 +334,7 @@ def test_expansion_report_shape():
     records, _ = shared.zeros_to(35)
     rho, t2 = records[0].rho, records[1].t
     exp = build_expansion(rho, 2, CTX, neighbor_ts=[t2])
-    report = expansion_report(1, exp, CTX, sieve_mobius(1000))
+    report = expansion_report(1, exp, CTX, 1000)
     assert report["index"] == 1
     assert set(report["rho"]) == {"re", "im"}
     assert len(report["coeffs"]) == 2
@@ -348,7 +346,7 @@ def test_expansion_report_shape():
         assert len(diag["smoothed"]) == 1
         assert len(diag["distance_to_oracle"]) == 1
         assert isinstance(diag["oscillation"], str)
-    # A table below the first default checkpoint is swept to its limit.
-    short = expansion_report(1, exp, CTX, sieve_mobius(500))
+    # A k_max below the first default checkpoint is the one checkpoint.
+    short = expansion_report(1, exp, CTX, 500)
     assert short["phi_diagnostics"]["0"]["checkpoints"] == [500]
     assert short["residuals"] == report["residuals"]

@@ -200,3 +200,20 @@ def test_one_function_reads_the_bernoulli_numbers():
             and node.func.attr == "bernfrac"
         ]
     assert len(set(found)) == 1, found
+
+
+def test_only_mobius_sieves():
+    """mobius.py decides how far to sieve mu: its Dirichlet and Mertens
+    sums sieve the range they read, and no other module calls
+    sieve_mobius."""
+    found = []
+    for path in sorted(SRC.glob("*.py")):
+        if path.name == "mobius.py":
+            continue
+        tree = ast.parse(path.read_text(), filename=str(path))
+        found += [
+            f"{path.name}:{node.lineno}" for node in ast.walk(tree)
+            if isinstance(node, ast.Call)
+            and getattr(node.func, "id", getattr(node.func, "attr", None)) == "sieve_mobius"
+        ]
+    assert not found, "sieve_mobius called outside mobius.py at " + ", ".join(found)

@@ -92,15 +92,21 @@ def _sublinear_sieve_limit(x):
     return min(x, math.ceil(2 * x ** (2 / 3)))
 
 
+def _spy_on_sieve(monkeypatch) -> list:
+    """The limits of every sieve_mobius call, in order."""
+    limits = []
+    sieve = mobius.sieve_mobius
+    monkeypatch.setattr(mobius, "sieve_mobius", lambda N: limits.append(N) or sieve(N))
+    return limits
+
+
 def test_mertens_sublinear_every_x_to_2000():
     table = sieve_mobius(2000)
     assert [mertens_sublinear(x) for x in range(1, 2001)] == [mertens(x, table) for x in range(1, 2001)]
 
 
 def test_mertens_sublinear_structured_edges(monkeypatch):
-    limits = []
-    sieve = mobius.sieve_mobius
-    monkeypatch.setattr(mobius, "sieve_mobius", lambda N: limits.append(N) or sieve(N))
+    limits = _spy_on_sieve(monkeypatch)
     mertens_sublinear(10**6)
     assert limits == [_sublinear_sieve_limit(10**6)]
     monkeypatch.undo()
@@ -149,18 +155,16 @@ def test_sieve_limit_validation():
 
 
 def test_dirichlet_partial_trivial_truncations():
-    table = sieve_mobius(10)
-    sums = dirichlet_partial(mpc(2, 0), (0, 1), (1,), table, CTX)
+    sums = dirichlet_partial(mpc(2, 0), (0, 1), (1,), CTX)
     # K=1: only k=1 contributes; ln(1)=0 kills every n >= 1.
     assert sums[0] == [1]
     assert sums[1] == [0]
 
 
 def test_dirichlet_partial_matches_direct_loop():
-    table = sieve_mobius(300)
     rho = mpc(mpf(1) / 2, 14)
     cps = (1, 100, 300)  # 100 is not squarefree
-    ours = dirichlet_partial(rho, (0, 2), cps, table, CTX)
+    ours = dirichlet_partial(rho, (0, 2), cps, CTX)
     with CTX.wp():
         for n in (0, 2):
             direct = mpc(0)
@@ -176,18 +180,32 @@ def test_dirichlet_partial_matches_direct_loop():
 
 
 def test_dirichlet_partial_validation():
-    table = sieve_mobius(100)
     rho = mpc(mpf(1) / 2, 14)
     for ns, cps in (((), (10,)), ((7,), (10,)), ((-1,), (10,)), ((0,), ()),
-                    ((0,), (0, 10)), ((0,), (10, 10)), ((0,), (10, 101))):
+                    ((0,), (0, 10)), ((0,), (10, 10)), ((0,), (10, mobius.SIEVE_CAP + 1))):
         with pytest.raises(RangeError):
-            dirichlet_partial(rho, ns, cps, table, CTX)
+            dirichlet_partial(rho, ns, cps, CTX)
+
+
+def test_dirichlet_partial_sieves_the_range_it_reads(monkeypatch):
+    # The recursion reads mu to y = ceil(2 K^(2/3)), the sweep to K; past
+    # SIEVE_CAP nothing is sieved.
+    limits = _spy_on_sieve(monkeypatch)
+    rho = mpc(mpf(1) / 2, 14)
+    dirichlet_partial(rho, (0,), (100, 10**4), CTX)
+    assert limits == [math.ceil(2 * (10**4) ** (2 / 3))]
+    limits.clear()
+    dirichlet_partial(rho, (0, 1), (10, 30), CTX)  # K <= y = em_terms(14, 30) = 35: the sweep
+    assert limits == [30]
+    limits.clear()
+    with pytest.raises(LimitTooLargeError):
+        dirichlet_partial(rho, (0,), (10, mobius.SIEVE_CAP + 1), CTX)
+    assert limits == []
 
 
 def test_dirichlet_partial_approximates_inverse_zeta_at_2():
     # sum mu(k)/k^2 -> 6/pi^2 like O(1/K).
-    table = sieve_mobius(5000)
-    ours = dirichlet_partial(mpc(2, 0), (0,), (5000,), table, CTX)[0][0]
+    ours = dirichlet_partial(mpc(2, 0), (0,), (5000,), CTX)[0][0]
     with CTX.wp():
         assert abs(ours - 6 / mp.pi**2) < mpf(10) ** -3
 
@@ -259,7 +277,7 @@ def _direct_partial(rho, ns, checkpoints):
             if k in checkpoints:
                 for n in ns:
                     want[n].append(+acc[n])
-    return table, want
+    return want
 
 
 def test_dirichlet_partial_against_exp_loop_at_zeros():
@@ -268,8 +286,8 @@ def test_dirichlet_partial_against_exp_loop_at_zeros():
     for index in (1, 2, 3):
         with mp.workdps(40):
             rho = mp.zetazero(index)
-        table, want = _direct_partial(rho, ns, cps)
-        got = dirichlet_partial(rho, ns, cps, table, CTX)
+        want = _direct_partial(rho, ns, cps)
+        got = dirichlet_partial(rho, ns, cps, CTX)
         with CTX.wp():
             for n in ns:
                 for g, w, K in zip(got[n], want[n], cps):
@@ -292,12 +310,11 @@ def test_hyperbola_recursion_equals_the_direct_sweep_bit_for_bit(index, digits, 
     ctx = PrecisionContext.from_digits(digits)
     ns = (0, 1, 2, 6)
     cps = (1000, 10**4, 12345, 10**5)
-    table = sieve_mobius(cps[-1])
     with mp.workdps(digits + 20):
         rho = mp.zetazero(index)
-    want = mobius._dirichlet_sweep(rho, 6, list(cps), table.values, ctx)
+    want = mobius._dirichlet_sweep(rho, 6, list(cps), ctx)
     _recursion_only(monkeypatch)
-    got = dirichlet_partial(rho, ns, cps, table, ctx)
+    got = dirichlet_partial(rho, ns, cps, ctx)
     for n in ns:
         assert got[n] == want[n], n
 
@@ -356,14 +373,13 @@ def test_dirichlet_partial_falls_back_where_a_tail_stalls(monkeypatch):
     # With the length rule cut to 1, y = ceil(2 K^(2/3)) = 200 lies below
     # the rule at t = 1000: every tail stalls, the direct sweep serves the
     # sums, and nothing raises.
-    table = sieve_mobius(1000)
     rho = mpc(mpf(1) / 2, mpf("999.79"))
-    want = mobius._dirichlet_sweep(rho, 1, [100, 1000], table.values, CTX)
+    want = mobius._dirichlet_sweep(rho, 1, [100, 1000], CTX)
     stalls = []
     recursion = mobius._hyperbola_partial
     monkeypatch.setattr(mobius, "em_terms", lambda t, digits: 1)
     monkeypatch.setattr(mobius, "_hyperbola_partial", lambda *a: stalls.append(recursion(*a)))
-    got = dirichlet_partial(rho, (0, 1), (100, 1000), table, CTX)
+    got = dirichlet_partial(rho, (0, 1), (100, 1000), CTX)
     assert stalls == [None]
     assert [got[0], got[1]] == want
 
@@ -371,12 +387,11 @@ def test_dirichlet_partial_falls_back_where_a_tail_stalls(monkeypatch):
 def test_dirichlet_partial_recursion_at_real_s_and_every_k(monkeypatch):
     # At s = 2 and s = 3/2 + 5i, every third K from 70 to 400 against the
     # sweep, so checkpoints fall on and between the floor values of K.
-    table = sieve_mobius(400)
     cps = list(range(70, 401, 3))
     for s in (mpc(2, 0), mpc(1.5, 5)):
-        want = mobius._dirichlet_sweep(s, 2, cps, table.values, CTX)
+        want = mobius._dirichlet_sweep(s, 2, cps, CTX)
         with monkeypatch.context() as m:
             _recursion_only(m)
-            got = dirichlet_partial(s, (0, 1, 2), cps, table, CTX)
+            got = dirichlet_partial(s, (0, 1, 2), cps, CTX)
         for n in (0, 1, 2):
             assert got[n] == want[n], (s, n)
