@@ -22,7 +22,7 @@ class NearZeroError(ZetaKitError):
 
 
 class GridTooCoarseError(ZetaKitError):
-    """Sign-change count and winding count disagree after grid refinement."""
+    """Sign-change count and Backlund count disagree after grid refinement."""
 
 
 class NoConvergenceError(ZetaKitError):

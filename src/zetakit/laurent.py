@@ -11,9 +11,9 @@ partial sums
 since the bridge terms telescope and log 1 = 0.  D_n(K) comes from
 :func:`zetakit.mobius.dirichlet_partial`, which sieves mu up to about
 2 K^(2/3) and recurses on the floor values of K by the hyperbola method,
-in about K^(2/3) steps; where its error bound does not hold it sieves to
-K and sweeps every squarefree k <= K.  Both paths give the same bits
-after rounding.  The bridge is added in closed form at each checkpoint.
+in about K^(2/3) steps; where its error bound does not hold, the same
+pass runs to K and sums every k <= K directly.  The bridge is added in
+closed form at each checkpoint.
 Their behavior as K grows is recorded as a diagnostic, never asserted:
 convergence of that series on the critical line is an open matter, so
 the artifact measures distances to the oracle coefficients and reports

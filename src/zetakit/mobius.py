@@ -9,7 +9,7 @@ once more; then the multiples of p^2 are zeroed (see
 :func:`sieve_mobius` for the margin).  The result is mu(1..N) as one
 ``array('b')``, the package's only source of mu(k).  This module alone
 sieves it, to the range each sum reads: :func:`dirichlet_partial` to
-about 2 K^(2/3) for the recursion below or to K for its direct sweep,
+about 2 K^(2/3) for the recursion below, or to K where it runs at y = K,
 and :func:`mertens_sublinear` to about 2 x^(2/3).
 
 The Dirichlet sums run in Python-int fixed point, the idiom of mpmath's
@@ -32,19 +32,11 @@ with zeta', and the tail of the recursion below.
 
 :func:`dirichlet_partial` gives D_n(K) = sum_{k<=K} mu(k) ln^n(k) k^(-s)
 for several log powers n and checkpoints K at once, rounded once to
-ctx.bits at each checkpoint.  It has two paths.
-
-The direct sweep visits every squarefree k <= K in increasing order.  Its
-summation policy is guard bits: integer sums at
-wp = ctx.bits + ceil(log2 K) + 24 bits.  Each power carries an error of
-at most about ceil(log2 K) + 2 units of 2^(-wp), one per product along
-its factor chain, so the K terms of the sweep are off by about
-K (ceil(log2 K) + 2) 2^(-wp), below the last bit kept.
-
-The hyperbola recursion (Lehman 1960; Deleglise and Rivat 1996) costs
-about K^(2/3) steps instead.  Write f(m) for the jet (ln^j(m) m^(-s))_j,
-F(x) = sum_{m<=x} f(m) and D(x) = sum_{k<=x} mu(k) f(k), and multiply
-jets by sum_j C(n, j) a_j b_(n-j), the product rule of (-d/ds)^n.  Since
+ctx.bits at each checkpoint, by one pass of the hyperbola recursion
+(Lehman 1960; Deleglise and Rivat 1996) in about K^(2/3) steps.  Write
+f(m) for the jet (ln^j(m) m^(-s))_j, F(x) = sum_{m<=x} f(m) and
+D(x) = sum_{k<=x} mu(k) f(k), and multiply jets by
+sum_j C(n, j) a_j b_(n-j), the product rule of (-d/ds)^n.  Since
 mu * 1 = delta, sum_{m<=v} f(m) D(floor(v/m)) is 1 at n = 0 and 0 above,
 and the hyperbola split at r = isqrt(v), J = floor(v/(r+1)) gives
 
@@ -58,13 +50,15 @@ of the checkpoints take the formula in increasing order, each
 floor(v/m) being a floor value again, so every checkpoint shares one
 memo.  Above y, F(w) = F(y) + T(y) - T(w): zeta(s) cancels.  The cost
 is the pass to y plus about 3 K/sqrt(y) jet products and K/y tails.
-At K = 10^6, n <= 1 and 30 digits that is 0.3 s against 4 s for the
-sweep, on one core of a 2-core x86 host.
+At K = 10^6, n <= 1 and 30 digits that is 0.3 s on one core of a
+2-core x86 host, where a direct sum over the squarefree k <= K took 4 s.
 
 Errors of the recursion, for Re(s) >= 1/2, in units of 2^(-wp):
-|f(m)| <= m^(-1/2), and |D(x)|, |F(x)| <= 2 sqrt(x) at log power 0.  Each
-D and F at v <= y is off by at most about e = y (bit_length(y) + 2 + n),
-the sweep's argument over y terms.  A tail is off by about
+|f(m)| <= m^(-1/2), and |D(x)|, |F(x)| <= 2 sqrt(x) at log power 0.  A
+power carries an error of at most about bit_length(y) + 2 units, one per
+product along its factor chain, and n more from its log powers, so each
+D and F at v <= y, a sum of at most y terms, is off by at most about
+e = y (bit_length(y) + 2 + n).  A tail is off by about
 2 sqrt(K)/|s - 1| units of rounding and |Im s| of truncation, below e/2
 since y >= 2 K^(2/3) and y >= |Im s|/pi, so an F above y is off by 2 e
 at most.  One v then adds 2 v^(1/4) e through the D(floor(v/m)) <= y,
@@ -79,12 +73,23 @@ above grows by ln^l(K), and the jet products weigh an error at power l
 by C(n, l) ln^(n-l)(d) on its way to power n: sum_l C(n, l) ln^n(K) =
 (2 ln K)^n covers both.  So D_n is off by at most about
 40 K^(1/4) (K/y)^(3/2) e (2 ln K)^n units, and the recursion runs at 24
-bits past that, as the sweep does: 67 guard bits at K = 10^6, n = 1,
-against 44 for the sweep.  The bound needs Re(s) >= 1/2 and
-|s - 1| >= 1/2, which the zeros on the critical line meet; elsewhere,
-where y >= K, or where a tail stalls, the direct sweep is the path.  At
-K = 10^6 both paths gave the same bits after rounding at zeros 1, 29 and
-649 at 30 digits and at zeros 2 and 649 at 60.
+bits past that: 67 guard bits at K = 10^6, n = 1.  The bound needs
+Re(s) >= 1/2 and |s - 1| >= 1/2, which the zeros on the critical line
+meet.
+
+Elsewhere, where y >= K, or where a tail stalls, the pass runs at
+y = K.  No floor value lies above y, so no tail is taken, and the
+power pass itself sums every k <= K: D at each checkpoint is the direct
+sum, off by at most e = K (bit_length(K) + 2 + n) units where
+|k^(-s)| <= 1.  Its guard, the bound above at y = K and at least one
+unit (at K = 1, ln K = 0), is never below ceil(log2 K) + 24 bits: 64 at
+K = 10^6 and n <= 1.  It keeps F and visits every k, so off the
+recursion's range it costs more than a sum over the squarefree k alone:
+4.7 s CPU and 209 MB against 2.8 s and 99 MB at s = 0.3 + 14i, n <= 1,
+with checkpoints 10^4, 10^5 and 10^6.  No zero the CLI reaches lies
+there.  At K = 10^6 the recursion and the pass at y = K gave the same
+bits after rounding at zeros 1, 29 and 649 at 30 digits and at zeros 2
+and 649 at 60.
 
 This module is the package's only user of mpmath's internal ``libmp``
 layer, which carries no API promise.  Other modules take the conversions
@@ -259,20 +264,18 @@ def _power(k: int, sre: int, sim: int, wp: int, ln2: int, pi2: int) -> tuple:
     return ln, u * cos >> wp, u * sin >> wp
 
 
-def dirichlet_powers(s, K: int, wp: int, mu=None, spf=None):
+def dirichlet_powers(s, K: int, wp: int, spf=None):
     """Yield (k, ln, re, im) for k = 1..K in increasing order, with
     ln k and k^(-s) = re + i im as wp-bit fixed-point ints.
 
-    With ``mu`` (``mu[k-1] = mu(k)``, e.g. ``MobiusTable.values``) only the
-    squarefree k are visited.  ``spf`` is ``smallest_prime_factors(M)``
-    for some M >= K, built here when omitted.
+    ``spf`` is ``smallest_prime_factors(M)`` for some M >= K, built here
+    when omitted.
 
     A prime p takes ln p from ``log_int_fixed`` and p^(-s) as
     exp(-Re(s) ln p) (cos, sin)(-Im(s) ln p).  A composite k = p q,
     p = spf[k], takes k^(-s) = p^(-s) q^(-s) and ln k = ln p + ln q from a
     memo.  A value is memoized only if it can serve as a factor later: its
-    k is at most K/2, and in a squarefree sweep it is odd or 2, since an
-    even q > 2 makes p q divisible by 4.
+    k is at most K/2.
     """
     sre, sim = fixed_pair(s, wp)
     ln2 = ln2_fixed(wp)
@@ -280,10 +283,7 @@ def dirichlet_powers(s, K: int, wp: int, mu=None, spf=None):
     if spf is None:
         spf = smallest_prime_factors(K)
     memo = {}
-    pairs = zip(range(1, K + 1), spf[1 : K + 1])  # (k, spf[k])
-    if mu is not None:
-        pairs = compress(pairs, mu)
-    for k, p in pairs:
+    for k, p in zip(range(1, K + 1), spf[1 : K + 1]):  # (k, spf[k])
         if p != k:
             a_ln, a_re, a_im = memo[p]
             b_ln, b_re, b_im = memo[k // p]
@@ -294,7 +294,7 @@ def dirichlet_powers(s, K: int, wp: int, mu=None, spf=None):
             ln, re, im = 0, 1 << wp, 0
         else:
             ln, re, im = _power(k, sre, sim, wp, ln2, pi2)
-        if 1 < k <= K // 2 and (mu is None or k & 1 or k == 2):
+        if 1 < k <= K // 2:
             memo[k] = (ln, re, im)
         yield k, ln, re, im
 
@@ -511,86 +511,58 @@ def tail_jet(s, w: int, order: int, wp: int, stop: int = 1):
 
 
 def checkpoint_ladder(checkpoints) -> list:
-    """The checkpoints as ints, checked nonempty, increasing and >= 1."""
+    """The checkpoints as ints, checked integral, nonempty, increasing and
+    >= 1."""
+    checkpoints = list(checkpoints)
     ladder = [int(K) for K in checkpoints]
-    if not ladder or ladder[0] < 1 or any(b <= a for a, b in zip(ladder, ladder[1:])):
-        raise RangeError("checkpoints must be nonempty, strictly increasing and start at K >= 1")
+    if ladder != checkpoints or not ladder or ladder[0] < 1 or any(b <= a for a, b in zip(ladder, ladder[1:])):
+        raise RangeError("checkpoints must be nonempty integers, strictly increasing and start at K >= 1")
     return ladder
 
 
 def dirichlet_partial(rho, ns, checkpoints, ctx: PrecisionContext) -> dict:
     """{n: [D_n(K) for K in checkpoints]}, D_n(K) = sum_{k<=K} mu(k) log^n(k) k^(-rho).
 
-    Every requested log power 0 <= n <= 6 comes from one pass, rounded to
-    ctx.bits at each checkpoint.  With K <= SIEVE_CAP the last checkpoint
-    and y = max(ceil(2 K^(2/3)), em_terms(Im rho, ctx.target_digits)), the
-    hyperbola recursion of the module docstring sieves mu to y and serves
-    K > y where Re(rho) >= 1/2 and |rho - 1| >= 1/2, the range of its
-    error bound.  Everywhere else, and where a tail of the recursion
-    stalls, the direct sweep sieves mu to K and sums its squarefree k.
+    Every requested log power 0 <= n <= 6 comes from one pass of the
+    hyperbola recursion of the module docstring, rounded to ctx.bits at
+    each checkpoint.  With K <= SIEVE_CAP the last checkpoint, it sieves
+    mu to y = max(ceil(2 K^(2/3)), em_terms(Im rho, ctx.target_digits)),
+    the range of its error bound, where Re(rho) >= 1/2 and
+    |rho - 1| >= 1/2.  Where y >= K, outside that range, or where a tail
+    stalls, it runs at y = K: the direct sum over every k <= K.
     """
-    ns = sorted(set(int(n) for n in ns))
-    if not ns or any(n < 0 or n > 6 for n in ns):
-        raise RangeError("log powers must be nonempty with 0 <= n <= 6")
+    ns = set(ns)
+    if not ns or any(n not in range(7) for n in ns):
+        raise RangeError("log powers must be nonempty integers with 0 <= n <= 6")
+    ns = sorted(int(n) for n in ns)
     checkpoints = checkpoint_ladder(checkpoints)
     K = checkpoints[-1]
     if K > SIEVE_CAP:
         raise LimitTooLargeError(f"checkpoint {K} exceeds cap {SIEVE_CAP}")
     s = mp.mpmathify(rho)
     y = max(math.ceil(2 * K ** (2 / 3)), em_terms(float(mp.im(s)), ctx.target_digits))
-    sums = None
-    if y < K and mp.re(s) >= 0.5 and abs(s - 1) >= 0.5:
-        sums = _hyperbola_partial(rho, ns[-1], checkpoints, y, ctx)
+    if y >= K or mp.re(s) < 0.5 or abs(s - 1) < 0.5:
+        y = K
+    sums = _hyperbola_partial(rho, ns[-1], checkpoints, y, ctx)
     if sums is None:
-        sums = _dirichlet_sweep(rho, ns[-1], checkpoints, ctx)
+        sums = _hyperbola_partial(rho, ns[-1], checkpoints, K, ctx)
     return {n: sums[n] for n in ns}
-
-
-def _dirichlet_sweep(rho, top: int, checkpoints: list, ctx: PrecisionContext) -> list:
-    """[[D_n(K) for K in checkpoints] for n <= top] by one sweep over the
-    squarefree k <= K, summed at wp = ctx.bits + ceil(log2 K) + 24 bits."""
-    K = checkpoints[-1]
-    mu = sieve_mobius(K).values
-    wp = ctx.bits + math.ceil(math.log2(K)) + 24
-    acc_re = [0] * (top + 1)
-    acc_im = [0] * (top + 1)
-    sums = [[] for _ in range(top + 1)]
-
-    def close():
-        for n in range(top + 1):
-            sums[n].append(fixed_to_mpc(acc_re[n], acc_im[n], wp, ctx.bits))
-
-    i = 0
-    for k, ln, re, im in dirichlet_powers(rho, K, wp, mu):
-        while k > checkpoints[i]:
-            close()
-            i += 1
-        if mu[k - 1] < 0:
-            re, im = -re, -im
-        acc_re[0] += re
-        acc_im[0] += im
-        for n in range(1, top + 1):
-            re = re * ln >> wp
-            im = im * ln >> wp
-            acc_re[n] += re
-            acc_im[n] += im
-    for _ in checkpoints[i:]:
-        close()
-    return sums
 
 
 def _hyperbola_guard(K: int, y: int, top: int) -> int:
     """Guard bits of the recursion: 24 past the error bound of the module
     docstring, 40 K^(1/4) (K/y)^(3/2) e (2 ln K)^top units of 2^(-wp) with
-    e = y (bit_length(y) + 2 + top)."""
+    e = y (bit_length(y) + 2 + top), taken as at least 1 unit (at K = 1,
+    ln K = 0)."""
     e = y * (y.bit_length() + 2 + top)
     bound = 40 * K**0.25 * (K / y) ** 1.5 * e * (2 * math.log(K)) ** top
-    return 24 + math.ceil(math.log2(bound))
+    return 24 + math.ceil(math.log2(max(bound, 1)))
 
 
 def _hyperbola_partial(rho, top: int, checkpoints: list, y: int, ctx: PrecisionContext):
     """The sums of :func:`dirichlet_partial` by the hyperbola recursion, or
-    None where a tail stalls.
+    None where a tail stalls.  At y = K no floor value lies above y: the
+    power pass is the direct sum, and no tail is taken.
 
     Jets are tuples (re_0, im_0, ..., re_top, im_top) of wp-bit ints:
     f(m) = (ln^j(m) m^(-rho))_j, and D(v), F(v) with D_j(v), F_j(v) the
@@ -632,14 +604,16 @@ def _hyperbola_partial(rho, top: int, checkpoints: list, y: int, ctx: PrecisionC
             f[k] = tuple(fk)
     # Above y, F(w) = Z - T(w) with Z = F(y) + T(y), so zeta(rho) cancels
     # from every difference of two F.
-    tails = {}
-    for w in (y, *V):
-        T = tail_jet(rho, w, top, wp)
-        if T is None:
-            return None
-        tails[w] = [x for pair in T for x in pair]
-    Z = [a + b for a, b in zip(F[y], tails[y])]
-    Fbig = {v: tuple(z - t for z, t in zip(Z, tails[v])) for v in V}
+    Fbig = {}
+    if V:
+        tails = {}
+        for w in (y, *V):
+            T = tail_jet(rho, w, top, wp)
+            if T is None:
+                return None
+            tails[w] = [x for pair in T for x in pair]
+        Z = [a + b for a, b in zip(F[y], tails[y])]
+        Fbig = {v: tuple(z - t for z, t in zip(Z, tails[v])) for v in V}
     pairs = [(2 * j, 2 * l) for j in range(top + 1) for l in range(top + 1 - j)]
     binom = [(math.comb(j + l, j), j + l) for j in range(top + 1) for l in range(top + 1 - j)]
 

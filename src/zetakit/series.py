@@ -5,10 +5,10 @@ object of study here, not just a means to a limit, so they are kept
 faithfully under one summation policy: guard bits.  Each sum over K
 terms runs in Python-int fixed point at ctx.bits + ceil(log2 K) + 24
 bits and is rounded once to ctx.bits at each checkpoint, so its rounding
-errors stay below the last bit kept (the direct Mobius sweep of
-:func:`zetakit.mobius.dirichlet_partial`, whose hyperbola recursion sizes
-its guard bits from its own error bound, and
-:func:`zetakit.stieltjes.euler_gamma_partial`).  The series record
+errors stay below the last bit kept
+(:func:`zetakit.stieltjes.euler_gamma_partial`; the Mobius sums of
+:func:`zetakit.mobius.dirichlet_partial` size their guard bits from
+their own error bound, never fewer than these).  The series record
 keeps raw values, Cesaro-smoothed values, and an oscillation statistic
 side by side.
 

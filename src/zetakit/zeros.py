@@ -356,8 +356,8 @@ def scan_with_count(T, ctx: PrecisionContext, workers: int = 1) -> tuple[list[Ze
                 return records, n_winding
         step /= 2
     raise GridTooCoarseError(
-        f"sign-change count disagrees with winding count {n_winding} at T={Tf} "
-        "after two grid refinements"
+        f"sign-change count {len(brackets)} disagrees with Backlund count {n_winding} "
+        f"at T={Tf} after two grid refinements"
     )
 
 

@@ -84,6 +84,21 @@ def test_zeros_digits_checked_before_scan(tmp_path, seeded_cache, monkeypatch):
     assert copy.read_text() == seeded_cache.read_text()
 
 
+def test_grid_too_coarse_names_both_counts_and_writes_no_cache(tmp_path, monkeypatch, capsys):
+    # A Backlund count one above the 4 sign changes below t = 31.5 survives
+    # both grid halvings: a finding, exit 1, with both counts on stderr and
+    # neither the cache nor its temporary file written.
+    from zetakit import cli, zeros
+
+    count = zeros.count_by_argument
+    monkeypatch.setattr(zeros, "count_by_argument", lambda T: count(T) + 1)
+    path = tmp_path / "z.cache"
+    assert cli.main(["zeros", "--t-max", "31.5", "--cache", str(path)]) == 1
+    err = capsys.readouterr().err
+    assert "sign-change count 4" in err and "Backlund count 5" in err, err
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_cache_records_out_of_index_order_rejected(tmp_path, seeded_cache, monkeypatch):
     """A cache whose second record claims index 5 is refused with exit 2
     before any scan, by zeros (which would append a second index 5) and
@@ -222,7 +237,7 @@ def test_laurent_reads_mu_only_to_the_last_default_checkpoint(seeded_cache, monk
 
 def test_laurent_default_k_max_peak_memory(seeded_cache):
     # The Mobius sums to K = 10^6 keep their jets only at the floor values
-    # of the recursion; the direct sweep's power memo peaked near 120 MB.
+    # of the recursion.
     # The child reads its own high-water mark, VmHWM: its ru_maxrss would
     # also count the pages of this test process it was started from, since
     # Linux keeps the old image's high-water mark across exec.

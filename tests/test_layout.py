@@ -217,3 +217,24 @@ def test_only_mobius_sieves():
             and getattr(node.func, "id", getattr(node.func, "attr", None)) == "sieve_mobius"
         ]
     assert not found, "sieve_mobius called outside mobius.py at " + ", ".join(found)
+
+
+def test_one_dirichlet_pass():
+    """Every Dirichlet sum takes its powers from one kernel with no Mobius
+    filter: only the hyperbola pass of the Mobius sums and the
+    Euler-Maclaurin main sum of zeta call dirichlet_powers, and it takes no
+    ``mu``."""
+    callers = []
+    for path in sorted(SRC.glob("*.py")):
+        tree = ast.parse(path.read_text(), filename=str(path))
+        owner = _enclosing_functions(tree)
+        callers += [
+            f"{path.stem}.{owner[node]}" for node in ast.walk(tree)
+            if isinstance(node, ast.Call)
+            and getattr(node.func, "id", getattr(node.func, "attr", None)) == "dirichlet_powers"
+        ]
+        for node in ast.walk(tree):
+            if isinstance(node, ast.FunctionDef) and node.name == "dirichlet_powers":
+                params = [a.arg for a in node.args.args + node.args.kwonlyargs]
+                assert "mu" not in params, params
+    assert sorted(callers) == ["mobius._hyperbola_partial", "zeta._em_attempt"], callers

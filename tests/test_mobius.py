@@ -181,21 +181,22 @@ def test_dirichlet_partial_matches_direct_loop():
 
 def test_dirichlet_partial_validation():
     rho = mpc(mpf(1) / 2, 14)
-    for ns, cps in (((), (10,)), ((7,), (10,)), ((-1,), (10,)), ((0,), ()),
-                    ((0,), (0, 10)), ((0,), (10, 10)), ((0,), (10, mobius.SIEVE_CAP + 1))):
+    for ns, cps in (((), (10,)), ((7,), (10,)), ((-1,), (10,)), ((0.7, 1), (10,)), ((0,), ()),
+                    ((0,), (0, 10)), ((0,), (10, 10)), ((0,), (10.5, 100)),
+                    ((0,), (10, mobius.SIEVE_CAP + 1))):
         with pytest.raises(RangeError):
             dirichlet_partial(rho, ns, cps, CTX)
 
 
 def test_dirichlet_partial_sieves_the_range_it_reads(monkeypatch):
-    # The recursion reads mu to y = ceil(2 K^(2/3)), the sweep to K; past
-    # SIEVE_CAP nothing is sieved.
+    # The recursion reads mu to y = ceil(2 K^(2/3)), or to K where y >= K;
+    # past SIEVE_CAP nothing is sieved.
     limits = _spy_on_sieve(monkeypatch)
     rho = mpc(mpf(1) / 2, 14)
     dirichlet_partial(rho, (0,), (100, 10**4), CTX)
     assert limits == [math.ceil(2 * (10**4) ** (2 / 3))]
     limits.clear()
-    dirichlet_partial(rho, (0, 1), (10, 30), CTX)  # K <= y = em_terms(14, 30) = 35: the sweep
+    dirichlet_partial(rho, (0, 1), (10, 30), CTX)  # K <= y = em_terms(14, 30) = 35: y = K
     assert limits == [30]
     limits.clear()
     with pytest.raises(LimitTooLargeError):
@@ -217,7 +218,7 @@ def test_smallest_prime_factors_by_trial_division():
         assert spf[k] == p, k
 
 
-def test_dirichlet_powers_every_k_and_squarefree_k():
+def test_dirichlet_powers_every_k():
     s = mpc(mpf(1) / 2, 21)
     wp = CTX.bits
     with CTX.wp():
@@ -226,10 +227,6 @@ def test_dirichlet_powers_every_k_and_squarefree_k():
         for k, ln, re, im in every:
             assert abs(fixed_to_mpf(ln, wp, CTX.bits) - mp.ln(k)) < mpf(10) ** -36
             assert abs(fixed_to_mpc(re, im, wp, CTX.bits) - mp.exp(-s * mp.ln(k))) < mpf(10) ** -36
-        table = sieve_mobius(200)
-        squarefree = [(k, re, im) for k, _, re, im in dirichlet_powers(s, 200, wp, table.values)]
-        assert [k for k, *_ in squarefree] == [k for k in range(1, 201) if table.mobius(k)]
-        assert squarefree == [(k, re, im) for k, _, re, im in every if table.mobius(k)]
 
 
 @pytest.mark.parametrize("digits", [12, 30, 200])
@@ -280,6 +277,20 @@ def _direct_partial(rho, ns, checkpoints):
     return want
 
 
+@pytest.mark.parametrize("rho", [mpc(0.3, 14), mpc(1.2, 0.1)])
+def test_dirichlet_partial_against_exp_loop_off_the_recursions_range(rho):
+    # Re(rho) < 1/2 and |rho - 1| < 1/2 lie outside the recursion's error
+    # bound, so the sums there are the direct ones.
+    ns = (0, 1, 2)
+    cps = (100, 2000)
+    want = _direct_partial(rho, ns, cps)
+    got = dirichlet_partial(rho, ns, cps, CTX)
+    with CTX.wp():
+        for n in ns:
+            for g, w, K in zip(got[n], want[n], cps):
+                assert abs(g - w) < mpf(10) ** -27, (n, K)
+
+
 def test_dirichlet_partial_against_exp_loop_at_zeros():
     ns = (0, 1, 2)
     cps = (10**3, 10**4, 2 * 10**4)
@@ -295,24 +306,34 @@ def test_dirichlet_partial_against_exp_loop_at_zeros():
 
 
 def _recursion_only(monkeypatch):
-    """Make dirichlet_partial fail unless the hyperbola recursion serves it."""
-    def refuse(*args):
-        raise AssertionError("the direct sweep ran")
+    """Make dirichlet_partial fail unless the hyperbola recursion serves it
+    with y < K, not as the direct sweep at y = K."""
+    recursion = mobius._hyperbola_partial
 
-    monkeypatch.setattr(mobius, "_dirichlet_sweep", refuse)
+    def checked(rho, top, checkpoints, y, ctx):
+        assert y < checkpoints[-1], "the direct sweep ran"
+        return recursion(rho, top, checkpoints, y, ctx)
+
+    monkeypatch.setattr(mobius, "_hyperbola_partial", checked)
+
+
+def _direct_sweep(rho, top, checkpoints, ctx):
+    """The sums of dirichlet_partial by the direct sweep over every k <= K:
+    the recursion at y = K."""
+    return mobius._hyperbola_partial(rho, top, list(checkpoints), checkpoints[-1], ctx)
 
 
 @pytest.mark.parametrize("index,digits", [(1, 30), (29, 30), (2, 60)])
 def test_hyperbola_recursion_equals_the_direct_sweep_bit_for_bit(index, digits, monkeypatch):
-    # The direct sweep is the oracle: after rounding to ctx.bits both give
-    # the same bits, at K = 10^4 and 10^5 and at a checkpoint that is not
-    # a floor value of the others.
+    # The direct sweep at y = K is the oracle: after rounding to ctx.bits
+    # both give the same bits, at K = 10^4 and 10^5 and at a checkpoint
+    # that is not a floor value of the others.
     ctx = PrecisionContext.from_digits(digits)
     ns = (0, 1, 2, 6)
     cps = (1000, 10**4, 12345, 10**5)
     with mp.workdps(digits + 20):
         rho = mp.zetazero(index)
-    want = mobius._dirichlet_sweep(rho, 6, list(cps), ctx)
+    want = _direct_sweep(rho, 6, cps, ctx)
     _recursion_only(monkeypatch)
     got = dirichlet_partial(rho, ns, cps, ctx)
     for n in ns:
@@ -371,25 +392,30 @@ def test_tail_jet_against_hurwitz_zeta(digits):
 
 def test_dirichlet_partial_falls_back_where_a_tail_stalls(monkeypatch):
     # With the length rule cut to 1, y = ceil(2 K^(2/3)) = 200 lies below
-    # the rule at t = 1000: every tail stalls, the direct sweep serves the
-    # sums, and nothing raises.
+    # the rule at t = 1000: every tail stalls, the direct sweep at y = K
+    # serves the sums, and nothing raises.
     rho = mpc(mpf(1) / 2, mpf("999.79"))
-    want = mobius._dirichlet_sweep(rho, 1, [100, 1000], CTX)
-    stalls = []
+    want = _direct_sweep(rho, 1, [100, 1000], CTX)
+    calls = []
     recursion = mobius._hyperbola_partial
+
+    def recorded(*args):
+        calls.append((args[3], recursion(*args)))
+        return calls[-1][1]
+
     monkeypatch.setattr(mobius, "em_terms", lambda t, digits: 1)
-    monkeypatch.setattr(mobius, "_hyperbola_partial", lambda *a: stalls.append(recursion(*a)))
+    monkeypatch.setattr(mobius, "_hyperbola_partial", recorded)
     got = dirichlet_partial(rho, (0, 1), (100, 1000), CTX)
-    assert stalls == [None]
+    assert [(y, sums is None) for y, sums in calls] == [(200, True), (1000, False)]
     assert [got[0], got[1]] == want
 
 
 def test_dirichlet_partial_recursion_at_real_s_and_every_k(monkeypatch):
     # At s = 2 and s = 3/2 + 5i, every third K from 70 to 400 against the
-    # sweep, so checkpoints fall on and between the floor values of K.
+    # direct sweep, so checkpoints fall on and between the floor values of K.
     cps = list(range(70, 401, 3))
     for s in (mpc(2, 0), mpc(1.5, 5)):
-        want = mobius._dirichlet_sweep(s, 2, cps, CTX)
+        want = _direct_sweep(s, 2, cps, CTX)
         with monkeypatch.context() as m:
             _recursion_only(m)
             got = dirichlet_partial(s, (0, 1, 2), cps, CTX)

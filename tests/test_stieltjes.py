@@ -120,6 +120,8 @@ def test_euler_gamma_partial_validation():
         euler_gamma_partial((100, 10), CTX)
     with pytest.raises(RangeError):
         euler_gamma_partial((), CTX)
+    with pytest.raises(RangeError):
+        euler_gamma_partial((10.5, 100), CTX)
 
 
 def test_bound_margins_all_positive():
