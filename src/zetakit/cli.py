@@ -48,8 +48,9 @@ RATIO_THRESHOLD_HIGH = "0.84665"
 
 
 # The options a subcommand may take: argparse settings, then the range
-# check and message applied before any work (exit 2).  A value of None
-# (``audit --digits`` omitted) is not checked.
+# check and message applied before any work (exit 2), in table order.  A
+# value of None (``audit --digits`` omitted) is not checked.  --x >= 1 is
+# mertens_sublinear's own check, and --x <= --k-max is cmd_mertens's.
 _OPTIONS = {
     "--digits": ({"type": int, "default": 30, "help": "decimal digits of working accuracy (10..200)"},
                  lambda v: 10 <= v <= 200, "--digits must be in [10, 200], got {}"),
@@ -61,6 +62,12 @@ _OPTIONS = {
     "--cache": ({"default": None, "help": "zero cache path (env ZETA_CACHE as fallback)"}, None, None),
     "--workers": ({"type": int, "default": 1, "help": "parallel worker processes"},
                   lambda v: v >= 1, "--workers must be >= 1, got {}"),
+    "--index": ({"type": int, "required": True, "help": "1-based zero index in the cache"}, None, None),
+    "--terms": ({"type": int, "default": 8, "help": "number of Taylor coefficients c_n (0..12)"},
+                lambda v: 0 <= v <= 12, "--terms must be in [0, 12], got {}"),
+    "--n-max": ({"type": int, "default": N_MAX},
+                lambda v: 0 <= v <= N_MAX, f"--n-max must be in [0, {N_MAX}], got {{}}"),
+    "--x": ({"type": int, "required": True}, None, None),
 }
 
 
@@ -69,9 +76,12 @@ def _resolve_cache(args: argparse.Namespace) -> str:
 
 
 def _read_cache_at(path: str, digits: int | None) -> tuple[int, list]:
-    """(digits, records) of the cache at path, refused when digits is
-    given and differs from the cache's."""
+    """(digits, records) of the cache at path, refused when the cache's
+    digits lie outside the range of --digits, or when digits is given and
+    differs from them."""
     cache_digits, cached = read_cache(path)
+    if not _OPTIONS["--digits"][1](cache_digits):
+        raise CacheFormatError(f"cache {path} holds digits={cache_digits}, outside [10, 200]")
     if digits is not None and cache_digits != digits:
         raise CacheFormatError(f"cache {path} holds digits={cache_digits}, run requested {digits}")
     return cache_digits, cached
@@ -192,8 +202,6 @@ def cmd_audit(args: argparse.Namespace) -> int:
 
 def cmd_laurent(args: argparse.Namespace) -> int:
     """Emit the JSON expansion report for one cached zero."""
-    if not 0 <= args.terms <= 12:
-        raise RangeError(f"--terms must be in [0, 12], got {args.terms}")
     path = _resolve_cache(args)
     if not os.path.exists(path):
         print(f"laurent needs a populated cache, none at {path}", file=sys.stderr)
@@ -217,8 +225,6 @@ def cmd_laurent(args: argparse.Namespace) -> int:
 
 def cmd_stieltjes(args: argparse.Namespace) -> int:
     """Emit the gamma_n table as CSV: n,gamma_n,bound,margin."""
-    if not 0 <= args.n_max <= N_MAX:
-        raise RangeError(f"--n-max must be in [0, {N_MAX}], got {args.n_max}")
     ctx = PrecisionContext.from_digits(args.digits)
     table = bound_check(args.n_max, ctx)
     print("n,gamma_n,bound,margin")
@@ -237,8 +243,6 @@ def cmd_stieltjes(args: argparse.Namespace) -> int:
 
 def cmd_mertens(args: argparse.Namespace) -> int:
     """Print M(x) for 1 <= x <= k_max, by the hyperbola recursion."""
-    if args.x < 1:
-        raise RangeError(f"mertens argument must be >= 1, got {args.x}")
     if args.x > args.k_max:
         raise RangeError(f"mertens argument {args.x} exceeds --k-max {args.k_max}")
     print(mertens_sublinear(args.x))
@@ -259,15 +263,12 @@ def _build_parser() -> argparse.ArgumentParser:
     command("zeros", "scan zeros up to t-max and extend the cache", *scan)
     # Without --digits the audit runs at the cache's digits.
     command("audit", "probe cached zeros for simplicity and report ratios", *scan).set_defaults(digits=None)
-    pl = command("laurent", "JSON Laurent expansion report for one cached zero", "--digits", "--k-max", "--cache")
-    pl.add_argument("--index", type=int, required=True, help="1-based zero index in the cache")
-    pl.add_argument("--terms", type=int, default=8, help="number of Taylor coefficients c_n (0..12)")
-    ps = command("stieltjes", "CSV table of Stieltjes constants and bound margins", "--digits")
-    ps.add_argument("--n-max", type=int, default=N_MAX)
+    command("laurent", "JSON Laurent expansion report for one cached zero",
+            "--digits", "--k-max", "--cache", "--index", "--terms")
+    command("stieltjes", "CSV table of Stieltjes constants and bound margins", "--digits", "--n-max")
     # M(x) is an integer; --digits is accepted, checked and unused, so one
     # --digits can be passed to every subcommand.
-    pm = command("mertens", "print the Mertens sum M(x)", "--digits", "--k-max")
-    pm.add_argument("--x", type=int, required=True)
+    command("mertens", "print the Mertens sum M(x)", "--digits", "--k-max", "--x")
     return p
 
 

@@ -259,8 +259,8 @@ def residual_profile(exp: LaurentExpansion, r, N_list, samples: int, ctx: Precis
     if samples < 16:
         raise RangeError("residual sweep needs at least 16 samples")
     N_list = sorted(set(int(N) for N in N_list))
-    if N_list[0] < 0:
-        raise RangeError("truncation order must be >= 0")
+    if not N_list or N_list[0] < 0:
+        raise RangeError("truncation orders must be nonempty and >= 0")
     top = exp.truncated(N_list[-1])
     with ctx.wp():
         r = mpf(r)

@@ -13,22 +13,25 @@ about 2 K^(2/3) for the recursion below, or to K where it runs at y = K,
 and :func:`mertens_sublinear` to about 2 x^(2/3).
 
 The Dirichlet sums run in Python-int fixed point, the idiom of mpmath's
-own ``zetasum_sieved``: a real x is the int floor(x 2^wp).
-:func:`dirichlet_powers` is the one power kernel of every Dirichlet sum:
-the sums below and the Euler-Maclaurin main sum of :mod:`zetakit.zeta`.
+own ``zetasum_sieved``: a real x is the int floor(x 2^wp).  Every
+Dirichlet and Euler-Maclaurin sum here is a sum of jets: the flat tuple
+(re_0, im_0, ..., re_order, im_order) of ln^j(k) k^(-s), j <= order.
+:func:`dirichlet_powers` is the one kernel that yields them, for the
+sums below and the Euler-Maclaurin main sum of :mod:`zetakit.zeta`.
 A prime p takes ln p, exp(-Re(s) ln p) and cos, sin of Im(s) ln p in
 fixed point.
 k -> k^(-s) is completely multiplicative, so a composite k = p q, with p
-its smallest prime factor, takes p^(-s) q^(-s) and ln p + ln q from a
-memo of earlier values: integer products and a shift.  s itself is
-converted to fixed point from all of its bits, never rounded to the
-working precision first.  The Euler-Maclaurin remainder is here too, as
-one jet in s: :func:`tail_jet` gives T_j(w) = sum_{m>w} ln^j(m) m^(-s)
-for j <= order, its Bernoulli part carrying each term with its
-s-derivatives, from the package's one table of Bernoulli ratios,
-:func:`bernoulli_ratio`.  It is the remainder past N of the
-Euler-Maclaurin sum of :mod:`zetakit.zeta`, at order 0 for zeta and 1
-with zeta', and the tail of the recursion below.
+its smallest prime factor from a table cached per size class, takes
+p^(-s) q^(-s) and ln p + ln q from a memo of earlier values: integer
+products and a shift.  s itself is converted to fixed point from all of
+its bits, never rounded to the working precision first.  The
+Euler-Maclaurin remainder is here too, as the same jet:
+:func:`tail_jet` gives T_j(w) = sum_{m>w} ln^j(m) m^(-s) for j <= order,
+its Bernoulli part carrying each term with its s-derivatives, from the
+package's one table of Bernoulli ratios, :func:`bernoulli_ratio`.  It is
+the remainder past N of the Euler-Maclaurin sum of :mod:`zetakit.zeta`,
+at order 0 for zeta and 1 with zeta', and the tail of the recursion
+below.
 
 :func:`dirichlet_partial` gives D_n(K) = sum_{k<=K} mu(k) ln^n(k) k^(-s)
 for several log powers n and checkpoints K at once, rounded once to
@@ -264,24 +267,31 @@ def _power(k: int, sre: int, sim: int, wp: int, ln2: int, pi2: int) -> tuple:
     return ln, u * cos >> wp, u * sin >> wp
 
 
-def dirichlet_powers(s, K: int, wp: int, spf=None):
-    """Yield (k, ln, re, im) for k = 1..K in increasing order, with
-    ln k and k^(-s) = re + i im as wp-bit fixed-point ints.
+@functools.lru_cache(maxsize=None)
+def _spf_table(size: int) -> array:
+    """``smallest_prime_factors(size)``, built once per size class: the
+    power kernel calls it with the power of two above K."""
+    return smallest_prime_factors(size)
 
-    ``spf`` is ``smallest_prime_factors(M)`` for some M >= K, built here
-    when omitted.
+
+def dirichlet_powers(s, K: int, wp: int, order: int):
+    """Yield the jet of each k = 1..K in increasing order: the flat tuple
+    (re_0, im_0, ..., re_order, im_order) of ln^j(k) k^(-s) as wp-bit
+    fixed-point ints.
 
     A prime p takes ln p from ``log_int_fixed`` and p^(-s) as
     exp(-Re(s) ln p) (cos, sin)(-Im(s) ln p).  A composite k = p q,
-    p = spf[k], takes k^(-s) = p^(-s) q^(-s) and ln k = ln p + ln q from a
-    memo.  A value is memoized only if it can serve as a factor later: its
-    k is at most K/2.
+    p its smallest prime factor from the cached table of the size class
+    of K, takes k^(-s) = p^(-s) q^(-s) and ln k = ln p + ln q from a
+    memo.  A value is memoized only if it can serve as a factor later:
+    its k is at most K/2.  Each log power is the one below times ln k,
+    shifted back to wp bits.
     """
     sre, sim = fixed_pair(s, wp)
     ln2 = ln2_fixed(wp)
     pi2 = pi_fixed(wp - 1)  # pi/2 at wp bits
-    if spf is None:
-        spf = smallest_prime_factors(K)
+    spf = _spf_table(1 << K.bit_length())
+    orders = range(order)
     memo = {}
     for k, p in zip(range(1, K + 1), spf[1 : K + 1]):  # (k, spf[k])
         if p != k:
@@ -296,7 +306,12 @@ def dirichlet_powers(s, K: int, wp: int, spf=None):
             ln, re, im = _power(k, sre, sim, wp, ln2, pi2)
         if 1 < k <= K // 2:
             memo[k] = (ln, re, im)
-        yield k, ln, re, im
+        jet = (re, im)
+        for _ in orders:
+            re = re * ln >> wp
+            im = im * ln >> wp
+            jet += (re, im)
+        yield jet
 
 
 def mertens(x: int, table: MobiusTable) -> int:
@@ -455,9 +470,10 @@ def _bernoulli_tail(s: tuple, N: int, lnN: int, scale2: int, order: int, wp: int
 
 
 def tail_jet(s, w: int, order: int, wp: int, stop: int = 1):
-    """[T_j(w) for j <= order], T_j(w) = sum_{m>w} ln^j(m) m^(-s), as pairs
-    of wp-bit ints, by Euler-Maclaurin from w; None where its Bernoulli
-    tail stalls.
+    """The jet (Re T_0, Im T_0, ..., Re T_order, Im T_order) of
+    T_j(w) = sum_{m>w} ln^j(m) m^(-s), as a flat tuple of wp-bit ints in
+    the layout of :func:`dirichlet_powers`, by Euler-Maclaurin from w;
+    None where its Bernoulli tail stalls.
 
     T_0(w) = w^(-s) (w/(s-1) - 1/2 + sum_m u_m(s)) with the u_m of
     :func:`_bernoulli_tail`, and T_j = (-d/ds)^j T_0.  The first part gives
@@ -496,7 +512,7 @@ def tail_jet(s, w: int, order: int, wp: int, stop: int = 1):
         terms.append((xr, xi))
     terms[0] = terms[0][0] + (-pre >> 1), terms[0][1] + (-pim >> 1)
     lnp = _fixed_powers(ln, order, wp)
-    out = []
+    jet = ()
     for j in range(order + 1):
         br, bi = bern[j]
         sign = (-1) ** j
@@ -506,8 +522,8 @@ def tail_jet(s, w: int, order: int, wp: int, stop: int = 1):
             c = math.comb(j, l)
             tr += c * (lnp[j - l] * terms[l][0] >> wp)
             ti += c * (lnp[j - l] * terms[l][1] >> wp)
-        out.append((tr >> g, ti >> g))
-    return out
+        jet += (tr >> g, ti >> g)
+    return jet
 
 
 def checkpoint_ladder(checkpoints) -> list:
@@ -564,8 +580,9 @@ def _hyperbola_partial(rho, top: int, checkpoints: list, y: int, ctx: PrecisionC
     None where a tail stalls.  At y = K no floor value lies above y: the
     power pass is the direct sum, and no tail is taken.
 
-    Jets are tuples (re_0, im_0, ..., re_top, im_top) of wp-bit ints:
-    f(m) = (ln^j(m) m^(-rho))_j, and D(v), F(v) with D_j(v), F_j(v) the
+    Jets are flat (re_0, im_0, ..., re_top, im_top) of wp-bit ints, as
+    :func:`dirichlet_powers` yields them: f(m) = (ln^j(m) m^(-rho))_j,
+    and D(v), F(v) with D_j(v), F_j(v) the
     mu-weighted and the plain sums of f(k) over k <= v.  Dirichlet
     convolution of two sums pairs their jets by sum_j C(n, j) a_j b_(n-j).
     """
@@ -586,12 +603,7 @@ def _hyperbola_partial(rho, top: int, checkpoints: list, y: int, ctx: PrecisionC
     F = {0: (0,) * width}
     d_acc = [0] * width
     f_acc = [0] * width
-    for k, ln, re, im in dirichlet_powers(rho, y, wp):
-        fk = [re, im]
-        for _ in range(top):
-            re = re * ln >> wp
-            im = im * ln >> wp
-            fk += (re, im)
+    for k, fk in enumerate(dirichlet_powers(rho, y, wp, top), 1):
         f_acc = [a + b for a, b in zip(f_acc, fk)]
         if mus[k] > 0:
             d_acc = [a + b for a, b in zip(d_acc, fk)]
@@ -601,17 +613,16 @@ def _hyperbola_partial(rho, top: int, checkpoints: list, y: int, ctx: PrecisionC
             F[k] = tuple(f_acc)
             D[k] = tuple(d_acc)
         if k <= R:
-            f[k] = tuple(fk)
+            f[k] = fk
     # Above y, F(w) = Z - T(w) with Z = F(y) + T(y), so zeta(rho) cancels
     # from every difference of two F.
     Fbig = {}
     if V:
         tails = {}
         for w in (y, *V):
-            T = tail_jet(rho, w, top, wp)
-            if T is None:
+            tails[w] = tail_jet(rho, w, top, wp)
+            if tails[w] is None:
                 return None
-            tails[w] = [x for pair in T for x in pair]
         Z = [a + b for a, b in zip(F[y], tails[y])]
         Fbig = {v: tuple(z - t for z, t in zip(Z, tails[v])) for v in V}
     pairs = [(2 * j, 2 * l) for j in range(top + 1) for l in range(top + 1 - j)]

@@ -17,16 +17,17 @@ and the added digits cover small |Im s|, where the terms go like
 and the remainder past N, T_j(N) = sum_{n>N} ln^j(n) n^-s, is the
 Euler-Maclaurin jet :func:`zetakit.mobius.tail_jet` at ``order``: 0 for
 zeta, 1 with zeta' for contour work and zero refinement, any order for
-the jet of :func:`_em_pair`.  Both parts run in Python-int fixed point
-at wp = prec + bit_length(N) + 24 bits, prec the working precision, and
-the main sum's orders above 0 at 2 wp: n^-s and ln n come from the
-multiplicative power kernel :func:`zetakit.mobius.dirichlet_powers`, so
-only primes take an exp, and each tail term, with N^-s factored out, is
-the last one times the exact ratio of consecutive B_2m/(2m)!, two linear
-factors and 1/N^2.  Each power carries at most about bit_length(N) + 2
-units of 2^(-wp), so the N terms are off by about N (bit_length(N) + 2)
-2^(-wp) < 2^(-prec), below the last bit kept when each order is rounded
-once to prec.  For Re(s) < 1/2
+the jet of :func:`_em_pair`.  Both parts are jets of the same layout in
+Python-int fixed point at wp = prec + bit_length(N) + 24 bits, prec the
+working precision: ln^j(n) n^-s comes from the multiplicative power
+kernel :func:`zetakit.mobius.dirichlet_powers`, so only primes take an
+exp, and each tail term, with N^-s factored out, is the last one times
+the exact ratio of consecutive B_2m/(2m)!, two linear factors and 1/N^2.
+Each power carries at most about bit_length(N) + 2 units of 2^(-wp), and
+its order-j entry ln^j(N) times that and j more, so the N terms of order
+j are off by about N ln^j(N) (bit_length(N) + 2) 2^(-wp) < 2^(-prec)
+while (bit_length(N) + 2) ln^j(N) < 2^24, below the last bit kept when
+each order is rounded once to prec.  For Re(s) < 1/2
 (away from the removable point s = 0) values are reflected through the
 symmetric functional equation.  Two double-precision tiers serve the
 zero pipeline only, each with a stated error: a Riemann-Siegel main sum
@@ -52,9 +53,9 @@ nodes, n even: the other node of each mirror pair is the conjugate of its
 partner's value, or on the critical line chi times that conjugate.  The
 64-node residual circle at a zero so takes 33 sums and 31 chi.  The
 DFT of a ring sums exact ints and rounds once.  The process caches (the
-ring of each node count, the DFT roots per node count and precision, the
-smallest-prime-factor table per size class) are ``functools.lru_cache``d
-functions.
+ring of each node count, the DFT roots per node count and precision) are
+``functools.lru_cache``d functions, as is the power kernel's
+smallest-prime-factor table per size class in :mod:`zetakit.mobius`.
 """
 
 from __future__ import annotations
@@ -69,19 +70,11 @@ import mpmath as mp
 from mpmath import mpc, mpf
 
 from .errors import ContourNearZeroError, NearZeroError, PoleError, PrecisionEscalationError, RangeError
-from .mobius import dirichlet_powers, em_terms, fixed_pair, fixed_to_mpc, smallest_prime_factors, tail_jet
+from .mobius import dirichlet_powers, em_terms, fixed_pair, fixed_to_mpc, tail_jet
 from .precision import PrecisionContext, certified, log_gamma
 
 EULER_MACLAURIN = "euler-maclaurin"
 REFLECTED = "reflected"
-
-
-@functools.lru_cache(maxsize=None)
-def _spf_table(size: int):
-    """Smallest-prime-factor table for the main sum's power kernel.  Called
-    with the power of two above N, so it is built once per size class,
-    never at import."""
-    return smallest_prime_factors(size)
 
 
 @dataclass(frozen=True)
@@ -113,31 +106,18 @@ def _em_pair(s: mpc, digits: int, order: int):
 def _em_attempt(s: mpc, N: int, thresh: mpf, order: int):
     """[zeta^(j)(s) for j <= order] = (-1)^j (sum_{n<=N} ln^j(n) n^-s + T_j(N)),
     the remainder T_j(N) from :func:`zetakit.mobius.tail_jet`, or None where
-    its Bernoulli tail stalls.  Order 0 sums at wp bits, the orders above at
-    2 wp; each value is rounded once to the working precision."""
+    its Bernoulli tail stalls.  The tail jet and the N jets of the main sum
+    are summed at wp bits, and each order is rounded once to the working
+    precision."""
     prec = mp.mp.prec
     wp = prec + N.bit_length() + 24
-    acc_re = acc_im = 0
-    jet_re = [0] * order  # sum ln^j(n) n^-s for 1 <= j <= order, at 2 wp bits
-    jet_im = [0] * order
-    for _, ln, re, im in dirichlet_powers(s, N, wp, spf=_spf_table(1 << N.bit_length())):
-        acc_re += re
-        acc_im += im
-        if order:
-            re, im = ln * re, ln * im
-            jet_re[0] += re
-            jet_im[0] += im
-            for j in range(1, order):
-                re, im = ln * re >> wp, ln * im >> wp
-                jet_re[j] += re
-                jet_im[j] += im
     tail = tail_jet(s, N, order, wp, fixed_pair(thresh, wp)[0])
     if tail is None:
         return None  # asymptotic tail stalled; caller doubles N
-    out = [fixed_to_mpc(acc_re + tail[0][0], acc_im + tail[0][1], wp, prec)]
-    for j in range(1, order + 1):
-        tr, ti = tail[j]
-        v = fixed_to_mpc(jet_re[j - 1] + (tr << wp), jet_im[j - 1] + (ti << wp), 2 * wp, prec)
+    sums = list(map(sum, zip(tail, *dirichlet_powers(s, N, wp, order))))
+    out = []
+    for j in range(order + 1):
+        v = fixed_to_mpc(sums[2 * j], sums[2 * j + 1], wp, prec)
         out.append(-v if j % 2 else v)
     return out
 

@@ -383,6 +383,44 @@ def test_audit_digits_mismatch_rejected_before_any_probe(tmp_path, seeded_cache,
     assert copy.read_bytes() == seeded_cache.read_bytes()
 
 
+@pytest.mark.parametrize("digits", [3, 201])
+def test_audit_rejects_cache_digits_out_of_range(tmp_path, seeded_cache, monkeypatch, capsys, digits):
+    # audit runs at the digits of the cache header, so they take the range
+    # of --digits: refused before any probe, the cache left as it was.
+    from zetakit import cli
+
+    def no_probe(*args, **kwargs):
+        raise AssertionError("audit probed a cache with digits out of range")
+
+    monkeypatch.setattr(cli, "audit_zeros", no_probe)
+    header, rest = seeded_cache.read_text().split("\n", 1)
+    path = tmp_path / "odd.cache"
+    path.write_text(header.replace("digits=30", f"digits={digits}") + "\n" + rest)
+    before = path.read_bytes()
+    assert cli.main(["audit", "--t-max", "30", "--cache", str(path)]) == 2
+    assert f"holds digits={digits}, outside [10, 200]" in capsys.readouterr().err
+    assert path.read_bytes() == before
+
+
+def test_every_option_comes_from_the_table():
+    """Each add_argument of the CLI takes its settings from _OPTIONS, so
+    one table holds every option and its range check."""
+    import ast
+    import inspect
+
+    from zetakit import cli
+
+    calls = [
+        node for node in ast.walk(ast.parse(inspect.getsource(cli)))
+        if isinstance(node, ast.Call) and getattr(node.func, "attr", None) == "add_argument"
+    ]
+    assert calls
+    for call in calls:
+        [kw] = call.keywords
+        assert kw.arg is None and isinstance(kw.value, ast.Subscript), ast.unparse(call)
+        assert ast.unparse(kw.value).startswith("_OPTIONS["), ast.unparse(call)
+
+
 def test_audit_takes_its_digits_from_the_cache(tmp_path):
     path = tmp_path / "d20.cache"
     assert run_cli("zeros", "--t-max", "15", "--digits", "20", "--cache", str(path)).returncode == 0

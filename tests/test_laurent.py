@@ -320,6 +320,8 @@ def test_residual_sweep_validation():
         residual_profile(exp, mpf(1) / 32, [2], 8, CTX)
     with pytest.raises(RangeError):
         residual_profile(exp, mpf(1) / 32, [3], 32, CTX)
+    with pytest.raises(RangeError):
+        residual_profile(exp, mpf(1) / 32, [], 32, CTX)
     with pytest.raises(OutsideDiskError):
         residual_profile(exp, 100, [2], 32, CTX)
 

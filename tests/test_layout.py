@@ -223,7 +223,8 @@ def test_one_dirichlet_pass():
     """Every Dirichlet sum takes its powers from one kernel with no Mobius
     filter: only the hyperbola pass of the Mobius sums and the
     Euler-Maclaurin main sum of zeta call dirichlet_powers, and it takes no
-    ``mu``."""
+    ``mu``.  The kernel owns its factor table: it takes no ``spf``, and
+    zeta.py imports no smallest_prime_factors."""
     callers = []
     for path in sorted(SRC.glob("*.py")):
         tree = ast.parse(path.read_text(), filename=str(path))
@@ -236,5 +237,11 @@ def test_one_dirichlet_pass():
         for node in ast.walk(tree):
             if isinstance(node, ast.FunctionDef) and node.name == "dirichlet_powers":
                 params = [a.arg for a in node.args.args + node.args.kwonlyargs]
-                assert "mu" not in params, params
+                assert "mu" not in params and "spf" not in params, params
     assert sorted(callers) == ["mobius._hyperbola_partial", "zeta._em_attempt"], callers
+    tree = ast.parse((SRC / "zeta.py").read_text())
+    imported = [
+        alias.name for node in ast.walk(tree)
+        if isinstance(node, (ast.Import, ast.ImportFrom)) for alias in node.names
+    ]
+    assert "smallest_prime_factors" not in imported, imported

@@ -219,14 +219,17 @@ def test_smallest_prime_factors_by_trial_division():
 
 
 def test_dirichlet_powers_every_k():
+    # Every entry of every jet, ln^j(k) k^(-s) for j <= 2, against mpmath.
     s = mpc(mpf(1) / 2, 21)
     wp = CTX.bits
     with CTX.wp():
-        every = list(dirichlet_powers(s, 200, wp))
-        assert [k for k, *_ in every] == list(range(1, 201))
-        for k, ln, re, im in every:
-            assert abs(fixed_to_mpf(ln, wp, CTX.bits) - mp.ln(k)) < mpf(10) ** -36
-            assert abs(fixed_to_mpc(re, im, wp, CTX.bits) - mp.exp(-s * mp.ln(k))) < mpf(10) ** -36
+        every = list(dirichlet_powers(s, 200, wp, 2))
+        assert len(every) == 200
+        for k, jet in enumerate(every, 1):
+            assert len(jet) == 6, k
+            for j in range(3):
+                want = mp.ln(k) ** j * mp.exp(-s * mp.ln(k))
+                assert abs(fixed_to_mpc(jet[2 * j], jet[2 * j + 1], wp, CTX.bits) - want) < mpf(10) ** -36, (k, j)
 
 
 @pytest.mark.parametrize("digits", [12, 30, 200])
@@ -363,8 +366,9 @@ def test_tail_jet_against_hurwitz_zeta(digits):
         rule = em_terms(t, digits)
         for w in (rule, 2 * rule + 1, 10**4):
             jet = tail_jet(s, w, 6, wp)
+            assert len(jet) == 14
             with mp.workdps(digits + 20):
-                for j, (re, im) in enumerate(jet):
+                for j, (re, im) in enumerate(zip(jet[::2], jet[1::2])):
                     ref = (-1) ** j * mp.zeta(s, w + 1, derivative=j)
                     assert abs(fixed_to_mpc(re, im, wp, wp) - ref) < abs(ref) * mpf(2) ** -ctx.bits, (t, w, j)
     assert tail_jet(mpc(0.5, 999.79), 200, 1, wp) is None
@@ -376,16 +380,18 @@ def test_tail_jet_against_hurwitz_zeta(digits):
         s = mpc(mpf(1) / 2, t)
         w = em_terms(t, digits)
         jet = tail_jet(s, w, 3, wp, stop)
+        assert len(jet) == 8
         with mp.workdps(digits + 20):
-            for j, (re, im) in enumerate(jet):
+            for j, (re, im) in enumerate(zip(jet[::2], jet[1::2])):
                 ref = (-1) ** j * mp.zeta(s, w + 1, derivative=j)
                 assert abs(fixed_to_mpc(re, im, wp, wp) - ref) < thresh, (t, j)
     # Next to the pole the remainder, about (-1)^j j! w^(1-s)/(s-1)^(j+1),
     # keeps its relative precision.
     for s in (mpc(1, 1e-40), mpc(1, -1e-300)):
         jet = tail_jet(s, digits, 3, wp)
+        assert len(jet) == 8
         with mp.workdps(digits + 20):
-            for j, (re, im) in enumerate(jet):
+            for j, (re, im) in enumerate(zip(jet[::2], jet[1::2])):
                 ref = (-1) ** j * mp.zeta(s, digits + 1, derivative=j)
                 assert abs(fixed_to_mpc(re, im, wp, wp) - ref) < abs(ref) * mpf(2) ** -ctx.bits, (s, j)
 
