@@ -1,8 +1,12 @@
 """Command-line driver: scans, audits, expansion reports, tables.
 
-Exit codes: 0 success, 1 numerical finding (count mismatch, suspect
-zero, non-convergence), 2 usage or range error.  All numeric output is
-decimal strings; reruns with the same configuration and cache are
+Exit codes: 0 success; 2 usage or range error (a bad option, a
+RangeError, a CacheFormatError, a missing cache); 1 a numerical finding
+(a count mismatch, a suspect zero, a cached ordinate the fresh scan
+contradicts) and every other ZetaKitError, including those where the
+code gave up, such as NoConvergenceError and NonIntegerWindingError.
+An exit code of their own is open (ROADMAP item 5).  All numeric output
+is decimal strings; reruns with the same configuration and cache are
 byte-identical regardless of worker count.
 """
 
@@ -27,6 +31,8 @@ from .mobius import mertens_sublinear
 from .precision import PrecisionContext, to_decimal
 from .stieltjes import N_MAX, bound_check
 from .zeros import (
+    DIGITS_MAX,
+    DIGITS_MIN,
     CountReport,
     audit_zeros,
     count_by_argument,
@@ -52,8 +58,8 @@ RATIO_THRESHOLD_HIGH = "0.84665"
 # value of None (``audit --digits`` omitted) is not checked.  --x >= 1 is
 # mertens_sublinear's own check, and --x <= --k-max is cmd_mertens's.
 _OPTIONS = {
-    "--digits": ({"type": int, "default": 30, "help": "decimal digits of working accuracy (10..200)"},
-                 lambda v: 10 <= v <= 200, "--digits must be in [10, 200], got {}"),
+    "--digits": ({"type": int, "default": 30, "help": f"decimal digits of working accuracy ({DIGITS_MIN}..{DIGITS_MAX})"},
+                 lambda v: DIGITS_MIN <= v <= DIGITS_MAX, f"--digits must be in [{DIGITS_MIN}, {DIGITS_MAX}], got {{}}"),
     "--t-max": ({"type": float, "default": 100.0, "help": "scan/audit height (<= 1000)"},
                 lambda v: 0 < v <= 1000, "--t-max must be in (0, 1000], got {}"),
     "--k-max": ({"type": int, "default": 10**6, "help": "largest Mobius sum checkpoint, read up to 10^6 (laurent); largest accepted --x (mertens)"},
@@ -73,18 +79,6 @@ _OPTIONS = {
 
 def _resolve_cache(args: argparse.Namespace) -> str:
     return args.cache or os.environ.get("ZETA_CACHE", DEFAULT_CACHE)
-
-
-def _read_cache_at(path: str, digits: int | None) -> tuple[int, list]:
-    """(digits, records) of the cache at path, refused when the cache's
-    digits lie outside the range of --digits, or when digits is given and
-    differs from them."""
-    cache_digits, cached = read_cache(path)
-    if not _OPTIONS["--digits"][1](cache_digits):
-        raise CacheFormatError(f"cache {path} holds digits={cache_digits}, outside [10, 200]")
-    if digits is not None and cache_digits != digits:
-        raise CacheFormatError(f"cache {path} holds digits={cache_digits}, run requested {digits}")
-    return cache_digits, cached
 
 
 def _report_fields(report: CountReport, ctx: PrecisionContext) -> dict:
@@ -124,7 +118,7 @@ def cmd_zeros(args: argparse.Namespace) -> int:
     ctx = PrecisionContext.from_digits(args.digits)
     path = _resolve_cache(args)
     exists = os.path.exists(path)
-    cached = _read_cache_at(path, args.digits)[1] if exists else []
+    cached = read_cache(path, args.digits)[1] if exists else []
     records, n_winding = scan_with_count(args.t_max, ctx, args.workers)
     with ctx.wp():
         overlap = min(len(cached), len(records))
@@ -155,7 +149,7 @@ def cmd_audit(args: argparse.Namespace) -> int:
     if not os.path.exists(path):
         print(f"audit needs a populated cache, none at {path}", file=sys.stderr)
         return EXIT_USAGE
-    cache_digits, cached = _read_cache_at(path, args.digits)
+    cache_digits, cached = read_cache(path, args.digits)
     ctx = PrecisionContext.from_digits(cache_digits)
     with ctx.wp():
         subset = [r for r in cached if r.t <= mpf(repr(args.t_max))]
@@ -201,7 +195,11 @@ def cmd_audit(args: argparse.Namespace) -> int:
 
 
 def cmd_laurent(args: argparse.Namespace) -> int:
-    """Emit the JSON expansion report for one cached zero."""
+    """Emit the JSON expansion report for one cached zero.
+
+    The zero is refined again at --digits, so the cache may hold other
+    digits than --digits.
+    """
     path = _resolve_cache(args)
     if not os.path.exists(path):
         print(f"laurent needs a populated cache, none at {path}", file=sys.stderr)

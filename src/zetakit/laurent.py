@@ -235,7 +235,10 @@ def tail_bound(exp: LaurentExpansion, r) -> mpf:
     coefficients c_N..c_{N+2} of ``exp.tail``, or on all of them when the
     tail holds none of those; the result is B q^N/(1-q), q = r/radius.
     The validity radius understates the distance to the nearest
-    singularity, so q overstates the actual term ratio.
+    singularity, so q overstates the actual term ratio.  Calibrated on
+    the same expansion whose residual it bounds, it is no independent
+    check: over 5823 checks at zeros 2-648 (N = 0-8, 64 nodes) the
+    largest ratio residual/bound was 0.99968 (zero 73, N = 2).
     """
     r = mpf(r)
     radius = mpf(exp.radius)

@@ -69,9 +69,6 @@ class PrecisionContext:
             return mpf(10) ** (-self.target_digits)
 
 
-DEFAULT_CONTEXT = PrecisionContext.from_digits(30)
-
-
 def real_from(value, ctx: PrecisionContext) -> mpf:
     """Build an mpf from a decimal string, int, or float.
 

@@ -65,6 +65,10 @@ SIMPLICITY_FLOOR = mpf("1e-6")
 
 CACHE_HEADER_PREFIX = "# zeta-zeros v1 digits="
 
+# The working digits a run accepts (the CLI's --digits), and so the
+# digits a cache header may name.
+DIGITS_MIN, DIGITS_MAX = 10, 200
+
 # Internal precision of the grid's sign tests and of integer-valued
 # contour work: the quadrature only needs to land within 0.1 of an
 # integer, and zeta'/zeta refuses points where |zeta| < 1e-12.
@@ -302,9 +306,29 @@ def _refine_bracket_worker(args: tuple) -> tuple:
     a_str, b_str, bits, digits = args
     ctx = PrecisionContext(bits, digits)
     t, zp = _newton_refine(float(a_str), float(b_str), ctx)
-    d = ctx.target_digits + 5
     with ctx.wp():
-        return to_decimal(t, ctx, d), to_decimal(abs(zp), ctx, d)
+        return _stored(t, ctx), _stored(abs(zp), ctx)
+
+
+def _stored(x, ctx: PrecisionContext) -> str:
+    """x as the cache stores it and workers receive it: a decimal string
+    with five guard digits past ctx's."""
+    return to_decimal(x, ctx, ctx.target_digits + 5)
+
+
+def _record(index, t, zeta_prime_abs, ctx: PrecisionContext, winding=0,
+            status: str = STATUS_REFINED) -> ZeroRecord:
+    """The ZeroRecord of stored fields: t and |zeta'(rho)| as decimal
+    strings, rounded at ctx.bits, index and winding as ints or their
+    strings; rho is rebuilt from t.  A field that does not parse raises
+    ValueError or RangeError."""
+    index, winding = int(index), int(winding)
+    t = real_from(t, ctx)
+    zeta_prime_abs = real_from(zeta_prime_abs, ctx)
+    if status not in (STATUS_REFINED, STATUS_SIMPLE, STATUS_SUSPECT):
+        raise ValueError(f"unknown status {status!r}")
+    with ctx.wp():
+        return ZeroRecord(index, t, mpc(mpf(1) / 2, t), zeta_prime_abs, winding, status)
 
 
 def refine_zero(t0, ctx: PrecisionContext) -> ZeroRecord:
@@ -317,24 +341,10 @@ def refine_zero(t0, ctx: PrecisionContext) -> ZeroRecord:
     bracket = next(_sign_brackets(seed + k * 0.01 for k in range(-5, 6)), None)
     if bracket is None:
         raise NoConvergenceError(f"no Z sign change within 0.05 of t={seed}")
-    packed = _refine_bracket_worker(
+    t, zp_abs = _refine_bracket_worker(
         (repr(bracket[0]), repr(bracket[1]), ctx.bits, ctx.target_digits)
     )
-    return _record_from_strings(0, packed, ctx)
-
-
-def _record_from_strings(index: int, packed: tuple, ctx: PrecisionContext) -> ZeroRecord:
-    t_s, zp_abs_s = packed
-    with ctx.wp():
-        t = mpf(t_s)
-        return ZeroRecord(
-            index=index,
-            t=t,
-            rho=mpc(mpf(1) / 2, t),
-            zeta_prime_abs=mpf(zp_abs_s),
-            winding=0,
-            status=STATUS_REFINED,
-        )
+    return _record(0, t, zp_abs, ctx)
 
 
 def scan_with_count(T, ctx: PrecisionContext, workers: int = 1) -> tuple[list[ZeroRecord], int]:
@@ -349,9 +359,7 @@ def scan_with_count(T, ctx: PrecisionContext, workers: int = 1) -> tuple[list[Ze
                 (repr(a), repr(b), ctx.bits, ctx.target_digits) for a, b in brackets
             ]
             packs = map_ordered(_refine_bracket_worker, args, _useful_workers(workers, len(args)))
-            records = [
-                _record_from_strings(i + 1, p, ctx) for i, p in enumerate(packs)
-            ]
+            records = [_record(i, t, zp_abs, ctx) for i, (t, zp_abs) in enumerate(packs, start=1)]
             if all(r2.t > r1.t for r1, r2 in zip(records, records[1:])):
                 return records, n_winding
         step /= 2
@@ -521,7 +529,6 @@ def audit_zeros(records: list[ZeroRecord], ctx: PrecisionContext, workers: int =
     if not records:
         return []
     args = []
-    d = ctx.target_digits + 5
     with ctx.wp():
         ts = [r.t for r in records]
         for i, rec in enumerate(records):
@@ -529,13 +536,8 @@ def audit_zeros(records: list[ZeroRecord], ctx: PrecisionContext, workers: int =
             gap_hi = ts[i + 1] - ts[i] if i + 1 < len(ts) else mpf(100)
             r = min(mpf(1) / 32, mpf("0.4") * min(gap_lo, gap_hi))
             args.append(
-                (
-                    to_decimal(rec.rho.real, ctx, d),
-                    to_decimal(rec.rho.imag, ctx, d),
-                    to_decimal(r, ctx, d),
-                    ctx.bits,
-                    ctx.target_digits,
-                )
+                (_stored(rec.rho.real, ctx), _stored(rec.rho.imag, ctx), _stored(r, ctx),
+                 ctx.bits, ctx.target_digits)
             )
     windings = map_ordered(_probe_worker, args, _useful_workers(workers, len(args)))
     out = []
@@ -580,11 +582,9 @@ def density_report(T, ctx: PrecisionContext, records: list[ZeroRecord],
 
 def format_cache_line(rec: ZeroRecord, ctx: PrecisionContext) -> str:
     """One cache record as its stored line (trailing newline included)."""
-    d = ctx.target_digits + 5
     with ctx.wp():
         return (
-            f"{rec.index},{to_decimal(rec.t, ctx, d)},"
-            f"{to_decimal(rec.zeta_prime_abs, ctx, d)},"
+            f"{rec.index},{_stored(rec.t, ctx)},{_stored(rec.zeta_prime_abs, ctx)},"
             f"{rec.winding},{rec.status}\n"
         )
 
@@ -600,58 +600,49 @@ def write_cache(path: str, records: list[ZeroRecord], ctx: PrecisionContext) -> 
     os.replace(tmp, path)
 
 
-def read_cache(path: str) -> tuple[int, list[ZeroRecord]]:
+def read_cache(path: str, digits: int | None = None) -> tuple[int, list[ZeroRecord]]:
     """(digits, records) from a cache file.
 
     Stored fields round-trip exactly and rho is rebuilt from t.  The
     cache keeps |zeta'(rho)|, which is all a ZeroRecord holds of zeta'.
-    Records must carry the indices 1, 2, ... in order and increasing
-    ordinates; anything else raises CacheFormatError.
+    The header must name digits in [DIGITS_MIN, DIGITS_MAX], equal to
+    ``digits`` where that is given, and the records must carry the
+    indices 1, 2, ... in order and increasing ordinates; anything else
+    raises CacheFormatError, a bad header before any record is read.
     """
     with open(path) as fh:
         header = fh.readline().rstrip("\n")
         if not header.startswith(CACHE_HEADER_PREFIX):
             raise CacheFormatError(f"bad cache header: {header!r}")
         try:
-            digits = int(header[len(CACHE_HEADER_PREFIX):])
+            cache_digits = int(header[len(CACHE_HEADER_PREFIX):])
         except ValueError as exc:
             raise CacheFormatError(f"bad digits in cache header: {header!r}") from exc
-        ctx = PrecisionContext.from_digits(digits)
+        if not DIGITS_MIN <= cache_digits <= DIGITS_MAX:
+            raise CacheFormatError(
+                f"cache {path} holds digits={cache_digits}, outside [{DIGITS_MIN}, {DIGITS_MAX}]"
+            )
+        if digits is not None and cache_digits != digits:
+            raise CacheFormatError(f"cache {path} holds digits={cache_digits}, run requested {digits}")
+        ctx = PrecisionContext.from_digits(cache_digits)
         records = []
-        prev_t = None
-        with ctx.wp():
-            for lineno, line in enumerate(fh, start=2):
-                line = line.strip()
-                if not line:
-                    continue
-                parts = line.split(",")
-                if len(parts) != 5:
-                    raise CacheFormatError(f"line {lineno}: expected 5 fields, got {len(parts)}")
-                try:
-                    idx = int(parts[0])
-                    t = real_from(parts[1], ctx)
-                    zp_abs = real_from(parts[2], ctx)
-                    winding = int(parts[3])
-                except (ValueError, RangeError) as exc:
-                    raise CacheFormatError(f"line {lineno}: {exc}") from exc
-                if idx != len(records) + 1:
-                    raise CacheFormatError(
-                        f"line {lineno}: index {idx} where record {len(records) + 1} belongs"
-                    )
-                status = parts[4]
-                if status not in (STATUS_REFINED, STATUS_SIMPLE, STATUS_SUSPECT):
-                    raise CacheFormatError(f"line {lineno}: unknown status {status!r}")
-                if prev_t is not None and not t > prev_t:
-                    raise CacheFormatError(f"line {lineno}: ordinates not increasing")
-                prev_t = t
-                records.append(
-                    ZeroRecord(
-                        index=idx,
-                        t=t,
-                        rho=mpc(mpf(1) / 2, t),
-                        zeta_prime_abs=zp_abs,
-                        winding=winding,
-                        status=status,
-                    )
+        for lineno, line in enumerate(fh, start=2):
+            line = line.strip()
+            if not line:
+                continue
+            parts = line.split(",")
+            if len(parts) != 5:
+                raise CacheFormatError(f"line {lineno}: expected 5 fields, got {len(parts)}")
+            index, t, zp_abs, winding, status = parts
+            try:
+                rec = _record(index, t, zp_abs, ctx, winding, status)
+            except (ValueError, RangeError) as exc:
+                raise CacheFormatError(f"line {lineno}: {exc}") from exc
+            if rec.index != len(records) + 1:
+                raise CacheFormatError(
+                    f"line {lineno}: index {rec.index} where record {len(records) + 1} belongs"
                 )
-    return digits, records
+            if records and not rec.t > records[-1].t:
+                raise CacheFormatError(f"line {lineno}: ordinates not increasing")
+            records.append(rec)
+    return cache_digits, records

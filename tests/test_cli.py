@@ -402,6 +402,26 @@ def test_audit_rejects_cache_digits_out_of_range(tmp_path, seeded_cache, monkeyp
     assert path.read_bytes() == before
 
 
+@pytest.mark.parametrize("digits", [3, 201])
+def test_laurent_rejects_cache_digits_out_of_range(tmp_path, seeded_cache, monkeypatch, capsys, digits):
+    # laurent refines the zero again at --digits, but reads the cached
+    # neighbours at the header's digits: out of range, the cache is refused
+    # before any refinement and left as it was.
+    from zetakit import cli
+
+    def no_refine(*args, **kwargs):
+        raise AssertionError("laurent refined a zero from a cache with digits out of range")
+
+    monkeypatch.setattr(cli, "refine_zero", no_refine)
+    header, rest = seeded_cache.read_text().split("\n", 1)
+    path = tmp_path / "odd.cache"
+    path.write_text(header.replace("digits=30", f"digits={digits}") + "\n" + rest)
+    before = path.read_bytes()
+    assert cli.main(["laurent", "--index", "2", "--terms", "1", "--k-max", "1000", "--cache", str(path)]) == 2
+    assert f"holds digits={digits}, outside [10, 200]" in capsys.readouterr().err
+    assert path.read_bytes() == before
+
+
 def test_every_option_comes_from_the_table():
     """Each add_argument of the CLI takes its settings from _OPTIONS, so
     one table holds every option and its range check."""

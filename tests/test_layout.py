@@ -245,3 +245,20 @@ def test_one_dirichlet_pass():
         if isinstance(node, (ast.Import, ast.ImportFrom)) for alias in node.names
     ]
     assert "smallest_prime_factors" not in imported, imported
+
+
+def test_only_zeros_refuses_a_cache():
+    """The zero cache has one reader, zeros.read_cache: it checks the
+    header, the digits and every record, so zeros.py is the only module
+    that raises CacheFormatError."""
+    found = []
+    for path in sorted(SRC.glob("*.py")):
+        if path.name == "zeros.py":
+            continue
+        tree = ast.parse(path.read_text(), filename=str(path))
+        found += [
+            f"{path.name}:{node.lineno}" for node in ast.walk(tree)
+            if isinstance(node, ast.Call)
+            and getattr(node.func, "id", getattr(node.func, "attr", None)) == "CacheFormatError"
+        ]
+    assert not found, "CacheFormatError raised outside zeros.py at " + ", ".join(found)

@@ -458,6 +458,23 @@ def test_cache_header_validation(tmp_path):
         read_cache(str(path))
 
 
+@pytest.mark.parametrize("digits", [0, 3, 201])
+def test_cache_header_digits_out_of_range(tmp_path, digits):
+    path = tmp_path / "odd.cache"
+    path.write_text(f"# zeta-zeros v1 digits={digits}\n1,14.13,0.79,0,refined\n")
+    with pytest.raises(CacheFormatError, match=rf"holds digits={digits}, outside \[10, 200\]"):
+        read_cache(str(path))
+
+
+def test_cache_digits_must_match_the_requested_digits(tmp_path):
+    records, _ = shared.zeros_to(35)
+    path = str(tmp_path / "zeros.cache")
+    write_cache(path, records, CTX)
+    with pytest.raises(CacheFormatError, match="holds digits=30, run requested 20"):
+        read_cache(path, 20)
+    assert read_cache(path, 30)[0] == 30
+
+
 def test_cache_field_validation(tmp_path):
     path = tmp_path / "bad2.cache"
     path.write_text("# zeta-zeros v1 digits=30\n1,14.13,0.79\n")
