@@ -370,11 +370,28 @@ def em_terms(t, digits: int) -> int:
 
 
 @functools.lru_cache(maxsize=None)
+def _tangent_numbers(size: int) -> tuple:
+    """(0, T_1, ..., T_size), T_k the tangent numbers 1, 2, 16, 272, ...,
+    so that B_2k = (-1)^(k-1) 2k T_k / (4^k (4^k - 1)), built once per size
+    class on first use by the integer recurrence of Brent and Harvey,
+    "Fast computation of Bernoulli, tangent and secant numbers" (2011,
+    arXiv:1108.0286, Algorithm TangentNumbers)."""
+    T = [0, 1]
+    for k in range(2, size + 1):
+        T.append((k - 1) * T[k - 1])
+    for k in range(2, size + 1):
+        for j in range(k, size + 1):
+            T[j] = (j - k) * T[j - 1] + (j - k + 2) * T[j]
+    return tuple(T)
+
+
+@functools.lru_cache(maxsize=None)
 def _bernoulli_ratio_fraction(m: int) -> tuple[int, int]:
-    """(p, q), p/q = c_(m+1)/c_m exactly, c_m = B_2m/(2m)!."""
-    p1, q1 = mp.bernfrac(2 * m)
-    p2, q2 = mp.bernfrac(2 * m + 2)
-    return p2 * q1, q2 * p1 * (2 * m + 1) * (2 * m + 2)
+    """(p, q), q > 0, p/q = c_(m+1)/c_m exactly, c_m = B_2m/(2m)!: with
+    B_2k from the tangent numbers, c_(m+1)/c_m =
+    -T_(m+1) (4^m - 1) / (8 m (2m + 1) T_m (4^(m+1) - 1))."""
+    T = _tangent_numbers(1 << (m + 1).bit_length())
+    return -T[m + 1] * (4**m - 1), 8 * m * (2 * m + 1) * T[m] * (4 ** (m + 1) - 1)
 
 
 @functools.lru_cache(maxsize=None)

@@ -1,13 +1,14 @@
 """Locating, refining, counting, and auditing nontrivial zeros.
 
 Zeros on the critical line are found as sign changes of Hardy Z on an
-adaptive grid, polished by Newton iteration on zeta, and cross-checked for
-completeness against an independent count by Backlund's formula
-N(T) = theta(T)/pi + 1 + S(T), with S(T) integrated along the segment
-from 2 + iT to 1/2 + iT.  Each zero's multiplicity is then measured
-directly as the winding number of zeta'/zeta around a small circle; the
-audit records |zeta'(rho)| against a simplicity floor rather than
-asserting simplicity axiomatically.
+adaptive grid, polished by Newton iteration on the Taylor polynomial of
+one Euler-Maclaurin jet of zeta at a double-precision seed, and
+cross-checked for completeness against an independent count by
+Backlund's formula N(T) = theta(T)/pi + 1 + S(T), with S(T) integrated
+along the segment from 2 + iT to 1/2 + iT.  Each zero's multiplicity is
+then measured directly as the winding number of zeta'/zeta around a
+small circle; the audit records |zeta'(rho)| against a simplicity floor
+rather than asserting simplicity axiomatically.
 
 The count, the probe, the Newton start and the scan grid's sign each try
 the double-precision pair :func:`zetakit.zeta.em_pair_float` first.  That
@@ -17,7 +18,8 @@ does not clear twice its stated error, or any float failure hands the
 same question to the mpmath path as before, and only that path raises.
 Both tiers share each step and supply only their pair (zeta, zeta'): one
 walker, :func:`_sign_brackets`, signs every grid of Z, one :func:`_newton`
-iterates, and :func:`_near_integer` reads every count and winding.
+iterates, on the double pair, on a jet's Taylor polynomial and on mpmath
+pairs, and :func:`_near_integer` reads every count and winding.
 """
 
 from __future__ import annotations
@@ -41,6 +43,7 @@ from .errors import (
     NonIntegerWindingError,
     RangeError,
 )
+from .mobius import fixed_pair, fixed_to_mpc
 from .parallel import map_ordered
 from .precision import PrecisionContext, real_from, to_decimal
 from .zeta import (
@@ -54,6 +57,7 @@ from .zeta import (
     theta_float,
     theta_float_error,
     zeta_and_deriv_raw,
+    zeta_jet,
     zeta_logderiv,
 )
 
@@ -79,10 +83,13 @@ _PROBE_MIN_NODES = 16
 _PROBE_NODES = 128
 
 # A pool worker costs the parent 20-30 ms of wall time to start (fork,
-# the pool's threads, the worker's cold first item): the cost of 4-8
-# zero refinements at 30 digits below t = 100 (3-5 ms each), and of
-# more probes (0.5-3 ms each).  A worker is started only for at least
-# this many items; fewer run on fewer workers, or inline.
+# the pool's threads, the worker's cold first item): the cost of about
+# 10 zero refinements at 30 digits below t = 100 (2-3 ms each, one
+# Euler-Maclaurin jet), and of more probes (0.5-3 ms each).  A worker is
+# started only for at least this many items; fewer run on fewer workers,
+# or inline.  On a shared 2-core x86 host, 29 zeros to t = 100.3 took
+# 55-116 ms of wall time on two workers and 62-97 ms inline: no clear
+# winner, so the split stays at 8.
 _MIN_ITEMS_PER_WORKER = 8
 
 
@@ -274,23 +281,124 @@ def _newton(pair, t, start, basin, tol):
     return None
 
 
+def _jet_orders(digits: int, t: float) -> tuple[int, int]:
+    """(first, second): the orders of the Taylor jets of :func:`_jet_root`
+    at height t.
+
+    An order-k jet delta from the zero leaves zeta'(rho) off by about
+    e(k, delta) = (k + 1) A delta^k, which has to fall below the tail
+    threshold 10^-(digits + 15) of one Euler-Maclaurin sum at the guard
+    digits.  The double seed lies within about an ulp of t,
+    delta = t 2^-52, and the Taylor coefficients of zeta there stay below
+    about A = 1 + t/35 (both measured on a sample of zeros 1-649).  One
+    jet then needs the least order K >= 2 with e(K, delta) below it; two
+    jets of order k, the second at the first's root, about A delta^(k+1)
+    off, need e(k, A delta^(k+1)) below it.  An order-k jet costs about
+    1 + (k - 1)/3 order-1 sums, so the two jets serve where they cost
+    less, from about 90 digits on.  Otherwise the second jet, of order 2,
+    is taken only where the first's estimate rejects.
+    """
+    thresh = 10.0 ** -(digits + 15)
+    delta = t * 2.0**-52
+    A = 1 + t / 35
+
+    def e(k, off):
+        return (k + 1) * A * off**k
+
+    one = next(k for k in itertools.count(2) if e(k, delta) <= thresh)
+    two = next(k for k in itertools.count(2) if e(k, A * delta ** (k + 1)) <= thresh)
+    return (two, two) if one > 2 * two + 2 else (one, 2)
+
+
+def _taylor_pair(jet, tc, wp: int):
+    """(pair, [|a_j|] in double) for the Taylor polynomial
+    P(d) = sum_j a_j d^j, d = t - tc, of zeta(1/2 + it) at tc, with
+    a_j = i^j jet[j]/j!: pair(t) = (P(d), -i P'(d)) are zeta and zeta' at
+    1/2 + it up to the truncation after a_k, k = len(jet) - 1, as
+    d/dt = i d/ds.  The a_j are wp-bit fixed-point pairs, so each
+    evaluation is Horner's rule on ints, off by a few units of 2^-wp, and
+    is rounded once to the working precision."""
+    a = []
+    for j, c in enumerate(jet):
+        re, im = fixed_pair(c, wp)
+        for _ in range(j % 4):
+            re, im = -im, re
+        f = math.factorial(j)
+        a.append((re // f, im // f))
+
+    def pair(t):
+        d = fixed_pair(t - tc, wp)[0]
+        vr, vi = a[-1]
+        dr = di = 0
+        for cr, ci in reversed(a[:-1]):
+            dr, di = (dr * d >> wp) + vr, (di * d >> wp) + vi
+            vr, vi = (vr * d >> wp) + cr, (vi * d >> wp) + ci
+        prec = mp.mp.prec
+        return fixed_to_mpc(vr, vi, wp, prec), fixed_to_mpc(di, -dr, wp, prec)
+
+    return pair, [abs(complex(c)) / math.factorial(j) for j, c in enumerate(jet)]
+
+
+def _jet_root(seed: float, start: float, basin: float, ctx: PrecisionContext,
+              guard: PrecisionContext):
+    """(t, zeta'(1/2 + it)) at the zero next to the double seed from
+    Taylor jets, or None where they reject it.
+
+    The first jet of :func:`_jet_orders` is centred on tc = seed and the
+    second on the first's root.  Each is [zeta^(j)(1/2 + i tc) for j <= k]
+    from one Euler-Maclaurin sum at the guard digits (:func:`zetakit.zeta.
+    zeta_jet`), and :func:`_newton` solves its Taylor polynomial in t - tc
+    to a step below 10^-digits, within the bracket's basin.  The
+    truncation is checked at the solved delta = |t - tc|, in double, with
+    |a_(k+1)| taken as max(|a_(k-1)|, |a_k|^2/|a_(k-1)|), the geometric
+    continuation of the last two coefficients where they grow:
+    |a_(k+1)| delta^(k+1)/|a_1| for the root and (k + 1) |a_(k+1)| delta^k
+    for zeta'.  Where both are below the tail threshold
+    10^-(guard digits + 5) of the sum itself, t is rounded to ctx.bits and
+    zeta'(rho) is the polynomial's at that t, with no further sum;
+    otherwise the next jet is taken.
+    """
+    thresh = 10.0 ** -(guard.target_digits + 5)
+    with guard.wp():
+        tol = mpf(10) ** (-ctx.target_digits)
+        t = mpf(seed)
+        for k in _jet_orders(ctx.target_digits, seed):
+            tc = t
+            pair, a = _taylor_pair(zeta_jet(mpc(0.5, tc), k, guard), tc, guard.bits)
+            t = _newton(pair, tc, start, basin, tol)
+            if t is None:
+                return None
+            nxt = max(a[k - 1], a[k] ** 2 / a[k - 1]) if a[k - 1] else math.inf
+            delta = abs(float(t - tc))
+            if nxt * delta ** (k + 1) < thresh * a[1] and (k + 1) * nxt * delta**k < thresh:
+                with ctx.wp():
+                    t = +t
+                return t, pair(t)[1]
+    return None
+
+
 def _newton_refine(a: float, b: float, ctx: PrecisionContext) -> tuple[mpf, mpc]:
     """(t, zeta'(1/2 + it)) at the zero in [a, b].
 
     :func:`_newton` runs from the bracket midpoint, basin max(0.05, b - a),
-    first on the double pair to a step below 1e-7 (about 1e-13 from the
-    zero), then from there, or from the midpoint where that tier rejects,
-    on one Euler-Maclaurin sum at ten guard digits to a step below
-    10^-digits; a None from it raises NoConvergenceError.  One more sum at
-    the rounded t gives zeta'(rho)."""
+    on the double pair to a step below 1e-7, about 1e-13 from the zero.
+    From that seed the Taylor jets of :func:`_jet_root` give t and
+    zeta'(rho): one Euler-Maclaurin jet a zero (of order 4 at 30 digits),
+    or two of lower order where they cost less than one (from about 90
+    digits).  Where the double tier or the jets reject, Newton runs again
+    from the midpoint on Euler-Maclaurin pairs at ten guard digits to a
+    step below 10^-digits, and one more pair at the rounded t gives
+    zeta'(rho); a None from that Newton raises NoConvergenceError."""
     guard = PrecisionContext(ctx.bits + 34, ctx.target_digits + 10)
     mid = (a + b) / 2
     basin = max(0.05, b - a)
     seed = _float_tier(_newton)(lambda t: em_pair_float(complex(0.5, t)), mid, mid, basin, 1e-7)
+    root = None if seed is None else _jet_root(seed, mid, basin, ctx, guard)
+    if root is not None:
+        return root
     with ctx.wp(20):
         start = mpf(mid)
-        t = _newton(lambda t: zeta_and_deriv_raw(mpc(0.5, t), guard),
-                    start if seed is None else mpf(seed), start, basin,
+        t = _newton(lambda t: zeta_and_deriv_raw(mpc(0.5, t), guard), start, start, basin,
                     mpf(10) ** (-ctx.target_digits))
         if t is None:
             raise NoConvergenceError(f"Newton did not converge near t={float(start)}")

@@ -16,8 +16,10 @@ and the added digits cover small |Im s|, where the terms go like
 
 and the remainder past N, T_j(N) = sum_{n>N} ln^j(n) n^-s, is the
 Euler-Maclaurin jet :func:`zetakit.mobius.tail_jet` at ``order``: 0 for
-zeta, 1 with zeta' for contour work and zero refinement, any order for
-the jet of :func:`_em_pair`.  Both parts are jets of the same layout in
+zeta, 1 with zeta' for contour work and the fallback Newton of zero
+refinement, and any order for :func:`zeta_jet`, whose Taylor polynomial
+zero refinement solves (one jet a zero, of order 4 at 30 digits).  Both
+parts are jets of the same layout in
 Python-int fixed point at wp = prec + bit_length(N) + 24 bits, prec the
 working precision: ln^j(n) n^-s comes from the multiplicative power
 kernel :func:`zetakit.mobius.dirichlet_powers`, so only primes take an
@@ -182,15 +184,18 @@ def zeta(s, ctx: PrecisionContext, method: str | None = None, certify: bool = Fa
     return ZetaValue(run(ctx.bits), method, ctx.target_digits)
 
 
-def zeta_and_deriv_raw(s, ctx: PrecisionContext) -> tuple[mpc, mpc]:
-    """(zeta(s), zeta'(s)) by direct differentiated Euler-Maclaurin.
+def zeta_jet(s, order: int, ctx: PrecisionContext) -> list:
+    """[zeta^(j)(s) for j <= order] by direct differentiated Euler-Maclaurin.
 
-    Workhorse for winding-number quadrature and for Newton refinement of
-    zeros, which reads zeta'(rho) from the same sum; valid on the desk
-    range Re(s) >= -1.5 without reflection.  Accuracy is relative, as in
-    :func:`zeta`; zeta' cancels against 1/(s-1)^2 and loses twice the
-    digits, as Im zeta'(1 + 10^-30 i) does.
+    One sum of :func:`_em_pair` at ctx.bits + 40 bits, each order rounded
+    to ctx.bits; valid on the desk range Re(s) >= -1.5 without
+    reflection.  Zero refinement solves the Taylor polynomial of this jet.
+    Accuracy is relative, as in :func:`zeta`; next to the pole zeta^(j)
+    cancels against (-1)^j j!/(s-1)^(j+1) and loses about
+    (j + 1) log10(1/|s-1|) digits, as Im zeta'(1 + 10^-30 i) does.
     """
+    if order < 0:
+        raise RangeError("zeta_jet needs order >= 0")
     with ctx.wp():
         s = mpc(s)
     if s == 1:
@@ -198,9 +203,17 @@ def zeta_and_deriv_raw(s, ctx: PrecisionContext) -> tuple[mpc, mpc]:
     if s.real < -1.5:
         raise RangeError("direct Euler-Maclaurin derivative limited to Re(s) >= -1.5")
     with ctx.wp(40):
-        v, dv = _em_pair(s, ctx.target_digits, 1)
+        jet = _em_pair(s, ctx.target_digits, order)
     with ctx.wp():
-        return +v, +dv
+        return [+v for v in jet]
+
+
+def zeta_and_deriv_raw(s, ctx: PrecisionContext) -> tuple[mpc, mpc]:
+    """(zeta(s), zeta'(s)): :func:`zeta_jet` at order 1, the workhorse of
+    winding-number quadrature and of the mpmath Newton of zero
+    refinement."""
+    v, dv = zeta_jet(s, 1, ctx)
+    return v, dv
 
 
 def zeta_logderiv(s, ctx: PrecisionContext) -> mpc:

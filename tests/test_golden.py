@@ -1,10 +1,12 @@
-"""Byte-for-byte pins on the CLI at 30 digits.
+"""Byte-for-byte pins on the CLI at 30, 60 and 200 digits.
 
 One session runs ``zeros`` then ``audit`` at --t-max 31.5 on a fresh
 cache, then ``laurent`` for zero 1 (its upper neighbour is cached) and
 zero 4 (the last cached zero, so the gap is walked on the scan grid),
 and ``stieltjes --n-max 20``, all on one worker.  A second session runs
 ``zeros`` then ``audit`` at --t-max 100.3 on two workers, with its own
+cache.  Those run at 30 digits.  Two more run ``zeros`` then ``audit``
+at --t-max 40 on one worker, at 60 and at 200 digits, each with its own
 cache.  Every stdout, exit code and the cache after each ``zeros`` and
 ``audit`` must match the files under ``tests/golden/``.
 
@@ -34,17 +36,21 @@ GOLDEN = Path(__file__).parent / "golden"
 REGEN = os.environ.get("ZETAKIT_REGEN_GOLDEN") == "1"
 
 # (name, argv, expected exit code, whether the cache is pinned after it,
-# cache name, workers); steps sharing a cache name run in order on it.
-# Every step runs at --digits 30, and takes --cache and --workers only
-# where its subcommand reads them (None otherwise).
+# cache name, workers, digits); steps sharing a cache name run in order
+# on it.  A step takes --cache and --workers only where its subcommand
+# reads them (None otherwise).
 STEPS = (
-    ("zeros", ("zeros", "--t-max", "31.5"), 0, True, "t31", 1),
-    ("audit", ("audit", "--t-max", "31.5"), 0, True, "t31", 1),
-    ("laurent_1", ("laurent", "--index", "1", "--terms", "8", "--k-max", "10000"), 0, False, "t31", None),
-    ("laurent_4", ("laurent", "--index", "4", "--terms", "8", "--k-max", "10000"), 0, False, "t31", None),
-    ("stieltjes", ("stieltjes", "--n-max", "20"), 0, False, None, None),
-    ("zeros_100", ("zeros", "--t-max", "100.3"), 0, True, "t100", 2),
-    ("audit_100", ("audit", "--t-max", "100.3"), 0, True, "t100", 2),
+    ("zeros", ("zeros", "--t-max", "31.5"), 0, True, "t31", 1, 30),
+    ("audit", ("audit", "--t-max", "31.5"), 0, True, "t31", 1, 30),
+    ("laurent_1", ("laurent", "--index", "1", "--terms", "8", "--k-max", "10000"), 0, False, "t31", None, 30),
+    ("laurent_4", ("laurent", "--index", "4", "--terms", "8", "--k-max", "10000"), 0, False, "t31", None, 30),
+    ("stieltjes", ("stieltjes", "--n-max", "20"), 0, False, None, None, 30),
+    ("zeros_100", ("zeros", "--t-max", "100.3"), 0, True, "t100", 2, 30),
+    ("audit_100", ("audit", "--t-max", "100.3"), 0, True, "t100", 2, 30),
+    ("zeros_d60", ("zeros", "--t-max", "40"), 0, True, "t40d60", 1, 60),
+    ("audit_d60", ("audit", "--t-max", "40"), 0, True, "t40d60", 1, 60),
+    ("zeros_d200", ("zeros", "--t-max", "40"), 0, True, "t40d200", 1, 200),
+    ("audit_d200", ("audit", "--t-max", "40"), 0, True, "t40d200", 1, 200),
 )
 
 
@@ -53,9 +59,9 @@ def session(tmp_path_factory):
     """{name: (exit code, stdout bytes, cache bytes or None)} for STEPS."""
     root = tmp_path_factory.mktemp("golden")
     out = {}
-    for name, argv, _, pin_cache, cache_name, workers in STEPS:
+    for name, argv, _, pin_cache, cache_name, workers, digits in STEPS:
         cache = root / f"{cache_name}.cache"
-        argv = [*argv, "--digits", "30"]
+        argv = [*argv, "--digits", str(digits)]
         if workers:
             argv += ["--workers", str(workers)]
         if cache_name:

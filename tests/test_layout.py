@@ -189,17 +189,24 @@ def test_one_euler_maclaurin_remainder():
 
 def test_one_function_reads_the_bernoulli_numbers():
     """The Euler-Maclaurin tails of zeta and of the Mobius recursion share
-    one Bernoulli table: ``mp.bernfrac`` is called in one function only."""
+    one Bernoulli table: the package calls none of mpmath's Bernoulli
+    functions, and one function, mobius._bernoulli_ratio_fraction, reads
+    the tangent numbers they come from."""
     found = []
+    readers = []
     for path in sorted(SRC.glob("*.py")):
         tree = ast.parse(path.read_text(), filename=str(path))
         owner = _enclosing_functions(tree)
-        found += [
-            f"{path.name}:{owner[node]}" for node in ast.walk(tree)
-            if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
-            and node.func.attr == "bernfrac"
-        ]
-    assert len(set(found)) == 1, found
+        for node in ast.walk(tree):
+            if not isinstance(node, ast.Call):
+                continue
+            name = getattr(node.func, "id", getattr(node.func, "attr", None))
+            if name in ("bernfrac", "bernoulli"):
+                found.append(f"{path.name}:{node.lineno}")
+            elif name == "_tangent_numbers":
+                readers.append(f"{path.stem}.{owner[node]}")
+    assert not found, "mpmath Bernoulli numbers read at " + ", ".join(found)
+    assert readers == ["mobius._bernoulli_ratio_fraction"], readers
 
 
 def test_only_mobius_sieves():

@@ -345,10 +345,11 @@ def test_hyperbola_recursion_equals_the_direct_sweep_bit_for_bit(index, digits, 
 
 def test_bernoulli_ratio_is_the_floor_of_the_exact_ratio():
     # c_(m+1)/c_m, c_m = B_2m/(2m)!, times 2^wp and floored, at every
-    # precision from the one memoized fraction per m.
-    c = [mp.bernfrac(2 * m) for m in range(1, 42)]
+    # precision from the one memoized fraction per m, for m <= 200, with
+    # mpmath's Bernoulli fractions as the oracle of the tangent numbers.
+    c = [mp.bernfrac(2 * m) for m in range(1, 202)]
     for wp in (53, 64, 200, 201):
-        for m in range(1, 41):
+        for m in range(1, 201):
             (p1, q1), (p2, q2) = c[m - 1], c[m]
             want = (p2 * q1 << wp) // (q2 * p1 * (2 * m + 1) * (2 * m + 2))
             assert bernoulli_ratio(m, wp) == want, (m, wp)

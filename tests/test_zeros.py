@@ -189,18 +189,53 @@ def test_newton_refinement_makes_no_hardy_Z_call(monkeypatch):
 
 
 def test_float_newton_seed_saves_pairs_and_keeps_the_ordinate(monkeypatch):
-    """Seeded by double-precision Newton, refinement of zeros 1-5 takes at
-    most 4 mpmath pairs a zero (3 steps and zeta'(rho)) and returns, bit
-    for bit, what Newton from the bracket midpoint returns."""
+    """Seeded by double-precision Newton, refinement of zeros 1-5 takes one
+    Euler-Maclaurin jet a zero and no pair, and returns, bit for bit, the t
+    that Newton on pairs from the bracket midpoint returns, with the same
+    stored |zeta'(rho)|."""
     brackets = zeros._scan_brackets(35.0, 0.25 / math.log(35.0))
+    jets = _count_calls(monkeypatch, "zeta_jet")
     raw = _count_calls(monkeypatch, "zeta_and_deriv_raw")
     seeded = [zeros._newton_refine(a, b, CTX) for a, b in brackets]
-    n_seeded = len(raw)
-    raw.clear()
+    assert len(jets) == len(brackets) == 5 and raw == []
     _reject_float_tier(monkeypatch)
     plain = [zeros._newton_refine(a, b, CTX) for a, b in brackets]
-    assert seeded == plain
-    assert n_seeded <= 4 * len(brackets) < len(raw)
+    assert len(jets) == 5 and len(raw) > 4 * len(brackets)
+    for (t, zp), (t_plain, zp_plain) in zip(seeded, plain):
+        assert t == t_plain
+        with CTX.wp():
+            assert zeros._stored(abs(zp), CTX) == zeros._stored(abs(zp_plain), CTX)
+
+
+@pytest.mark.parametrize("digits, jets", [(10, 1), (60, 1), (200, 2)])
+def test_refinement_takes_the_planned_jets(digits, jets, monkeypatch):
+    """Zero 1 takes one jet at 10 and 60 digits, and at 200 digits the two
+    lower-order jets that cost less than one of high order; no
+    Euler-Maclaurin pair in either case."""
+    jets_taken = _count_calls(monkeypatch, "zeta_jet")
+    raw = _count_calls(monkeypatch, "zeta_and_deriv_raw")
+    zeros._newton_refine(14.1, 14.15, shared.ctx_digits(digits))
+    assert len(jets_taken) == jets and raw == []
+
+
+@pytest.mark.parametrize("shift, fallback", [(1e-6, False), (1e-3, True)])
+def test_seed_off_the_zero_takes_a_second_jet_or_the_fallback(shift, fallback, monkeypatch):
+    """A double pair shifted in t puts the accepted seed that far from zero
+    1.  At 1e-6 the first jet's estimate rejects and the second jet, at its
+    root, accepts; at 1e-3 the second rejects too and Newton on pairs runs
+    from the midpoint.  Either way the t and the stored |zeta'(rho)| are
+    those of the midpoint Newton."""
+    pair = zeros.em_pair_float
+    monkeypatch.setattr(zeros, "em_pair_float", lambda s: pair(s - 1j * shift))
+    jets = _count_calls(monkeypatch, "zeta_jet")
+    raw = _count_calls(monkeypatch, "zeta_and_deriv_raw")
+    t, zp = zeros._newton_refine(14.1, 14.15, CTX)
+    assert len(jets) == 2 and bool(raw) == fallback
+    _reject_float_tier(monkeypatch)
+    t_plain, zp_plain = zeros._newton_refine(14.1, 14.15, CTX)
+    assert t == t_plain
+    with CTX.wp():
+        assert zeros._stored(abs(zp), CTX) == zeros._stored(abs(zp_plain), CTX)
 
 
 def test_newton_converges_from_worst_case_midpoints_near_1000():

@@ -6,6 +6,7 @@ import pytest
 from mpmath import mp, mpc, mpf
 
 import oracles
+from zetakit import zeros
 from zetakit.errors import ContourNearZeroError, NearZeroError, PoleError, PrecisionEscalationError, RangeError
 from zetakit.mobius import bernoulli_ratio, em_terms
 from zetakit.precision import PrecisionContext
@@ -29,6 +30,7 @@ from zetakit.zeta import (
     zeta,
     zeta_and_deriv_raw,
     zeta_deriv,
+    zeta_jet,
     zeta_logderiv,
     zeta_ring,
 )
@@ -208,21 +210,42 @@ def test_em_pair_stall_names_the_last_length_tried(monkeypatch):
     assert str(err.value).endswith(f"N={8 * N0}"), str(err.value)
 
 
-@pytest.mark.parametrize("digits", [30, 60])
+@pytest.mark.parametrize("digits", [30, 60, 200])
 def test_em_pair_orders_against_mpmath(digits):
     # Every order of the jet, main sum plus tail_jet's remainder, against
-    # mpmath's own zeta derivatives on the critical line.
+    # mpmath's own zeta derivatives on the critical line, up to the highest
+    # order zero refinement takes at 60 digits (at t = 1000), and at 200
+    # digits at one point.
     em = sys.modules["zetakit.zeta"]
     ctx = PrecisionContext.from_digits(digits)
-    for t in (14.13, 95.3, 999.79):
+    ts = (14.13,) if digits == 200 else (14.13, 95.3, 999.79)
+    order = max(*zeros._jet_orders(60, 1000.0), *zeros._jet_orders(digits, max(ts)))
+    for t in ts:
         with mp.workprec(ctx.bits + 40):
             s = mpc(mpf(1) / 2, t)
-            jet = em._em_pair(s, digits, 3)
-        assert len(jet) == 4
+            jet = em._em_pair(s, digits, order)
+        assert len(jet) == order + 1
         with mp.workdps(digits + 20):
             for j, got in enumerate(jet):
                 ref = mp.zeta(s, derivative=j)
                 assert abs(got - ref) < abs(ref) * mpf(10) ** -(digits + 3), (t, j)
+
+
+def test_zeta_jet_rounds_the_em_jet_and_extends_the_pair():
+    # zeta_jet is _em_pair at 40 guard bits rounded to ctx, and at order 1
+    # it is zeta_and_deriv_raw, bit for bit.  (Higher orders run the
+    # Bernoulli tail until every order is below the threshold, which moves
+    # the last bits of the low orders.)
+    em = sys.modules["zetakit.zeta"]
+    s = mpc(0.5, 21.02)
+    jet = zeta_jet(s, 5, CTX)
+    with CTX.wp(40):
+        raw = em._em_pair(s, CTX.target_digits, 5)
+    with CTX.wp():
+        assert jet == [+v for v in raw]
+    assert tuple(zeta_jet(s, 1, CTX)) == zeta_and_deriv_raw(s, CTX)
+    with pytest.raises(RangeError):
+        zeta_jet(s, -1, CTX)
 
 
 def test_logderiv_consistency():
