@@ -1,7 +1,8 @@
 """Command-line driver: scans, audits, expansion reports, tables.
 
 Exit codes: 0 success; 2 usage or range error (a bad option, a
-RangeError, a CacheFormatError, a missing cache); 1 a numerical finding
+RangeError, a CacheFormatError, a missing cache, an audit whose cache
+stops below --t-max short of the Backlund count); 1 a numerical finding
 (a count mismatch, a suspect zero, a cached ordinate the fresh scan
 contradicts) and every other ZetaKitError, including those where the
 code gave up, such as NoConvergenceError and NonIntegerWindingError.
@@ -142,8 +143,11 @@ def cmd_audit(args: argparse.Namespace) -> int:
     """Probe every cached zero's winding, update statuses, summarize.
 
     The audit runs at the cache's digits; a --digits that differs from
-    them is refused before any probe.  Exit 1 when any zero is suspect or
-    the two counts disagree.
+    them is refused before any probe.  So is a cache that stops below
+    --t-max (no cached zero above it) with fewer zeros than the Backlund
+    count: a scan never writes a cache with a zero missing below its top,
+    so the missing zeros were never scanned.  Exit 1 when any zero is
+    suspect or the two counts disagree.
     """
     path = _resolve_cache(args)
     if not os.path.exists(path):
@@ -156,10 +160,17 @@ def cmd_audit(args: argparse.Namespace) -> int:
     if not subset:
         print(f"cache {path} holds no zeros at or below t={args.t_max}", file=sys.stderr)
         return EXIT_USAGE
+    n_winding = count_by_argument(args.t_max)
+    if len(subset) == len(cached) < n_winding:
+        print(
+            f"cache {path} ends at t={to_decimal(cached[-1].t, ctx, 12)} with {len(cached)} "
+            f"zeros, short of the {n_winding} up to t={args.t_max}; run zeros --t-max {args.t_max}",
+            file=sys.stderr,
+        )
+        return EXIT_USAGE
     audited = audit_zeros(subset, ctx, args.workers)
     rest = cached[len(subset):]
     write_cache(path, audited + rest, ctx)
-    n_winding = count_by_argument(args.t_max)
     report = density_report(args.t_max, ctx, records=audited, n_winding=n_winding)
     with ctx.wp():
         rows = [

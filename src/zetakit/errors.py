@@ -26,7 +26,8 @@ class GridTooCoarseError(ZetaKitError):
 
 
 class NoConvergenceError(ZetaKitError):
-    """Newton refinement failed to converge within the iteration budget."""
+    """Newton refinement failed: a step left the bracket's basin, zeta'
+    vanished, or a jet made no progress on the one before."""
 
 
 class NonIntegerWindingError(ZetaKitError):

@@ -1,25 +1,25 @@
 """Locating, refining, counting, and auditing nontrivial zeros.
 
 Zeros on the critical line are found as sign changes of Hardy Z on an
-adaptive grid, polished by Newton iteration on the Taylor polynomial of
-one Euler-Maclaurin jet of zeta at a double-precision seed, and
-cross-checked for completeness against an independent count by
-Backlund's formula N(T) = theta(T)/pi + 1 + S(T), with S(T) integrated
-along the segment from 2 + iT to 1/2 + iT.  Each zero's multiplicity is
-then measured directly as the winding number of zeta'/zeta around a
-small circle; the audit records |zeta'(rho)| against a simplicity floor
-rather than asserting simplicity axiomatically.
+adaptive grid, polished by Newton iteration on the Taylor polynomials of
+Euler-Maclaurin jets of zeta, from a double-precision seed or from the
+bracket midpoint, and cross-checked for completeness against an
+independent count by Backlund's formula N(T) = theta(T)/pi + 1 + S(T),
+with S(T) integrated along the segment from 2 + iT to 1/2 + iT.  Each
+zero's multiplicity is then measured directly as the winding number of
+zeta'/zeta around a small circle; the audit records |zeta'(rho)| against
+a simplicity floor rather than asserting simplicity axiomatically.
 
 The count, the probe, the Newton start and the scan grid's sign each try
 the double-precision pair :func:`zetakit.zeta.em_pair_float` first.  That
 tier may only accept: a count not within 0.1 of an integer, a winding not
 within 1e-3, a Newton iterate that leaves the bracket's basin, a |Z| that
 does not clear twice its stated error, or any float failure hands the
-same question to the mpmath path as before, and only that path raises.
-Both tiers share each step and supply only their pair (zeta, zeta'): one
+same question to the mpmath path (for refinement, the jets from the
+midpoint), and only that path raises.  Both tiers share each step: one
 walker, :func:`_sign_brackets`, signs every grid of Z, one :func:`_newton`
-iterates, on the double pair, on a jet's Taylor polynomial and on mpmath
-pairs, and :func:`_near_integer` reads every count and winding.
+iterates, on the double pair and on a jet's Taylor polynomial, and
+:func:`_near_integer` reads every count and winding.
 """
 
 from __future__ import annotations
@@ -282,8 +282,8 @@ def _newton(pair, t, start, basin, tol):
 
 
 def _jet_orders(digits: int, t: float) -> tuple[int, int]:
-    """(first, second): the orders of the Taylor jets of :func:`_jet_root`
-    at height t.
+    """(first, second): the orders of the Taylor jets of
+    :func:`_newton_refine` at height t.
 
     An order-k jet delta from the zero leaves zeta'(rho) off by about
     e(k, delta) = (k + 1) A delta^k, which has to fall below the tail
@@ -295,8 +295,8 @@ def _jet_orders(digits: int, t: float) -> tuple[int, int]:
     jets of order k, the second at the first's root, about A delta^(k+1)
     off, need e(k, A delta^(k+1)) below it.  An order-k jet costs about
     1 + (k - 1)/3 order-1 sums, so the two jets serve where they cost
-    less, from about 90 digits on.  Otherwise the second jet, of order 2,
-    is taken only where the first's estimate rejects.
+    less, from about 90 digits on.  Otherwise the jets after the first
+    are of order 2, taken only where the one before rejects.
     """
     thresh = 10.0 ** -(digits + 15)
     delta = t * 2.0**-52
@@ -339,73 +339,55 @@ def _taylor_pair(jet, tc, wp: int):
     return pair, [abs(complex(c)) / math.factorial(j) for j, c in enumerate(jet)]
 
 
-def _jet_root(seed: float, start: float, basin: float, ctx: PrecisionContext,
-              guard: PrecisionContext):
-    """(t, zeta'(1/2 + it)) at the zero next to the double seed from
-    Taylor jets, or None where they reject it.
+def _newton_refine(a: float, b: float, ctx: PrecisionContext) -> tuple[mpf, mpc]:
+    """(t, zeta'(1/2 + it)) at the zero in [a, b], from Taylor jets.
 
-    The first jet of :func:`_jet_orders` is centred on tc = seed and the
-    second on the first's root.  Each is [zeta^(j)(1/2 + i tc) for j <= k]
-    from one Euler-Maclaurin sum at the guard digits (:func:`zetakit.zeta.
-    zeta_jet`), and :func:`_newton` solves its Taylor polynomial in t - tc
-    to a step below 10^-digits, within the bracket's basin.  The
-    truncation is checked at the solved delta = |t - tc|, in double, with
-    |a_(k+1)| taken as max(|a_(k-1)|, |a_k|^2/|a_(k-1)|), the geometric
-    continuation of the last two coefficients where they grow:
+    :func:`_newton` runs from the bracket midpoint, basin max(0.05, b - a),
+    on the double pair to a step below 1e-7, about 1e-13 from the zero;
+    where the double tier rejects, the jets start at the midpoint itself.
+    Each jet is [zeta^(j)(1/2 + i tc) for j <= k] from one Euler-Maclaurin
+    sum at ten guard digits (:func:`zetakit.zeta.zeta_jet`), the first of
+    :func:`_jet_orders`' first order at the start and each next one of
+    its second order at the last root.  :func:`_newton` solves the jet's
+    Taylor polynomial in t - tc to a step below 10^-digits, within the
+    basin.  The truncation is checked at the solved delta = |t - tc|, in
+    double, with |a_(k+1)| taken as max(|a_(k-1)|, |a_k|^2/|a_(k-1)|), the
+    geometric continuation of the last two coefficients where they grow:
     |a_(k+1)| delta^(k+1)/|a_1| for the root and (k + 1) |a_(k+1)| delta^k
     for zeta'.  Where both are below the tail threshold
     10^-(guard digits + 5) of the sum itself, t is rounded to ctx.bits and
-    zeta'(rho) is the polynomial's at that t, with no further sum;
-    otherwise the next jet is taken.
-    """
-    thresh = 10.0 ** -(guard.target_digits + 5)
-    with guard.wp():
-        tol = mpf(10) ** (-ctx.target_digits)
-        t = mpf(seed)
-        for k in _jet_orders(ctx.target_digits, seed):
-            tc = t
-            pair, a = _taylor_pair(zeta_jet(mpc(0.5, tc), k, guard), tc, guard.bits)
-            t = _newton(pair, tc, start, basin, tol)
-            if t is None:
-                return None
-            nxt = max(a[k - 1], a[k] ** 2 / a[k - 1]) if a[k - 1] else math.inf
-            delta = abs(float(t - tc))
-            if nxt * delta ** (k + 1) < thresh * a[1] and (k + 1) * nxt * delta**k < thresh:
-                with ctx.wp():
-                    t = +t
-                return t, pair(t)[1]
-    return None
-
-
-def _newton_refine(a: float, b: float, ctx: PrecisionContext) -> tuple[mpf, mpc]:
-    """(t, zeta'(1/2 + it)) at the zero in [a, b].
-
-    :func:`_newton` runs from the bracket midpoint, basin max(0.05, b - a),
-    on the double pair to a step below 1e-7, about 1e-13 from the zero.
-    From that seed the Taylor jets of :func:`_jet_root` give t and
-    zeta'(rho): one Euler-Maclaurin jet a zero (of order 4 at 30 digits),
-    or two of lower order where they cost less than one (from about 90
-    digits).  Where the double tier or the jets reject, Newton runs again
-    from the midpoint on Euler-Maclaurin pairs at ten guard digits to a
-    step below 10^-digits, and one more pair at the rounded t gives
-    zeta'(rho); a None from that Newton raises NoConvergenceError."""
+    zeta'(rho) is the polynomial's at that t, with no further sum.  From
+    the double seed that is one jet a zero (of order 4 at 30 digits), or
+    two of lower order where they cost less than one (from about 90
+    digits); from the midpoint, two to four.  A None from :func:`_newton`,
+    or a jet whose delta is not below the one before, raises
+    NoConvergenceError."""
     guard = PrecisionContext(ctx.bits + 34, ctx.target_digits + 10)
+    thresh = 10.0 ** -(guard.target_digits + 5)
     mid = (a + b) / 2
     basin = max(0.05, b - a)
     seed = _float_tier(_newton)(lambda t: em_pair_float(complex(0.5, t)), mid, mid, basin, 1e-7)
-    root = None if seed is None else _jet_root(seed, mid, basin, ctx, guard)
-    if root is not None:
-        return root
-    with ctx.wp(20):
-        start = mpf(mid)
-        t = _newton(lambda t: zeta_and_deriv_raw(mpc(0.5, t), guard), start, start, basin,
-                    mpf(10) ** (-ctx.target_digits))
-        if t is None:
-            raise NoConvergenceError(f"Newton did not converge near t={float(start)}")
-        with ctx.wp():
-            t = +t
-        _, dv = zeta_and_deriv_raw(mpc(0.5, t), guard)
-        return t, dv
+    start = mid if seed is None else seed
+    k, second = _jet_orders(ctx.target_digits, start)
+    last = math.inf
+    with guard.wp():
+        tol = mpf(10) ** (-ctx.target_digits)
+        t = mpf(start)
+        while True:
+            tc = t
+            pair, size = _taylor_pair(zeta_jet(mpc(0.5, tc), k, guard), tc, guard.bits)
+            t = _newton(pair, tc, mid, basin, tol)
+            if t is None:
+                raise NoConvergenceError(f"Newton did not converge near t={mid}")
+            nxt = max(size[k - 1], size[k] ** 2 / size[k - 1]) if size[k - 1] else math.inf
+            delta = abs(float(t - tc))
+            if nxt * delta ** (k + 1) < thresh * size[1] and (k + 1) * nxt * delta**k < thresh:
+                with ctx.wp():
+                    t = +t
+                return t, pair(t)[1]
+            if not delta < last:
+                raise NoConvergenceError(f"Taylor jets made no progress near t={mid}")
+            k, last = second, delta
 
 
 def _refine_bracket_worker(args: tuple) -> tuple:
@@ -528,7 +510,9 @@ def count_by_argument(T) -> int:
     grid, so the result is always the count at T itself.  The range is
     enforced because near T = 0 the segment passes next to the pole at
     s = 1.  At each height the float pair counts first; where its count
-    is not within 0.1 of an integer the 12-digit path counts again.
+    is not within 0.1 of an integer the 12-digit path counts again.  When
+    the shifts run out, the last height's error is raised again:
+    ContourNearZeroError or NonIntegerWindingError.
     """
     if not 10 <= float(T) <= 1000:
         raise RangeError("count height must satisfy 10 <= T <= 1000")
@@ -558,7 +542,7 @@ def count_by_argument(T) -> int:
                     shift += mpf("0.05")
                     continue
             return n - _sign_changes(float(T), float(Ts)) if shift else n
-    raise ContourNearZeroError(f"count_by_argument failed after 5 shifts: {last_err}")
+    raise type(last_err)(f"count_by_argument failed after 5 shifts: {last_err}")
 
 
 def multiplicity_probe(rho, r) -> int:

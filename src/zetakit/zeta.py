@@ -16,9 +16,9 @@ and the added digits cover small |Im s|, where the terms go like
 
 and the remainder past N, T_j(N) = sum_{n>N} ln^j(n) n^-s, is the
 Euler-Maclaurin jet :func:`zetakit.mobius.tail_jet` at ``order``: 0 for
-zeta, 1 with zeta' for contour work and the fallback Newton of zero
-refinement, and any order for :func:`zeta_jet`, whose Taylor polynomial
-zero refinement solves (one jet a zero, of order 4 at 30 digits).  Both
+zeta, 1 with zeta' for contour work, and any order for :func:`zeta_jet`,
+whose Taylor polynomials zero refinement solves (one jet a zero from a
+double seed, of order 4 at 30 digits).  Both
 parts are jets of the same layout in
 Python-int fixed point at wp = prec + bit_length(N) + 24 bits, prec the
 working precision: ln^j(n) n^-s comes from the multiplicative power
@@ -188,8 +188,8 @@ def zeta_jet(s, order: int, ctx: PrecisionContext) -> list:
     """[zeta^(j)(s) for j <= order] by direct differentiated Euler-Maclaurin.
 
     One sum of :func:`_em_pair` at ctx.bits + 40 bits, each order rounded
-    to ctx.bits; valid on the desk range Re(s) >= -1.5 without
-    reflection.  Zero refinement solves the Taylor polynomial of this jet.
+    to ctx.bits; valid for Re(s) >= -1.5 without reflection.  Zero
+    refinement solves the Taylor polynomials of these jets.
     Accuracy is relative, as in :func:`zeta`; next to the pole zeta^(j)
     cancels against (-1)^j j!/(s-1)^(j+1) and loses about
     (j + 1) log10(1/|s-1|) digits, as Im zeta'(1 + 10^-30 i) does.
@@ -210,8 +210,7 @@ def zeta_jet(s, order: int, ctx: PrecisionContext) -> list:
 
 def zeta_and_deriv_raw(s, ctx: PrecisionContext) -> tuple[mpc, mpc]:
     """(zeta(s), zeta'(s)): :func:`zeta_jet` at order 1, the workhorse of
-    winding-number quadrature and of the mpmath Newton of zero
-    refinement."""
+    the 12-digit Backlund count and winding-number quadrature."""
     v, dv = zeta_jet(s, 1, ctx)
     return v, dv
 
@@ -485,8 +484,10 @@ def zeta_deriv(s, k: int, ctx: PrecisionContext) -> mpc:
 def theta(t, ctx: PrecisionContext) -> mpf:
     """Riemann-Siegel theta: Im log Gamma(1/4 + it/2) - (t/2) log pi.
 
-    Computed from log_gamma, not its asymptotic series, so scanning and
-    certification share one code path.
+    Computed from log_gamma, not its asymptotic series.  In the zero
+    pipeline it serves only the 12-digit :func:`hardy_Z` and the 12-digit
+    Backlund count; the scan and the float count take
+    :func:`theta_float`.
     """
     with ctx.wp(20):
         t = mpf(t)

@@ -14,6 +14,14 @@ from zetakit.precision import PrecisionContext
 from zetakit.zeros import scan_with_count
 
 
+def nan_pair(s):
+    """The double-precision pair (zeta, zeta') replaced by NaNs: set as
+    ``zeros.em_pair_float``, it makes every float-tier step reject, so the
+    mpmath path runs (for refinement, the jets from the midpoint)."""
+    nan = complex("nan")
+    return nan, nan
+
+
 def workers() -> int:
     return min(8, os.cpu_count() or 1)
 

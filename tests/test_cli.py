@@ -383,6 +383,34 @@ def test_audit_digits_mismatch_rejected_before_any_probe(tmp_path, seeded_cache,
     assert copy.read_bytes() == seeded_cache.read_bytes()
 
 
+def test_audit_refuses_a_cache_that_stops_below_t_max(tmp_path, seeded_cache, monkeypatch, capsys):
+    """The cache scanned to t = 30 holds 3 zeros, and 29 lie below audit's
+    default --t-max 100: with no cached zero above 100, the missing ones
+    were never scanned, so audit exits 2 before any probe, leaves the cache
+    as it was and asks for the scan.  Where a cached zero lies above
+    --t-max, a zero missing below it is still a finding (exit 1)."""
+    from zetakit import cli
+
+    audit_zeros = cli.audit_zeros
+
+    def probe_only_the_gap(records, *args):
+        assert len(records) == 1, "audit probed a cache that stops below --t-max"
+        return audit_zeros(records, *args)
+
+    monkeypatch.setattr(cli, "audit_zeros", probe_only_the_gap)
+    short = tmp_path / "short.cache"
+    shutil.copy(seeded_cache, short)
+    assert cli.main(["audit", "--cache", str(short)]) == 2
+    err = capsys.readouterr().err
+    assert "ends at t=25.0108575801" in err and "run zeros --t-max 100.0" in err, err
+    assert short.read_bytes() == seeded_cache.read_bytes()
+    header, first, _, third = seeded_cache.read_text().splitlines()
+    gap = tmp_path / "gap.cache"
+    gap.write_text("\n".join([header, first, "2," + third.split(",", 1)[1]]) + "\n")
+    assert cli.main(["audit", "--t-max", "22", "--cache", str(gap)]) == 1
+    assert "n_sign_changes" in capsys.readouterr().out
+
+
 @pytest.mark.parametrize("digits", [3, 201])
 def test_audit_rejects_cache_digits_out_of_range(tmp_path, seeded_cache, monkeypatch, capsys, digits):
     # audit runs at the digits of the cache header, so they take the range

@@ -18,8 +18,9 @@ and says why in its change notes.
 
 The double-precision tier may only accept.  With its float pair replaced
 by garbage, ``zeros`` then ``audit`` at --t-max 31.5 must still print
-the pinned bytes, and a real finding still exits 1 through the mpmath
-path.
+the pinned bytes, as must the 60- and 200-digit sessions with a NaN pair,
+which refines every zero from its bracket midpoint; and a real finding
+still exits 1 through the mpmath path.
 """
 
 import os
@@ -29,6 +30,7 @@ from pathlib import Path
 
 import pytest
 
+import shared
 from zetakit import cli, zeros
 from zetakit.zeta import em_pair_float
 
@@ -91,11 +93,6 @@ def test_cli_bytes(session, name, expected_code, pin_cache):
 ZEROS_31 = (14.134725141734694, 21.022039638771555, 25.010857580145689, 30.424876125859513)
 
 
-def _nan_pair(s):
-    nan = complex("nan")
-    return nan, nan
-
-
 def _half_integer_pair(s):
     """zeta and zeta' turned by a quarter turn, which puts the count half
     an integer high, and near each zero zeta'/zeta gains 0.5/(s - rho),
@@ -116,29 +113,39 @@ def _off_basin_pair(s):
     return (v, dv * 1e-9) if s.real == 0.5 else (v, dv)
 
 
-GARBAGE = {"nan": _nan_pair, "half-integer": _half_integer_pair, "off-basin": _off_basin_pair}
+GARBAGE = {"nan": shared.nan_pair, "half-integer": _half_integer_pair, "off-basin": _off_basin_pair}
 
 
-def _cli(argv, cache, capsys):
-    code = cli.main([*argv, "--digits", "30", "--workers", "1", "--cache", str(cache)])
+def _cli(argv, cache, capsys, digits=30):
+    code = cli.main([*argv, "--digits", str(digits), "--workers", "1", "--cache", str(cache)])
     return code, capsys.readouterr().out.encode()
 
 
-@pytest.mark.parametrize("garbage", sorted(GARBAGE))
-def test_garbage_float_pair_leaves_the_bytes(garbage, monkeypatch, tmp_path, capsys):
+# (garbage, golden suffix, --t-max, digits): every garbage pair against
+# the 30-digit goldens, and the NaN pair, which sends every zero down the
+# midpoint path of refinement, against the 60- and 200-digit ones.
+GARBAGE_RUNS = [pytest.param(g, "", "31.5", 30, id=g) for g in sorted(GARBAGE)] + [
+    pytest.param("nan", f"_d{d}", "40", d, id=f"nan-d{d}") for d in (60, 200)
+]
+
+
+@pytest.mark.parametrize("garbage, suffix, t_max, digits", GARBAGE_RUNS)
+def test_garbage_float_pair_leaves_the_bytes(garbage, suffix, t_max, digits, monkeypatch,
+                                             tmp_path, capsys):
     monkeypatch.setattr(zeros, "em_pair_float", GARBAGE[garbage])
     cache = tmp_path / "zeros.cache"
     for name in ("zeros", "audit"):
-        code, stdout = _cli((name, "--t-max", "31.5"), cache, capsys)
-        assert code == 0, name
-        assert stdout == (GOLDEN / f"{name}.out").read_bytes(), name
-        assert cache.read_bytes() == (GOLDEN / f"{name}.cache").read_bytes(), name
+        code, stdout = _cli((name, "--t-max", t_max), cache, capsys, digits)
+        golden = f"{name}{suffix}"
+        assert code == 0, golden
+        assert stdout == (GOLDEN / f"{golden}.out").read_bytes(), golden
+        assert cache.read_bytes() == (GOLDEN / f"{golden}.cache").read_bytes(), golden
 
 
 def test_real_finding_exits_1_through_the_mpmath_path(monkeypatch, tmp_path, capsys):
     """A cached "zero" at t = 16.5, where there is none, winds 0 times on
     the 12-digit probe, so the audit calls it suspect and exits 1."""
-    monkeypatch.setattr(zeros, "em_pair_float", _nan_pair)
+    monkeypatch.setattr(zeros, "em_pair_float", shared.nan_pair)
     calls = []
     logderiv = zeros.zeta_logderiv
     monkeypatch.setattr(zeros, "zeta_logderiv", lambda s, ctx: calls.append(s) or logderiv(s, ctx))

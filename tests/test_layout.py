@@ -53,8 +53,9 @@ def test_importing_the_package_and_cli_loads_no_numpy():
 
 
 def test_zero_pipeline_does_not_use_the_cauchy_ring():
-    """Refinement takes zeta'(rho) from the Euler-Maclaurin pair; the ring
-    is the independent second route of the Laurent data only."""
+    """Refinement takes zeta'(rho) from the Taylor polynomial of an
+    Euler-Maclaurin jet; the ring is the independent second route of the
+    Laurent data only."""
     tree = ast.parse((SRC / "zeros.py").read_text())
     found = [
         f"zeros.py:{node.lineno} imports {alias.name}"

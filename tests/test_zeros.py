@@ -6,7 +6,7 @@ from mpmath import mp, mpc, mpf
 from numpy.polynomial.legendre import leggauss
 
 import shared
-from zetakit import zeros
+from zetakit import cli, zeros
 from zetakit.errors import (
     CacheFormatError,
     NoConvergenceError,
@@ -124,6 +124,18 @@ def test_count_by_argument_range(T):
         count_by_argument(T)
 
 
+def test_count_by_argument_raises_the_last_error_class(monkeypatch, tmp_path):
+    """Where the count reads 0.5 on both tiers at every shifted height,
+    count_by_argument raises NonIntegerWindingError, not
+    ContourNearZeroError, and ``zeros`` still exits 1 with no cache."""
+    monkeypatch.setattr(zeros, "_backlund_count", lambda *args: mpf("0.5"))
+    with pytest.raises(NonIntegerWindingError, match="0.5 is not near an integer"):
+        count_by_argument(50)
+    cache = tmp_path / "zeros.cache"
+    assert cli.main(["zeros", "--t-max", "50", "--cache", str(cache)]) == 1
+    assert not cache.exists()
+
+
 def _count_calls(monkeypatch, name: str) -> list:
     """First arguments of every call the zeros module makes to ``name``."""
     module = sys.modules["zetakit.zeros"]
@@ -136,12 +148,6 @@ def _count_calls(monkeypatch, name: str) -> list:
 
     monkeypatch.setattr(module, name, counting)
     return calls
-
-
-def _reject_float_tier(monkeypatch) -> None:
-    """Make every float-tier step reject, so the mpmath path runs."""
-    nan = complex("nan")
-    monkeypatch.setattr(zeros, "em_pair_float", lambda s: (nan, nan))
 
 
 def test_count_by_argument_cost_does_not_grow_with_height(monkeypatch):
@@ -163,7 +169,7 @@ def test_count_by_argument_cost_does_not_grow_with_height(monkeypatch):
 def test_count_by_argument_mpmath_cost_does_not_grow_with_height(monkeypatch):
     """Where the float tier rejects, the 12-digit count costs the same
     number of zeta evaluations at every height."""
-    _reject_float_tier(monkeypatch)
+    monkeypatch.setattr(zeros, "em_pair_float", shared.nan_pair)
     raw = _count_calls(monkeypatch, "zeta_and_deriv_raw")
     logderiv = _count_calls(monkeypatch, "zeta_logderiv")
     assert count_by_argument(100) == 29
@@ -188,23 +194,44 @@ def test_newton_refinement_makes_no_hardy_Z_call(monkeypatch):
     assert calls == []
 
 
-def test_float_newton_seed_saves_pairs_and_keeps_the_ordinate(monkeypatch):
+def _mpmath_zero(n: int, ctx: PrecisionContext) -> tuple:
+    """(t, stored |zeta'(1/2 + it)|) of zero n from mpmath, outside the
+    package: mp.zetazero(n) rounded to ctx.bits, and |zeta'| at that t,
+    taken at 64 more bits and rounded to ctx.bits."""
+    with mp.workprec(ctx.bits + 64):
+        t_ref = mp.zetazero(n).imag
+    with ctx.wp():
+        t = +t_ref
+    with mp.workprec(ctx.bits + 64):
+        zp = abs(mp.zeta(mpc(0.5, t), derivative=1))
+    with ctx.wp():
+        return t, zeros._stored(+zp, ctx)
+
+
+def _refined(t, zp, ctx: PrecisionContext) -> tuple:
+    """A _newton_refine result as _mpmath_zero gives it."""
+    with ctx.wp():
+        return t, zeros._stored(abs(zp), ctx)
+
+
+def test_float_newton_seed_saves_jets_and_keeps_the_ordinate(monkeypatch):
     """Seeded by double-precision Newton, refinement of zeros 1-5 takes one
-    Euler-Maclaurin jet a zero and no pair, and returns, bit for bit, the t
-    that Newton on pairs from the bracket midpoint returns, with the same
-    stored |zeta'(rho)|."""
+    Euler-Maclaurin jet a zero; from the bracket midpoint, with the float
+    tier rejecting, it takes two to four.  Both give mpmath's t and stored
+    |zeta'(rho)|, and neither takes a zeta_and_deriv_raw pair."""
     brackets = zeros._scan_brackets(35.0, 0.25 / math.log(35.0))
+    assert len(brackets) == 5
+    refs = [_mpmath_zero(n, CTX) for n in range(1, 6)]
     jets = _count_calls(monkeypatch, "zeta_jet")
     raw = _count_calls(monkeypatch, "zeta_and_deriv_raw")
-    seeded = [zeros._newton_refine(a, b, CTX) for a, b in brackets]
-    assert len(jets) == len(brackets) == 5 and raw == []
-    _reject_float_tier(monkeypatch)
-    plain = [zeros._newton_refine(a, b, CTX) for a, b in brackets]
-    assert len(jets) == 5 and len(raw) > 4 * len(brackets)
-    for (t, zp), (t_plain, zp_plain) in zip(seeded, plain):
-        assert t == t_plain
-        with CTX.wp():
-            assert zeros._stored(abs(zp), CTX) == zeros._stored(abs(zp_plain), CTX)
+    for seeded in (True, False):
+        if not seeded:
+            monkeypatch.setattr(zeros, "em_pair_float", shared.nan_pair)
+        for n, ((a, b), ref) in enumerate(zip(brackets, refs), start=1):
+            jets.clear()
+            assert _refined(*zeros._newton_refine(a, b, CTX), CTX) == ref, f"zero {n}"
+            assert (len(jets) == 1) if seeded else (2 <= len(jets) <= 4), f"zero {n}: {len(jets)}"
+    assert raw == []
 
 
 @pytest.mark.parametrize("digits, jets", [(10, 1), (60, 1), (200, 2)])
@@ -218,56 +245,68 @@ def test_refinement_takes_the_planned_jets(digits, jets, monkeypatch):
     assert len(jets_taken) == jets and raw == []
 
 
-@pytest.mark.parametrize("shift, fallback", [(1e-6, False), (1e-3, True)])
-def test_seed_off_the_zero_takes_a_second_jet_or_the_fallback(shift, fallback, monkeypatch):
+@pytest.mark.parametrize("shift, n_jets", [(1e-6, 2), (1e-3, 3)])
+def test_seed_off_the_zero_takes_more_jets(shift, n_jets, monkeypatch):
     """A double pair shifted in t puts the accepted seed that far from zero
-    1.  At 1e-6 the first jet's estimate rejects and the second jet, at its
-    root, accepts; at 1e-3 the second rejects too and Newton on pairs runs
-    from the midpoint.  Either way the t and the stored |zeta'(rho)| are
-    those of the midpoint Newton."""
+    1.  The first jet's estimate then rejects, and jets of the second order
+    follow at each root until one accepts: two in all at 1e-6, three at
+    1e-3.  The t and the stored |zeta'(rho)| are mpmath's."""
     pair = zeros.em_pair_float
     monkeypatch.setattr(zeros, "em_pair_float", lambda s: pair(s - 1j * shift))
     jets = _count_calls(monkeypatch, "zeta_jet")
     raw = _count_calls(monkeypatch, "zeta_and_deriv_raw")
-    t, zp = zeros._newton_refine(14.1, 14.15, CTX)
-    assert len(jets) == 2 and bool(raw) == fallback
-    _reject_float_tier(monkeypatch)
-    t_plain, zp_plain = zeros._newton_refine(14.1, 14.15, CTX)
-    assert t == t_plain
-    with CTX.wp():
-        assert zeros._stored(abs(zp), CTX) == zeros._stored(abs(zp_plain), CTX)
+    got = _refined(*zeros._newton_refine(14.1, 14.15, CTX), CTX)
+    assert len(jets) == n_jets and raw == []
+    assert got == _mpmath_zero(1, CTX)
 
 
-def test_newton_converges_from_worst_case_midpoints_near_1000():
+def test_newton_converges_from_worst_case_midpoints_near_1000(monkeypatch):
     """Zeros 646-649 are found, correctly rounded, when the zero sits
-    0.499 of a T = 1000 scan step off the bracket midpoint on either side;
-    ordinates come from mpmath, outside the package."""
+    0.499 of a T = 1000 scan step off the bracket midpoint on either side,
+    from the double seed and, with the float tier rejecting, from the
+    midpoint itself; ordinates come from mpmath, outside the package."""
     step = 0.25 / math.log(1000.0)
     with mp.workprec(CTX.bits + 64):
         ts = [mp.zetazero(n).imag for n in range(646, 650)]
-    for n, t_ref in zip(range(646, 650), ts):
-        with CTX.wp():
-            t_exact = +t_ref
-        for side in (1, -1):
-            mid = float(t_ref) + side * 0.499 * step
-            t, _ = zeros._newton_refine(mid - step / 2, mid + step / 2, CTX)
-            assert t == t_exact, f"zero {n}, side {side}"
+    for seeded in (True, False):
+        if not seeded:
+            monkeypatch.setattr(zeros, "em_pair_float", shared.nan_pair)
+        for n, t_ref in zip(range(646, 650), ts):
+            with CTX.wp():
+                t_exact = +t_ref
+            for side in (1, -1):
+                mid = float(t_ref) + side * 0.499 * step
+                t, _ = zeros._newton_refine(mid - step / 2, mid + step / 2, CTX)
+                assert t == t_exact, f"zero {n}, side {side}, seeded {seeded}"
+
+
+def _constant_jet(v, dv):
+    """A zeta_jet whose every jet is (v, dv, 0, ...), wherever it is taken."""
+    return lambda s, order, ctx: [mpc(v), mpc(dv)] + [mpc(0)] * (order - 1)
 
 
 @pytest.mark.parametrize("v, dv", [(1, 0), (1j, 1)], ids=["flat-derivative", "off-basin"])
 def test_newton_exits_raise_no_convergence(v, dv, monkeypatch):
-    """With the float tier rejecting, an mpmath pair whose zeta' is 0, or
-    whose first step Im(zeta/zeta') = 1 leaves the 0.05 basin, makes
-    refinement raise NoConvergenceError, the CLI's exit-1 path, after that
-    one pair, and never ZeroDivisionError."""
-    _reject_float_tier(monkeypatch)
-    calls = []
-    monkeypatch.setattr(
-        zeros, "zeta_and_deriv_raw", lambda s, ctx: calls.append(s) or (mpc(v), mpc(dv))
-    )
+    """A jet whose zeta' is 0, or whose first step Im(zeta/zeta') = 1
+    leaves the 0.05 basin, makes refinement raise NoConvergenceError, the
+    CLI's exit-1 path, after that one jet, and never ZeroDivisionError."""
+    monkeypatch.setattr(zeros, "zeta_jet", _constant_jet(v, dv))
+    jets = _count_calls(monkeypatch, "zeta_jet")
     with pytest.raises(NoConvergenceError):
         zeros._newton_refine(14.1, 14.15, CTX)
-    assert len(calls) == 1
+    assert len(jets) == 1
+
+
+def test_jets_that_make_no_progress_raise_after_two(monkeypatch):
+    """Jets whose root lies 1e-3 from their centre, wherever they are
+    taken, each reject their truncation estimate, and the second steps no
+    less than the first: refinement raises NoConvergenceError after two
+    jets."""
+    monkeypatch.setattr(zeros, "zeta_jet", _constant_jet(1e-3j, 1))
+    jets = _count_calls(monkeypatch, "zeta_jet")
+    with pytest.raises(NoConvergenceError, match="no progress"):
+        zeros._newton_refine(14.1, 14.15, CTX)
+    assert len(jets) == 2
 
 
 def test_flat_float_derivative_rejects_the_seed(monkeypatch):
@@ -276,7 +315,7 @@ def test_flat_float_derivative_rejects_the_seed(monkeypatch):
     float tier rejecting."""
     monkeypatch.setattr(zeros, "em_pair_float", lambda s: (1 + 0j, 0j))
     flat = zeros._newton_refine(14.1, 14.15, CTX)
-    _reject_float_tier(monkeypatch)
+    monkeypatch.setattr(zeros, "em_pair_float", shared.nan_pair)
     assert flat == zeros._newton_refine(14.1, 14.15, CTX)
 
 
@@ -310,7 +349,7 @@ def test_multiplicity_probe_counts(monkeypatch):
 def test_multiplicity_probe_mpmath_counts(monkeypatch):
     """Where the float tier rejects, the 12-digit probe takes 16 nodes
     while the enclosed zero sits well inside the circle."""
-    _reject_float_tier(monkeypatch)
+    monkeypatch.setattr(zeros, "em_pair_float", shared.nan_pair)
     calls = _count_calls(monkeypatch, "zeta_logderiv")
     records, _ = shared.zeros_to(35)
     rho1 = records[0].rho
@@ -325,7 +364,7 @@ def test_multiplicity_probe_nodes_grow_as_the_zero_nears_the_circle(monkeypatch)
     """On the 12-digit path the node count doubles as the enclosed zero
     nears the circle, and at 128 nodes a winding still not within 0.1 of
     an integer is an error."""
-    _reject_float_tier(monkeypatch)
+    monkeypatch.setattr(zeros, "em_pair_float", shared.nan_pair)
     calls = _count_calls(monkeypatch, "zeta_logderiv")
     with CTX.wp():
         t1 = mpf(T_FIRST_FIVE[0])
@@ -408,7 +447,7 @@ def test_grid_sign_falls_back_inside_twice_the_error_bound(monkeypatch):
         assert len(pairs) == 1 and not calls, t
         monkeypatch.undo()
         monkeypatch.setattr(zeros, "hardy_Z_fast", lambda _t, v=inside: v)
-        _reject_float_tier(monkeypatch)
+        monkeypatch.setattr(zeros, "em_pair_float", shared.nan_pair)
         calls = _count_calls(monkeypatch, "hardy_Z")
         assert zeros._grid_sign(t) == sign, t
         assert len(calls) == 1, t
