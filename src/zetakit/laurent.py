@@ -31,7 +31,7 @@ from one pass of partial sums per node.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from typing import NamedTuple
 
 import mpmath as mp
 from mpmath import mpc, mpf
@@ -51,8 +51,7 @@ from .zeta import inverse_zeta_value, ring_samples, taylor_ring, zeta_deriv, zet
 DEFAULT_CHECKPOINTS = (10**3, 10**4, 10**5, 10**6)
 
 
-@dataclass(frozen=True)
-class LaurentExpansion:
+class LaurentExpansion(NamedTuple):
     """Truncated Laurent expansion of 1/zeta at a simple zero rho.
 
     coeffs holds the first n_terms Taylor coefficients c_0, c_1, ... from
@@ -76,7 +75,7 @@ class LaurentExpansion:
         """The order-N expansion; the coefficients cut off go to the tail."""
         if not 0 <= N <= self.n_terms:
             raise RangeError(f"truncation {N} outside stored order {self.n_terms}")
-        return replace(self, coeffs=self.coeffs[:N], tail=self.coeffs[N:] + self.tail)
+        return self._replace(coeffs=self.coeffs[:N], tail=self.coeffs[N:] + self.tail)
 
 
 def residue(rho, ctx: PrecisionContext) -> mpc:
@@ -258,7 +257,10 @@ def residual_profile(exp: LaurentExpansion, r, N_list, samples: int, ctx: Precis
     """{N: max |1/zeta - exp truncated to order N|} over ``samples`` points
     of the circle |s-rho| = r, for every N in N_list from one pass of
     partial sums per node, with the bits of :func:`laurent_eval`.  The
-    1/zeta values invert :func:`zetakit.zeta.zeta_ring` at rho."""
+    1/zeta values invert :func:`zetakit.zeta.zeta_ring` at rho.  Each
+    order's largest difference is picked by its exact squared norm, of
+    which ``abs`` is a monotone rounding, so one ``abs`` an order gives
+    the max of them all."""
     if samples < 16:
         raise RangeError("residual sweep needs at least 16 samples")
     N_list = sorted(set(int(N) for N in N_list))
@@ -272,7 +274,12 @@ def residual_profile(exp: LaurentExpansion, r, N_list, samples: int, ctx: Precis
         points = ring_samples(lambda h: exp.rho + h, r, samples)
         rows = [(inverse_zeta_value(zv, s, ctx), _laurent_sums(top, _disk_offset(s, exp)))
                 for s, zv in zip(points, zeta_ring(exp.rho, r, samples, ctx))]
-        return {N: max(abs(target - sums[N]) for target, sums in rows) for N in N_list}
+        return {N: abs(max((target - sums[N] for target, sums in rows), key=_norm2)) for N in N_list}
+
+
+def _norm2(z) -> mpf:
+    """|z|^2 exactly, without rounding."""
+    return mp.fadd(mp.fmul(z.real, z.real, exact=True), mp.fmul(z.imag, z.imag, exact=True), exact=True)
 
 
 # ----------------------------------------------------------------------

@@ -27,7 +27,7 @@ products and a shift.  s itself is converted to fixed point from all of
 its bits, never rounded to the working precision first.  The
 Euler-Maclaurin remainder is here too, as the same jet:
 :func:`tail_jet` gives T_j(w) = sum_{m>w} ln^j(m) m^(-s) for j <= order,
-its Bernoulli part carrying each term with its s-derivatives, from the
+its Bernoulli part carrying each term as its jet in s, from the
 package's one table of Bernoulli ratios, :func:`bernoulli_ratio`.  It is
 the remainder past N of the Euler-Maclaurin sum of :mod:`zetakit.zeta`,
 at order 0 for zeta and 1 with zeta', and the tail of the recursion
@@ -105,9 +105,9 @@ from __future__ import annotations
 import functools
 import math
 from array import array
-from dataclasses import dataclass
 from itertools import accumulate, compress
 from operator import mul, sub
+from typing import NamedTuple
 
 import mpmath as mp
 from mpmath.libmp import fzero, from_man_exp, ln2_fixed, pi_fixed, to_fixed
@@ -122,8 +122,8 @@ SIEVE_CAP = 10**8
 # stays within a core's cache.
 SEGMENT = 1 << 18
 
-@dataclass
-class MobiusTable:
+
+class MobiusTable(NamedTuple):
     limit: int
     values: array  # values[k-1] = mu(k), typecode 'b'
 
@@ -417,72 +417,65 @@ def _bernoulli_tail(s: tuple, N: int, lnN: int, scale2: int, order: int, wp: int
     With u_m(s) = B_2m/(2m)! (s)_{2m-1} N^(1-2m), returns
     [sum_m N^s (d/ds)^i (N^(-s) u_m(s)) for i <= order] as pairs of wp-bit
     ints; ``s`` is the pair ``fixed_pair(s, wp)`` and lnN the fixed-point
-    ln N.  Each u_m is carried with its s-derivatives to ``order``:
-    u_1 = s/(12 N), and multiplying by a factor s + j of the rising
-    factorial maps the derivatives u^(l) to (s + j) u^(l) + l u^(l-1), after
-    which all are scaled by c_(m+1)/c_m/N^2.  The term of order i is
-    sum_l C(i, l) (-ln N)^(i-l) u^(l).  The loop ends with the first m whose
-    terms all have |term|^2 scale2 below thresh2, scale2 = |N^(-s)|^2 at
-    2 wp bits and thresh2 at 4 wp bits, compared as exact ints.  It returns
-    None where the terms grow before that, or at m = 200: the asymptotic
-    series has stalled.
+    ln N.  The term of order i is D^i u_m, D = d/ds - ln N, so each u_m is
+    carried as the jet w_l = D^l u_m, l <= order, starting from
+    D^l u_1 = (s (-ln N)^l + l (-ln N)^(l-1))/(12 N).  D differentiates
+    one factor of a product, so the factor Q_m = (s + 2m - 1)(s + 2m) of
+    the rising factorial maps the jet to
+    D^l (u Q_m) = Q_m w_l + l Q_m' w_(l-1) + l (l - 1) w_(l-2),
+    after which all are scaled by c_(m+1)/c_m/N^2.  The loop ends with the
+    first m whose terms all have |term|^2 scale2 below thresh2, scale2 =
+    |N^(-s)|^2 at 2 wp bits and thresh2 at 4 wp bits, compared as exact
+    ints.  It returns None where the terms grow before that, or at
+    m = 200: the asymptotic series has stalled.
     """
     sre, sim = s
     one = 1 << wp
-    u_re, u_im = sre // (12 * N), sim // (12 * N)
-    # the derivatives u^(l), 1 <= l <= order, at index l - 1
-    v_re = ([one // (12 * N)] + [0] * (order - 1)) if order else []
-    v_im = [0] * order
-    lnp = _fixed_powers(lnN, order, wp)  # ln^k N
-    # per order i >= 1: its index i - 1, the factors (-1)^i and ln^i N of
-    # u, then (l - 1, C(i, l) (-1)^(i-l), ln^(i-l) N) for 1 <= l < i
-    mix = [(i - 1, (-1) ** i, lnp[i], [(l - 1, math.comb(i, l) * (-1) ** (i - l), lnp[i - l]) for l in range(1, i)])
-           for i in range(1, order + 1)]
-    orders, down = range(order), range(order - 1, 0, -1)
-    tail_re = tail_im = 0
-    dtail_re = [0] * order
-    dtail_im = [0] * order
+    w_re, w_im = [sre // (12 * N)], [sim // (12 * N)]
+    c = one // (12 * N)  # (-ln N)^(l-1)/(12 N)
+    for l in range(1, order + 1):
+        d = -(c * lnN >> wp)
+        w_re.append((sre * d >> wp) + l * c)
+        w_im.append(sim * d >> wp)
+        c = d
+    qr, qi = (sre * sre - sim * sim >> wp) + 3 * sre + 2 * one, (sre * sim >> wp - 1) + 3 * sim  # Q_1
+    dr, di = 2 * sre + 3 * one, 2 * sim  # Q_1'
+    orders = range(order, -1, -1)
+    tail_re, tail_im = [0] * (order + 1), [0] * (order + 1)
     N2 = N * N
     m = 1
     prev = math.inf
     while True:
-        tail_re += u_re
-        tail_im += u_im
-        size2 = u_re * u_re + u_im * u_im
-        if order:
-            for i, c0, L0, terms in mix:
-                d_re = v_re[i] + c0 * (L0 * u_re >> wp)
-                d_im = v_im[i] + c0 * (L0 * u_im >> wp)
-                for l, c, L in terms:
-                    d_re += c * (L * v_re[l] >> wp)
-                    d_im += c * (L * v_im[l] >> wp)
-                dtail_re[i] += d_re
-                dtail_im[i] += d_im
-                d2 = d_re * d_re + d_im * d_im
-                if d2 > size2:
-                    size2 = d2
+        size2 = 0
+        for l in orders:
+            xr, xi = w_re[l], w_im[l]
+            tail_re[l] += xr
+            tail_im[l] += xi
+            x2 = xr * xr + xi * xi
+            if x2 > size2:
+                size2 = x2
         size2 *= scale2
         if size2 < thresh2:
-            return [(tail_re, tail_im), *zip(dtail_re, dtail_im)]
+            return list(zip(tail_re, tail_im))
         if size2 > prev or m >= 200:
             return None
         prev = size2
-        for j in (2 * m - 1, 2 * m):
-            a = sre + j * one
-            if order:
-                for l in down:
-                    xr, xi = v_re[l], v_im[l]
-                    v_re[l] = (xr * a - xi * sim >> wp) + (l + 1) * v_re[l - 1]
-                    v_im[l] = (xr * sim + xi * a >> wp) + (l + 1) * v_im[l - 1]
-                xr, xi = v_re[0], v_im[0]
-                v_re[0] = (xr * a - xi * sim >> wp) + u_re
-                v_im[0] = (xr * sim + xi * a >> wp) + u_im
-            u_re, u_im = u_re * a - u_im * sim >> wp, u_re * sim + u_im * a >> wp
         r = bernoulli_ratio(m, wp)
-        u_re, u_im = (u_re * r >> wp) // N2, (u_im * r >> wp) // N2
-        for l in orders:
-            v_re[l] = (v_re[l] * r >> wp) // N2
-            v_im[l] = (v_im[l] * r >> wp) // N2
+        for l in orders:  # downwards, so w_(l-1) and w_(l-2) are still those of u_m
+            xr, xi = w_re[l], w_im[l]
+            yr, yi = xr * qr - xi * qi >> wp, xr * qi + xi * qr >> wp
+            if l:
+                xr, xi = w_re[l - 1], w_im[l - 1]
+                yr += l * (xr * dr - xi * di >> wp)
+                yi += l * (xr * di + xi * dr >> wp)
+                if l > 1:
+                    yr += l * (l - 1) * w_re[l - 2]
+                    yi += l * (l - 1) * w_im[l - 2]
+            w_re[l], w_im[l] = (yr * r >> wp) // N2, (yi * r >> wp) // N2
+        # Q_(m+1) - Q_m = 2 Q_m' + 4, Q_(m+1)' - Q_m' = 4
+        qr += 2 * dr + 4 * one
+        qi += 2 * di
+        dr += 4 * one
         m += 1
 
 

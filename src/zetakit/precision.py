@@ -12,7 +12,7 @@ hidden epsilon of its own.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from typing import NamedTuple
 
 import mpmath as mp
 from mpmath import mpc, mpf
@@ -26,28 +26,11 @@ _LOG2_10 = math.log2(10.0)
 ESCALATION_FACTOR = 2.0
 
 
-@dataclass(frozen=True)
-class PrecisionContext:
-    """Working mantissa precision and the tolerance policy derived from it.
-
-    ``bits`` is the mantissa size every operation computes with and
-    ``target_digits`` the number of decimal digits the caller wants
-    certified.
-    """
+class _Precision(NamedTuple):
+    """The fields and methods of :class:`PrecisionContext`, unchecked."""
 
     bits: int
     target_digits: int
-
-    def __post_init__(self):
-        if self.target_digits < 1:
-            raise RangeError("target_digits must be >= 1")
-        if self.bits < 64:
-            raise RangeError("bits must be >= 64")
-        if self.bits < self.min_bits(self.target_digits):
-            raise RangeError(
-                f"bits={self.bits} too small for {self.target_digits} digits "
-                f"(need >= {self.min_bits(self.target_digits)})"
-            )
 
     @staticmethod
     def min_bits(digits: int) -> int:
@@ -67,6 +50,31 @@ class PrecisionContext:
         """10^(-target_digits), the package-wide certification tolerance."""
         with mp.workprec(self.bits):
             return mpf(10) ** (-self.target_digits)
+
+
+class PrecisionContext(_Precision):
+    """Working mantissa precision and the tolerance policy derived from it.
+
+    ``bits`` is the mantissa size every operation computes with and
+    ``target_digits`` the number of decimal digits the caller wants
+    certified.  The fields are checked here because ``typing.NamedTuple``
+    forbids a ``__new__`` in its own class body; ``_make`` and ``_replace``
+    skip that check, so nothing calls them on this type.
+    """
+
+    __slots__ = ()
+
+    def __new__(cls, bits: int, target_digits: int):
+        if target_digits < 1:
+            raise RangeError("target_digits must be >= 1")
+        if bits < 64:
+            raise RangeError("bits must be >= 64")
+        if bits < cls.min_bits(target_digits):
+            raise RangeError(
+                f"bits={bits} too small for {target_digits} digits "
+                f"(need >= {cls.min_bits(target_digits)})"
+            )
+        return super().__new__(cls, bits, target_digits)
 
 
 def real_from(value, ctx: PrecisionContext) -> mpf:

@@ -20,7 +20,7 @@ itself no longer uses them.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from mpmath import mpc, mpf
 
@@ -70,26 +70,35 @@ class KahanComplexSum:
         return mpc(self.re.total, self.im.total)
 
 
-@dataclass(frozen=True)
-class PartialSumSeries:
-    """Partial sums at checkpoint truncations, raw and smoothed.
-
-    smoothed[i] averages the trailing quarter of the raw values up to i
-    (single Cesaro pass); oscillation is the largest pairwise |raw_i -
-    raw_j| over the final quarter of the ladder, widened to at least two
-    entries so the short default ladder still yields a spread.
-    """
+class _Series(NamedTuple):
+    """The fields of :class:`PartialSumSeries`, unchecked."""
 
     checkpoints: tuple
     raw: tuple
     smoothed: tuple
     oscillation: mpf
 
-    def __post_init__(self):
-        if len(self.raw) != len(self.checkpoints) or len(self.smoothed) != len(self.checkpoints):
+
+class PartialSumSeries(_Series):
+    """Partial sums at checkpoint truncations, raw and smoothed.
+
+    smoothed[i] averages the trailing quarter of the raw values up to i
+    (single Cesaro pass); oscillation is the largest pairwise |raw_i -
+    raw_j| over the final quarter of the ladder, widened to at least two
+    entries so the short default ladder still yields a spread.  The
+    fields are checked here because ``typing.NamedTuple`` forbids a
+    ``__new__`` in its own class body; ``_make`` and ``_replace`` skip
+    that check, so nothing calls them on this type.
+    """
+
+    __slots__ = ()
+
+    def __new__(cls, checkpoints: tuple, raw: tuple, smoothed: tuple, oscillation: mpf):
+        if len(raw) != len(checkpoints) or len(smoothed) != len(checkpoints):
             raise ValueError("checkpoint, raw, smoothed lengths differ")
-        if any(b <= a for a, b in zip(self.checkpoints, self.checkpoints[1:])):
+        if any(b <= a for a, b in zip(checkpoints, checkpoints[1:])):
             raise ValueError("checkpoints must be strictly increasing")
+        return super().__new__(cls, checkpoints, raw, smoothed, oscillation)
 
 
 def build_partial_series(checkpoints, raw) -> PartialSumSeries:

@@ -13,7 +13,7 @@ the Euler constant with an O(1/K) tail.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from typing import NamedTuple
 
 import mpmath as mp
 from mpmath import mpf
@@ -78,8 +78,7 @@ def euler_gamma_partial(checkpoints, ctx: PrecisionContext) -> PartialSumSeries:
         return build_partial_series(checkpoints, raws)
 
 
-@dataclass(frozen=True)
-class StieltjesTable:
+class StieltjesTable(NamedTuple):
     """gamma_0..gamma_n_max plus margins of the classical bound
     |gamma_n| <= e n! / (2^n sqrt(n)) for n >= 1."""
 

@@ -29,8 +29,8 @@ import functools
 import itertools
 import math
 import os
-from dataclasses import dataclass, replace
 from types import SimpleNamespace
+from typing import NamedTuple
 
 import mpmath as mp
 from mpmath import mpc, mpf
@@ -119,8 +119,7 @@ _GL_W = (
 _FLOAT = SimpleNamespace(mpf=float, mpc=complex, arg=cmath.phase, pi=math.pi)
 
 
-@dataclass(frozen=True)
-class ZeroRecord:
+class ZeroRecord(NamedTuple):
     index: int
     t: mpf
     rho: mpc
@@ -129,8 +128,7 @@ class ZeroRecord:
     status: str
 
 
-@dataclass(frozen=True)
-class CountReport:
+class CountReport(NamedTuple):
     T: mpf
     n_sign_changes: int
     n_winding: int  # count_by_argument's Backlund count, printed as n_winding
@@ -637,7 +635,7 @@ def audit_zeros(records: list[ZeroRecord], ctx: PrecisionContext, workers: int =
         for rec, w in zip(records, windings):
             simple = w == 1 and rec.zeta_prime_abs > SIMPLICITY_FLOOR
             out.append(
-                replace(rec, winding=w, status=STATUS_SIMPLE if simple else STATUS_SUSPECT)
+                rec._replace(winding=w, status=STATUS_SIMPLE if simple else STATUS_SUSPECT)
             )
     return out
 

@@ -55,7 +55,8 @@ nodes, n even: the other node of each mirror pair is the conjugate of its
 partner's value, or on the critical line chi times that conjugate.  The
 64-node residual circle at a zero so takes 33 sums and 31 chi.  The
 DFT of a ring sums exact ints and rounds once.  The process caches (the
-ring of each node count, the DFT roots per node count and precision) are
+ring of each node count, the unit nodes and the DFT roots per node count
+and precision, the basin threshold per context) are
 ``functools.lru_cache``d functions, as is the power kernel's
 smallest-prime-factor table per size class in :mod:`zetakit.mobius`.
 """
@@ -66,7 +67,7 @@ import cmath
 import functools
 import math
 import operator
-from dataclasses import dataclass
+from typing import NamedTuple
 
 import mpmath as mp
 from mpmath import mpc, mpf
@@ -79,8 +80,7 @@ EULER_MACLAURIN = "euler-maclaurin"
 REFLECTED = "reflected"
 
 
-@dataclass(frozen=True)
-class ZetaValue:
+class ZetaValue(NamedTuple):
     """A certified zeta evaluation: value, producing method, digit count."""
 
     value: mpc
@@ -235,9 +235,17 @@ def inverse_zeta_value(zv, s, ctx: PrecisionContext) -> mpc:
     """1/zv for zv = zeta(s), raising NearZeroError where
     |zv| < 10^(-digits/2): s then lies in a zero's numerical basin."""
     with ctx.wp():
-        if abs(zv) < mpf(10) ** (-mpf(ctx.target_digits) / 2):
+        if abs(zv) < _basin(ctx):
             raise NearZeroError(f"|zeta({s})| = {mp.nstr(abs(zv), 6)} is inside a zero basin")
         return 1 / zv
+
+
+@functools.lru_cache(maxsize=None)
+def _basin(ctx: PrecisionContext) -> mpf:
+    """10^(-digits/2) at ctx's precision, the radius of a zero's basin in
+    |zeta|."""
+    with ctx.wp():
+        return mpf(10) ** (-mpf(ctx.target_digits) / 2)
 
 
 # ----------------------------------------------------------------------
@@ -252,8 +260,9 @@ _RING_MAX_NODES = 4096
 def ring_samples(f, radius, nodes: int, half=()) -> list:
     """[f(h_j) for j < nodes], h_j = radius e^(2 pi i j / nodes).
 
-    The package's one source of circle nodes, built at the ambient working
-    precision.  For n = nodes divisible by 8 only the first octant,
+    The package's one source of circle nodes, at the ambient working
+    precision; the unit nodes are built once per (nodes, precision) by
+    :func:`_unit_nodes`.  For n = nodes divisible by 8 only the first octant,
     j <= n/8, takes an exp, with 20 guard bits, so each part of a node is
     within half an ulp of e^(2 pi i j/n) (times radius, rounded once).
     The other nodes are exact swaps and sign flips of the octant: bit for
@@ -264,7 +273,14 @@ def ring_samples(f, radius, nodes: int, half=()) -> list:
     ``half``, that ring's samples, supplies the even nodes and only the
     odd ones are evaluated, in increasing j.
     """
-    n = nodes
+    w = _unit_nodes(nodes, mp.mp.prec)
+    return [half[j // 2] if half and j % 2 == 0 else f(radius * z) for j, z in enumerate(w)]
+
+
+@functools.lru_cache(maxsize=None)
+def _unit_nodes(n: int, prec: int) -> tuple:
+    """The unit nodes e^(2 pi i j/n), j < n, of :func:`ring_samples`,
+    built at the ambient precision, which is prec."""
     w = []
     for j in range(n):
         if 2 * j > n:
@@ -278,7 +294,7 @@ def ring_samples(f, radius, nodes: int, half=()) -> list:
             with mp.extraprec(20):
                 z = mp.exp(mpc(0, 2) * mp.pi * j / n)
             w.append(+z)
-    return [half[j // 2] if half and j % 2 == 0 else f(radius * z) for j, z in enumerate(w)]
+    return tuple(w)
 
 
 @functools.lru_cache(maxsize=4096)

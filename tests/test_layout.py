@@ -43,11 +43,30 @@ def test_no_module_imports_numpy():
     assert not found, "numpy imported at " + ", ".join(found)
 
 
+def test_no_module_imports_dataclasses():
+    """The result types are NamedTuples: ``dataclasses`` would load
+    ``inspect`` and compile each class's methods at every start."""
+    found = []
+    for path in sorted(SRC.glob("*.py")):
+        tree = ast.parse(path.read_text(), filename=str(path))
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Import):
+                names = [a.name for a in node.names]
+            elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                names = [node.module or ""]
+            else:
+                continue
+            if any(n.split(".")[0] == "dataclasses" for n in names):
+                found.append(f"{path.name}:{node.lineno}")
+    assert not found, "dataclasses imported at " + ", ".join(found)
+
+
 def test_importing_the_package_and_cli_loads_no_numpy():
     """Nor the process pool, which only map_ordered imports, when it
-    starts one."""
+    starts one, nor ``dataclasses`` and the ``inspect`` it pulls in."""
     code = ("import sys, zetakit, zetakit.cli; print(sorted(m for m in sys.modules"
-            " if m.split('.')[0] == 'numpy' or m == 'concurrent.futures.process'))")
+            " if m.split('.')[0] == 'numpy'"
+            " or m in ('concurrent.futures.process', 'dataclasses', 'inspect')))")
     out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True)
     assert out.stdout.strip() == "[]", out.stdout
 
@@ -92,14 +111,15 @@ def _is_circle_node(node) -> bool:
 def test_only_ring_samples_computes_circle_nodes():
     """Every circle around a point, the Cauchy rings, the multiplicity
     probe, the residual sweep and the DFT roots, takes its nodes from
-    zeta.ring_samples."""
+    zeta.ring_samples, which reads them from its memoized helper
+    zeta._unit_nodes."""
     found = []
     for path in sorted(SRC.glob("*.py")):
         tree = ast.parse(path.read_text(), filename=str(path))
         allowed = set()
         if path.name == "zeta.py":
             for node in ast.walk(tree):
-                if isinstance(node, ast.FunctionDef) and node.name == "ring_samples":
+                if isinstance(node, ast.FunctionDef) and node.name == "_unit_nodes":
                     allowed = set(range(node.lineno, node.end_lineno + 1))
         found += [
             f"{path.name}:{node.lineno}"

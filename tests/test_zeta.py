@@ -2,6 +2,7 @@ import math
 import random
 import sys
 
+import mpmath
 import pytest
 from mpmath import mp, mpc, mpf
 
@@ -338,6 +339,19 @@ def test_ring_samples_doubles_by_evaluating_the_odd_nodes():
         assert len(calls) == 16
         assert doubled == ring_samples(f, mpf(1) / 4, 32)
         assert doubled[::2] == half
+
+
+def test_ring_nodes_take_their_exps_once_per_size_and_precision(monkeypatch):
+    # 331 bits is a precision no other test builds a ring at.
+    exps = []
+    exp = mpmath.exp
+    monkeypatch.setattr(mpmath, "exp", lambda z: exps.append(z) or exp(z))
+    with mp.workprec(331):
+        first = ring_samples(mpc, mpf(1) / 8, 64)
+        assert len(exps) == 64 // 8 + 1
+        assert ring_samples(mpc, mpf(1) / 8, 64) == first
+        assert ring_samples(mpc, mpf(1) / 4, 64) == [2 * h for h in first]
+    assert len(exps) == 64 // 8 + 1
 
 
 @pytest.mark.parametrize("bits", [53, 100, 700])
