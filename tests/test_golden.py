@@ -7,7 +7,7 @@ and ``stieltjes --n-max 20``, all on one worker.  A second session runs
 ``zeros`` then ``audit`` at --t-max 100.3 on two workers, with its own
 cache.  Those run at 30 digits.  Two more run ``zeros`` then ``audit``
 at --t-max 40 on one worker, at 60 and at 200 digits, each with its own
-cache.  Every stdout, exit code and the cache after each ``zeros`` and
+cache, and ``stieltjes --n-max 20`` runs once more at 60 digits.  Every stdout, exit code and the cache after each ``zeros`` and
 ``audit`` must match the files under ``tests/golden/``.
 
 A change that means to move these bytes regenerates them with
@@ -47,6 +47,7 @@ STEPS = (
     ("laurent_1", ("laurent", "--index", "1", "--terms", "8", "--k-max", "10000"), 0, False, "t31", None, 30),
     ("laurent_4", ("laurent", "--index", "4", "--terms", "8", "--k-max", "10000"), 0, False, "t31", None, 30),
     ("stieltjes", ("stieltjes", "--n-max", "20"), 0, False, None, None, 30),
+    ("stieltjes_d60", ("stieltjes", "--n-max", "20"), 0, False, None, None, 60),
     ("zeros_100", ("zeros", "--t-max", "100.3"), 0, True, "t100", 2, 30),
     ("audit_100", ("audit", "--t-max", "100.3"), 0, True, "t100", 2, 30),
     ("zeros_d60", ("zeros", "--t-max", "40"), 0, True, "t40d60", 1, 60),
