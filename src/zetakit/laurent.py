@@ -31,6 +31,7 @@ from one pass of partial sums per node.
 
 from __future__ import annotations
 
+from operator import add
 from typing import NamedTuple
 
 import mpmath as mp
@@ -258,9 +259,9 @@ def residual_profile(exp: LaurentExpansion, r, N_list, samples: int, ctx: Precis
     of the circle |s-rho| = r, for every N in N_list from one pass of
     partial sums per node, with the bits of :func:`laurent_eval`.  The
     1/zeta values invert :func:`zetakit.zeta.zeta_ring` at rho.  Each
-    order's largest difference is picked by its exact squared norm, of
-    which ``abs`` is a monotone rounding, so one ``abs`` an order gives
-    the max of them all."""
+    order's largest difference is picked by its exact squared norm (see
+    :func:`_largest`), of which ``abs`` is a monotone rounding, so one
+    ``abs`` an order gives the max of them all."""
     if samples < 16:
         raise RangeError("residual sweep needs at least 16 samples")
     N_list = sorted(set(int(N) for N in N_list))
@@ -274,12 +275,18 @@ def residual_profile(exp: LaurentExpansion, r, N_list, samples: int, ctx: Precis
         points = ring_samples(lambda h: exp.rho + h, r, samples)
         rows = [(inverse_zeta_value(zv, s, ctx), _laurent_sums(top, _disk_offset(s, exp)))
                 for s, zv in zip(points, zeta_ring(exp.rho, r, samples, ctx))]
-        return {N: abs(max((target - sums[N] for target, sums in rows), key=_norm2)) for N in N_list}
+        return {N: abs(_largest([target - sums[N] for target, sums in rows])) for N in N_list}
 
 
-def _norm2(z) -> mpf:
-    """|z|^2 exactly, without rounding."""
-    return mp.fadd(mp.fmul(z.real, z.real, exact=True), mp.fmul(z.imag, z.imag, exact=True), exact=True)
+def _largest(values: list) -> mpc:
+    """The first of ``values`` with the largest |z|^2, compared exactly:
+    with each part m 2^e and E the least exponent of a nonzero part, |z|^2
+    is the int sum of m^2 << 2 (e - E) over the parts of z, times 4^E."""
+    parts = [x.man_exp for z in values for x in (z.real, z.imag)]
+    E = min((e for m, e in parts if m), default=0)
+    squares = [m * m << 2 * (e - E) if m else 0 for m, e in parts]
+    norms = list(map(add, squares[::2], squares[1::2]))
+    return values[norms.index(max(norms))]
 
 
 # ----------------------------------------------------------------------

@@ -31,7 +31,9 @@ its Bernoulli part carrying each term as its jet in s, from the
 package's one table of Bernoulli ratios, :func:`bernoulli_ratio`.  It is
 the remainder past N of the Euler-Maclaurin sum of :mod:`zetakit.zeta`,
 at order 0 for zeta and 1 with zeta', and the tail of the recursion
-below.
+below.  :func:`stieltjes_fixed` is the whole Euler-Maclaurin jet at the
+pole s = 1, main sum and Bernoulli tail, whose orders are the Stieltjes
+constants.
 
 :func:`dirichlet_partial` gives D_n(K) = sum_{k<=K} mu(k) ln^n(k) k^(-s)
 for several log powers n and checkpoints K at once, rounded once to
@@ -534,6 +536,37 @@ def tail_jet(s, w: int, order: int, wp: int, stop: int = 1):
             ti += c * (lnp[j - l] * terms[l][1] >> wp)
         jet += (tr >> g, ti >> g)
     return jet
+
+
+def stieltjes_fixed(order: int, N: int, wp: int):
+    """[gamma_j for j <= order], the Stieltjes constants, as wp-bit
+    fixed-point ints from one Euler-Maclaurin jet at the pole s = 1; None
+    where its Bernoulli tail stalls.
+
+    zeta(s) - 1/(s-1) = sum_{k<=N} k^(-s) + (N^(1-s) - 1)/(s-1) - N^(-s)/2
+    + N^(-s) sum_m u_m(s), with the u_m of :func:`_bernoulli_tail`, and its
+    j-th derivative at s = 1 is (-1)^j gamma_j, so
+
+        gamma_j = sum_{k<=N} ln^j(k)/k - ln^(j+1)(N)/(j+1) - ln^j(N)/(2N)
+                  + (-1)^j B_j/N,
+
+    B_j the order-j entry of :func:`_bernoulli_tail` at s = 1.  The main
+    sum is the jet of :func:`dirichlet_powers` at s = 1, whose imaginary
+    parts are exactly 0, and the tail ends with its first term below one
+    unit of 2^(-wp) in gamma_j.  At s = 1 the tail terms fall to about
+    e^(-2 pi N) before they grow, so N needs 2 pi N > wp ln 2 at least.
+    """
+    one = 1 << wp
+    ln = log_int_fixed(N, wp)
+    bern = _bernoulli_tail((one, 0), N, ln, (one // N) ** 2, order, wp, 1 << 2 * wp)
+    if bern is None:
+        return None
+    sums = list(map(sum, zip(*dirichlet_powers(1, N, wp, order))))
+    lnp = _fixed_powers(ln, order + 1, wp)
+    return [
+        sums[2 * j] - lnp[j + 1] // (j + 1) - lnp[j] // (2 * N) + (-1) ** j * bern[j][0] // N
+        for j in range(order + 1)
+    ]
 
 
 def checkpoint_ladder(checkpoints) -> list:

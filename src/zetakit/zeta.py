@@ -37,23 +37,23 @@ for scanning, and :func:`em_pair_float`, this formula in Python complex
 arithmetic, for the integer-valued work (counts, windings, Newton seeds)
 and the grid signs Riemann-Siegel leaves open.
 
-Taylor coefficients come from one cached Cauchy ring, :func:`taylor_ring`.
-Centred on the pole s = 1 it samples the regular part zeta(s) - 1/(s-1)
-and returns the Laurent coefficients there, which give the Stieltjes
-constants.  Its samples are those of the memoized ring :func:`zeta_ring`,
-which the residual sweep of :mod:`zetakit.laurent` also inverts for its
-1/zeta targets, through the basin check of :func:`inverse_zeta_value`.
-Every circle of the package, this ring, its DFT roots, the
-multiplicity probe of :mod:`zetakit.zeros` and the residual sweep of
-:mod:`zetakit.laurent`, takes its nodes radius e^(2 pi i j/n) from
-:func:`ring_samples`.  It takes an exp only on the first octant and
-builds the other nodes by exact swaps and sign flips, so the ring is
-exactly symmetric about both axes, and it doubles a ring by evaluating
-only the odd nodes.  A ring on a real centre (the pole) or on the
-critical line (every zero) runs n/2 + 1 Euler-Maclaurin sums for its n
-nodes, n even: the other node of each mirror pair is the conjugate of its
-partner's value, or on the critical line chi times that conjugate.  The
-64-node residual circle at a zero so takes 33 sums and 31 chi.  The
+Taylor coefficients come from one cached Cauchy ring, :func:`taylor_ring`,
+whose samples are those of the memoized ring :func:`zeta_ring`, which the
+residual sweep of :mod:`zetakit.laurent` also inverts for its 1/zeta
+targets, through the basin check of :func:`inverse_zeta_value`.  No ring
+touches the pole s = 1: the Laurent coefficients there, the Stieltjes
+constants, come from one Euler-Maclaurin jet
+(:func:`zetakit.mobius.stieltjes_fixed`).  Every circle of the package,
+this ring, its DFT roots, the multiplicity probe of :mod:`zetakit.zeros`
+and the residual sweep of :mod:`zetakit.laurent`, takes its nodes
+radius e^(2 pi i j/n) from :func:`ring_samples`.  It takes an exp only
+on the first octant and builds the other nodes by exact swaps and sign
+flips, so the ring is exactly symmetric about both axes, and it doubles
+a ring by evaluating only the odd nodes.  A ring on a real centre or on
+the critical line (every zero) runs n/2 + 1 Euler-Maclaurin sums for its
+n nodes, n even: the other node of each mirror pair is the conjugate of
+its partner's value, or on the critical line chi times that conjugate.
+The 64-node residual circle at a zero so takes 33 sums and 31 chi.  The
 DFT of a ring sums exact ints and rounds once.  The process caches (the
 ring of each node count, the unit nodes and the DFT roots per node count
 and precision, the basin threshold per context) are
@@ -301,21 +301,18 @@ def _unit_nodes(n: int, prec: int) -> tuple:
 def zeta_ring(center: mpc, radius: mpf, nodes: int, ctx: PrecisionContext) -> tuple:
     """zeta on the nodes center + h_j of :func:`ring_samples`, memoized.
 
-    A ring centred on the pole samples the regular part: the principal
-    part 1/h is subtracted from each zeta(1 + h).  Above 16 nodes, for a
-    node count divisible by 8, the even nodes come from the memoized ring
-    of half the size, so doubling a ring evaluates only the new nodes and
-    gives the bits of a fresh ring.
+    Above 16 nodes, for a node count divisible by 8, the even nodes come
+    from the memoized ring of half the size, so doubling a ring evaluates
+    only the new nodes and gives the bits of a fresh ring.
 
     For an even node count one node of each mirror pair is evaluated by
     :func:`zeta`, n/2 + 1 of the n nodes, wherever the ring is symmetric.
-    On a real centre zeta(conj s) = conj zeta(s), and so does the regular
-    part: node n - j is the conjugate of node j <= n/2.  On a centre with
-    real part 1/2 the nodes with Re h >= 0 are evaluated, and node
-    n/2 - j, Re h < 0, is placed at 1 - conj(s), s = center + h_j, and
-    reflected through the functional equation from
-    zeta(conj s) = conj zeta(s): it costs a chi in place of a sum.  An odd
-    node count, or any other centre, evaluates every node.
+    On a real centre zeta(conj s) = conj zeta(s): node n - j is the
+    conjugate of node j <= n/2.  On a centre with real part 1/2 the nodes
+    with Re h >= 0 are evaluated, and node n/2 - j, Re h < 0, is placed at
+    1 - conj(s), s = center + h_j, and reflected through the functional
+    equation from zeta(conj s) = conj zeta(s): it costs a chi in place of
+    a sum.  An odd node count, or any other centre, evaluates every node.
 
     ctx must already carry the guard digits: coefficient extraction
     divides by radius^k, so sample accuracy has to track the widened
@@ -338,8 +335,7 @@ def zeta_ring(center: mpc, radius: mpf, nodes: int, ctx: PrecisionContext) -> tu
             if out[j] is not None or on_line and h.real < 0:
                 continue
             s = center + h
-            v = zeta(s, ctx).value
-            out[j] = v - 1 / h if center == 1 else v
+            out[j] = v = zeta(s, ctx).value
             k = (n // 2 - j) % n
             if on_axis and 0 < j < n // 2:
                 out[n - j] = mp.conj(out[j])
@@ -417,10 +413,7 @@ def taylor_ring(center, radius, count: int, ctx: PrecisionContext) -> list:
     10^-D max|zeta| in a scaled coefficient a_k R^k is then at most
     10^-(digits+10) max|zeta| in a_k for every k < count.
 
-    The ring may enclose the pole only as its center.  At center = 1 the
-    samples are those of the regular part zeta(s) - 1/(s-1), so the
-    coefficients are the Laurent coefficients a_k = (-1)^k gamma_k / k!
-    of zeta at s = 1, gamma_k the Stieltjes constants.
+    A ring that touches or encloses the pole s = 1 raises PoleError.
 
     Node count.  With b_j = a_j R^j the scaled coefficients, the n-node
     rule returns b_k + b_{k+n} + b_{k+2n} + ... for k < n, so its only error
@@ -438,7 +431,7 @@ def taylor_ring(center, radius, count: int, ctx: PrecisionContext) -> list:
         radius = mpf(radius)
     if radius <= 0:
         raise RangeError("taylor_ring needs radius > 0")
-    if center != 1 and abs(center - 1) <= radius:
+    if abs(center - 1) <= radius:
         raise PoleError("derivative contour touches the pole at s=1")
     amplification = count * max(0.0, -math.log10(float(radius))) + 10
     inner = PrecisionContext.from_digits(ctx.target_digits + int(math.ceil(amplification)))

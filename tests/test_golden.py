@@ -7,8 +7,9 @@ and ``stieltjes --n-max 20``, all on one worker.  A second session runs
 ``zeros`` then ``audit`` at --t-max 100.3 on two workers, with its own
 cache.  Those run at 30 digits.  Two more run ``zeros`` then ``audit``
 at --t-max 40 on one worker, at 60 and at 200 digits, each with its own
-cache, and ``stieltjes --n-max 20`` runs once more at 60 digits.  Every stdout, exit code and the cache after each ``zeros`` and
-``audit`` must match the files under ``tests/golden/``.
+cache, and ``stieltjes --n-max 20`` runs once more at 60 digits.  Every
+stdout, exit code and the cache after each ``zeros`` and ``audit`` must
+match the files under ``tests/golden/``.
 
 A change that means to move these bytes regenerates them with
 

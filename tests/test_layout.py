@@ -189,7 +189,8 @@ def test_one_sign_walker_and_one_newton_step_serve_both_tiers():
 def test_one_euler_maclaurin_remainder():
     """zeta.py takes the remainder of its Euler-Maclaurin sum from
     mobius.tail_jet: it imports neither the Bernoulli tail nor
-    fixed_to_mpf, and tail_jet is the only caller of _bernoulli_tail."""
+    fixed_to_mpf, and the only callers of _bernoulli_tail are tail_jet and
+    the Stieltjes jet at the pole, stieltjes_fixed."""
     tree = ast.parse((SRC / "zeta.py").read_text())
     imported = [
         alias.name for node in ast.walk(tree)
@@ -205,7 +206,7 @@ def test_one_euler_maclaurin_remainder():
             if isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
             and node.func.id == "_bernoulli_tail"
         ]
-    assert callers == ["mobius.py:tail_jet"], callers
+    assert sorted(callers) == ["mobius.py:stieltjes_fixed", "mobius.py:tail_jet"], callers
 
 
 def test_one_function_reads_the_bernoulli_numbers():
@@ -250,8 +251,8 @@ def test_only_mobius_sieves():
 def test_one_dirichlet_pass():
     """Every Dirichlet sum takes its powers from one kernel with no Mobius
     filter: only the hyperbola pass of the Mobius sums and the
-    Euler-Maclaurin main sum of zeta call dirichlet_powers, and it takes no
-    ``mu``.  The kernel owns its factor table: it takes no ``spf``, and
+    Euler-Maclaurin main sums of zeta and of the Stieltjes jet call
+    dirichlet_powers, and it takes no ``mu``.  The kernel owns its factor table: it takes no ``spf``, and
     zeta.py imports no smallest_prime_factors."""
     callers = []
     for path in sorted(SRC.glob("*.py")):
@@ -266,7 +267,7 @@ def test_one_dirichlet_pass():
             if isinstance(node, ast.FunctionDef) and node.name == "dirichlet_powers":
                 params = [a.arg for a in node.args.args + node.args.kwonlyargs]
                 assert "mu" not in params and "spf" not in params, params
-    assert sorted(callers) == ["mobius._hyperbola_partial", "zeta._em_attempt"], callers
+    assert sorted(callers) == ["mobius._hyperbola_partial", "mobius.stieltjes_fixed", "zeta._em_attempt"], callers
     tree = ast.parse((SRC / "zeta.py").read_text())
     imported = [
         alias.name for node in ast.walk(tree)

@@ -1,8 +1,11 @@
+import sys
+
 import pytest
 from mpmath import mp, mpf
 
 import oracles
-from zetakit.errors import RangeError
+from zetakit import mobius, stieltjes
+from zetakit.errors import PrecisionEscalationError, RangeError
 from zetakit.precision import PrecisionContext
 from zetakit.stieltjes import (
     StieltjesTable,
@@ -10,7 +13,6 @@ from zetakit.stieltjes import (
     euler_gamma_partial,
     stieltjes_gamma,
 )
-from zetakit.zeta import taylor_ring, zeta_ring
 
 CTX = PrecisionContext.from_digits(30)
 
@@ -44,8 +46,8 @@ def test_higher_constants_against_mpmath():
 
 @pytest.mark.parametrize("digits", [30, 60])
 def test_bound_check_gammas_to_full_digits(digits):
-    # gamma_n = (-1)^n n! a_n multiplies the ring's error in a_n by n!;
-    # without guard digits for it gamma_20 is off in its last digits.
+    # gamma_20 cancels about 2^40 against the main sum of ln^20(k)/k; the
+    # jet's guard bits keep it to full relative precision.
     ctx = PrecisionContext.from_digits(digits)
     table = bound_check(20, ctx)
     with mp.workdps(digits + 20):
@@ -73,22 +75,62 @@ def test_expansion_reconstructs_zeta_near_one():
         assert abs(acc - direct) < mpf(10) ** -26
 
 
-def test_stieltjes_gamma_reads_one_ring():
-    zeta_ring.cache_clear()
-    stieltjes_gamma(0, CTX)
-    misses = zeta_ring.cache_info().misses
-    assert misses > 0
-    for n in range(1, 13):
+@pytest.mark.parametrize("digits", [10, 100])
+def test_jet_gammas_against_mpmath(digits):
+    ctx = PrecisionContext.from_digits(digits)
+    with mp.workdps(digits + 20):
+        for n in (0, 1, 7, 20):
+            ref = mp.stieltjes(n)
+            assert abs(stieltjes_gamma(n, ctx) - ref) <= mpf(10) ** -digits * abs(ref), f"n={n}"
+
+
+def test_jet_past_the_cli_digits():
+    # At 500 digits pi N / 5 would pass the tail's term cap, so N grows
+    # until the tail ends within _TAIL_TERMS terms instead of stalling.
+    ctx = PrecisionContext.from_digits(500)
+    assert stieltjes._jet_size(ctx.bits)[0] > 5 * stieltjes._TAIL_TERMS / mp.pi
+    gammas = bound_check(20, ctx).gammas
+    finer = bound_check(20, PrecisionContext.from_digits(560)).gammas
+    with mp.workdps(520):
+        assert abs(gammas[0] - mp.euler) <= mpf(10) ** -500 * mp.euler
+        for n, (g, ref) in enumerate(zip(gammas, finer)):
+            assert abs(g - ref) <= mpf(10) ** -500 * abs(ref), f"n={n}"
+
+
+def test_stieltjes_gamma_reads_one_jet(monkeypatch):
+    calls = []
+    jet = stieltjes.stieltjes_fixed
+    monkeypatch.setattr(stieltjes, "stieltjes_fixed", lambda *args: calls.append(args) or jet(*args))
+    stieltjes._gammas.cache_clear()
+    for n in range(21):
         stieltjes_gamma(n, CTX)
-    assert zeta_ring.cache_info().misses == misses
+    bound_check(20, CTX)
+    bound_check(5, CTX)
+    assert len(calls) == 1
 
 
-def test_stieltjes_ring_coefficients_are_exactly_real():
-    # The pole ring conjugates node j <= n/2 into node n - j, so every
-    # imaginary part cancels exactly in the DFT.
-    inner = PrecisionContext.from_digits(CTX.target_digits + 19)
-    coeffs = taylor_ring(1, mpf(1) / 2, 21, inner)
-    assert all(c.imag == 0 for c in coeffs)
+def test_stieltjes_gammas_are_real():
+    # The jet at s = 1 has exactly zero imaginary parts, so no residue
+    # check is left to make.
+    stieltjes._gammas.cache_clear()
+    assert all(type(g) is mpf for g in bound_check(20, CTX).gammas)
+
+
+def test_stalled_tail_raises(monkeypatch):
+    monkeypatch.setattr(mobius, "_bernoulli_tail", lambda *args: None)
+    stieltjes._gammas.cache_clear()
+    with pytest.raises(PrecisionEscalationError):
+        bound_check(20, CTX)
+
+
+def test_bound_check_evaluates_no_zeta(monkeypatch):
+    em = sys.modules["zetakit.zeta"]
+    calls = []
+    for name in ("zeta", "_em_pair", "zeta_ring"):
+        monkeypatch.setattr(em, name, lambda *args, name=name: calls.append(name))
+    stieltjes._gammas.cache_clear()
+    bound_check(20, CTX)
+    assert calls == []
 
 
 def test_gamma_n_range_validation():

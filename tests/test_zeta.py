@@ -402,15 +402,14 @@ def test_ring_nodes_are_within_one_ulp_of_exp(bits):
 
 
 @pytest.mark.parametrize("center, radius", [
-    (mpc(1), mpf(1) / 2),
+    (mpc(2), mpf(1) / 2),
     (mpc("0.5", "14.13"), mpf(1) / 4),
     (mpc("0.5", "87.4"), mpf(1) / 4),
 ])
 def test_symmetric_ring_sums_one_node_of_each_mirror_pair(monkeypatch, center, radius):
-    # On the pole ring and on rings centred on the critical line, n/2 + 1
+    # On rings centred on the real axis or on the critical line, n/2 + 1
     # Euler-Maclaurin sums give all n samples, and every sample agrees with
-    # a fresh evaluation: of the regular part zeta(1 + h) - 1/h at the pole,
-    # of zeta(center + h) elsewhere.
+    # a fresh evaluation of zeta(center + h).
     em = sys.modules["zetakit.zeta"]
     calls = []
     real_em = em._em_pair
@@ -428,8 +427,6 @@ def test_symmetric_ring_sums_one_node_of_each_mirror_pair(monkeypatch, center, r
     with CTX.wp():
         for h, got in zip(ring_samples(mpc, radius, 64), samples):
             fresh = zeta(center + h, CTX).value
-            if center == 1:
-                fresh -= 1 / h
             assert abs(got - fresh) <= CTX.tol, h
 
 
@@ -454,7 +451,7 @@ def test_mirror_nodes_within_the_em_threshold_of_fresh_zeta(digits, index):
 
 
 @pytest.mark.parametrize("nodes", [17, 18, 24, 40])
-@pytest.mark.parametrize("center", [mpc(1), mpc("0.5", "14.13"), mpc(2, 3)])
+@pytest.mark.parametrize("center", [mpc(2), mpc("0.5", "14.13"), mpc(2, 3)])
 def test_ring_of_any_node_count_matches_fresh_zeta(center, nodes):
     # An odd count evaluates every node, an even one pairs mirror nodes,
     # and only a count divisible by 8 takes its even nodes from the half
@@ -465,8 +462,6 @@ def test_ring_of_any_node_count_matches_fresh_zeta(center, nodes):
     with CTX.wp():
         for h, got in zip(ring_samples(mpc, radius, nodes), samples):
             fresh = zeta(center + h, CTX).value
-            if center == 1:
-                fresh -= 1 / h
             assert abs(got - fresh) <= mpf(10) ** -(CTX.target_digits + 5), h
 
 
@@ -479,7 +474,9 @@ def test_float_bernoulli_ratios_are_the_exact_ratios_in_double():
 def test_ring_dft_rounds_as_fdot_on_the_laurent_and_stieltjes_rings(monkeypatch):
     # The exact-int sums round once, as mp.fdot rounds its exact sum, so
     # every coefficient keeps its bits: the 48-digit ring at zero 1 of
-    # laurent --terms 8 and the 66-digit ring at s = 1 of stieltjes --n-max 20.
+    # laurent --terms 8, and a ring of the size the Stieltjes constants
+    # once took at the pole, 21 coefficients at 66 digits, now centred
+    # off the pole at s = 2.
     em = sys.modules["zetakit.zeta"]
     dft = em._ring_dft
     checked = []
@@ -498,18 +495,15 @@ def test_ring_dft_rounds_as_fdot_on_the_laurent_and_stieltjes_rings(monkeypatch)
     with mp.workdps(40):
         rho = mp.zetazero(1)
     taylor_ring(rho, mpf(1) / 4, 13, CTX)
-    taylor_ring(1, mpf(1) / 2, 21, PrecisionContext.from_digits(49))
+    taylor_ring(2, mpf(1) / 2, 21, PrecisionContext.from_digits(49))
     assert {PrecisionContext.from_digits(d).bits for d in (48, 66)} <= {p for _, p in checked}
 
 
-def test_taylor_ring_at_pole_gives_laurent_coefficients():
-    # Centred on s = 1 the ring expands zeta(s) - 1/(s-1), whose Taylor
-    # coefficients are (-1)^k gamma_k / k!.
-    coeffs = taylor_ring(1, mpf(1) / 2, 6, CTX)
-    with mp.workdps(45):
-        for k in range(6):
-            ref = (-1) ** k * mp.stieltjes(k) / mp.factorial(k)
-            assert abs(coeffs[k] - ref) < mpf(10) ** -28, f"k={k}"
+def test_taylor_ring_centred_on_the_pole_raises():
+    # The Stieltjes constants come from the jet at s = 1, so no ring is
+    # centred on the pole.
+    with pytest.raises(PoleError):
+        taylor_ring(1, mpf(1) / 2, 6, CTX)
 
 
 def test_taylor_ring_rejects_pole_inside():
