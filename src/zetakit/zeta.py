@@ -37,26 +37,25 @@ for scanning, and :func:`em_pair_float`, this formula in Python complex
 arithmetic, for the integer-valued work (counts, windings, Newton seeds)
 and the grid signs Riemann-Siegel leaves open.
 
-Taylor coefficients come from one cached Cauchy ring, :func:`taylor_ring`,
-whose samples are those of the memoized ring :func:`zeta_ring`, which the
-residual sweep of :mod:`zetakit.laurent` also inverts for its 1/zeta
-targets, through the basin check of :func:`inverse_zeta_value`.  No ring
-touches the pole s = 1: the Laurent coefficients there, the Stieltjes
-constants, come from one Euler-Maclaurin jet
-(:func:`zetakit.mobius.stieltjes_fixed`).  Every circle of the package,
-this ring, its DFT roots, the multiplicity probe of :mod:`zetakit.zeros`
-and the residual sweep of :mod:`zetakit.laurent`, takes its nodes
-radius e^(2 pi i j/n) from :func:`ring_samples`.  It takes an exp only
-on the first octant and builds the other nodes by exact swaps and sign
-flips, so the ring is exactly symmetric about both axes, and it doubles
-a ring by evaluating only the odd nodes.  A ring on a real centre or on
-the critical line (every zero) runs n/2 + 1 Euler-Maclaurin sums for its
-n nodes, n even: the other node of each mirror pair is the conjugate of
-its partner's value, or on the critical line chi times that conjugate.
-The 64-node residual circle at a zero so takes 33 sums and 31 chi.  The
-DFT of a ring sums exact ints and rounds once.  The process caches (the
-ring of each node count, the unit nodes and the DFT roots per node count
-and precision, the basin threshold per context) are
+Taylor coefficients are the orders of one jet over j!: route one of
+:mod:`zetakit.laurent` takes them at each zero from :func:`zeta_jet`, and
+the Laurent coefficients at the pole s = 1, the Stieltjes constants, come
+from one jet too (:func:`zetakit.mobius.stieltjes_fixed`), so no DFT is
+left in the package.  Every circle of the package, the ring
+:func:`zeta_ring` that the residual sweep of :mod:`zetakit.laurent`
+inverts for its 1/zeta targets through the basin check of
+:func:`inverse_zeta_value`, and the multiplicity probe of
+:mod:`zetakit.zeros`, takes its nodes radius e^(2 pi i j/n) from
+:func:`ring_samples`.  It takes an exp only on the first octant and
+builds the other nodes by exact swaps and sign flips, so the ring is
+exactly symmetric about both axes, and it doubles a ring by evaluating
+only the odd nodes.  A ring on a real centre or on the critical line
+(every zero) runs n/2 + 1 Euler-Maclaurin sums for its n nodes, n even:
+the other node of each mirror pair is the conjugate of its partner's
+value, or on the critical line chi times that conjugate.  The 64-node
+residual circle at a zero so takes 33 sums and 31 chi.  The process
+caches (the unit nodes per node count and precision, the basin threshold
+per context, the double logs per main-sum length) are
 ``functools.lru_cache``d functions, as is the power kernel's
 smallest-prime-factor table per size class in :mod:`zetakit.mobius`.
 """
@@ -66,7 +65,6 @@ from __future__ import annotations
 import cmath
 import functools
 import math
-import operator
 from typing import NamedTuple
 
 import mpmath as mp
@@ -189,7 +187,8 @@ def zeta_jet(s, order: int, ctx: PrecisionContext) -> list:
 
     One sum of :func:`_em_pair` at ctx.bits + 40 bits, each order rounded
     to ctx.bits; valid for Re(s) >= -1.5 without reflection.  Zero
-    refinement solves the Taylor polynomials of these jets.
+    refinement solves the Taylor polynomials of these jets, and route one
+    of :mod:`zetakit.laurent` inverts them at each zero.
     Accuracy is relative, as in :func:`zeta`; next to the pole zeta^(j)
     cancels against (-1)^j j!/(s-1)^(j+1) and loses about
     (j + 1) log10(1/|s-1|) digits, as Im zeta'(1 + 10^-30 i) does.
@@ -249,12 +248,8 @@ def _basin(ctx: PrecisionContext) -> mpf:
 
 
 # ----------------------------------------------------------------------
-# Cauchy-ring derivative extraction
+# Circle samples
 # ----------------------------------------------------------------------
-
-# Adaptive rings start at this many nodes and double up to the cap.
-_RING_MIN_NODES = 16
-_RING_MAX_NODES = 4096
 
 
 def ring_samples(f, radius, nodes: int, half=()) -> list:
@@ -297,13 +292,8 @@ def _unit_nodes(n: int, prec: int) -> tuple:
     return tuple(w)
 
 
-@functools.lru_cache(maxsize=4096)
 def zeta_ring(center: mpc, radius: mpf, nodes: int, ctx: PrecisionContext) -> tuple:
-    """zeta on the nodes center + h_j of :func:`ring_samples`, memoized.
-
-    Above 16 nodes, for a node count divisible by 8, the even nodes come
-    from the memoized ring of half the size, so doubling a ring evaluates
-    only the new nodes and gives the bits of a fresh ring.
+    """zeta on the nodes center + h_j of :func:`ring_samples`, at ctx.
 
     For an even node count one node of each mirror pair is evaluated by
     :func:`zeta`, n/2 + 1 of the n nodes, wherever the ring is symmetric.
@@ -314,19 +304,14 @@ def zeta_ring(center: mpc, radius: mpf, nodes: int, ctx: PrecisionContext) -> tu
     equation from zeta(conj s) = conj zeta(s): it costs a chi in place of
     a sum.  An odd node count, or any other centre, evaluates every node.
 
-    ctx must already carry the guard digits: coefficient extraction
-    divides by radius^k, so sample accuracy has to track the widened
-    working precision, not the caller's final target.  A reflected node
-    takes its partner's value rounded to ctx and multiplies it by chi, so
-    it need not have the bits of a fresh evaluation, but it stays within
-    the Euler-Maclaurin tail threshold 10^-(digits+5) of one (up to a few
-    tens of ulps of |zeta| at 30 and 60 digits, zeros 1, 4, 26 and 29).
+    A reflected node takes its partner's value rounded to ctx and
+    multiplies it by chi, so it need not have the bits of a fresh
+    evaluation, but it stays within the Euler-Maclaurin tail threshold
+    10^-(digits+5) of one (up to a few tens of ulps of |zeta| at 30 and
+    60 digits, zeros 1, 4, 26 and 29).
     """
     n = nodes
-    half = zeta_ring(center, radius, n // 2, ctx) if n > _RING_MIN_NODES and n % 8 == 0 else ()
     out = [None] * n
-    if half:
-        out[::2] = half
     pairs = n % 2 == 0
     on_axis = pairs and center.imag == 0
     on_line = pairs and not on_axis and center.real == mpf(1) / 2
@@ -342,147 +327,6 @@ def zeta_ring(center: mpc, radius: mpf, nodes: int, ctx: PrecisionContext) -> tu
             elif on_line and k != j:
                 out[k] = _reflected(1 - mp.conj(s), mp.conj(v), ctx.bits, ctx)
     return tuple(out)
-
-
-def _exact_ints(values) -> tuple:
-    """(E, re, im): every value of ``values`` is exactly (re[j] + i im[j]) 2^E,
-    E the smallest exponent among their nonzero parts."""
-    exps = [x.exp for z in values for x in (z.real, z.imag) if x]
-    wp = -min(exps, default=0)
-    pairs = [fixed_pair(z, wp) for z in values]
-    return -wp, [p[0] for p in pairs], [p[1] for p in pairs]
-
-
-@functools.lru_cache(maxsize=None)
-def _dft_roots(n: int, prec: int) -> tuple:
-    """The conjugate ring nodes w^(-j), j < n, of :func:`ring_samples` at
-    prec bits, as the exact ints of :func:`_exact_ints`."""
-    with mp.workprec(prec):
-        return _exact_ints(ring_samples(mp.conj, 1, n))
-
-
-def _ring_dft(samples, ks) -> list:
-    """(1/n) sum_j samples[j] w^(-jk) for each k in ks, w = e^(2 pi i/n).
-
-    The roots w^(-j) are the conjugate unit-circle nodes, bit for bit the
-    values exp(-2 pi i j/n).  Samples and roots are exact ints at one
-    exponent each, so every sum is exact and rounded once to the working
-    precision, as ``mp.fdot`` rounds its exact sum; then it is divided
-    by n."""
-    n = len(samples)
-    prec = mp.mp.prec
-    e_r, rr, ri = _dft_roots(n, prec)
-    e_s, sr, si = _exact_ints(samples)
-    out = []
-    for k in ks:
-        roots = operator.itemgetter(*(j * k % n for j in range(n)))
-        rk, ik = roots(rr), roots(ri)
-        re = sum(map(operator.mul, sr, rk)) - sum(map(operator.mul, si, ik))
-        im = sum(map(operator.mul, sr, ik)) + sum(map(operator.mul, si, rk))
-        out.append(fixed_to_mpc(re, im, -(e_r + e_s), prec) / n)
-    return out
-
-
-def _aliasing_estimate(samples: list) -> mpf:
-    """Estimated size of the scaled coefficient b_n an n-node ring aliases.
-
-    The ring's own DFT gives b_j for every j < n (each polluted only by
-    b_{j+n}, b_{j+2n}, ...).  The envelopes of |b_j| over the quarters
-    [n/2, 3n/4) and [3n/4, n) fix a geometric decay rate, which is carried
-    one more quarter out.  For log-concave decay, as for the coefficients
-    of an entire function, this overestimates b_n; at the rounding floor
-    the two envelopes are level and the estimate is the floor itself.
-    """
-    n = len(samples)
-    tail = [abs(b) for b in _ring_dft(samples, range(n // 2, n))]
-    lo = max(tail[: n // 4])
-    hi = max(tail[n // 4 :])
-    if hi == 0 or hi >= lo:
-        return hi
-    return hi * hi / lo
-
-
-def taylor_ring(center, radius, count: int, ctx: PrecisionContext) -> list:
-    """First ``count`` Taylor coefficients of zeta at ``center``.
-
-    Trapezoid (equal-weight ring) discretization of the Cauchy integral:
-    coefficient k is (1/n) sum_j zeta(c + R w^j) w^(-jk) / R^k.  The
-    ring is sampled once per (center, radius, precision) and shared by
-    every derivative order.  Extraction divides by R^k, so the ring is
-    evaluated at D = digits + count log10(1/R) + 10 digits: an error of
-    10^-D max|zeta| in a scaled coefficient a_k R^k is then at most
-    10^-(digits+10) max|zeta| in a_k for every k < count.
-
-    A ring that touches or encloses the pole s = 1 raises PoleError.
-
-    Node count.  With b_j = a_j R^j the scaled coefficients, the n-node
-    rule returns b_k + b_{k+n} + b_{k+2n} + ... for k < n, so its only error
-    besides rounding is aliasing, bounded by about |b_n| once the b_j
-    decay (Trefethen & Weideman, SIAM Rev. 56 (2014), sec. 3; Bornemann,
-    FoCM 11 (2011)).  The ring estimates |b_n| from its own spectrum (see
-    :func:`_aliasing_estimate`) and is accepted when that estimate is below
-    10^-D max|zeta| on the ring, the rounding floor of the extraction;
-    otherwise n doubles, reusing every sample already taken.  Rings start
-    at 16 nodes (at least 2 * count) and stop at 4096.  The node count so
-    grows with both the digits and the height, through the decay of b_j.
-    """
-    with ctx.wp():
-        center = mpc(center)
-        radius = mpf(radius)
-    if radius <= 0:
-        raise RangeError("taylor_ring needs radius > 0")
-    if abs(center - 1) <= radius:
-        raise PoleError("derivative contour touches the pole at s=1")
-    amplification = count * max(0.0, -math.log10(float(radius))) + 10
-    inner = PrecisionContext.from_digits(ctx.target_digits + int(math.ceil(amplification)))
-    with inner.wp():
-        n = _RING_MIN_NODES
-        while n < 2 * count:
-            n *= 2
-        while True:
-            samples = zeta_ring(center, radius, n, inner)
-            floor = inner.tol * max(abs(v) for v in samples)
-            if _aliasing_estimate(samples) <= floor:
-                break
-            if n >= _RING_MAX_NODES:
-                raise PrecisionEscalationError(
-                    f"Cauchy ring at {center} still aliasing at {n} nodes"
-                )
-            n *= 2
-        coeffs = _ring_dft(samples, range(count))
-        rpow = mpf(1)
-        for k in range(count):
-            coeffs[k] /= rpow
-            rpow *= radius
-    with ctx.wp():
-        return [+c for c in coeffs]
-
-
-def zeta_deriv(s, k: int, ctx: PrecisionContext) -> mpc:
-    """k-th derivative of zeta at s via Cauchy's integral formula.
-
-    Circle radius min(1/4, |s-1|/2) keeps the pole outside.  The ring is
-    the one of :func:`taylor_ring` with k + 1 coefficients, so its node
-    count comes from the aliasing estimate, not from the digits alone: it
-    doubles from 16 until the estimated aliased coefficient |b_n| is below
-    the rounding floor 10^-D max|zeta| of the inner precision
-    D = digits + (k+1) log10(1/R) + 10.  Aliasing and rounding each then
-    add at most about 10^-(digits+10) max|zeta| to zeta^(k)(s)/k!.
-    k = 0 delegates to :func:`zeta`.
-    """
-    if k < 0 or k > 8:
-        raise RangeError("zeta_deriv supports 0 <= k <= 8")
-    if k == 0:
-        return zeta(s, ctx).value
-    with ctx.wp():
-        s = mpc(s)
-    if s == 1:
-        raise PoleError("zeta pole at s=1")
-    with ctx.wp():
-        radius = min(mpf(1) / 4, abs(s - 1) / 2)
-    coeffs = taylor_ring(s, radius, k + 1, ctx)
-    with ctx.wp():
-        return coeffs[k] * mp.factorial(k)
 
 
 # ----------------------------------------------------------------------

@@ -124,6 +124,16 @@ def bisect_sign_change(f, a, b, tol, max_iter: int = 200) -> mpf:
     return (lo + hi) / 2
 
 
+def zeta_derivative(s, k: int, digits: int):
+    """zeta^(k)(s) by mpmath's own ``zeta(s, derivative=k)`` at digits + 10,
+    a route that shares no code with the library's Euler-Maclaurin jets.
+    mpmath sizes its sum to the working precision, so the value is good to
+    about digits + 10 digits relative; 3-10 ms a call at 30 digits and
+    t <= 100."""
+    with mp.workdps(digits + 10):
+        return mp.zeta(s, derivative=k)
+
+
 def fd_derivative(f, s, h, dps: int = 60):
     """5-point central difference, error O(h^4)."""
     with mp.workdps(dps):

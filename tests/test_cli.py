@@ -260,6 +260,27 @@ def test_laurent_unknown_index(seeded_cache):
     assert "index" in out.stderr
 
 
+def test_laurent_exits_1_below_the_simplicity_floor(seeded_cache, monkeypatch, capsys):
+    # A zeta'(rho) at or below the floor is a numerical finding: the
+    # expansion is refused, not reported.
+    from zetakit import cli, laurent
+
+    jet = laurent.zeta_jet
+
+    def flat(*args):
+        out = jet(*args)
+        out[1] = out[1] * 1e-9
+        return out
+
+    monkeypatch.setattr(laurent, "zeta_jet", flat)
+    argv = ["laurent", "--index", "1", "--terms", "2", "--k-max", "100", "--cache", str(seeded_cache)]
+    assert cli.main(argv) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "numerical finding" in captured.err
+    assert "simplicity floor" in captured.err
+
+
 def test_laurent_terms_validation(seeded_cache):
     out = run_cli("laurent", "--index", "1", "--terms", "13", "--cache", str(seeded_cache))
     assert out.returncode == 2

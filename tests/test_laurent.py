@@ -31,7 +31,6 @@ from zetakit.zeta import (
     inverse_zeta,
     ring_samples,
     zeta_and_deriv_raw,
-    zeta_deriv,
     zeta_ring,
 )
 
@@ -106,7 +105,7 @@ def test_c0_second_derivative_identity():
     with CTX.wp():
         _, c = invert_series(a, 1)
         _, dv = zeta_and_deriv_raw(rho, CTX)
-        zpp = zeta_deriv(rho, 2, CTX)
+        zpp = oracles.zeta_derivative(rho, 2, CTX.target_digits)
         assert abs(c[0] + zpp / (2 * dv**2)) < mpf(10) ** -27
 
 
@@ -292,9 +291,25 @@ def test_residual_sweep_sums_one_node_of_each_mirror_pair(monkeypatch):
 
     exp = build_expansion(_rho1(), 8, CTX)
     monkeypatch.setattr(em, "zeta", counted)
-    zeta_ring.cache_clear()
     residual_profile(exp, mpf(1) / 32, range(9), 64, CTX)
     assert collections.Counter(methods) == {EULER_MACLAURIN: 33}
+
+
+def test_expansion_takes_one_jet_and_no_ring(monkeypatch):
+    """An expansion of order 8 at zero 1 takes its Taylor data from one
+    Euler-Maclaurin sum, a jet of order 13, and samples no Cauchy ring."""
+    records, _ = shared.zeros_to(35)
+    em = sys.modules["zetakit.zeta"]
+    laurent = sys.modules["zetakit.laurent"]
+    sums, rings = [], []
+    real_em = em._em_pair
+    monkeypatch.setattr(em, "_em_pair", lambda *args: sums.append(args[2]) or real_em(*args))
+    for mod in (em, laurent):
+        monkeypatch.setattr(mod, "zeta_ring", lambda *args: rings.append(args))
+    exp = build_expansion(records[0].rho, 8, CTX, neighbor_ts=[records[1].t])
+    assert sums == [13]
+    assert rings == []
+    assert exp.n_terms == 8
 
 
 def test_truncated_moves_the_cut_coefficients_to_the_tail():

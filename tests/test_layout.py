@@ -71,21 +71,6 @@ def test_importing_the_package_and_cli_loads_no_numpy():
     assert out.stdout.strip() == "[]", out.stdout
 
 
-def test_zero_pipeline_does_not_use_the_cauchy_ring():
-    """Refinement takes zeta'(rho) from the Taylor polynomial of an
-    Euler-Maclaurin jet; the ring is the independent second route of the
-    Laurent data only."""
-    tree = ast.parse((SRC / "zeros.py").read_text())
-    found = [
-        f"zeros.py:{node.lineno} imports {alias.name}"
-        for node in ast.walk(tree)
-        if isinstance(node, (ast.Import, ast.ImportFrom))
-        for alias in node.names
-        if alias.name.split(".")[-1] in ("taylor_ring", "zeta_deriv")
-    ]
-    assert not found, "; ".join(found)
-
-
 def _is_circle_node(node) -> bool:
     """An ``mp.exp`` whose argument multiplies ``mp.pi`` by ``mpc(0, +-2)``."""
 
@@ -109,10 +94,9 @@ def _is_circle_node(node) -> bool:
 
 
 def test_only_ring_samples_computes_circle_nodes():
-    """Every circle around a point, the Cauchy rings, the multiplicity
-    probe, the residual sweep and the DFT roots, takes its nodes from
-    zeta.ring_samples, which reads them from its memoized helper
-    zeta._unit_nodes."""
+    """Every circle around a point, the multiplicity probe and the
+    residual sweep's ring, takes its nodes from zeta.ring_samples, which
+    reads them from its memoized helper zeta._unit_nodes."""
     found = []
     for path in sorted(SRC.glob("*.py")):
         tree = ast.parse(path.read_text(), filename=str(path))

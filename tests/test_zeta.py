@@ -9,13 +9,13 @@ from mpmath import mp, mpc, mpf
 import oracles
 from zetakit import zeros
 from zetakit.errors import ContourNearZeroError, NearZeroError, PoleError, PrecisionEscalationError, RangeError
+from zetakit.laurent import taylor_at_zero
 from zetakit.mobius import bernoulli_ratio, em_terms
 from zetakit.precision import PrecisionContext
 from zetakit.zeta import (
     EULER_MACLAURIN,
     REFLECTED,
     _FLOAT_BERNOULLI_RATIOS,
-    _ring_dft,
     em_float_error,
     em_pair_float,
     functional_equation_sides,
@@ -24,13 +24,11 @@ from zetakit.zeta import (
     inverse_zeta,
     ring_samples,
     rs_error_bound,
-    taylor_ring,
     theta,
     theta_float,
     theta_float_error,
     zeta,
     zeta_and_deriv_raw,
-    zeta_deriv,
     zeta_jet,
     zeta_logderiv,
     zeta_ring,
@@ -283,46 +281,25 @@ def test_functional_equation_residuals():
             assert abs(lhs - rhs) / scale < mpf(10) ** -32
 
 
-def test_taylor_ring_matches_derivatives():
-    coeffs = taylor_ring(mpc(3, 0), mpf(1) / 4, 7, CTX)
-    with mp.workdps(45):
-        for k in range(7):
-            ref = mp.zeta(mpc(3, 0), derivative=k) / mp.factorial(k)
-            assert abs(coeffs[k] - ref) < mpf(10) ** -26, f"k={k}"
-
-
 def test_ring_node_rule_near_height_1000():
     # Near t = 1000 the scaled coefficients |a_j R^j| (R = 1/4) fall only to
-    # about 1e-32 at j = 32 and 1e-56 at j = 48: a fixed 32-node ring misses
-    # a 60-digit target by some 24 digits, so the node count has to grow
-    # with the height and the digits.  Same slack below the target as the
-    # 30-digit ring tests above: 4 digits for coefficients, 6 for zeta_deriv.
-    ctx = PrecisionContext.from_digits(60)
-    with mp.workdps(90):
-        rho = mpc(
-            mpf(1) / 2,
-            mpf("999.79157155741294046316314715784706739154351405864033575613621600259403707059704"),
-        )  # zero number 649
-        coeffs = taylor_ring(rho, mpf(1) / 4, 14, ctx)
-        for k in range(14):
-            ref = mp.zeta(rho, derivative=k) / mp.factorial(k)
-            assert abs(coeffs[k] - ref) < mpf(10) ** -56, f"k={k}"
-        ref = mp.zeta(rho, derivative=8)
-        assert abs(zeta_deriv(rho, 8, ctx) - ref) < mpf(10) ** -54
-
-
-def test_ring_extension_matches_fresh_ring():
-    # A ring doubled from the memoized smaller rings must give the bits of
-    # zeta sampled fresh at every node, so results never depend on which
-    # ring was memoized first.
-    s, r = mpc(2, 3), mpf(1) / 4
-    with CTX.wp():
-        fresh = tuple(zeta(s + h, CTX).value for h in ring_samples(mpc, r, 128))
-        zeta_ring.cache_clear()
-        assert zeta_ring(s, r, 128, CTX) == fresh
-        zeta_ring.cache_clear()
-        zeta_ring(s, r, 32, CTX)
-        assert zeta_ring(s, r, 128, CTX) == fresh
+    # about 1e-32 at j = 32, so a Cauchy ring would need a node count that
+    # grows with the height and the digits.  The jet of taylor_at_zero has
+    # no node rule: its error is relative in each order, and a_1..a_13 stay
+    # within 4 digits of the target at zero 649 and 60 digits, and at
+    # zero 5 and 200 digits.  The oracle is mpmath's zeta(derivative=k).
+    for digits, zero in ((60, 649), (200, 5)):
+        ctx = PrecisionContext.from_digits(digits)
+        with mp.workdps(40):
+            t = mp.zetazero(zero).imag
+        with ctx.wp():
+            rho = mpc(mpf(1) / 2, t)
+        coeffs = taylor_at_zero(rho, 12, ctx)
+        assert len(coeffs) == 13
+        with mp.workdps(digits + 30):
+            for k, got in enumerate(coeffs, start=1):
+                ref = mp.zeta(rho, derivative=k) / mp.factorial(k)
+                assert abs(got - ref) < mpf(10) ** -(digits - 4), (zero, k)
 
 
 def test_ring_samples_doubles_by_evaluating_the_odd_nodes():
@@ -352,19 +329,6 @@ def test_ring_nodes_take_their_exps_once_per_size_and_precision(monkeypatch):
         assert ring_samples(mpc, mpf(1) / 8, 64) == first
         assert ring_samples(mpc, mpf(1) / 4, 64) == [2 * h for h in first]
     assert len(exps) == 64 // 8 + 1
-
-
-@pytest.mark.parametrize("bits", [53, 100, 700])
-def test_ring_dft_roots_are_the_conjugate_nodes(bits):
-    # The DFT of a unit sample at node 1 is w^-k, w = e^(2 pi i/n), bit for
-    # bit the conjugate of node k of ring_samples.
-    with mp.workprec(bits):
-        for n in (16, 256, 4096):
-            nodes = ring_samples(mpc, 1, n)
-            samples = [mpc(0)] * n
-            samples[1] = mpc(n)
-            for k, got in zip(range(0, n, n // 16), _ring_dft(samples, range(0, n, n // 16))):
-                assert got == mp.conj(nodes[k]), (n, k)
 
 
 RING_SIZES = [2**k for k in range(4, 13)]
@@ -420,7 +384,6 @@ def test_symmetric_ring_sums_one_node_of_each_mirror_pair(monkeypatch, center, r
 
     monkeypatch.setattr(em, "_em_pair", counted)
     for n in (16, 32, 64):
-        zeta_ring.cache_clear()
         calls.clear()
         samples = zeta_ring(center, radius, n, CTX)
         assert len(calls) == n // 2 + 1, n
@@ -453,9 +416,8 @@ def test_mirror_nodes_within_the_em_threshold_of_fresh_zeta(digits, index):
 @pytest.mark.parametrize("nodes", [17, 18, 24, 40])
 @pytest.mark.parametrize("center", [mpc(2), mpc("0.5", "14.13"), mpc(2, 3)])
 def test_ring_of_any_node_count_matches_fresh_zeta(center, nodes):
-    # An odd count evaluates every node, an even one pairs mirror nodes,
-    # and only a count divisible by 8 takes its even nodes from the half
-    # ring.  Every sample is within 10^-(digits+5) of a fresh evaluation.
+    # An odd count evaluates every node and an even one pairs mirror
+    # nodes.  Every sample is within 10^-(digits+5) of a fresh evaluation.
     radius = mpf(1) / 4
     samples = zeta_ring(center, radius, nodes, CTX)
     assert len(samples) == nodes
@@ -471,54 +433,13 @@ def test_float_bernoulli_ratios_are_the_exact_ratios_in_double():
         assert got == bernoulli_ratio(m, 64) / 2**64, m
 
 
-def test_ring_dft_rounds_as_fdot_on_the_laurent_and_stieltjes_rings(monkeypatch):
-    # The exact-int sums round once, as mp.fdot rounds its exact sum, so
-    # every coefficient keeps its bits: the 48-digit ring at zero 1 of
-    # laurent --terms 8, and a ring of the size the Stieltjes constants
-    # once took at the pole, 21 coefficients at 66 digits, now centred
-    # off the pole at s = 2.
-    em = sys.modules["zetakit.zeta"]
-    dft = em._ring_dft
-    checked = []
-
-    def pinned(samples, ks):
-        ks = list(ks)
-        n = len(samples)
-        roots = ring_samples(mp.conj, 1, n)
-        want = [mp.fdot(samples, [roots[j * k % n] for j in range(n)]) / n for k in ks]
-        got = dft(samples, ks)
-        assert got == want, (n, mp.prec)
-        checked.append((n, mp.prec))
-        return got
-
-    monkeypatch.setattr(em, "_ring_dft", pinned)
-    with mp.workdps(40):
-        rho = mp.zetazero(1)
-    taylor_ring(rho, mpf(1) / 4, 13, CTX)
-    taylor_ring(2, mpf(1) / 2, 21, PrecisionContext.from_digits(49))
-    assert {PrecisionContext.from_digits(d).bits for d in (48, 66)} <= {p for _, p in checked}
-
-
-def test_taylor_ring_centred_on_the_pole_raises():
-    # The Stieltjes constants come from the jet at s = 1, so no ring is
-    # centred on the pole.
-    with pytest.raises(PoleError):
-        taylor_ring(1, mpf(1) / 2, 6, CTX)
-
-
-def test_taylor_ring_rejects_pole_inside():
-    with pytest.raises(PoleError):
-        taylor_ring(mpc(1.1, 0), mpf(1) / 4, 3, CTX)
-
-
 def test_zeta_deriv_orders():
     s = mpc(2, 2)
+    jet = zeta_jet(s, 8, CTX)
     with mp.workdps(45):
         for k in (1, 2, 4, 8):
             ref = mp.zeta(s, derivative=k)
-            assert abs(zeta_deriv(s, k, CTX) - ref) < mpf(10) ** -24, f"k={k}"
-    with pytest.raises(RangeError):
-        zeta_deriv(s, 9, CTX)
+            assert abs(jet[k] - ref) < mpf(10) ** -24, f"k={k}"
 
 
 def test_theta_and_hardy_Z():
