@@ -29,10 +29,10 @@ Each power carries at most about bit_length(N) + 2 units of 2^(-wp), and
 its order-j entry ln^j(N) times that and j more, so the N terms of order
 j are off by about N ln^j(N) (bit_length(N) + 2) 2^(-wp) < 2^(-prec)
 while (bit_length(N) + 2) ln^j(N) < 2^24, below the last bit kept when
-each order is rounded once to prec.  For Re(s) < 1/2
-(away from the removable point s = 0) values are reflected through the
-symmetric functional equation.  Two double-precision tiers serve the
-zero pipeline only, each with a stated error: a Riemann-Siegel main sum
+each order is rounded once to prec.  :func:`zeta` and :func:`zeta_jet`
+sum directly for Re(s) >= EM_SIGMA_MIN; left of it :func:`zeta` reflects
+through the symmetric functional equation.  Two double-precision tiers
+serve the zero pipeline only, each with a stated error: a Riemann-Siegel main sum
 for scanning, and :func:`em_pair_float`, this formula in Python complex
 arithmetic, for the integer-valued work (counts, windings, Newton seeds)
 and the grid signs Riemann-Siegel leaves open.
@@ -49,11 +49,10 @@ inverts for its 1/zeta targets through the basin check of
 :func:`ring_samples`.  It takes an exp only on the first octant and
 builds the other nodes by exact swaps and sign flips, so the ring is
 exactly symmetric about both axes, and it doubles a ring by evaluating
-only the odd nodes.  A ring on a real centre or on the critical line
-(every zero) runs n/2 + 1 Euler-Maclaurin sums for its n nodes, n even:
-the other node of each mirror pair is the conjugate of its partner's
-value, or on the critical line chi times that conjugate.  The 64-node
-residual circle at a zero so takes 33 sums and 31 chi.  The process
+only the odd nodes.  A ring on the critical line (every zero) runs
+n/2 + 1 Euler-Maclaurin sums for its n nodes, 4 dividing n: the other
+node of each mirror pair is chi times the conjugate of its partner's
+value.  The 64-node residual circle at a zero so takes 33 sums and 31 chi.  The process
 caches (the unit nodes per node count and precision, the basin threshold
 per context, the double logs per main-sum length) are
 ``functools.lru_cache``d functions, as is the power kernel's
@@ -76,6 +75,8 @@ from .precision import PrecisionContext, certified, log_gamma
 
 EULER_MACLAURIN = "euler-maclaurin"
 REFLECTED = "reflected"
+
+EM_SIGMA_MIN = -1.5  # zeta and zeta_jet sum directly for Re(s) >= this
 
 
 class ZetaValue(NamedTuple):
@@ -142,14 +143,14 @@ def _reflected(s: mpc, v: mpc, bits: int, ctx: PrecisionContext) -> mpc:
         return +v
 
 
-def zeta(s, ctx: PrecisionContext, method: str | None = None, certify: bool = False) -> ZetaValue:
+def zeta(s, ctx: PrecisionContext, certify: bool = False) -> ZetaValue:
     """zeta(s) to ctx.target_digits.
 
-    Method selection: Euler-Maclaurin for Re(s) >= 1/2 and in a unit
-    neighbourhood of s = 0 (where the reflection hits zeta(1)); reflection
-    through the functional equation elsewhere on the left.  Passing
-    ``method`` forces a path; ``certify=True`` re-runs the evaluation at
-    escalated precision and reports the measured agreement.
+    For Re(s) >= EM_SIGMA_MIN the Euler-Maclaurin sum, bit for bit
+    ``zeta_jet(s, 0, ctx)[0]``; left of it the value is reflected through
+    the functional equation from zeta(1 - s), and zeta(-2k) is exactly 0.
+    ``certify=True`` re-runs the evaluation at escalated precision and
+    reports the measured agreement.
 
     Accuracy is relative to |zeta(s)|: next to the pole a component that
     cancels against 1/(s-1), as Re zeta(1 + 10^-300 i), loses about log10(1/|s-1|) digits.
@@ -158,13 +159,8 @@ def zeta(s, ctx: PrecisionContext, method: str | None = None, certify: bool = Fa
         s = mpc(s)
     if s == 1:
         raise PoleError("zeta pole at s=1")
-    if method is None:
-        method = EULER_MACLAURIN if (s.real >= 0.5 or abs(s) <= 0.5) else REFLECTED
-
-    if method not in (EULER_MACLAURIN, REFLECTED):
-        raise RangeError(f"unknown zeta method {method!r}")
-    reflect = method == REFLECTED
-    if reflect and _is_trivial_zero(s):
+    reflect = s.real < EM_SIGMA_MIN
+    if _is_trivial_zero(s):
         with ctx.wp():
             return ZetaValue(mpc(0), REFLECTED, ctx.target_digits)
 
@@ -176,19 +172,21 @@ def zeta(s, ctx: PrecisionContext, method: str | None = None, certify: bool = Fa
         with mp.workprec(bits):
             return +v
 
-    if certify:
-        value, digits = certified(run, ctx)
-        return ZetaValue(value, method, digits)
-    return ZetaValue(run(ctx.bits), method, ctx.target_digits)
+    value, digits = certified(run, ctx) if certify else (run(ctx.bits), ctx.target_digits)
+    return ZetaValue(value, REFLECTED if reflect else EULER_MACLAURIN, digits)
 
 
 def zeta_jet(s, order: int, ctx: PrecisionContext) -> list:
     """[zeta^(j)(s) for j <= order] by direct differentiated Euler-Maclaurin.
 
     One sum of :func:`_em_pair` at ctx.bits + 40 bits, each order rounded
-    to ctx.bits; valid for Re(s) >= -1.5 without reflection.  Zero
-    refinement solves the Taylor polynomials of these jets, and route one
-    of :mod:`zetakit.laurent` inverts them at each zero.
+    to ctx.bits, valid for Re(s) >= EM_SIGMA_MIN.  The accuracy is set not
+    by ctx but by the Bernoulli tail's stop at 10^-(digits+5), which waits
+    for every order, so jets of different orders differ by about an ulp of
+    ctx in each entry: :func:`zetakit.laurent.build_expansion` takes one
+    order-13 jet for every N.  Zero refinement solves the Taylor
+    polynomials of these jets, and route one of :mod:`zetakit.laurent`
+    inverts them at each zero.
     Accuracy is relative, as in :func:`zeta`; next to the pole zeta^(j)
     cancels against (-1)^j j!/(s-1)^(j+1) and loses about
     (j + 1) log10(1/|s-1|) digits, as Im zeta'(1 + 10^-30 i) does.
@@ -199,8 +197,8 @@ def zeta_jet(s, order: int, ctx: PrecisionContext) -> list:
         s = mpc(s)
     if s == 1:
         raise PoleError("zeta pole at s=1")
-    if s.real < -1.5:
-        raise RangeError("direct Euler-Maclaurin derivative limited to Re(s) >= -1.5")
+    if s.real < EM_SIGMA_MIN:
+        raise RangeError(f"direct Euler-Maclaurin derivative limited to Re(s) >= {EM_SIGMA_MIN}")
     with ctx.wp(40):
         jet = _em_pair(s, ctx.target_digits, order)
     with ctx.wp():
@@ -295,14 +293,12 @@ def _unit_nodes(n: int, prec: int) -> tuple:
 def zeta_ring(center: mpc, radius: mpf, nodes: int, ctx: PrecisionContext) -> tuple:
     """zeta on the nodes center + h_j of :func:`ring_samples`, at ctx.
 
-    For an even node count one node of each mirror pair is evaluated by
-    :func:`zeta`, n/2 + 1 of the n nodes, wherever the ring is symmetric.
-    On a real centre zeta(conj s) = conj zeta(s): node n - j is the
-    conjugate of node j <= n/2.  On a centre with real part 1/2 the nodes
-    with Re h >= 0 are evaluated, and node n/2 - j, Re h < 0, is placed at
-    1 - conj(s), s = center + h_j, and reflected through the functional
-    equation from zeta(conj s) = conj zeta(s): it costs a chi in place of
-    a sum.  An odd node count, or any other centre, evaluates every node.
+    On a centre with real part 1/2 and an even node count the nodes with
+    Re h >= 0 (n/2 + 1 of the n where 4 divides n) are evaluated by
+    :func:`zeta`, and node n/2 - j, Re h < 0, is placed at 1 - conj(s),
+    s = center + h_j, and reflected through the functional equation from
+    zeta(conj s) = conj zeta(s): it costs a chi in place of a sum.  An odd
+    node count, or any other centre, evaluates every node.
 
     A reflected node takes its partner's value rounded to ctx and
     multiplies it by chi, so it need not have the bits of a fresh
@@ -312,9 +308,7 @@ def zeta_ring(center: mpc, radius: mpf, nodes: int, ctx: PrecisionContext) -> tu
     """
     n = nodes
     out = [None] * n
-    pairs = n % 2 == 0
-    on_axis = pairs and center.imag == 0
-    on_line = pairs and not on_axis and center.real == mpf(1) / 2
+    on_line = n % 2 == 0 and center.real == mpf(1) / 2
     with ctx.wp():
         for j, h in enumerate(ring_samples(mpc, radius, n)):
             if out[j] is not None or on_line and h.real < 0:
@@ -322,9 +316,7 @@ def zeta_ring(center: mpc, radius: mpf, nodes: int, ctx: PrecisionContext) -> tu
             s = center + h
             out[j] = v = zeta(s, ctx).value
             k = (n // 2 - j) % n
-            if on_axis and 0 < j < n // 2:
-                out[n - j] = mp.conj(out[j])
-            elif on_line and k != j:
+            if on_line and k != j:
                 out[k] = _reflected(1 - mp.conj(s), mp.conj(v), ctx.bits, ctx)
     return tuple(out)
 
@@ -539,7 +531,8 @@ def em_float_error(s: complex) -> float:
 def functional_equation_sides(s, ctx: PrecisionContext) -> tuple[mpc, mpc]:
     """Both sides of pi^(-s/2) Gamma(s/2) zeta(s) = (s -> 1-s), independently.
 
-    Each side forces the Euler-Maclaurin path, so for strip points the
+    Where s and 1 - s both lie at or right of EM_SIGMA_MIN, as on the whole
+    critical strip, each side is a direct Euler-Maclaurin sum, so the
     comparison never reuses the reflection it is meant to test.
     """
     with ctx.wp():
@@ -549,7 +542,7 @@ def functional_equation_sides(s, ctx: PrecisionContext) -> tuple[mpc, mpc]:
         with ctx.wp(20):
             val = (
                 mp.exp(-z / 2 * mp.log(mp.pi) + log_gamma(z / 2, ctx))
-                * zeta(z, ctx, method=EULER_MACLAURIN).value
+                * zeta(z, ctx).value
             )
         with ctx.wp():
             return +val

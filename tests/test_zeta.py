@@ -57,6 +57,25 @@ def test_special_values():
 def test_method_tags():
     assert zeta(3, CTX).method == EULER_MACLAURIN
     assert zeta(mpc(-3, 4), CTX).method == REFLECTED
+    assert zeta(mpc(-1.5, 4), CTX).method == EULER_MACLAURIN
+    assert zeta(mpc(-1.5625, 4), CTX).method == REFLECTED
+
+
+@pytest.mark.parametrize("digits", [30, 60])
+def test_zeta_sums_directly_wherever_zeta_jet_runs(digits):
+    # One domain: from Re s = -3/2 rightward zeta is the Euler-Maclaurin
+    # sum, bit for bit the order-0 entry of zeta_jet; left of it zeta
+    # reflects, and the trivial zeros stay exactly 0.
+    ctx = PrecisionContext.from_digits(digits)
+    for sigma in (-1.5, -1, -0.5, 0, 0.25, 0.5, 2):
+        for t in (0.001, 20, 1000):
+            s = mpc(sigma, t)
+            out = zeta(s, ctx)
+            assert out.method == EULER_MACLAURIN, s
+            assert out.value == zeta_jet(s, 0, ctx)[0], s
+    for sigma in (-1.75, -3):
+        assert zeta(mpc(sigma, 20), ctx).method == REFLECTED, sigma
+    assert zeta(-2, ctx).value == 0
 
 
 def test_pole_raises():
@@ -82,7 +101,7 @@ def test_reflected_zeta_matches_mpmath_at_cli_heights(digits):
     ctx = PrecisionContext.from_digits(digits)
     with mp.workdps(digits + 20):
         tol = mpf(10) ** -(digits + 3)
-        for sigma in (-1, 0.25):
+        for sigma in (-3, -1.75):
             for t in (100, 1000):
                 s = mpc(sigma, t)
                 out = zeta(s, ctx)
@@ -122,10 +141,10 @@ def test_derivative_against_mpmath():
 
 def test_em_pair_matches_mpmath_across_heights_and_digits():
     # The main-sum length follows |t| and the digits, so pin the accuracy
-    # over the whole desk range: sigma from -1 to 2, t from 0.001 to 1000.
+    # over the whole desk range: sigma from -1.5 to 2, t from 0.001 to 1000.
     grid = [
         mpc(sigma, t)
-        for sigma in (-1, 0.25, 0.5, 2)
+        for sigma in (-1.5, -1, 0.25, 0.5, 2)
         for t in (0.001, 3, 17, 45, 120, 333, 640, 1000)
     ]
     for digits in (12, 30, 60):
@@ -184,7 +203,7 @@ def test_em_pair_never_stalls_in_cli_range(monkeypatch):
     for digits in (10, 12, 30, 60, 100, 200):
         ctx = PrecisionContext.from_digits(digits)
         for t in (0.001, 20, 100, 1000):
-            for sigma in (-1, 0.5, 2):
+            for sigma in (-1.5, -1, 0.5, 2):
                 attempts.clear()
                 zeta_and_deriv_raw(mpc(sigma, t), ctx)
                 assert len(attempts) == 1 and attempts[0][1], (digits, t, sigma, attempts)
@@ -366,14 +385,13 @@ def test_ring_nodes_are_within_one_ulp_of_exp(bits):
 
 
 @pytest.mark.parametrize("center, radius", [
-    (mpc(2), mpf(1) / 2),
     (mpc("0.5", "14.13"), mpf(1) / 4),
     (mpc("0.5", "87.4"), mpf(1) / 4),
 ])
 def test_symmetric_ring_sums_one_node_of_each_mirror_pair(monkeypatch, center, radius):
-    # On rings centred on the real axis or on the critical line, n/2 + 1
-    # Euler-Maclaurin sums give all n samples, and every sample agrees with
-    # a fresh evaluation of zeta(center + h).
+    # On rings centred on the critical line, n/2 + 1 Euler-Maclaurin sums
+    # give all n samples, and every sample agrees with a fresh evaluation
+    # of zeta(center + h).
     em = sys.modules["zetakit.zeta"]
     calls = []
     real_em = em._em_pair
@@ -416,8 +434,9 @@ def test_mirror_nodes_within_the_em_threshold_of_fresh_zeta(digits, index):
 @pytest.mark.parametrize("nodes", [17, 18, 24, 40])
 @pytest.mark.parametrize("center", [mpc(2), mpc("0.5", "14.13"), mpc(2, 3)])
 def test_ring_of_any_node_count_matches_fresh_zeta(center, nodes):
-    # An odd count evaluates every node and an even one pairs mirror
-    # nodes.  Every sample is within 10^-(digits+5) of a fresh evaluation.
+    # An odd count, or a centre off the critical line, evaluates every
+    # node; an even count on the line pairs mirror nodes.  Every sample is
+    # within 10^-(digits+5) of a fresh evaluation.
     radius = mpf(1) / 4
     samples = zeta_ring(center, radius, nodes, CTX)
     assert len(samples) == nodes
