@@ -42,6 +42,7 @@ from .zeros import (
     scan_with_count,
     write_cache,
 )
+from .zeta import HEIGHT_MAX, HEIGHT_MIN
 
 EXIT_OK = 0
 EXIT_FINDING = 1
@@ -60,8 +61,8 @@ RATIO_THRESHOLD_HIGH = "0.84665"
 _OPTIONS = {
     "--digits": ({"type": int, "default": 30, "help": f"decimal digits of working accuracy ({DIGITS_MIN}..{DIGITS_MAX})"},
                  lambda v: DIGITS_MIN <= v <= DIGITS_MAX, f"--digits must be in [{DIGITS_MIN}, {DIGITS_MAX}], got {{}}"),
-    "--t-max": ({"type": float, "default": 100.0, "help": "scan/audit height (<= 1000)"},
-                lambda v: 0 < v <= 1000, "--t-max must be in (0, 1000], got {}"),
+    "--t-max": ({"type": float, "default": 100.0, "help": f"scan/audit height ({HEIGHT_MIN}..{HEIGHT_MAX})"},
+                lambda v: HEIGHT_MIN <= v <= HEIGHT_MAX, f"--t-max must be in [{HEIGHT_MIN}, {HEIGHT_MAX}], got {{}}"),
     "--k-max": ({"type": int, "default": 10**6, "help": "largest Mobius sum checkpoint, read up to 10^6 (laurent); largest accepted --x (mertens)"},
                 lambda v: 1 <= v <= 10**8, "--k-max must be in [1, 10^8], got {}"),
     "--format": ({"choices": ("csv", "json"), "default": "csv"}, None, None),

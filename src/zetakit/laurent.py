@@ -91,8 +91,9 @@ def _check_simple(rho, zp, ctx: PrecisionContext) -> None:
 
 
 def residue(rho, ctx: PrecisionContext) -> mpc:
-    """1/zeta'(rho), the residue of 1/zeta at a simple zero."""
-    zp = zeta_jet(rho, 1, ctx)[1]
+    """1/zeta'(rho), the residue of 1/zeta at a simple zero, bit for bit
+    :func:`build_expansion`'s: zeta'(rho) comes from the same order-13 jet."""
+    zp = taylor_at_zero(rho, 12, ctx)[0]
     _check_simple(rho, zp, ctx)
     with ctx.wp():
         return 1 / zp

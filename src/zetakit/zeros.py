@@ -47,13 +47,13 @@ from .mobius import fixed_pair, fixed_to_mpc
 from .parallel import map_ordered
 from .precision import PrecisionContext, real_from, to_decimal
 from .zeta import (
+    HEIGHT_MAX,
+    HEIGHT_MIN,
     em_float_error,
     em_pair_float,
-    hardy_Z,
     hardy_Z_fast,
     ring_samples,
     rs_error_bound,
-    theta,
     theta_float,
     theta_float_error,
     zeta_and_deriv_raw,
@@ -195,7 +195,7 @@ def _float_grid_sign(t: float) -> int | None:
 def _float_count(T: float) -> int | None:
     """The Backlund count at T from the float pair, if within 0.1 of an
     integer."""
-    c = _backlund_count(T, lambda s: em_pair_float(s)[0], _float_logderiv, theta_float, _FLOAT)
+    c = _backlund_count(T, lambda s: em_pair_float(s)[0], _float_logderiv, _FLOAT)
     return _near_integer(c, 0.1)
 
 
@@ -213,27 +213,27 @@ def _float_winding(rho: complex, r: float) -> int | None:
 # ----------------------------------------------------------------------
 
 def _grid_sign(t: float) -> int:
-    """Sign of Z(t) for scanning.  On t >= 10: float Riemann-Siegel when
-    |Z| clears twice its error bound, else the float Euler-Maclaurin Z
-    when |Z| clears twice its stated error.  Otherwise, and below t = 10,
-    a 12-digit Euler-Maclaurin Z."""
-    if t >= 10:
-        z = hardy_Z_fast(t)
-        if abs(z) > 2 * rs_error_bound(t):
-            return 1 if z > 0 else -1
-        sign = _float_grid_sign(t)
-        if sign is not None:
-            return sign
-    zlow = hardy_Z(mpf(t), _LOW_CTX)
-    return 1 if zlow >= 0 else -1
+    """Sign of Z(t) for scanning, t >= HEIGHT_MIN: float Riemann-Siegel
+    when |Z| clears twice its error bound, else the float Euler-Maclaurin
+    Z when |Z| clears twice its stated error, else Re(e^(i theta_float(t))
+    zeta(1/2 + it)), zeta at 12 digits.  An error d in theta_float only
+    scales that Z by cos d, so its sign is right wherever zeta is."""
+    z = hardy_Z_fast(t)
+    if abs(z) > 2 * rs_error_bound(t):
+        return 1 if z > 0 else -1
+    sign = _float_grid_sign(t)
+    if sign is not None:
+        return sign
+    v = complex(zeta_jet(complex(0.5, t), 0, _LOW_CTX)[0])
+    return 1 if (cmath.exp(1j * theta_float(t)) * v).real >= 0 else -1
 
 
 def _sign_brackets(ts):
     """Each (a, b) of consecutive points of ts between which the sign of
-    Z changes.  Points are signed lazily and in order, at max(t, 0.5)."""
+    Z changes.  Points, all at or above HEIGHT_MIN, are signed lazily and in order."""
     a = sa = None
     for b in ts:
-        sb = _grid_sign(max(b, 0.5))
+        sb = _grid_sign(b)
         if sa is not None and sb != sa:
             yield a, b
         a, sa = b, sb
@@ -241,12 +241,14 @@ def _sign_brackets(ts):
 
 def neighbor_distance(t_val: float) -> float:
     """Distance from ordinate t to the nearest other zero, located by
-    walking the scan grid outward until Z changes sign."""
-    h = 0.25 / math.log(max(t_val, 10.0))
+    walking the scan grid outward until Z changes sign.  The walk down
+    stops at HEIGHT_MIN, below the first zero; the walk up has no cap, so
+    the last zero below HEIGHT_MAX finds the next one."""
+    h = 0.25 / math.log(max(t_val, HEIGHT_MIN))
+    up = (t_val + (h / 2 + i * h) for i in range(4000))
+    down = (t_val - (h / 2 + i * h) for i in range(4000))
     gaps = []
-    for direction in (1.0, -1.0):
-        ts = (t_val + direction * (h / 2 + i * h) for i in range(4000))
-        ts = itertools.chain([next(ts)], itertools.takewhile(lambda t: t >= 0.5, ts))
+    for ts in (up, itertools.takewhile(lambda t: t >= HEIGHT_MIN, down)):
         bracket = next(_sign_brackets(ts), None)
         if bracket is not None:
             gaps.append(abs(bracket[1] - t_val) - h)  # nearer bracket edge: conservative
@@ -254,7 +256,7 @@ def neighbor_distance(t_val: float) -> float:
 
 
 def _scan_brackets(T: float, step: float) -> list[tuple[float, float]]:
-    lo = 10.0
+    lo = float(HEIGHT_MIN)
     if T <= lo:
         return []
     n = int(math.ceil((T - lo) / step))
@@ -420,11 +422,9 @@ def _record(index, t, zeta_prime_abs, ctx: PrecisionContext, winding=0,
 
 
 def refine_zero(t0, ctx: PrecisionContext) -> ZeroRecord:
-    """Polish the zero whose Z sign change lies within 0.05 of t0.
-
-    Returned record carries index 0 and winding 0; scan and audit fill
-    those in.
-    """
+    """Polish the zero whose Z sign change lies within 0.05 of t0, for
+    t0 - 0.05 >= HEIGHT_MIN (else RangeError).  Returned record carries
+    index 0 and winding 0; scan and audit fill those in."""
     seed = float(t0)
     bracket = next(_sign_brackets(seed + k * 0.01 for k in range(-5, 6)), None)
     if bracket is None:
@@ -473,21 +473,22 @@ def _gl_panel(sa, sb, logderiv, lib):
     return acc * half
 
 
-def _backlund_count(T, value, logderiv, theta_of, lib=mp):
+def _backlund_count(T, value, logderiv, lib=mp):
     """N(T) = theta(T)/pi + 1 + S(T) (Backlund 1914; Edwards 1974, ch. 6).
 
     pi S(T) = arg zeta(1/2 + iT), continued along the segment from 2 + iT,
     where the principal arg is right because |zeta(2 + iT) - 1| <=
     zeta(2) - 1 < 1.  The segment is integrated as Im of zeta'/zeta on
-    panels refined toward sigma = 1/2.  ``value``, ``logderiv`` and
-    ``theta_of`` supply zeta, zeta'/zeta and theta, and ``lib`` the
-    numbers: mpmath for the 12-digit path, _FLOAT for the float tier.
+    panels refined toward sigma = 1/2.  ``value`` and ``logderiv`` supply
+    zeta and zeta'/zeta, and ``lib`` the numbers: mpmath for the 12-digit
+    path, _FLOAT for the float tier.  Both take theta_float(T), within
+    3.8e-9 of theta, far inside the 0.1 a count is accepted within.
     """
     arg = lib.arg(value(lib.mpc(2, T)))
     breaks = [lib.mpf("0.5") + lib.mpf("1.5") / 2**k for k in range(6)] + [lib.mpf("0.5")]
     for a, b in zip(breaks, breaks[1:]):
         arg += _gl_panel(lib.mpc(a, T), lib.mpc(b, T), logderiv, lib).imag
-    return theta_of(T) / lib.pi + 1 + arg / lib.pi
+    return theta_float(float(T)) / lib.pi + 1 + arg / lib.pi
 
 
 def _sign_changes(a: float, b: float) -> int:
@@ -497,8 +498,8 @@ def _sign_changes(a: float, b: float) -> int:
 
 
 def count_by_argument(T) -> int:
-    """Number of zeros with 0 < t <= T, for 10 <= T <= 1000, by
-    Backlund's formula N(T) = theta(T)/pi + 1 + S(T).
+    """Number of zeros with 0 < t <= T, for HEIGHT_MIN <= T <= HEIGHT_MAX,
+    by Backlund's formula N(T) = theta(T)/pi + 1 + S(T).
 
     S(T) comes from integrating zeta'/zeta along the half of the line
     t = T from sigma = 2 to 1/2, so the count is independent of the Z
@@ -506,14 +507,14 @@ def count_by_argument(T) -> int:
     it is moved up by 0.05, at most five times, to T'; the zeros in
     (T, T'] are then taken off the count as Z sign changes on a 0.005
     grid, so the result is always the count at T itself.  The range is
-    enforced because near T = 0 the segment passes next to the pole at
+    the double tiers'; near T = 0 the segment would pass by the pole at
     s = 1.  At each height the float pair counts first; where its count
     is not within 0.1 of an integer the 12-digit path counts again.  When
     the shifts run out, the last height's error is raised again:
     ContourNearZeroError or NonIntegerWindingError.
     """
-    if not 10 <= float(T) <= 1000:
-        raise RangeError("count height must satisfy 10 <= T <= 1000")
+    if not HEIGHT_MIN <= float(T) <= HEIGHT_MAX:
+        raise RangeError(f"count height must satisfy {HEIGHT_MIN} <= T <= {HEIGHT_MAX}")
     shift = mpf(0)
     last_err: Exception | None = None
     for _ in range(6):
@@ -522,12 +523,8 @@ def count_by_argument(T) -> int:
             n = _float_count(float(Ts))
             if n is None:
                 try:
-                    c = _backlund_count(
-                        Ts,
-                        lambda s: zeta_and_deriv_raw(s, _LOW_CTX)[0],
-                        lambda s: zeta_logderiv(s, _LOW_CTX),
-                        lambda t: theta(t, _LOW_CTX),
-                    )
+                    c = _backlund_count(Ts, lambda s: zeta_and_deriv_raw(s, _LOW_CTX)[0],
+                                        lambda s: zeta_logderiv(s, _LOW_CTX))
                 except ContourNearZeroError as exc:
                     last_err = exc
                     shift += mpf("0.05")

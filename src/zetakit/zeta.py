@@ -77,6 +77,7 @@ EULER_MACLAURIN = "euler-maclaurin"
 REFLECTED = "reflected"
 
 EM_SIGMA_MIN = -1.5  # zeta and zeta_jet sum directly for Re(s) >= this
+HEIGHT_MIN, HEIGHT_MAX = 10, 1000  # the heights t of the double tiers and the zero pipeline
 
 
 class ZetaValue(NamedTuple):
@@ -329,10 +330,8 @@ def zeta_ring(center: mpc, radius: mpf, nodes: int, ctx: PrecisionContext) -> tu
 def theta(t, ctx: PrecisionContext) -> mpf:
     """Riemann-Siegel theta: Im log Gamma(1/4 + it/2) - (t/2) log pi.
 
-    Computed from log_gamma, not its asymptotic series.  In the zero
-    pipeline it serves only the 12-digit :func:`hardy_Z` and the 12-digit
-    Backlund count; the scan and the float count take
-    :func:`theta_float`.
+    Computed from log_gamma, not its asymptotic series.  It serves
+    :func:`hardy_Z`; every tier of the zero pipeline takes theta_float.
     """
     with ctx.wp(20):
         t = mpf(t)
@@ -357,7 +356,7 @@ def hardy_Z(t, ctx: PrecisionContext) -> mpf:
 
 
 def theta_float(t: float) -> float:
-    """Riemann-Siegel theta in double precision, for t >= 10, by the
+    """Riemann-Siegel theta in double precision, for t >= HEIGHT_MIN, by the
     asymptotic series t/2 log(t/2pi) - t/2 - pi/8 + 1/(48t) + 7/(5760t^3).
 
     Its error is about the first term left out, 31/(80640 t^5), 3.8e-9 at
@@ -373,7 +372,7 @@ def theta_float(t: float) -> float:
 
 
 def theta_float_error(t: float) -> float:
-    """Bound on |theta_float(t) - theta(t)| for t >= 10: twice the first
+    """Bound on |theta_float(t) - theta(t)| for t >= HEIGHT_MIN: twice the first
     omitted term 31/(80640 t^5) (the next one is 0.77/t^2 times it), plus
     2^-51 |theta| for the rounding of the sum."""
     return 62 / (80640 * t**5) + abs(theta_float(t)) * 2.0**-51
@@ -398,10 +397,10 @@ def hardy_Z_fast(t: float) -> float:
     """Float-precision Riemann-Siegel main sum with the first correction.
 
     Scanning tier only: error is bounded by :func:`rs_error_bound`, far
-    from certified digits.  Valid for t >= 10.
+    from certified digits.  Below HEIGHT_MIN it raises RangeError.
     """
-    if t < 10:
-        raise RangeError("riemann-siegel tier needs t >= 10")
+    if t < HEIGHT_MIN:
+        raise RangeError(f"riemann-siegel tier needs t >= {HEIGHT_MIN}")
     a = math.sqrt(t / (2 * math.pi))
     nu = int(a)
     p = a - nu
@@ -466,8 +465,8 @@ def em_pair_float(s: complex) -> tuple[complex, complex]:
     The formula of the module docstring in Python ``complex`` arithmetic,
     with N = ceil(|t|/pi) + 15 terms, ln n memoized per N, and the
     Bernoulli tail summed until a term, with N^-s factored out, is below
-    1e-17.  Meant for 10 <= |Im s| <= 1000 and 1/4 <= Re s <= 2, where the
-    tail ends by its 28th term, before its 32 tabulated ratios run out.
+    1e-17.  Meant for HEIGHT_MIN <= |Im s| <= HEIGHT_MAX and 1/4 <= Re s <= 2,
+    where the tail ends by its 28th term, before its 32 tabulated ratios run out.
 
     Rounding.  Each power n^-s = exp(-s ln n) carries a phase error of
     about t ln n 2^-52 (the rounding of ln n, times t, and of the

@@ -341,6 +341,14 @@ def test_digits_range_rejected(tmp_path):
 def test_t_max_range_rejected(tmp_path):
     out = run_cli("zeros", "--t-max", "2000", "--cache", str(tmp_path / "c"))
     assert out.returncode == 2
+    # Below the first zero the option is refused before the cache is read.
+    bad = tmp_path / "bad.cache"
+    bad.write_bytes(b"not a cache\n")
+    for command in ("zeros", "audit"):
+        out = run_cli(command, "--t-max", "5", "--cache", str(bad))
+        assert out.returncode == 2, (command, out.stderr)
+        assert "--t-max" in out.stderr, (command, out.stderr)
+        assert bad.read_bytes() == b"not a cache\n", command
 
 
 def test_unknown_subcommand_usage_exit():

@@ -26,6 +26,7 @@ from zetakit.laurent import (
 )
 from zetakit.mobius import SIEVE_CAP, sieve_mobius
 from zetakit.precision import PrecisionContext
+from zetakit.zeros import refine_zero
 from zetakit.zeta import (
     EULER_MACLAURIN,
     inverse_zeta,
@@ -88,6 +89,20 @@ def test_residue_is_inverse_zeta_prime():
     with CTX.wp():
         _, dv = zeta_and_deriv_raw(rho, CTX)
         assert abs(res * dv - 1) < mpf(10) ** -28
+
+
+def test_residue_is_the_expansions_bit_for_bit():
+    """residue reads zeta'(rho) from the order-13 jet that build_expansion
+    takes, so the two agree to the last bit: zeros 1-3 at 30 digits, zero
+    1 at 60."""
+    records, _ = shared.zeros_to(35)
+    for rec in records[:3]:
+        exp = build_expansion(rec.rho, 8, CTX, neighbor_ts=[rec.t + 1])
+        assert residue(rec.rho, CTX) == exp.residue, rec.index
+    ctx60 = PrecisionContext.from_digits(60)
+    rho = refine_zero(records[0].t, ctx60).rho
+    exp = build_expansion(rho, 8, ctx60, neighbor_ts=[rho.imag + 1])
+    assert residue(rho, ctx60) == exp.residue
 
 
 def test_taylor_at_zero_leading_coefficient_is_derivative():

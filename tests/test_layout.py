@@ -170,6 +170,22 @@ def test_one_sign_walker_and_one_newton_step_serve_both_tiers():
     assert steps == ["_newton"], steps
 
 
+def test_one_theta_for_the_zero_pipeline():
+    """zeros.py takes theta only as theta_float: it imports neither theta
+    nor hardy_Z, and _backlund_count takes no theta argument."""
+    tree = ast.parse((SRC / "zeros.py").read_text())
+    imported = [
+        alias.name for node in ast.walk(tree)
+        if isinstance(node, (ast.Import, ast.ImportFrom)) for alias in node.names
+    ]
+    assert not {"theta", "hardy_Z"} & set(imported), imported
+    count = next(
+        node for node in ast.walk(tree)
+        if isinstance(node, ast.FunctionDef) and node.name == "_backlund_count"
+    )
+    assert [a.arg for a in count.args.args] == ["T", "value", "logderiv", "lib"]
+
+
 def test_one_euler_maclaurin_remainder():
     """zeta.py takes the remainder of its Euler-Maclaurin sum from
     mobius.tail_jet: it imports neither the Bernoulli tail nor

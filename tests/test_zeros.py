@@ -27,7 +27,7 @@ from zetakit.zeros import (
     scan_with_count,
     write_cache,
 )
-from zetakit.zeta import hardy_Z_fast, rs_error_bound, zeta
+from zetakit.zeta import HEIGHT_MIN, hardy_Z_fast, rs_error_bound, zeta
 
 CTX = PrecisionContext.from_digits(30)
 
@@ -183,15 +183,27 @@ def test_count_by_argument_mpmath_cost_does_not_grow_with_height(monkeypatch):
 
 def test_newton_refinement_makes_no_hardy_Z_call(monkeypatch):
     """Newton starts at the bracket midpoint: refining the scan brackets of
-    zeros 1-5 signs no point of them again."""
+    zeros 1-5 signs no point of them again, on any tier."""
     brackets = zeros._scan_brackets(35.0, 0.25 / math.log(35.0))
     assert len(brackets) == 5
-    calls = _count_calls(monkeypatch, "hardy_Z")
+    calls = _count_calls(monkeypatch, "_grid_sign")
     for (a, b), t_ref in zip(brackets, T_FIRST_FIVE):
         t, _ = zeros._newton_refine(a, b, CTX)
         with CTX.wp():
             assert abs(t - mpf(t_ref)) < mpf(10) ** -25
     assert calls == []
+
+
+def test_neighbor_distance_walks_no_lower_than_the_floor(monkeypatch):
+    """No zero lies below t = 14.13, so the gap walk from zero 1 signs no
+    height below HEIGHT_MIN, and finds the gap to zero 2 all the same, bit
+    for bit as a walk down to t = 0.5 did, from the double nearest zero 1
+    and from the one an ulp below it."""
+    calls = _count_calls(monkeypatch, "_grid_sign")
+    for t1, gap in ((14.134725141734695, 6.84314868172917), (14.134725141734693, 6.843148681729172)):
+        calls.clear()
+        assert zeros.neighbor_distance(t1) == gap, t1
+        assert calls and min(calls) >= HEIGHT_MIN, min(calls)
 
 
 def _mpmath_zero(n: int, ctx: PrecisionContext) -> tuple:
@@ -413,7 +425,7 @@ def test_fast_tier_signs_the_scan_grid_below_30(monkeypatch):
     scan grid (at its finest refinement) below t = 30, its sign is that of
     mpmath's siegelz.  Only the other points cost a float Euler-Maclaurin
     Z, which signs each of them as siegelz does, and none costs a 12-digit
-    Z."""
+    zeta."""
     step = 0.25 / math.log(100.0) / 4
     grid = [10.0 + i * step for i in range(math.ceil(20 / step))]
     trusted = [t for t in grid if abs(hardy_Z_fast(t)) > 2 * rs_error_bound(t)]
@@ -422,7 +434,7 @@ def test_fast_tier_signs_the_scan_grid_below_30(monkeypatch):
         for t in trusted:
             assert (hardy_Z_fast(t) > 0) == (mp.siegelz(t) > 0), f"t={t}"
     pairs = _count_calls(monkeypatch, "em_pair_float")
-    calls = _count_calls(monkeypatch, "hardy_Z")
+    calls = _count_calls(monkeypatch, "zeta_jet")
     signs = {t: zeros._grid_sign(t) for t in grid}
     assert len(pairs) == len(grid) - len(trusted)
     assert calls == []
@@ -434,27 +446,28 @@ def test_fast_tier_signs_the_scan_grid_below_30(monkeypatch):
 def test_grid_sign_falls_back_inside_twice_the_error_bound(monkeypatch):
     """A Riemann-Siegel value just inside 2 x rs_error_bound is not trusted:
     the scan signs that point by one float Euler-Maclaurin Z, or, where
-    that tier rejects, by the 12-digit hardy_Z, with the sign of Z there,
-    not of the injected value.  Just outside, it is trusted."""
+    that tier rejects, by one 12-digit zeta rotated by theta_float, with
+    the sign of Z there, not of the injected value.  Just outside, it is
+    trusted."""
     for t in (20.5, 150.0, 250.0, 999.0):
         z = mp.siegelz(t)
         sign = 1 if z > 0 else -1
         inside = -sign * 2 * rs_error_bound(t) * (1 - 1e-9)
         monkeypatch.setattr(zeros, "hardy_Z_fast", lambda _t, v=inside: v)
         pairs = _count_calls(monkeypatch, "em_pair_float")
-        calls = _count_calls(monkeypatch, "hardy_Z")
+        calls = _count_calls(monkeypatch, "zeta_jet")
         assert zeros._grid_sign(t) == sign, t
         assert len(pairs) == 1 and not calls, t
         monkeypatch.undo()
         monkeypatch.setattr(zeros, "hardy_Z_fast", lambda _t, v=inside: v)
         monkeypatch.setattr(zeros, "em_pair_float", shared.nan_pair)
-        calls = _count_calls(monkeypatch, "hardy_Z")
+        calls = _count_calls(monkeypatch, "zeta_jet")
         assert zeros._grid_sign(t) == sign, t
         assert len(calls) == 1, t
         monkeypatch.undo()
         outside = -sign * 2 * rs_error_bound(t) * (1 + 1e-9)
         monkeypatch.setattr(zeros, "hardy_Z_fast", lambda _t, v=outside: v)
-        calls = _count_calls(monkeypatch, "hardy_Z")
+        calls = _count_calls(monkeypatch, "zeta_jet")
         assert zeros._grid_sign(t) == -sign, t
         assert not calls, t
         monkeypatch.undo()
