@@ -26,8 +26,9 @@ truncation, so :func:`tail_bound`, the residual sweep
 :func:`residual_profile` and :func:`expansion_report` all read the one
 expansion instead of rebuilding it.  The sweep is route one's check on
 every run: it inverts the ring :func:`zetakit.zeta.zeta_ring` at rho, so
-its 64 nodes at a zero take 33 Euler-Maclaurin sums and 31 chi, and it
-builds every truncation order from one pass of partial sums per node.
+its 64 nodes at a zero take one Dirichlet jet at rho, 33 Euler-Maclaurin
+tails and 31 chi, and it builds every truncation order from one pass of
+partial sums per node.
 """
 
 from __future__ import annotations
@@ -277,10 +278,11 @@ def residual_profile(exp: LaurentExpansion, r, N_list, samples: int, ctx: Precis
     """{N: max |1/zeta - exp truncated to order N|} over ``samples`` points
     of the circle |s-rho| = r, for every N in N_list from one pass of
     partial sums per node, with the bits of :func:`laurent_eval`.  The
-    1/zeta values invert :func:`zetakit.zeta.zeta_ring` at rho.  Each
-    order's largest difference is picked by its exact squared norm (see
-    :func:`_largest`), of which ``abs`` is a monotone rounding, so one
-    ``abs`` an order gives the max of them all."""
+    1/zeta values invert :func:`zetakit.zeta.zeta_ring` at rho: for 64
+    samples, 33 Euler-Maclaurin tails on one Dirichlet jet at rho, and 31
+    chi.  Each order's largest difference is picked by its exact squared
+    norm (see :func:`_largest`), of which ``abs`` is a monotone rounding,
+    so one ``abs`` an order gives the max of them all."""
     if samples < 16:
         raise RangeError("residual sweep needs at least 16 samples")
     N_list = sorted(set(int(N) for N in N_list))

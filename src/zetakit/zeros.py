@@ -694,8 +694,10 @@ def read_cache(path: str, digits: int | None = None) -> tuple[int, list[ZeroReco
     cache keeps |zeta'(rho)|, which is all a ZeroRecord holds of zeta'.
     The header must name digits in [DIGITS_MIN, DIGITS_MAX], equal to
     ``digits`` where that is given, and the records must carry the
-    indices 1, 2, ... in order and increasing ordinates; anything else
-    raises CacheFormatError, a bad header before any record is read.
+    indices 1, 2, ... in order and increasing ordinates in
+    [HEIGHT_MIN, HEIGHT_MAX], the heights the pipeline can have found;
+    anything else raises CacheFormatError, a bad header before any record
+    is read.
     """
     with open(path) as fh:
         header = fh.readline().rstrip("\n")
@@ -725,6 +727,8 @@ def read_cache(path: str, digits: int | None = None) -> tuple[int, list[ZeroReco
                 rec = _record(index, t, zp_abs, ctx, winding, status)
             except (ValueError, RangeError) as exc:
                 raise CacheFormatError(f"line {lineno}: {exc}") from exc
+            if not HEIGHT_MIN <= rec.t <= HEIGHT_MAX:
+                raise CacheFormatError(f"line {lineno}: ordinate {t} outside [{HEIGHT_MIN}, {HEIGHT_MAX}]")
             if rec.index != len(records) + 1:
                 raise CacheFormatError(
                     f"line {lineno}: index {rec.index} where record {len(records) + 1} belongs"

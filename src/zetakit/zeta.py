@@ -49,10 +49,14 @@ inverts for its 1/zeta targets through the basin check of
 :func:`ring_samples`.  It takes an exp only on the first octant and
 builds the other nodes by exact swaps and sign flips, so the ring is
 exactly symmetric about both axes, and it doubles a ring by evaluating
-only the odd nodes.  A ring on the critical line (every zero) runs
-n/2 + 1 Euler-Maclaurin sums for its n nodes, 4 dividing n: the other
-node of each mirror pair is chi times the conjugate of its partner's
-value.  The 64-node residual circle at a zero so takes 33 sums and 31 chi.  The process
+only the odd nodes.  A ring on the critical line (every zero) evaluates
+n/2 + 1 of its n nodes, 4 dividing n: the other node of each mirror pair
+is chi times the conjugate of its partner's value.  The evaluated nodes
+share one Dirichlet jet at the centre rho, sum_{k<=N} ln^m(k) k^-rho for
+m <= M, whose Taylor series in h = s - rho gives each node's main sum,
+and each takes its own Euler-Maclaurin tail, so a node keeps the bits of
+:func:`zeta`.  The 64-node residual circle at a zero so takes one jet
+pass, 33 tails and 31 chi.  The process
 caches (the unit nodes per node count and precision, the basin threshold
 per context, the double logs per main-sum length) are
 ``functools.lru_cache``d functions, as is the power kernel's
@@ -63,6 +67,7 @@ from __future__ import annotations
 
 import cmath
 import functools
+import itertools
 import math
 from typing import NamedTuple
 
@@ -105,18 +110,21 @@ def _em_pair(s: mpc, digits: int, order: int):
     raise PrecisionEscalationError(f"Euler-Maclaurin stalled at s={s}, N={last}")
 
 
-def _em_attempt(s: mpc, N: int, thresh: mpf, order: int):
+def _em_attempt(s: mpc, N: int, thresh: mpf, order: int, main=None):
     """[zeta^(j)(s) for j <= order] = (-1)^j (sum_{n<=N} ln^j(n) n^-s + T_j(N)),
     the remainder T_j(N) from :func:`zetakit.mobius.tail_jet`, or None where
-    its Bernoulli tail stalls.  The tail jet and the N jets of the main sum
-    are summed at wp bits, and each order is rounded once to the working
-    precision."""
+    its Bernoulli tail stalls.  The tail jet and the main sum are summed at
+    wp bits, and each order is rounded once to the working precision.  The
+    main sum is the N jets of one :func:`zetakit.mobius.dirichlet_powers`
+    pass at s, or ``main(s, N, wp)``, its summed jet, where that is given
+    (the Taylor shift of :func:`_shifted_main_sums`, of order 0)."""
     prec = mp.mp.prec
     wp = prec + N.bit_length() + 24
     tail = tail_jet(s, N, order, wp, fixed_pair(thresh, wp)[0])
     if tail is None:
         return None  # asymptotic tail stalled; caller doubles N
-    sums = list(map(sum, zip(tail, *dirichlet_powers(s, N, wp, order))))
+    jets = (main(s, N, wp),) if main else dirichlet_powers(s, N, wp, order)
+    sums = list(map(sum, zip(tail, *jets)))
     out = []
     for j in range(order + 1):
         v = fixed_to_mpc(sums[2 * j], sums[2 * j + 1], wp, prec)
@@ -295,31 +303,100 @@ def zeta_ring(center: mpc, radius: mpf, nodes: int, ctx: PrecisionContext) -> tu
     """zeta on the nodes center + h_j of :func:`ring_samples`, at ctx.
 
     On a centre with real part 1/2 and an even node count the nodes with
-    Re h >= 0 (n/2 + 1 of the n where 4 divides n) are evaluated by
-    :func:`zeta`, and node n/2 - j, Re h < 0, is placed at 1 - conj(s),
+    Re h >= 0 (n/2 + 1 of the n where 4 divides n) are evaluated directly,
+    and node n/2 - j, Re h < 0, is placed at 1 - conj(s),
     s = center + h_j, and reflected through the functional equation from
     zeta(conj s) = conj zeta(s): it costs a chi in place of a sum.  An odd
-    node count, or any other centre, evaluates every node.
+    node count, or any other centre, evaluates every node directly.
+
+    A direct node s with Re(s) >= EM_SIGMA_MIN and s != 1 is one
+    :func:`_em_attempt` at its own N and at ctx.bits + 40, as :func:`zeta`
+    makes it, with its own tail jet, rounded to ctx.bits as :func:`zeta`
+    rounds it; only its main sum comes from :func:`_shifted_main_sums`,
+    one Dirichlet jet at the centre for every node.  The shift is off by
+    about one unit of 2^(-wp) where the direct main sum is off by about
+    N (bit_length(N) + 2), and the sum moves only in its last bits of
+    wp = ctx.bits + 40 + bit_length(N) + 24 before it is rounded twice,
+    so a node differs from ``zeta(s, ctx).value`` with odds of about
+    2^-58.  A node whose tail stalls, or that lies left of EM_SIGMA_MIN,
+    takes :func:`zeta`.
 
     A reflected node takes its partner's value rounded to ctx and
     multiplies it by chi, so it need not have the bits of a fresh
     evaluation, but it stays within the Euler-Maclaurin tail threshold
-    10^-(digits+5) of one (up to a few tens of ulps of |zeta| at 30 and
-    60 digits, zeros 1, 4, 26 and 29).
+    10^-(digits+5) of one: up to 0.47 of it at 30 digits and 0.83 at 60,
+    zeros 1, 27 and 649, where both differ from mpmath's zeta by about as
+    much, as both carry a tail cut at that threshold.
     """
     n = nodes
     out = [None] * n
     on_line = n % 2 == 0 and center.real == mpf(1) / 2
+    digits = ctx.target_digits
     with ctx.wp():
-        for j, h in enumerate(ring_samples(mpc, radius, n)):
-            if out[j] is not None or on_line and h.real < 0:
-                continue
-            s = center + h
-            out[j] = v = zeta(s, ctx).value
+        hs = ring_samples(mpc, radius, n)
+        direct = [j for j, h in enumerate(hs) if not (on_line and h.real < 0)]
+        points = [center + hs[j] for j in direct]
+    with mp.workprec(ctx.bits + 40):
+        thresh = mpf(10) ** (-(digits + 5))
+        Ns = [em_terms(s.imag, digits) if s.real >= EM_SIGMA_MIN and s != 1 else 0 for s in points]
+        main = _shifted_main_sums(center, radius, set(Ns) - {0}, mp.mp.prec) if any(Ns) else None
+        jets = [N and _em_attempt(s, N, thresh, 0, main) for s, N in zip(points, Ns)]
+    with ctx.wp():
+        for j, s, jet in zip(direct, points, jets):
+            out[j] = v = +jet[0] if jet else zeta(s, ctx).value
             k = (n // 2 - j) % n
             if on_line and k != j:
                 out[k] = _reflected(1 - mp.conj(s), mp.conj(v), ctx.bits, ctx)
     return tuple(out)
+
+
+def _shifted_main_sums(center: mpc, radius: mpf, Ns: set, prec: int):
+    """main(s, N, wp) = sum_{k<=N} k^-s as a pair of wp-bit fixed-point
+    ints, for |s - center| <= radius and N in Ns, from one
+    :func:`zetakit.mobius.dirichlet_powers` pass at the centre.
+
+    With h = s - center and S_m(N) = sum_{k<=N} ln^m(k) k^-center,
+
+        sum_{k<=N} k^-s = sum_{m<=M} (-h)^m/m! S_m(N) + R,
+
+    |R| <= N^max(1, 1 - Re center) e^x x^(M+1)/(M+1)!, x = radius ln N_max:
+    each |k^-center| <= N^max(0, -Re center), and the exponential series
+    of e^(-h ln k) past order M is at most e^x x^(M+1)/(M+1)!.  M is the
+    least order with that bound below 2^-W, and the pass runs at
+    W = wp + 8 + ceil(2 x log2 e) bits, wp = prec + bit_length(N_max) + 24
+    the largest of :func:`_em_attempt`.  The shift weighs the errors of
+    the S_m by up to e^x, and a node right of the centre has terms, and
+    so direct-sum errors, up to e^x smaller: the 2 x log2 e bits keep the
+    shift's error below the direct sum's.  The partial sums S_m(N) are
+    kept at every N in Ns, and h is exact: s and the centre are read from
+    all their bits.  Each node sums the series by Horner's rule, one
+    product and one division by m an order, and is shifted down to its wp.
+    """
+    top = max(Ns)
+    x = float(radius) * math.log(top)
+    wp = prec + top.bit_length() + 24
+    W = wp + 8 + math.ceil(2 * x / math.log(2))
+    lead = max(1, 1 - float(center.real)) * math.log2(top) + x / math.log(2)
+    M = 0
+    while x and lead + ((M + 1) * math.log(x) - math.lgamma(M + 2)) / math.log(2) >= -W:
+        M += 1
+    powers = dirichlet_powers(center, top, W, M)
+    sums, acc, k = {}, (0,) * (2 * M + 2), 0
+    for N in sorted(Ns):
+        sums[N] = acc = tuple(map(sum, zip(acc, *itertools.islice(powers, N - k))))
+        k = N
+    cr, ci = fixed_pair(center, W)
+
+    def main(s, N, wp):
+        sr, si = fixed_pair(s, W)
+        hr, hi = cr - sr, ci - si  # -h
+        S = sums[N]
+        ar, ai = S[2 * M], S[2 * M + 1]
+        for m in range(M, 0, -1):
+            ar, ai = S[2 * m - 2] + (hr * ar - hi * ai >> W) // m, S[2 * m - 1] + (hr * ai + hi * ar >> W) // m
+        return ar >> W - wp, ai >> W - wp
+
+    return main
 
 
 # ----------------------------------------------------------------------

@@ -121,6 +121,27 @@ def test_cache_records_out_of_index_order_rejected(tmp_path, seeded_cache, monke
     assert "index" in out.stderr
 
 
+def test_cache_ordinate_outside_the_height_range_rejected(tmp_path, capsys):
+    """A record at t = 5, below HEIGHT_MIN and so below any zero the
+    pipeline finds, is refused with exit 2 and the line named, by audit
+    (which would rewrite it as suspect), zeros (which would call the cache
+    stale) and laurent (which would refine below the double tiers); the
+    cache is left as it was."""
+    from zetakit import cli
+
+    bad = tmp_path / "low.cache"
+    bad.write_text("# zeta-zeros v1 digits=30\n1,5.0,1.0,0,refined\n")
+    before = bad.read_bytes()
+    for argv in (
+        ["audit", "--t-max", "15"],
+        ["zeros", "--t-max", "15"],
+        ["laurent", "--index", "1", "--terms", "1", "--k-max", "100"],
+    ):
+        assert cli.main(argv + ["--cache", str(bad)]) == 2, argv
+        assert "line 2: ordinate 5.0 outside [10, 1000]" in capsys.readouterr().err, argv
+        assert bad.read_bytes() == before, argv
+
+
 def test_zeros_extension_matches_fresh_scan(tmp_path, seeded_cache):
     extended = tmp_path / "extended.cache"
     shutil.copy(seeded_cache, extended)

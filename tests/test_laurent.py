@@ -1,4 +1,3 @@
-import collections
 import random
 import sys
 
@@ -28,7 +27,6 @@ from zetakit.mobius import SIEVE_CAP, sieve_mobius
 from zetakit.precision import PrecisionContext
 from zetakit.zeros import refine_zero
 from zetakit.zeta import (
-    EULER_MACLAURIN,
     inverse_zeta,
     ring_samples,
     zeta_and_deriv_raw,
@@ -293,21 +291,19 @@ def test_residual_sweep_matches_per_point_inverse_zeta(index, samples):
 
 
 def test_residual_sweep_sums_one_node_of_each_mirror_pair(monkeypatch):
-    """The 64 targets at zero 1 take 33 Euler-Maclaurin sums, not 64: the
-    other 31 nodes are reflected from their mirror nodes' values."""
+    """The 64 targets at zero 1 take 33 Euler-Maclaurin tails, not 64, and
+    one Dirichlet pass at the zero for all their main sums: the other 31
+    nodes are reflected from their mirror nodes' values."""
     em = sys.modules["zetakit.zeta"]
-    methods = []
-    real_zeta = em.zeta
-
-    def counted(*args, **kwargs):
-        value = real_zeta(*args, **kwargs)
-        methods.append(value.method)
-        return value
-
+    tails, passes = [], []
+    real_tail, real_powers = em.tail_jet, em.dirichlet_powers
     exp = build_expansion(_rho1(), 8, CTX)
-    monkeypatch.setattr(em, "zeta", counted)
+    monkeypatch.setattr(em, "tail_jet", lambda *args: tails.append(args[0]) or real_tail(*args))
+    monkeypatch.setattr(em, "dirichlet_powers", lambda *args: passes.append(args[0]) or real_powers(*args))
+    monkeypatch.setattr(em, "zeta", lambda *args: pytest.fail("a ring node took a fresh zeta"))
     residual_profile(exp, mpf(1) / 32, range(9), 64, CTX)
-    assert collections.Counter(methods) == {EULER_MACLAURIN: 33}
+    assert len(tails) == 33
+    assert passes == [exp.rho]
 
 
 def test_expansion_takes_one_jet_and_no_ring(monkeypatch):

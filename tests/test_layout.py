@@ -250,9 +250,10 @@ def test_only_mobius_sieves():
 
 def test_one_dirichlet_pass():
     """Every Dirichlet sum takes its powers from one kernel with no Mobius
-    filter: only the hyperbola pass of the Mobius sums and the
-    Euler-Maclaurin main sums of zeta and of the Stieltjes jet call
-    dirichlet_powers, and it takes no ``mu``.  The kernel owns its factor table: it takes no ``spf``, and
+    filter: only the hyperbola pass of the Mobius sums, the
+    Euler-Maclaurin main sums of zeta and of the Stieltjes jet, and the
+    ring's one jet at its centre call dirichlet_powers, and it takes no
+    ``mu``.  The kernel owns its factor table: it takes no ``spf``, and
     zeta.py imports no smallest_prime_factors."""
     callers = []
     for path in sorted(SRC.glob("*.py")):
@@ -267,7 +268,9 @@ def test_one_dirichlet_pass():
             if isinstance(node, ast.FunctionDef) and node.name == "dirichlet_powers":
                 params = [a.arg for a in node.args.args + node.args.kwonlyargs]
                 assert "mu" not in params and "spf" not in params, params
-    assert sorted(callers) == ["mobius._hyperbola_partial", "mobius.stieltjes_fixed", "zeta._em_attempt"], callers
+    assert sorted(callers) == [
+        "mobius._hyperbola_partial", "mobius.stieltjes_fixed", "zeta._em_attempt", "zeta._shifted_main_sums",
+    ], callers
     tree = ast.parse((SRC / "zeta.py").read_text())
     imported = [
         alias.name for node in ast.walk(tree)

@@ -389,22 +389,20 @@ def test_ring_nodes_are_within_one_ulp_of_exp(bits):
     (mpc("0.5", "87.4"), mpf(1) / 4),
 ])
 def test_symmetric_ring_sums_one_node_of_each_mirror_pair(monkeypatch, center, radius):
-    # On rings centred on the critical line, n/2 + 1 Euler-Maclaurin sums
-    # give all n samples, and every sample agrees with a fresh evaluation
-    # of zeta(center + h).
+    # On rings centred on the critical line, n/2 + 1 Euler-Maclaurin tails
+    # and one Dirichlet pass give all n samples, and every sample agrees
+    # with a fresh evaluation of zeta(center + h).
     em = sys.modules["zetakit.zeta"]
-    calls = []
-    real_em = em._em_pair
-
-    def counted(*args):
-        calls.append(args[0])
-        return real_em(*args)
-
-    monkeypatch.setattr(em, "_em_pair", counted)
+    tails, passes = [], []
+    real_tail, real_powers = em.tail_jet, em.dirichlet_powers
+    monkeypatch.setattr(em, "tail_jet", lambda *args: tails.append(args[0]) or real_tail(*args))
+    monkeypatch.setattr(em, "dirichlet_powers", lambda *args: passes.append(args[0]) or real_powers(*args))
     for n in (16, 32, 64):
-        calls.clear()
+        tails.clear()
+        passes.clear()
         samples = zeta_ring(center, radius, n, CTX)
-        assert len(calls) == n // 2 + 1, n
+        assert len(tails) == n // 2 + 1, n
+        assert passes == [center], n
     with CTX.wp():
         for h, got in zip(ring_samples(mpc, radius, 64), samples):
             fresh = zeta(center + h, CTX).value
@@ -429,6 +427,44 @@ def test_mirror_nodes_within_the_em_threshold_of_fresh_zeta(digits, index):
                     assert got == fresh, h
                 else:
                     assert abs(got - fresh) <= mpf(10) ** -(digits + 5), h
+
+
+@pytest.mark.parametrize("index, digits", [(27, 30), (649, 30), (27, 60), (649, 60), (1, 200)])
+def test_direct_ring_nodes_have_the_bits_of_fresh_zeta(index, digits):
+    # A node with Re h >= 0 takes its main sum from the Dirichlet jet at
+    # the zero, shifted by h, and its own tail: bit for bit a fresh zeta.
+    ctx = PrecisionContext.from_digits(digits)
+    with ctx.wp():
+        center = mpc(mpf(1) / 2, mp.zetazero(index).imag)
+        for radius in (mpf(1) / 4, mpf(1) / 32):
+            samples = zeta_ring(center, radius, 64, ctx)
+            for h, got in zip(ring_samples(mpc, radius, 64), samples):
+                if h.real >= 0:
+                    assert got == zeta(center + h, ctx).value, (radius, h)
+
+
+def test_ring_node_whose_tail_stalls_takes_zeta(monkeypatch):
+    # The first tail of one node stalls: that node, and no other, takes
+    # zeta(), whose first attempt then succeeds, so every sample keeps its
+    # bits.
+    em = sys.modules["zetakit.zeta"]
+    center, radius = mpc("0.5", "87.4"), mpf(1) / 4
+    before = zeta_ring(center, radius, 64, CTX)
+    with CTX.wp():
+        target = center + ring_samples(mpc, radius, 64)[3]
+    real_tail, real_zeta = em.tail_jet, em.zeta
+    stalled, fresh = [], []
+
+    def tail(s, *args):
+        if s == target and not stalled:
+            stalled.append(s)
+            return None
+        return real_tail(s, *args)
+
+    monkeypatch.setattr(em, "tail_jet", tail)
+    monkeypatch.setattr(em, "zeta", lambda s, ctx: fresh.append(s) or real_zeta(s, ctx))
+    assert zeta_ring(center, radius, 64, CTX) == before
+    assert stalled == [target] and fresh == [target]
 
 
 @pytest.mark.parametrize("nodes", [17, 18, 24, 40])
