@@ -1,8 +1,10 @@
 """Command-line driver: scans, audits, expansion reports, tables.
 
 Exit codes: 0 success; 2 usage or range error (a bad option, a
-RangeError, a CacheFormatError, a missing cache, an audit whose cache
-stops below --t-max short of the Backlund count); 1 a numerical finding
+RangeError, a CacheFormatError, a cache path that is not a regular file
+or whose directory is missing, a missing cache for audit or laurent, an
+audit whose cache stops below --t-max short of the Backlund count, an
+OSError such as a cache that cannot be written); 1 a numerical finding
 (a count mismatch, a suspect zero, a cached ordinate the fresh scan
 contradicts) and every other ZetaKitError, including those where the
 code gave up, such as NoConvergenceError and NonIntegerWindingError.
@@ -78,33 +80,36 @@ _OPTIONS = {
 }
 
 
-def _resolve_cache(args: argparse.Namespace) -> str:
-    return args.cache or os.environ.get("ZETA_CACHE", DEFAULT_CACHE)
-
-
-def _report_fields(report: CountReport, ctx: PrecisionContext) -> dict:
-    return {
-        "T": to_decimal(report.T, ctx),
-        "n_sign_changes": report.n_sign_changes,
-        "n_winding": report.n_winding,
-        "rvm_estimate": to_decimal(report.rvm_estimate, ctx),
-        "n_simple": report.n_simple,
-        "ratio_simple": to_decimal(report.ratio_simple, ctx),
-        "flagged": report.flagged,
-    }
+def _cache_refusal(args: argparse.Namespace) -> str | None:
+    """Resolve args.cache in place (--cache, then ZETA_CACHE, then the
+    default; an empty value counts as unset) and say why it cannot serve
+    args.command, or None: the path is neither a regular file nor absent,
+    its directory is missing, or audit or laurent finds no cache to read."""
+    path = args.cache = args.cache or os.environ.get("ZETA_CACHE") or DEFAULT_CACHE
+    if os.path.exists(path):
+        return None if os.path.isfile(path) else f"cache {path} is not a regular file"
+    if args.command != "zeros":
+        return f"{args.command} needs a populated cache, none at {path}"
+    if not os.path.isdir(os.path.dirname(path) or "."):
+        return f"cache directory {os.path.dirname(path)} does not exist"
+    return None
 
 
 def _print_report(report: CountReport, ctx: PrecisionContext, fmt: str,
-                  extra: dict | None = None) -> None:
-    fields = _report_fields(report, ctx)
-    if extra:
-        fields.update(extra)
+                  extra: dict, rows: list[dict] | None = None) -> None:
+    """The count report with extra's fields after it, and audit's per-zero
+    rows before it: one JSON document, or a CSV header and lines for each
+    of rows and the report."""
+    fields = {k: to_decimal(v, ctx) if isinstance(v, mpf) else v for k, v in report._asdict().items()}
+    fields.update(extra)
     if fmt == "json":
-        print(json.dumps(fields, indent=2, sort_keys=True))
-    else:
-        keys = list(fields)
-        print(",".join(keys))
-        print(",".join(str(fields[k]).lower() if isinstance(fields[k], bool) else str(fields[k]) for k in keys))
+        doc = fields if rows is None else {"zeros": rows, "summary": fields}
+        print(json.dumps(doc, indent=2, sort_keys=True))
+        return
+    for table in ([[fields]] if rows is None else [rows, [fields]]):
+        print(",".join(table[0]))
+        for row in table:
+            print(",".join(str(v).lower() if isinstance(v, bool) else str(v) for v in row.values()))
 
 
 def cmd_zeros(args: argparse.Namespace) -> int:
@@ -117,9 +122,8 @@ def cmd_zeros(args: argparse.Namespace) -> int:
     the argument-principle (Backlund) count.
     """
     ctx = PrecisionContext.from_digits(args.digits)
-    path = _resolve_cache(args)
-    exists = os.path.exists(path)
-    cached = read_cache(path, args.digits)[1] if exists else []
+    exists = os.path.exists(args.cache)
+    cached = read_cache(args.cache, args.digits)[1] if exists else []
     records, n_winding = scan_with_count(args.t_max, ctx, args.workers)
     with ctx.wp():
         overlap = min(len(cached), len(records))
@@ -133,7 +137,7 @@ def cmd_zeros(args: argparse.Namespace) -> int:
                 return EXIT_FINDING
     new_records = records[len(cached):]
     if new_records or not exists:
-        write_cache(path, cached + new_records, ctx)
+        write_cache(args.cache, cached + new_records, ctx)
     report = density_report(args.t_max, ctx, records=records, n_winding=n_winding)
     _print_report(report, ctx, args.format, extra={"cached_total": max(len(cached), len(records))})
     return EXIT_FINDING if report.n_sign_changes != report.n_winding else EXIT_OK
@@ -149,10 +153,7 @@ def cmd_audit(args: argparse.Namespace) -> int:
     so the missing zeros were never scanned.  Exit 1 when any zero is
     suspect or the two counts disagree.
     """
-    path = _resolve_cache(args)
-    if not os.path.exists(path):
-        print(f"audit needs a populated cache, none at {path}", file=sys.stderr)
-        return EXIT_USAGE
+    path = args.cache
     cache_digits, cached = read_cache(path, args.digits)
     ctx = PrecisionContext.from_digits(cache_digits)
     with ctx.wp():
@@ -183,7 +184,6 @@ def cmd_audit(args: argparse.Namespace) -> int:
             }
             for r in audited
         ]
-    with ctx.wp():
         meets_low = report.ratio_simple >= mpf(19) / 29
         meets_high = report.ratio_simple >= mpf(RATIO_THRESHOLD_HIGH)
     extra = {
@@ -192,15 +192,7 @@ def cmd_audit(args: argparse.Namespace) -> int:
         "meets_threshold_low": meets_low,
         "meets_threshold_high": meets_high,
     }
-    if args.format == "json":
-        fields = _report_fields(report, ctx)
-        fields.update(extra)
-        print(json.dumps({"zeros": rows, "summary": fields}, indent=2, sort_keys=True))
-    else:
-        print("index,t,abs_zeta_prime,winding,status")
-        for row in rows:
-            print(",".join(str(row[k]) for k in ("index", "t", "abs_zeta_prime", "winding", "status")))
-        _print_report(report, ctx, "csv", extra=extra)
+    _print_report(report, ctx, args.format, extra, rows)
     any_suspect = any(r.status != "simple-confirmed" for r in audited)
     return EXIT_FINDING if (any_suspect or report.flagged) else EXIT_OK
 
@@ -211,21 +203,16 @@ def cmd_laurent(args: argparse.Namespace) -> int:
     The zero is refined again at --digits, so the cache may hold other
     digits than --digits.
     """
-    path = _resolve_cache(args)
-    if not os.path.exists(path):
-        print(f"laurent needs a populated cache, none at {path}", file=sys.stderr)
-        return EXIT_USAGE
-    _, cached = read_cache(path)
-    rec = next((r for r in cached if r.index == args.index), None)
-    if rec is None:
+    _, cached = read_cache(args.cache)
+    if not 1 <= args.index <= len(cached):
         raise UnknownIndexError(f"no cached zero with index {args.index}")
     ctx = PrecisionContext.from_digits(args.digits)
-    polished = refine_zero(rec.t, ctx)
+    polished = refine_zero(cached[args.index - 1].t, ctx)
     # The lower neighbour alone can overstate the gap, so without the upper
     # one cached the gap is walked on the scan grid.
     neighbors = None
-    if any(r.index == args.index + 1 for r in cached):
-        neighbors = [r.t for r in cached if r.index in (args.index - 1, args.index + 1)]
+    if args.index < len(cached):
+        neighbors = [cached[i].t for i in (args.index - 2, args.index) if i >= 0]
     exp = build_expansion(polished.rho, args.terms, ctx, neighbor_ts=neighbors)
     report = expansion_report(args.index, exp, ctx, args.k_max)
     print(json.dumps(report, indent=2, sort_keys=True))
@@ -288,9 +275,14 @@ def main(argv=None) -> int:
             value = getattr(args, flag[2:].replace("-", "_"), None)
             if ok and value is not None and not ok(value):
                 raise RangeError(message.format(value))
+        # The one cache gate: every refusal before any cache is read.
+        refusal = _cache_refusal(args) if "cache" in args else None
+        if refusal:
+            print(refusal, file=sys.stderr)
+            return EXIT_USAGE
         # Looked up at call time, so a rebound cmd_<command> is the one run.
         return globals()[f"cmd_{args.command}"](args)
-    except (RangeError, CacheFormatError) as exc:
+    except (RangeError, CacheFormatError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except ZetaKitError as exc:

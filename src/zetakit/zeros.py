@@ -391,17 +391,18 @@ def _newton_refine(a: float, b: float, ctx: PrecisionContext) -> tuple[mpf, mpc]
 
 
 def _refine_bracket_worker(args: tuple) -> tuple:
-    """Refine one bracket; string-typed in and out so results are
-    byte-identical whether run inline or in a worker process."""
-    a_str, b_str, bits, digits = args
-    ctx = PrecisionContext(bits, digits)
-    t, zp = _newton_refine(float(a_str), float(b_str), ctx)
+    """Refine one bracket (a, b, ctx), as (t, |zeta'(rho)|) in their stored
+    strings.  The floats and the context pickle exactly, and the strings
+    are what the cache keeps, so the results are byte-identical whether
+    run inline or in a worker process."""
+    a, b, ctx = args
+    t, zp = _newton_refine(a, b, ctx)
     with ctx.wp():
         return _stored(t, ctx), _stored(abs(zp), ctx)
 
 
 def _stored(x, ctx: PrecisionContext) -> str:
-    """x as the cache stores it and workers receive it: a decimal string
+    """x as the cache stores it and workers return it: a decimal string
     with five guard digits past ctx's."""
     return to_decimal(x, ctx, ctx.target_digits + 5)
 
@@ -429,9 +430,7 @@ def refine_zero(t0, ctx: PrecisionContext) -> ZeroRecord:
     bracket = next(_sign_brackets(seed + k * 0.01 for k in range(-5, 6)), None)
     if bracket is None:
         raise NoConvergenceError(f"no Z sign change within 0.05 of t={seed}")
-    t, zp_abs = _refine_bracket_worker(
-        (repr(bracket[0]), repr(bracket[1]), ctx.bits, ctx.target_digits)
-    )
+    t, zp_abs = _refine_bracket_worker((*bracket, ctx))
     return _record(0, t, zp_abs, ctx)
 
 
@@ -443,9 +442,7 @@ def scan_with_count(T, ctx: PrecisionContext, workers: int = 1) -> tuple[list[Ze
     for _ in range(3):
         brackets = _scan_brackets(Tf, step)
         if len(brackets) == n_winding:
-            args = [
-                (repr(a), repr(b), ctx.bits, ctx.target_digits) for a, b in brackets
-            ]
+            args = [(a, b, ctx) for a, b in brackets]
             packs = map_ordered(_refine_bracket_worker, args, _useful_workers(workers, len(args)))
             records = [_record(i, t, zp_abs, ctx) for i, (t, zp_abs) in enumerate(packs, start=1)]
             if all(r2.t > r1.t for r1, r2 in zip(records, records[1:])):
@@ -599,12 +596,9 @@ def rvm_estimate(T) -> mpf:
 
 
 def _probe_worker(args: tuple) -> int:
-    rho_re, rho_im, r_str, bits, digits = args
-    ctx = PrecisionContext(bits, digits)
-    with ctx.wp():
-        rho = mpc(mpf(rho_re), mpf(rho_im))
-        r = mpf(r_str)
-    return multiplicity_probe(rho, r)
+    """The winding of one probe item (rho, r); mpmath numbers pickle
+    exactly, so a worker process probes the values an inline run does."""
+    return multiplicity_probe(*args)
 
 
 def audit_zeros(records: list[ZeroRecord], ctx: PrecisionContext, workers: int = 1) -> list[ZeroRecord]:
@@ -622,10 +616,7 @@ def audit_zeros(records: list[ZeroRecord], ctx: PrecisionContext, workers: int =
             gap_lo = ts[i] - ts[i - 1] if i > 0 else mpf(100)
             gap_hi = ts[i + 1] - ts[i] if i + 1 < len(ts) else mpf(100)
             r = min(mpf(1) / 32, mpf("0.4") * min(gap_lo, gap_hi))
-            args.append(
-                (_stored(rec.rho.real, ctx), _stored(rec.rho.imag, ctx), _stored(r, ctx),
-                 ctx.bits, ctx.target_digits)
-            )
+            args.append((rec.rho, r))
     windings = map_ordered(_probe_worker, args, _useful_workers(workers, len(args)))
     out = []
     with ctx.wp():

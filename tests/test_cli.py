@@ -193,6 +193,84 @@ def test_audit_missing_cache_errors(tmp_path):
     assert out.returncode == 2
 
 
+def _no_read(*args, **kwargs):
+    raise AssertionError("a cache was read past the cache gate")
+
+
+def test_zeros_refuses_a_cache_in_a_missing_directory_before_the_scan(tmp_path, monkeypatch, capsys):
+    from zetakit import cli
+
+    def no_scan(*args, **kwargs):
+        raise AssertionError("scan ran for a cache that cannot be written")
+
+    monkeypatch.setattr(cli, "scan_with_count", no_scan)
+    monkeypatch.setattr(cli, "read_cache", _no_read)
+    missing = tmp_path / "missing"
+    assert cli.main(["zeros", "--t-max", "15", "--cache", str(missing / "x.cache")]) == 2
+    assert capsys.readouterr().err == f"cache directory {missing} does not exist\n"
+    assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("command", [["zeros"], ["audit"], ["laurent", "--index", "1"]], ids=lambda c: c[0])
+def test_a_directory_as_cache_is_refused(tmp_path, monkeypatch, capsys, command):
+    from zetakit import cli
+
+    monkeypatch.setattr(cli, "read_cache", _no_read)
+    assert cli.main([*command, "--cache", str(tmp_path)]) == 2
+    assert capsys.readouterr().err == f"cache {tmp_path} is not a regular file\n"
+    assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("argv", [["zeros", "--t-max", "33"], ["audit", "--t-max", "30"]], ids=lambda a: a[0])
+def test_an_unwritable_cache_exits_2_with_one_line(tmp_path, seeded_cache, monkeypatch, capsys, argv):
+    from zetakit import cli
+
+    copy = tmp_path / "copy.cache"
+    shutil.copy(seeded_cache, copy)
+
+    def refused(path, records, ctx):
+        raise PermissionError(13, "Permission denied", path + ".tmp")
+
+    monkeypatch.setattr(cli, "write_cache", refused)
+    assert cli.main([*argv, "--cache", str(copy)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: [Errno 13] Permission denied: '{copy}.tmp'\n"
+    assert copy.read_bytes() == seeded_cache.read_bytes()
+
+
+@pytest.mark.parametrize("command", [["audit"], ["laurent", "--index", "1"]], ids=lambda c: c[0])
+def test_a_missing_cache_is_named_before_it_is_read(tmp_path, monkeypatch, capsys, command):
+    from zetakit import cli
+
+    monkeypatch.setattr(cli, "read_cache", _no_read)
+    absent = tmp_path / "absent.cache"
+    assert cli.main([*command, "--cache", str(absent)]) == 2
+    assert capsys.readouterr().err == f"{command[0]} needs a populated cache, none at {absent}\n"
+
+
+def test_zeros_exits_1_on_a_cache_the_fresh_scan_contradicts(tmp_path, seeded_cache, capsys):
+    """A cached ordinate moved by 1e-5 is named on stderr, exit 1, and the
+    cache is left as it was."""
+    from decimal import Decimal, localcontext
+
+    from zetakit import cli
+
+    lines = seeded_cache.read_text().splitlines(keepends=True)
+    index, t, rest = lines[2].split(",", 2)
+    with localcontext() as dec:
+        dec.prec = 60
+        lines[2] = f"{index},{Decimal(t) + Decimal('1e-5')},{rest}"
+    stale = tmp_path / "stale.cache"
+    stale.write_text("".join(lines))
+    before = stale.read_bytes()
+    assert cli.main(["zeros", "--t-max", "30", "--cache", str(stale)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "disagrees with fresh scan" in captured.err and captured.err.endswith("at index 2\n"), captured.err
+    assert stale.read_bytes() == before
+
+
 def test_audit_empty_cache_errors(tmp_path):
     path = tmp_path / "empty.cache"
     path.write_text("# zeta-zeros v1 digits=30\n")
@@ -382,6 +460,15 @@ def test_env_cache_fallback(tmp_path):
     out = run_cli("zeros", "--t-max", "15", env_extra={"ZETA_CACHE": str(path)})
     assert out.returncode == 0, out.stderr
     assert path.exists()
+
+
+def test_empty_env_cache_counts_as_unset(tmp_path, monkeypatch):
+    from zetakit import cli
+
+    monkeypatch.setenv("ZETA_CACHE", "")
+    monkeypatch.chdir(tmp_path)
+    assert cli.main(["zeros", "--t-max", "15"]) == 0
+    assert [p.name for p in tmp_path.iterdir()] == ["zeta_zeros.cache"]
 
 
 def test_worker_count_does_not_change_output(tmp_path):
