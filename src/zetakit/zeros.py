@@ -25,6 +25,7 @@ iterates, on the double pair and on a jet's Taylor polynomial, and
 from __future__ import annotations
 
 import cmath
+import contextlib
 import functools
 import itertools
 import math
@@ -669,13 +670,20 @@ def format_cache_line(rec: ZeroRecord, ctx: PrecisionContext) -> str:
 
 def write_cache(path: str, records: list[ZeroRecord], ctx: PrecisionContext) -> None:
     """Write the full cache atomically (used for fresh scans and for
-    audit rewrites that update winding/status in place)."""
+    audit rewrites that update winding/status in place).  Where the write
+    or the rename fails, the temporary file is removed and the cache is
+    left as it was."""
     tmp = path + ".tmp"
     lines = [f"{CACHE_HEADER_PREFIX}{ctx.target_digits}\n"]
     lines.extend(format_cache_line(rec, ctx) for rec in records)
-    with open(tmp, "w") as fh:
-        fh.writelines(lines)
-    os.replace(tmp, path)
+    try:
+        with open(tmp, "w") as fh:
+            fh.writelines(lines)
+        os.replace(tmp, path)
+    except BaseException:
+        with contextlib.suppress(OSError):
+            os.remove(tmp)
+        raise
 
 
 def read_cache(path: str, digits: int | None = None) -> tuple[int, list[ZeroRecord]]:

@@ -153,6 +153,26 @@ def test_zeros_extension_matches_fresh_scan(tmp_path, seeded_cache):
     assert not os.path.exists(str(extended) + ".tmp")
 
 
+def test_failed_cache_rename_leaves_no_temporary_file(tmp_path, seeded_cache, monkeypatch, capsys):
+    """A rename that fails as the extended cache is written exits 2 with
+    one error line, removes the temporary file and leaves the cache's
+    bytes as they were."""
+    from zetakit import cli, zeros
+
+    def refuse(src, dst):
+        raise OSError(f"cannot rename {src}")
+
+    copy = tmp_path / "copy.cache"
+    shutil.copy(seeded_cache, copy)
+    before = copy.read_bytes()
+    monkeypatch.setattr(zeros.os, "replace", refuse)
+    assert cli.main(["zeros", "--t-max", "33", "--cache", str(copy)]) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error: cannot rename"), err
+    assert list(tmp_path.iterdir()) == [copy]
+    assert copy.read_bytes() == before
+
+
 def test_zeros_and_audit_with_contour_near_a_zero(tmp_path):
     """--t-max 21.0220 lies 4e-5 below the second zero, so the counting
     contour has to move off it; both counts still refer to t <= 21.0220."""

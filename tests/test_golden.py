@@ -7,7 +7,8 @@ and ``stieltjes --n-max 20``, all on one worker.  A second session runs
 ``zeros`` then ``audit`` at --t-max 100.3 on two workers, with its own
 cache.  Those run at 30 digits.  Two more run ``zeros`` then ``audit``
 at --t-max 40 on one worker, at 60 and at 200 digits, each with its own
-cache, and ``stieltjes --n-max 20`` runs once more at 60 digits.  Every
+cache; the 60-digit one then runs ``laurent`` for zero 1, and
+``stieltjes --n-max 20`` runs once more at 60 digits.  Every
 stdout, exit code and the cache after each ``zeros`` and ``audit`` must
 match the files under ``tests/golden/``.
 
@@ -53,6 +54,7 @@ STEPS = (
     ("audit_100", ("audit", "--t-max", "100.3"), 0, True, "t100", 2, 30),
     ("zeros_d60", ("zeros", "--t-max", "40"), 0, True, "t40d60", 1, 60),
     ("audit_d60", ("audit", "--t-max", "40"), 0, True, "t40d60", 1, 60),
+    ("laurent_d60", ("laurent", "--index", "1", "--terms", "8", "--k-max", "10000"), 0, False, "t40d60", None, 60),
     ("zeros_d200", ("zeros", "--t-max", "40"), 0, True, "t40d200", 1, 200),
     ("audit_d200", ("audit", "--t-max", "40"), 0, True, "t40d200", 1, 200),
 )

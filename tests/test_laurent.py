@@ -1,3 +1,4 @@
+import functools
 import random
 import sys
 
@@ -304,6 +305,92 @@ def test_residual_sweep_sums_one_node_of_each_mirror_pair(monkeypatch):
     residual_profile(exp, mpf(1) / 32, range(9), 64, CTX)
     assert len(tails) == 33
     assert passes == [exp.rho]
+
+
+# Double-precision ordinates of zeros, refined at each digits by the tests.
+ORDINATES = {1: 14.134725141734695, 4: 30.424876125859512, 27: 94.65134404051989,
+             315: 564.1608791107861, 316: 564.5060559381499, 649: 999.7915715574129}
+
+
+@functools.lru_cache(maxsize=None)
+def _expansion(index, digits):
+    ctx = shared.ctx_digits(digits)
+    return build_expansion(refine_zero(ORDINATES[index], ctx).rho, 8, ctx)
+
+
+def _all_node_profile(exp, r, samples, ctx, monkeypatch):
+    """The residuals of the chain run at every node, max |T - laurent_eval|
+    over the ring's targets T; the ring is then handed to the sweep as
+    it is, so the two read the same targets."""
+    ring = zeta_ring(exp.rho, r, samples, ctx)
+    monkeypatch.setattr(sys.modules["zetakit.laurent"], "zeta_ring", lambda *args: ring)
+    with ctx.wp():
+        points = ring_samples(lambda h: exp.rho + h, r, samples)
+        targets = [1 / z for z in ring]
+        return {N: max(abs(T - laurent_eval(s, exp.truncated(N))) for s, T in zip(points, targets))
+                for N in range(9)}
+
+
+@pytest.mark.parametrize("digits", [30, 60])
+@pytest.mark.parametrize("index", sorted(ORDINATES))
+def test_residual_sweep_has_the_bits_of_the_chain_at_every_node(index, digits, monkeypatch):
+    """Ranked in fixed point, the sweep keeps the residuals of the mpmath
+    chain run at every node, bit for bit, at 17, 24 and 64 samples, on
+    the report's radius 1/32 and on 0.9 times the validity radius."""
+    exp = _expansion(index, digits)
+    ctx = shared.ctx_digits(digits)
+    for r in (mpf(1) / 32, exp.radius * mpf("0.9")):
+        for samples in (17, 24, 64):
+            with monkeypatch.context() as m:
+                expected = _all_node_profile(exp, r, samples, ctx, m)
+                assert residual_profile(exp, r, range(9), samples, ctx) == expected, (r, samples)
+
+
+@pytest.mark.parametrize("index", [1, 27])
+def test_residual_sweep_runs_the_chain_at_one_node_an_order(index, monkeypatch):
+    """At 64 nodes the mpmath chain runs at no more nodes than there are
+    orders; with margins wide enough to admit every node, it runs at all
+    64 and the residuals are the same."""
+    laurent = sys.modules["zetakit.laurent"]
+    exp = _expansion(index, 30)
+    r = mpf(1) / 32
+    chains = []
+    real_sums, real_margins = laurent._laurent_sums, laurent._sweep_margins
+    monkeypatch.setattr(laurent, "_laurent_sums", lambda *args: chains.append(args[1]) or real_sums(*args))
+    prof = residual_profile(exp, r, range(9), 64, CTX)
+    assert 1 <= len(chains) <= 9
+    chains.clear()
+    monkeypatch.setattr(laurent, "_sweep_margins", lambda *args: [m << 4096 for m in real_margins(*args)])
+    assert residual_profile(exp, r, range(9), 64, CTX) == prof
+    assert len(chains) == 64
+
+
+def test_sweep_candidates_hold_the_chain_pick_in_near_ties():
+    """Targets a few units of the last place apart at one offset put the
+    order-8 differences within the chain's rounding of each other, where
+    fixed point and the chain may rank them apart; the candidates still
+    hold every node whose chain difference has the largest norm."""
+    laurent = sys.modules["zetakit.laurent"]
+    exp = _expansion(1, 30)
+    rng = random.Random(7)
+    with CTX.wp():
+        for trial in range(40):
+            h = mpc(rng.uniform(-1, 1), rng.uniform(-1, 1)) / 40
+            S = laurent._laurent_sums(exp, h)[8]
+            ulp = mpf(2) ** (int(mp.log(abs(S), 2)) - CTX.bits)
+            rows = [(S + mpc(rng.randint(-6, 6), rng.randint(-6, 6)) * ulp, h) for _ in range(12)]
+            picks = laurent._sweep_candidates(exp, rows, [8], CTX.bits)[8]
+            norms = [abs(T - S) for T, _ in rows]
+            assert {j for j, v in enumerate(norms) if v == max(norms)} <= set(picks), trial
+
+
+def test_residual_sweep_ranks_no_offset_within_units_of_zero():
+    """An offset within a few units of 2^-W of zero bounds residue/h by
+    nothing, so every node is a candidate of every order."""
+    laurent = sys.modules["zetakit.laurent"]
+    with CTX.wp():
+        rows = [(mpc(1), mpc(2) ** -(CTX.bits + 34)), (mpc(2), mpc(0, 1) / 32)]
+    assert laurent._sweep_candidates(_expansion(1, 30), rows, [0, 3], CTX.bits) == {0: [0, 1], 3: [0, 1]}
 
 
 def test_expansion_takes_one_jet_and_no_ring(monkeypatch):

@@ -1,5 +1,6 @@
 import math
 import sys
+from pathlib import Path
 
 import pytest
 from mpmath import mp, mpc, mpf
@@ -536,6 +537,19 @@ def test_cache_round_trip(tmp_path):
             assert abs(a.t - b.t) < mpf(10) ** -32
             assert abs(a.zeta_prime_abs - b.zeta_prime_abs) < mpf(10) ** -32
             assert a.status == b.status
+
+
+@pytest.mark.parametrize("golden", ["zeros", "zeros_d60", "zeros_d200"])
+def test_refining_a_cached_ordinate_returns_its_bits(golden):
+    """A cache written at some digits is a fixed point of refinement at
+    those digits: refine_zero(record.t) gives back record.t bit for bit
+    at every zero of the golden caches, to T = 31.5 at 30 digits and to
+    T = 40 at 60 and 200 digits."""
+    digits, records = read_cache(str(Path(__file__).parent / "golden" / f"{golden}.cache"))
+    ctx = PrecisionContext.from_digits(digits)
+    assert len(records) >= 4
+    for rec in records:
+        assert refine_zero(rec.t, ctx).t == rec.t, rec.index
 
 
 def test_cache_header_validation(tmp_path):
