@@ -35,7 +35,6 @@ set an order's maximum.
 from __future__ import annotations
 
 from math import isqrt
-from operator import add
 from typing import NamedTuple
 
 import mpmath as mp
@@ -287,13 +286,15 @@ def residual_profile(exp: LaurentExpansion, r, N_list, samples: int, ctx: Precis
     The differences are ranked first in fixed point by
     :func:`_sweep_candidates`.  Only the nodes that may hold an order's
     largest difference run the mpmath chain :func:`_laurent_sums`, one
-    pass for every order at a node, and :func:`_largest` picks among their
-    differences in node order by exact squared norm, of which ``abs`` is a
-    monotone rounding.  Every node whose chain difference has the largest
-    norm is a candidate, so the pick and its ``abs`` are those of the chain
-    run at every node.  At 64 samples on the report's radius, one node was
-    the candidate of each order at every zero to T = 1000, at 30 and at
-    60 digits, and at every zero to T = 100 at 200 digits."""
+    pass for every order at a node, and an order's residual is the largest
+    ``abs`` of their differences.  mpmath's ``abs`` rounds the exact
+    squared norm down at p + 4 bits and takes a rounded square root, or
+    the ``abs`` of the one nonzero part, so it is monotone in that norm;
+    every node whose chain difference has the largest norm is a
+    candidate, so each residual is that of the chain run at every node.
+    At 64 samples on the report's radius, one node was the candidate of
+    each order at every zero to T = 1000, at 30 and at 60 digits, and at
+    every zero to T = 100 at 200 digits."""
     if samples < 16:
         raise RangeError("residual sweep needs at least 16 samples")
     N_list = sorted(set(int(N) for N in N_list))
@@ -309,7 +310,7 @@ def residual_profile(exp: LaurentExpansion, r, N_list, samples: int, ctx: Precis
                 for s, zv in zip(points, zeta_ring(exp.rho, r, samples, ctx))]
         picks = _sweep_candidates(top, rows, N_list, ctx.bits)
         sums = {j: _laurent_sums(top, rows[j][1]) for j in set().union(*picks.values())}
-        return {N: abs(_largest([rows[j][0] - sums[j][N] for j in picks[N]])) for N in N_list}
+        return {N: max(abs(rows[j][0] - sums[j][N]) for j in picks[N]) for N in N_list}
 
 
 def _sweep_candidates(exp: LaurentExpansion, rows: list, N_list: list, p: int) -> dict:
@@ -327,8 +328,7 @@ def _sweep_candidates(exp: LaurentExpansion, rows: list, N_list: list, p: int) -
         |A_N(j)| >= |D_N(j)| - m_N >= |D_N(k)| - m_N >= |A_N(k)| - 2 m_N,
 
     so the candidates, the nodes with |A_N| >= max |A_N| - 2 m_N, hold
-    every such j, and the first of them is the pick of :func:`_largest`
-    over all nodes.  The test runs on exact int squared norms, against the
+    every such j.  The test runs on exact int squared norms, against the
     floor square root of the largest, which only admits more nodes."""
     W = p + 32
     one = 1 << W
@@ -414,17 +414,6 @@ def _sweep_margins(p: int, W: int, t_hi: int, h_lo: int, h_hi: int, res_hi: int,
             e = _ceil_div(4 * (n + 1) * power, one)
             power = _ceil_div(power * b, one)
     return margins
-
-
-def _largest(values: list) -> mpc:
-    """The first of ``values`` with the largest |z|^2, compared exactly:
-    with each part m 2^e and E the least exponent of a nonzero part, |z|^2
-    is the int sum of m^2 << 2 (e - E) over the parts of z, times 4^E."""
-    parts = [x.man_exp for z in values for x in (z.real, z.imag)]
-    E = min((e for m, e in parts if m), default=0)
-    squares = [m * m << 2 * (e - E) if m else 0 for m, e in parts]
-    norms = list(map(add, squares[::2], squares[1::2]))
-    return values[norms.index(max(norms))]
 
 
 # ----------------------------------------------------------------------

@@ -91,7 +91,8 @@ unit (at K = 1, ln K = 0), is never below ceil(log2 K) + 24 bits: 64 at
 K = 10^6 and n <= 1.  It keeps F and visits every k, so off the
 recursion's range it costs more than a sum over the squarefree k alone:
 4.7 s CPU and 209 MB against 2.8 s and 99 MB at s = 0.3 + 14i, n <= 1,
-with checkpoints 10^4, 10^5 and 10^6.  No zero the CLI reaches lies
+with checkpoints 10^4, 10^5 and 10^6, so above K = 10^6 it raises
+LimitTooLargeError before it sieves.  No zero the CLI reaches lies
 there.  At K = 10^6 the recursion and the pass at y = K gave the same
 bits after rounding at zeros 1, 29 and 649 at 30 digits and at zeros 2
 and 649 at 60.
@@ -119,6 +120,7 @@ from .errors import LimitTooLargeError, RangeError
 from .precision import PrecisionContext
 
 SIEVE_CAP = 10**8
+_DIRECT_CAP = 10**6  # the largest K of dirichlet_partial's direct pass
 
 # Integers per sieve segment: a segment of one byte per integer then
 # stays within a core's cache.
@@ -588,7 +590,8 @@ def dirichlet_partial(rho, ns, checkpoints, ctx: PrecisionContext) -> dict:
     mu to y = max(ceil(2 K^(2/3)), em_terms(Im rho, ctx.target_digits)),
     the range of its error bound, where Re(rho) >= 1/2 and
     |rho - 1| >= 1/2.  Where y >= K, outside that range, or where a tail
-    stalls, it runs at y = K: the direct sum over every k <= K.
+    stalls, it runs at y = K: the direct sum over every k <= K, refused
+    with LimitTooLargeError, before it sieves, for K above 10^6.
     """
     ns = set(ns)
     if not ns or any(n not in range(7) for n in ns):
@@ -600,10 +603,11 @@ def dirichlet_partial(rho, ns, checkpoints, ctx: PrecisionContext) -> dict:
         raise LimitTooLargeError(f"checkpoint {K} exceeds cap {SIEVE_CAP}")
     s = mp.mpmathify(rho)
     y = max(math.ceil(2 * K ** (2 / 3)), em_terms(float(mp.im(s)), ctx.target_digits))
-    if y >= K or mp.re(s) < 0.5 or abs(s - 1) < 0.5:
-        y = K
-    sums = _hyperbola_partial(rho, ns[-1], checkpoints, y, ctx)
+    direct = y >= K or mp.re(s) < 0.5 or abs(s - 1) < 0.5
+    sums = None if direct else _hyperbola_partial(rho, ns[-1], checkpoints, y, ctx)
     if sums is None:
+        if K > _DIRECT_CAP:
+            raise LimitTooLargeError(f"direct sum to checkpoint {K} exceeds cap {_DIRECT_CAP}")
         sums = _hyperbola_partial(rho, ns[-1], checkpoints, K, ctx)
     return {n: sums[n] for n in ns}
 

@@ -93,20 +93,21 @@ class ZetaValue(NamedTuple):
     certified_digits: int
 
 
-def _em_pair(s: mpc, digits: int, order: int):
+def _em_pair(s: mpc, digits: int, order: int, main=None):
     """[zeta^(j)(s) for j <= order] by Euler-Maclaurin at current workprec.
 
     N is sized from |Im s| and the digits (see the module docstring); the
     Bernoulli tail runs until its last term is below 10^-(digits+5), and if
-    it stalls first the main sum is doubled and the evaluation retried.
+    it stalls first the main sum is doubled and the evaluation retried,
+    up to 8 N.  ``main`` of :func:`_em_attempt` serves the first N only.
     """
     N = em_terms(s.imag, digits)
     thresh = mpf(10) ** (-(digits + 5))
     for _ in range(4):
-        out = _em_attempt(s, N, thresh, order)
+        out = _em_attempt(s, N, thresh, order, main)
         if out is not None:
             return out
-        last, N = N, 2 * N
+        last, N, main = N, 2 * N, None
     raise PrecisionEscalationError(f"Euler-Maclaurin stalled at s={s}, N={last}")
 
 
@@ -310,16 +311,16 @@ def zeta_ring(center: mpc, radius: mpf, nodes: int, ctx: PrecisionContext) -> tu
     node count, or any other centre, evaluates every node directly.
 
     A direct node s with Re(s) >= EM_SIGMA_MIN and s != 1 is one
-    :func:`_em_attempt` at its own N and at ctx.bits + 40, as :func:`zeta`
-    makes it, with its own tail jet, rounded to ctx.bits as :func:`zeta`
-    rounds it; only its main sum comes from :func:`_shifted_main_sums`,
-    one Dirichlet jet at the centre for every node.  The shift is off by
-    about one unit of 2^(-wp) where the direct main sum is off by about
-    N (bit_length(N) + 2), and the sum moves only in its last bits of
-    wp = ctx.bits + 40 + bit_length(N) + 24 before it is rounded twice,
-    so a node differs from ``zeta(s, ctx).value`` with odds of about
-    2^-58.  A node whose tail stalls, or that lies left of EM_SIGMA_MIN,
-    takes :func:`zeta`.
+    :func:`_em_pair` at ctx.bits + 40, as :func:`zeta` makes it, with its
+    own tail jet, rounded to ctx.bits as :func:`zeta` rounds it; only the
+    main sum of its first attempt, at its own N, comes from
+    :func:`_shifted_main_sums`, one Dirichlet jet at the centre for every
+    node.  The shift is off by about one unit of 2^(-wp) where the direct
+    main sum is off by about N (bit_length(N) + 2), and the sum moves only
+    in its last bits of wp = ctx.bits + 40 + bit_length(N) + 24 before it
+    is rounded twice, so a node differs from ``zeta(s, ctx).value`` with
+    odds of about 2^-58.  A stalled node is retried at 2 N with a direct
+    main sum, as in :func:`zeta`; one left of EM_SIGMA_MIN takes :func:`zeta`.
 
     A reflected node takes its partner's value rounded to ctx and
     multiplies it by chi, so it need not have the bits of a fresh
@@ -337,10 +338,9 @@ def zeta_ring(center: mpc, radius: mpf, nodes: int, ctx: PrecisionContext) -> tu
         direct = [j for j, h in enumerate(hs) if not (on_line and h.real < 0)]
         points = [center + hs[j] for j in direct]
     with mp.workprec(ctx.bits + 40):
-        thresh = mpf(10) ** (-(digits + 5))
         Ns = [em_terms(s.imag, digits) if s.real >= EM_SIGMA_MIN and s != 1 else 0 for s in points]
         main = _shifted_main_sums(center, radius, set(Ns) - {0}, mp.mp.prec) if any(Ns) else None
-        jets = [N and _em_attempt(s, N, thresh, 0, main) for s, N in zip(points, Ns)]
+        jets = [N and _em_pair(s, digits, 0, main) for s, N in zip(points, Ns)]
     with ctx.wp():
         for j, s, jet in zip(direct, points, jets):
             out[j] = v = +jet[0] if jet else zeta(s, ctx).value

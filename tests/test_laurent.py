@@ -1,6 +1,7 @@
 import functools
 import random
 import sys
+from fractions import Fraction
 
 import pytest
 from mpmath import mp, mpc, mpf
@@ -391,6 +392,44 @@ def test_residual_sweep_ranks_no_offset_within_units_of_zero():
     with CTX.wp():
         rows = [(mpc(1), mpc(2) ** -(CTX.bits + 34)), (mpc(2), mpc(0, 1) / 32)]
     assert laurent._sweep_candidates(_expansion(1, 30), rows, [0, 3], CTX.bits) == {0: [0, 1], 3: [0, 1]}
+
+
+def _exact_norm(z) -> Fraction:
+    """|z|^2 exactly, from the mantissa and exponent of each part."""
+    return sum(Fraction(m * m) * Fraction(2) ** (2 * e) for m, e in (z.real.man_exp, z.imag.man_exp))
+
+
+@pytest.mark.parametrize("digits", [30, 60])
+def test_abs_is_monotone_in_the_exact_squared_norm(digits):
+    """residual_profile takes an order's residual as the largest abs of its
+    candidates' differences, which is the abs of the difference of largest
+    exact norm only if abs never orders two values against their exact
+    squared norms.  Each group holds a value a at ctx's precision, a
+    rotated, a with one part moved by an ulp, and real and imaginary
+    values around |a| by -2..2 ulps: norms a few ulps apart, a part zero
+    in some.  Over every pair of a group, a no larger exact norm gives a
+    no larger abs, and some pairs of distinct norms share their abs."""
+    ctx = PrecisionContext.from_digits(digits)
+    p = ctx.bits
+    rng = random.Random(digits)
+    ties = 0
+    with ctx.wp():
+        for _ in range(300):
+            scale = rng.randint(-40, 10) - p
+            a = mpc(mpf((rng.getrandbits(p), scale)), mpf((rng.getrandbits(p), scale)))
+            m, e = a.real.man_exp
+            group = [a, a * mp.expjpi(mpf(rng.random())), mpc(mpf((m + 1, e)), a.imag)]
+            m, e = abs(a).man_exp
+            for k in range(-2, 3):
+                x = mpf((m + k, e))
+                group += [mpc(x, 0), mpc(0, x)]
+            pairs = [(_exact_norm(z), abs(z)) for z in group]
+            for na, aa in pairs:
+                for nb, ab in pairs:
+                    if na <= nb:
+                        assert aa <= ab, (a, na, nb)
+                    ties += na < nb and aa == ab
+    assert ties > 0
 
 
 def test_expansion_takes_one_jet_and_no_ring(monkeypatch):

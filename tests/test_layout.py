@@ -136,6 +136,22 @@ def test_only_mobius_touches_mpmath_internals():
     assert not found, "mpmath.libmp used outside mobius.py at " + ", ".join(found)
 
 
+def test_only_mobius_reads_mpmath_number_representations():
+    """An mpmath number's representation, ``man_exp``, ``_mpf_`` or
+    ``_mpc_``, is read in mobius.py alone, with the libmp layer it
+    belongs to."""
+    found = []
+    for path in sorted(SRC.glob("*.py")):
+        if path.name == "mobius.py":
+            continue
+        tree = ast.parse(path.read_text(), filename=str(path))
+        found += [
+            f"{path.name}:{node.lineno} reads {node.attr}" for node in ast.walk(tree)
+            if isinstance(node, ast.Attribute) and node.attr in ("man_exp", "_mpf_", "_mpc_")
+        ]
+    assert not found, "; ".join(found)
+
+
 def _enclosing_functions(tree) -> dict:
     """Each node of tree mapped to the name of its innermost function."""
     owner = {}
@@ -207,6 +223,21 @@ def test_one_euler_maclaurin_remainder():
             and node.func.id == "_bernoulli_tail"
         ]
     assert sorted(callers) == ["mobius.py:stieltjes_fixed", "mobius.py:tail_jet"], callers
+
+
+def test_one_euler_maclaurin_retry_rule():
+    """Only _em_pair calls _em_attempt, so a stalled Bernoulli tail is
+    retried by one rule, the doubled main sum, wherever zeta is summed."""
+    callers = []
+    for path in sorted(SRC.glob("*.py")):
+        tree = ast.parse(path.read_text(), filename=str(path))
+        owner = _enclosing_functions(tree)
+        callers += [
+            f"{path.stem}.{owner[node]}" for node in ast.walk(tree)
+            if isinstance(node, ast.Call)
+            and getattr(node.func, "id", getattr(node.func, "attr", None)) == "_em_attempt"
+        ]
+    assert callers == ["zeta._em_pair"], callers
 
 
 def test_one_function_reads_the_bernoulli_numbers():

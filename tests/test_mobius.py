@@ -417,6 +417,31 @@ def test_dirichlet_partial_falls_back_where_a_tail_stalls(monkeypatch):
     assert [got[0], got[1]] == want
 
 
+def test_dirichlet_partial_refuses_a_direct_sum_above_its_cap(monkeypatch):
+    # Off the recursion's range, or where a tail stalls, the sums run as
+    # the direct sweep at y = K, which holds K values in lists: above 10^6
+    # it is refused before anything is sieved.
+    monkeypatch.setattr(mobius, "sieve_mobius", lambda N: pytest.fail(f"sieved to {N}"))
+    with pytest.raises(LimitTooLargeError):
+        dirichlet_partial(mpc("0.3", 14), (0,), (2 * 10**6,), CTX)
+    calls = []
+
+    def stalled(rho, top, checkpoints, y, ctx):
+        calls.append(y)
+        return None if y < checkpoints[-1] else [[0]]
+
+    monkeypatch.setattr(mobius, "_hyperbola_partial", stalled)
+    with pytest.raises(LimitTooLargeError):
+        dirichlet_partial(mpc("0.5", 14), (0,), (2 * 10**6,), CTX)
+    assert calls == [math.ceil(2 * (2 * 10**6) ** (2 / 3))]
+    # At K = 10^6 the direct sweep still serves a stalled tail and an s
+    # off the recursion's range.
+    calls.clear()
+    assert dirichlet_partial(mpc("0.5", 14), (0,), (10**6,), CTX) == {0: [0]}
+    assert dirichlet_partial(mpc("0.3", 14), (0,), (10**6,), CTX) == {0: [0]}
+    assert calls == [math.ceil(2 * (10**6) ** (2 / 3)), 10**6, 10**6]
+
+
 def test_dirichlet_partial_recursion_at_real_s_and_every_k(monkeypatch):
     # At s = 2 and s = 3/2 + 5i, every third K from 70 to 400 against the
     # direct sweep, so checkpoints fall on and between the floor values of K.

@@ -194,8 +194,8 @@ def test_em_pair_never_stalls_in_cli_range(monkeypatch):
     attempts = []
     attempt = em._em_attempt
 
-    def recording(s, N, thresh, order):
-        out = attempt(s, N, thresh, order)
+    def recording(s, N, thresh, order, main=None):
+        out = attempt(s, N, thresh, order, main)
         attempts.append((N, out is not None))
         return out
 
@@ -216,7 +216,7 @@ def test_em_pair_stall_names_the_last_length_tried(monkeypatch):
     em = sys.modules["zetakit.zeta"]
     tried = []
 
-    def stalled(s, N, thresh, order):
+    def stalled(s, N, thresh, order, main=None):
         tried.append(N)
 
     monkeypatch.setattr(em, "_em_attempt", stalled)
@@ -443,28 +443,36 @@ def test_direct_ring_nodes_have_the_bits_of_fresh_zeta(index, digits):
                     assert got == zeta(center + h, ctx).value, (radius, h)
 
 
-def test_ring_node_whose_tail_stalls_takes_zeta(monkeypatch):
-    # The first tail of one node stalls: that node, and no other, takes
-    # zeta(), whose first attempt then succeeds, so every sample keeps its
-    # bits.
+def test_ring_node_whose_tail_stalls_is_retried_at_twice_its_length(monkeypatch):
+    # Node 3's tail stalls at its first length N0 whenever it is asked:
+    # _em_pair retries it at 2 N0, as zeta() does, so node 3 equals a
+    # fresh zeta() under the same stall and its mirror, node 29, that
+    # value reflected; every other node keeps its bits, and the stalled
+    # N0 runs once.
     em = sys.modules["zetakit.zeta"]
     center, radius = mpc("0.5", "87.4"), mpf(1) / 4
     before = zeta_ring(center, radius, 64, CTX)
     with CTX.wp():
         target = center + ring_samples(mpc, radius, 64)[3]
+    N0 = em_terms(target.imag, CTX.target_digits)
     real_tail, real_zeta = em.tail_jet, em.zeta
     stalled, fresh = [], []
 
-    def tail(s, *args):
-        if s == target and not stalled:
-            stalled.append(s)
+    def tail(s, w, *args):
+        if s == target and w == N0:
+            stalled.append(w)
             return None
-        return real_tail(s, *args)
+        return real_tail(s, w, *args)
 
     monkeypatch.setattr(em, "tail_jet", tail)
     monkeypatch.setattr(em, "zeta", lambda s, ctx: fresh.append(s) or real_zeta(s, ctx))
-    assert zeta_ring(center, radius, 64, CTX) == before
-    assert stalled == [target] and fresh == [target]
+    after = zeta_ring(center, radius, 64, CTX)
+    assert stalled == [N0] and fresh == []
+    want = real_zeta(target, CTX).value
+    with CTX.wp():
+        assert after[3] == want and after[29] == em._reflected(1 - mp.conj(target), mp.conj(want), CTX.bits, CTX)
+    assert [v for j, v in enumerate(after) if j not in (3, 29)] == [v for j, v in enumerate(before) if j not in (3, 29)]
+    assert after[3] != before[3]
 
 
 @pytest.mark.parametrize("nodes", [17, 18, 24, 40])
