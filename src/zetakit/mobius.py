@@ -121,6 +121,7 @@ from .precision import PrecisionContext
 
 SIEVE_CAP = 10**8
 _DIRECT_CAP = 10**6  # the largest K of dirichlet_partial's direct pass
+EM_STOP_DIGITS = 5  # zeta's Euler-Maclaurin tail stops below 10^-(digits + EM_STOP_DIGITS)
 
 # Integers per sieve segment: a segment of one byte per integer then
 # stays within a core's cache.
@@ -366,11 +367,11 @@ def mertens_sublinear(x: int) -> int:
 
 def em_terms(t, digits: int) -> int:
     """Euler-Maclaurin main-sum length N = ceil(|t| q/(2 pi)) + digits,
-    q = max(2, 10^((digits+5)/360)), for Im s = t (see :mod:`zetakit.zeta`).
-    A Bernoulli tail started at N or above shrinks by about
-    (|t|/(2 pi N))^2 <= 1/4 a term."""
-    q = max(2, 10 ** ((digits + 5) / 360))
-    return int(math.ceil(abs(t) * q / (2 * math.pi))) + digits
+    q = max(2, 10^((digits + EM_STOP_DIGITS)/360)), in doubles for Im s = t,
+    a float or an mpf (see :mod:`zetakit.zeta`).  A Bernoulli tail started
+    at N or above shrinks by about (|t|/(2 pi N))^2 <= 1/4 a term."""
+    q = max(2, 10 ** ((digits + EM_STOP_DIGITS) / 360))
+    return int(math.ceil(abs(float(t)) * q / (2 * math.pi))) + digits
 
 
 @functools.lru_cache(maxsize=None)
@@ -602,7 +603,7 @@ def dirichlet_partial(rho, ns, checkpoints, ctx: PrecisionContext) -> dict:
     if K > SIEVE_CAP:
         raise LimitTooLargeError(f"checkpoint {K} exceeds cap {SIEVE_CAP}")
     s = mp.mpmathify(rho)
-    y = max(math.ceil(2 * K ** (2 / 3)), em_terms(float(mp.im(s)), ctx.target_digits))
+    y = max(math.ceil(2 * K ** (2 / 3)), em_terms(mp.im(s), ctx.target_digits))
     direct = y >= K or mp.re(s) < 0.5 or abs(s - 1) < 0.5
     sums = None if direct else _hyperbola_partial(rho, ns[-1], checkpoints, y, ctx)
     if sums is None:

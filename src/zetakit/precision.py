@@ -22,8 +22,9 @@ from .errors import GammaPoleError, PrecisionEscalationError, RangeError
 _LOG2_10 = math.log2(10.0)
 
 # Factor by which bits grow when a two-precision agreement check fails and
-# the computation is retried.
+# the computation is retried, and how many such pairs certified() runs.
 ESCALATION_FACTOR = 2.0
+_ESCALATIONS = 3
 
 
 class _Precision(NamedTuple):
@@ -110,17 +111,17 @@ def agreement_digits(a, b) -> int:
     return int(mp.floor(-mp.log10(diff / scale)))
 
 
-def certified(fn, ctx: PrecisionContext, retries: int = 3):
+def certified(fn, ctx: PrecisionContext):
     """Two-precision agreement harness.
 
     Evaluates ``fn(bits)`` at the context precision and again at
     ``ESCALATION_FACTOR * bits``.  On agreement to ``target_digits`` the
     higher-precision value is returned together with the measured digit
     count; otherwise the precision is escalated and the pair re-run, at
-    most ``retries`` times before raising.
+    most ``_ESCALATIONS`` pairs in all before raising.
     """
     bits = ctx.bits
-    for _ in range(retries):
+    for _ in range(_ESCALATIONS):
         hi_bits = int(math.ceil(bits * ESCALATION_FACTOR))
         lo = fn(bits)
         hi = fn(hi_bits)
@@ -128,9 +129,7 @@ def certified(fn, ctx: PrecisionContext, retries: int = 3):
         if digits >= ctx.target_digits:
             return hi, min(digits, ctx.target_digits + int((hi_bits - ctx.bits) / _LOG2_10))
         bits = hi_bits
-    raise PrecisionEscalationError(
-        f"no {ctx.target_digits}-digit agreement after {retries} escalations"
-    )
+    raise PrecisionEscalationError(f"no {ctx.target_digits}-digit agreement after {_ESCALATIONS} escalations")
 
 
 def _is_nonpositive_integer(z: mpc) -> bool:

@@ -44,7 +44,7 @@ from .errors import (
     NonIntegerWindingError,
     RangeError,
 )
-from .mobius import fixed_pair, fixed_to_mpc
+from .mobius import EM_STOP_DIGITS, fixed_pair, fixed_to_mpc
 from .parallel import map_ordered
 from .precision import PrecisionContext, real_from, to_decimal
 from .zeta import (
@@ -288,10 +288,10 @@ def _jet_orders(digits: int, t: float) -> tuple[int, int]:
 
     An order-k jet delta from the zero leaves zeta'(rho) off by about
     e(k, delta) = (k + 1) A delta^k, which has to fall below the tail
-    threshold 10^-(digits + 15) of one Euler-Maclaurin sum at the guard
-    digits.  The double seed lies within about an ulp of t,
-    delta = t 2^-52, and the Taylor coefficients of zeta there stay below
-    about A = 1 + t/35 (both measured on a sample of zeros 1-649).  One
+    threshold 10^-(digits + 10 + EM_STOP_DIGITS) of one Euler-Maclaurin
+    sum at the ten guard digits.  The double seed lies within about an ulp
+    of t, delta = t 2^-52, and the Taylor coefficients of zeta there stay
+    below about A = 1 + t/35 (both measured on a sample of zeros 1-649).  One
     jet then needs the least order K >= 2 with e(K, delta) below it; two
     jets of order k, the second at the first's root, about A delta^(k+1)
     off, need e(k, A delta^(k+1)) below it.  An order-k jet costs about
@@ -299,7 +299,7 @@ def _jet_orders(digits: int, t: float) -> tuple[int, int]:
     less, from about 90 digits on.  Otherwise the jets after the first
     are of order 2, taken only where the one before rejects.
     """
-    thresh = 10.0 ** -(digits + 15)
+    thresh = 10.0 ** -(digits + 10 + EM_STOP_DIGITS)
     delta = t * 2.0**-52
     A = 1 + t / 35
 
@@ -356,15 +356,15 @@ def _newton_refine(a: float, b: float, ctx: PrecisionContext) -> tuple[mpf, mpc]
     geometric continuation of the last two coefficients where they grow:
     |a_(k+1)| delta^(k+1)/|a_1| for the root and (k + 1) |a_(k+1)| delta^k
     for zeta'.  Where both are below the tail threshold
-    10^-(guard digits + 5) of the sum itself, t is rounded to ctx.bits and
-    zeta'(rho) is the polynomial's at that t, with no further sum.  From
-    the double seed that is one jet a zero (of order 4 at 30 digits), or
-    two of lower order where they cost less than one (from about 90
-    digits); from the midpoint, two to four.  A None from :func:`_newton`,
-    or a jet whose delta is not below the one before, raises
-    NoConvergenceError."""
+    10^-(guard digits + EM_STOP_DIGITS) of the sum itself, t is rounded to
+    ctx.bits and zeta'(rho) is the polynomial's at that t, with no further
+    sum.  From the double seed that is one jet a zero (of order 4 at 30
+    digits), or two of lower order where they cost less than one (from
+    about 90 digits); from the midpoint, two to four.  A None from
+    :func:`_newton`, or a jet whose delta is not below the one before,
+    raises NoConvergenceError."""
     guard = PrecisionContext(ctx.bits + 34, ctx.target_digits + 10)
-    thresh = 10.0 ** -(guard.target_digits + 5)
+    thresh = 10.0 ** -(guard.target_digits + EM_STOP_DIGITS)
     mid = (a + b) / 2
     basin = max(0.05, b - a)
     seed = _float_tier(_newton)(lambda t: em_pair_float(complex(0.5, t)), mid, mid, basin, 1e-7)

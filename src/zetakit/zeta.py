@@ -6,7 +6,8 @@ The correctness reference at every height is Euler-Maclaurin summation,
               + sum_{m=1..M} B_2m/(2m)! (s)_{2m-1} N^(-s-2m+1),
 
 with N = ceil(|Im s| q/(2 pi)) + digits, q = max(2, 10^((digits+5)/360)),
-and M grown until the last term kept drops below 10^-(digits+5).  Tail
+and M grown until the last term kept drops below 10^-(digits+5), 5 being
+``mobius.EM_STOP_DIGITS``: N is a double's, the stop an exact int.  Tail
 terms shrink by about (|Im s|/(2 pi N))^2 a step: q holds that ratio to
 1/4, or lower where 180 terms must gain digits+5 digits (the cap is 200),
 and the added digits cover small |Im s|, where the terms go like
@@ -75,7 +76,7 @@ import mpmath as mp
 from mpmath import mpc, mpf
 
 from .errors import ContourNearZeroError, NearZeroError, PoleError, PrecisionEscalationError, RangeError
-from .mobius import dirichlet_powers, em_terms, fixed_pair, fixed_to_mpc, tail_jet
+from .mobius import EM_STOP_DIGITS, dirichlet_powers, em_terms, fixed_pair, fixed_to_mpc, tail_jet
 from .precision import PrecisionContext, certified, log_gamma
 
 EULER_MACLAURIN = "euler-maclaurin"
@@ -96,32 +97,32 @@ class ZetaValue(NamedTuple):
 def _em_pair(s: mpc, digits: int, order: int, main=None):
     """[zeta^(j)(s) for j <= order] by Euler-Maclaurin at current workprec.
 
-    N is sized from |Im s| and the digits (see the module docstring); the
+    N is ``em_terms(Im s, digits)`` (see the module docstring); the
     Bernoulli tail runs until its last term is below 10^-(digits+5), and if
     it stalls first the main sum is doubled and the evaluation retried,
     up to 8 N.  ``main`` of :func:`_em_attempt` serves the first N only.
     """
     N = em_terms(s.imag, digits)
-    thresh = mpf(10) ** (-(digits + 5))
     for _ in range(4):
-        out = _em_attempt(s, N, thresh, order, main)
+        out = _em_attempt(s, N, digits, order, main)
         if out is not None:
             return out
         last, N, main = N, 2 * N, None
     raise PrecisionEscalationError(f"Euler-Maclaurin stalled at s={s}, N={last}")
 
 
-def _em_attempt(s: mpc, N: int, thresh: mpf, order: int, main=None):
+def _em_attempt(s: mpc, N: int, digits: int, order: int, main=None):
     """[zeta^(j)(s) for j <= order] = (-1)^j (sum_{n<=N} ln^j(n) n^-s + T_j(N)),
     the remainder T_j(N) from :func:`zetakit.mobius.tail_jet`, or None where
-    its Bernoulli tail stalls.  The tail jet and the main sum are summed at
+    its Bernoulli tail, stopped at floor(2^wp/10^(digits + EM_STOP_DIGITS))
+    units of 2^(-wp), stalls.  The tail jet and the main sum are summed at
     wp bits, and each order is rounded once to the working precision.  The
     main sum is the N jets of one :func:`zetakit.mobius.dirichlet_powers`
     pass at s, or ``main(s, N, wp)``, its summed jet, where that is given
     (the Taylor shift of :func:`_shifted_main_sums`, of order 0)."""
     prec = mp.mp.prec
     wp = prec + N.bit_length() + 24
-    tail = tail_jet(s, N, order, wp, fixed_pair(thresh, wp)[0])
+    tail = tail_jet(s, N, order, wp, (1 << wp) // 10 ** (digits + EM_STOP_DIGITS))
     if tail is None:
         return None  # asymptotic tail stalled; caller doubles N
     jets = (main(s, N, wp),) if main else dirichlet_powers(s, N, wp, order)
@@ -218,8 +219,7 @@ def zeta_jet(s, order: int, ctx: PrecisionContext) -> list:
 def zeta_and_deriv_raw(s, ctx: PrecisionContext) -> tuple[mpc, mpc]:
     """(zeta(s), zeta'(s)): :func:`zeta_jet` at order 1, the workhorse of
     the 12-digit Backlund count and winding-number quadrature."""
-    v, dv = zeta_jet(s, 1, ctx)
-    return v, dv
+    return tuple(zeta_jet(s, 1, ctx))
 
 
 def zeta_logderiv(s, ctx: PrecisionContext) -> mpc:

@@ -291,6 +291,57 @@ def test_zeros_exits_1_on_a_cache_the_fresh_scan_contradicts(tmp_path, seeded_ca
     assert stale.read_bytes() == before
 
 
+def _gave_up(monkeypatch, error):
+    """Force one error of the group where the code gave up: a Newton that
+    never converges, an Euler-Maclaurin tail that always stalls, a count
+    segment on a zero at every shift, a probe with no integer winding."""
+    from zetakit import errors, zeros
+
+    def raising(*args):
+        raise getattr(errors, error)("forced")
+
+    if error == "NoConvergenceError":
+        monkeypatch.setattr(zeros, "_newton", lambda *args: None)
+    elif error == "PrecisionEscalationError":
+        monkeypatch.setattr(sys.modules["zetakit.zeta"], "tail_jet", lambda *args: None)
+    elif error == "ContourNearZeroError":
+        monkeypatch.setattr(zeros, "_float_count", lambda T: None)
+        monkeypatch.setattr(zeros, "_backlund_count", raising)
+    else:
+        monkeypatch.setattr(zeros, "multiplicity_probe", raising)
+
+
+GAVE_UP = [  # (error, command, what its stderr line says)
+    ("NoConvergenceError", "zeros", "Newton did not converge near t="),
+    ("PrecisionEscalationError", "zeros", "Euler-Maclaurin stalled at s="),
+    ("ContourNearZeroError", "zeros", "count_by_argument failed after 5 shifts: forced"),
+    ("NonIntegerWindingError", "audit", "forced"),
+]
+
+
+@pytest.mark.parametrize("error, command, says", GAVE_UP, ids=[case[0] for case in GAVE_UP])
+def test_a_gave_up_error_leaves_the_cache_as_it_was(tmp_path, seeded_cache, monkeypatch, capsys, error, command, says):
+    """Each error of the gave-up group (ROADMAP item 5) exits 1 today with
+    one ``numerical finding:`` line, and neither rewrites a cache nor
+    creates an absent one."""
+    from zetakit import cli
+
+    _gave_up(monkeypatch, error)
+    copy = tmp_path / "copy.cache"
+    shutil.copy(seeded_cache, copy)
+    absent = tmp_path / "absent.cache"
+    runs = [copy] + ([absent] if command == "zeros" else [])
+    for path in runs:
+        t_max = "33" if command == "zeros" else "30"
+        assert cli.main([command, "--t-max", t_max, "--workers", "1", "--cache", str(path)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        lines = captured.err.splitlines()
+        assert len(lines) == 1 and lines[0].startswith(f"numerical finding: {says}"), captured.err
+    assert copy.read_bytes() == seeded_cache.read_bytes()
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["copy.cache"]
+
+
 def test_audit_empty_cache_errors(tmp_path):
     path = tmp_path / "empty.cache"
     path.write_text("# zeta-zeros v1 digits=30\n")

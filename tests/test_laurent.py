@@ -27,7 +27,7 @@ from zetakit.laurent import (
 )
 from zetakit.mobius import SIEVE_CAP, sieve_mobius
 from zetakit.precision import PrecisionContext
-from zetakit.zeros import refine_zero
+from zetakit.zeros import neighbor_distance, refine_zero
 from zetakit.zeta import (
     inverse_zeta,
     ring_samples,
@@ -215,6 +215,72 @@ def test_expansion_radius_uses_neighbor_gap():
         # The sign-change walk must land close below the true gap.
         walked = build_expansion(rho1, 4, CTX)
         assert mpf("5.2") < walked.radius <= want + mpf("1e-20")
+
+
+# Ordinates of zeros n - 1, n and n + 1 for the n of VALIDITY_SAMPLE, from
+# mpmath.zetazero (see test_validity_radius_is_within_the_true_gap).
+VALIDITY_SAMPLE = (1, 2, 3, 73, 100, 200, 337, 500, 648, 649, 315, 316, 363, 364, 453, 454, 606, 607)
+ZETAZERO = {
+    1: "14.134725141734693790457251983562470",
+    2: "21.022039638771554992628479593896903",
+    3: "25.010857580145688763213790992562822",
+    4: "30.424876125859513210311897530584091",
+    72: "185.59878367770747146652770426839265",
+    73: "187.22892258350185199164154058613124",
+    74: "189.41615865601693708485228909984532",
+    99: "233.69340417890830064070449473256979",
+    100: "236.52422966581620580247550795566298",
+    101: "237.76982048092520400323662592638711",
+    199: "395.58287001099372097087771132314164",
+    200: "396.38185422259218693199945449173053",
+    201: "397.91873620961424338698117971079868",
+    314: "562.55920761604585110813791669532454",
+    315: "564.16087911078611781387953350040653",
+    316: "564.50605593814983512224596893897684",
+    317: "566.69878768280795624151228066724073",
+    336: "592.57135830022556982077271612031647",
+    337: "593.97471468223102924380517450938163",
+    338: "595.72815369738894917702092073286780",
+    362: "628.32586235946036193594381566512154",
+    363: "630.47388743829204587060658677634855",
+    364: "630.80578092719753264187172524814689",
+    365: "632.22514116711595195215470592961047",
+    452: "748.24275446508454786850329469893412",
+    453: "750.65595036212429986680743837029463",
+    454: "750.96638106665083726845841969542879",
+    455: "752.88762156720237474950770500312656",
+    499: "810.08180488640709989152472990147139",
+    500: "811.18435884650626033788432746488002",
+    501: "812.77110838910934271980128866232484",
+    605: "945.33356250304594614154223892099645",
+    606: "946.76584220472785115673216721824138",
+    607: "947.07918309625487796511947454302964",
+    608: "948.34664625504496716660508599383598",
+    647: "997.51193475193922921102984007544019",
+    648: "998.82754713692963313051961544663937",
+    649: "999.79157155741294046316314715784707",
+    650: "1001.3494826377827371221033096531062",
+}
+
+
+@pytest.mark.parametrize("n", VALIDITY_SAMPLE)
+def test_validity_radius_is_within_the_true_gap(n):
+    """The gap walk never overshoots the gap to the nearest other zero, as
+    mpmath's zetazero places it, and the walked expansion's radius stays
+    at most 0.8 of that gap: the validity radius against an independent
+    oracle, across the CLI's heights and at the closest pairs.  ZETAZERO
+    was printed by (12 s of mpmath, so the values are literals)
+
+        python -c "import mpmath; mpmath.mp.dps = 40; S = VALIDITY_SAMPLE;
+        [print(m, mpmath.nstr(mpmath.zetazero(m).imag, 35, strip_zeros=False))
+         for m in sorted({k for n in S for k in (n - 1, n, n + 1) if k})]"
+
+    with the tuple written out for VALIDITY_SAMPLE."""
+    t = mpf(ZETAZERO[n])
+    gap = min(abs(mpf(ZETAZERO[m]) - t) for m in (n - 1, n + 1) if m in ZETAZERO)
+    assert neighbor_distance(float(t)) <= gap
+    exp = build_expansion(mpc(0.5, t), 0, CTX)
+    assert exp.radius <= mpf("0.8") * gap
 
 
 def test_truncated_keeps_prefix():

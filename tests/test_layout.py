@@ -240,6 +240,23 @@ def test_one_euler_maclaurin_retry_rule():
     assert callers == ["zeta._em_pair"], callers
 
 
+def test_no_mpmath_number_sizes_an_euler_maclaurin_sum():
+    """The length of an Euler-Maclaurin sum (mobius.em_terms) and the stop
+    of its Bernoulli tail (zeta._em_pair, zeta._em_attempt) are decided in
+    Python ints and doubles: none of the three builds an mpf."""
+    found = []
+    for path in sorted(SRC.glob("*.py")):
+        tree = ast.parse(path.read_text(), filename=str(path))
+        owner = _enclosing_functions(tree)
+        found += [
+            f"{path.stem}.{owner[node]}:{node.lineno}" for node in ast.walk(tree)
+            if isinstance(node, ast.Call)
+            and f"{path.stem}.{owner[node]}" in ("zeta._em_pair", "zeta._em_attempt", "mobius.em_terms")
+            and getattr(node.func, "id", getattr(node.func, "attr", None)) in ("mpf", "mpmathify")
+        ]
+    assert not found, found
+
+
 def test_one_function_reads_the_bernoulli_numbers():
     """The Euler-Maclaurin tails of zeta and of the Mobius recursion share
     one Bernoulli table: the package calls none of mpmath's Bernoulli

@@ -10,7 +10,7 @@ import oracles
 from zetakit import zeros
 from zetakit.errors import ContourNearZeroError, NearZeroError, PoleError, PrecisionEscalationError, RangeError
 from zetakit.laurent import taylor_at_zero
-from zetakit.mobius import bernoulli_ratio, em_terms
+from zetakit.mobius import bernoulli_ratio, em_terms, fixed_pair
 from zetakit.precision import PrecisionContext
 from zetakit.zeta import (
     EULER_MACLAURIN,
@@ -194,8 +194,8 @@ def test_em_pair_never_stalls_in_cli_range(monkeypatch):
     attempts = []
     attempt = em._em_attempt
 
-    def recording(s, N, thresh, order, main=None):
-        out = attempt(s, N, thresh, order, main)
+    def recording(s, N, digits, order, main=None):
+        out = attempt(s, N, digits, order, main)
         attempts.append((N, out is not None))
         return out
 
@@ -216,7 +216,7 @@ def test_em_pair_stall_names_the_last_length_tried(monkeypatch):
     em = sys.modules["zetakit.zeta"]
     tried = []
 
-    def stalled(s, N, thresh, order, main=None):
+    def stalled(s, N, digits, order, main=None):
         tried.append(N)
 
     monkeypatch.setattr(em, "_em_attempt", stalled)
@@ -226,6 +226,60 @@ def test_em_pair_stall_names_the_last_length_tried(monkeypatch):
             em._em_pair(mpc(0.5, 14.13), 30, 0)
     assert tried == [N0, 2 * N0, 4 * N0, 8 * N0]
     assert str(err.value).endswith(f"N={8 * N0}"), str(err.value)
+
+
+def test_em_stop_is_the_exact_int_of_the_digits(monkeypatch):
+    # Wherever zeta is summed (zeta, zeta_jet at ctx and at refinement's
+    # guard, the ring's direct nodes), _em_pair stops the Bernoulli tail at
+    # floor(2^wp/10^(digits + 5)) units of 2^-wp, an exact int.  At each of
+    # these precisions it also equals 10^-(digits+5) rounded to the working
+    # precision and truncated to wp bits, so either stop ends every tail at
+    # the same term and gives the same bits.
+    em = sys.modules["zetakit.zeta"]
+    calls = []
+    real = em.tail_jet
+
+    def spy(s, w, order, wp, stop=1):
+        calls.append((mp.prec, wp, stop))
+        return real(s, w, order, wp, stop)
+
+    monkeypatch.setattr(em, "tail_jet", spy)
+    rho = mpc(0.5, "14.134725141734693790457251983562470")
+    for digits in (10, 12, 30, 60, 100, 200):
+        ctx = PrecisionContext.from_digits(digits)
+        guard = PrecisionContext(ctx.bits + 34, digits + 10)
+        runs = [
+            (digits, lambda: zeta(mpc(0.5, 999.79), ctx)),
+            (digits, lambda: zeta_jet(mpc(2, 21.02), 3, ctx)),
+            (digits + 10, lambda: zeta_jet(mpc(0.5, 236.52), 4, guard)),
+            (digits, lambda: zeta_ring(rho, mpf(1) / 32, 8, ctx)),
+        ]
+        for d, run in runs:
+            calls.clear()
+            run()
+            assert calls, (digits, d)
+            for prec, wp, stop in calls:
+                assert stop == (1 << wp) // 10 ** (d + 5), (digits, d, wp)
+                with mp.workprec(prec):
+                    assert stop == fixed_pair(mpf(10) ** -(d + 5), wp)[0], (digits, d, wp)
+    assert len(calls) == 5  # the ring's direct nodes: 8/2 + 1
+
+
+def test_em_stop_matches_the_rounded_threshold_at_every_cli_precision():
+    # The CLI sums zeta at ctx.bits + 40 for every --digits (the 12-digit
+    # tier among them) and refines at ten guard digits, bits + 74; wp adds
+    # bit_length(N) + 24 to either, N below 2^15.  At each of these the
+    # exact stop equals 10^-(digits+5) rounded to the precision and
+    # truncated to wp bits, so the CLI's bytes do not depend on which of
+    # the two stops a sum takes.
+    for digits in range(zeros.DIGITS_MIN, zeros.DIGITS_MAX + 1):
+        bits = PrecisionContext.min_bits(digits)
+        for prec, d in ((bits + 40, digits), (bits + 74, digits + 10)):
+            with mp.workprec(prec):
+                thresh = mpf(10) ** -(d + 5)
+            for nbits in range(1, 16):
+                wp = prec + nbits + 24
+                assert fixed_pair(thresh, wp)[0] == (1 << wp) // 10 ** (d + 5), (digits, d, wp)
 
 
 @pytest.mark.parametrize("digits", [30, 60, 200])
