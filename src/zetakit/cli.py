@@ -39,6 +39,7 @@ from .zeros import (
     audit_zeros,
     count_by_argument,
     density_report,
+    format_cache_line,
     read_cache,
     refine_zero,
     scan_with_count,
@@ -200,20 +201,34 @@ def cmd_audit(args: argparse.Namespace) -> int:
 def cmd_laurent(args: argparse.Namespace) -> int:
     """Emit the JSON expansion report for one cached zero.
 
-    The zero is refined again at --digits, so the cache may hold other
-    digits than --digits.
+    Where the cache holds --digits, the expansion is taken at the cached
+    zero, and kept when one Newton step from its order-13 jet,
+    t - Im(zeta(rho)/zeta'(rho)), leaves the zero's stored string as it
+    is.  A cache written at those digits is a fixed point of refinement,
+    so that is the zero ``refine_zero`` would give.  Otherwise, and
+    always where the cache holds other digits than --digits, the zero is
+    refined again at --digits and the expansion taken there.
     """
-    _, cached = read_cache(args.cache)
+    cache_digits, cached = read_cache(args.cache)
     if not 1 <= args.index <= len(cached):
         raise UnknownIndexError(f"no cached zero with index {args.index}")
     ctx = PrecisionContext.from_digits(args.digits)
-    polished = refine_zero(cached[args.index - 1].t, ctx)
+    record = cached[args.index - 1]
     # The lower neighbour alone can overstate the gap, so without the upper
     # one cached the gap is walked on the scan grid.
     neighbors = None
     if args.index < len(cached):
         neighbors = [cached[i].t for i in (args.index - 2, args.index) if i >= 0]
-    exp = build_expansion(polished.rho, args.terms, ctx, neighbor_ts=neighbors)
+    exp = None
+    if cache_digits == args.digits:
+        exp = build_expansion(record.rho, args.terms, ctx, neighbor_ts=neighbors)
+        with ctx.wp():
+            step = record._replace(t=record.t - (exp.zeta_rho * exp.residue).imag)
+        if format_cache_line(step, ctx) != format_cache_line(record, ctx):
+            exp = None
+    if exp is None:
+        polished = refine_zero(record.t, ctx)
+        exp = build_expansion(polished.rho, args.terms, ctx, neighbor_ts=neighbors)
     report = expansion_report(args.index, exp, ctx, args.k_max)
     print(json.dumps(report, indent=2, sort_keys=True))
     return EXIT_OK

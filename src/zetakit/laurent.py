@@ -62,7 +62,9 @@ class LaurentExpansion(NamedTuple):
     the inversion oracle (n_terms = 0 keeps only the residue term); the
     mapping to the coefficient series under study is c_n = (-1)^n phi_n/n!.
     tail holds the computed coefficients past the truncation, from
-    c_{n_terms} on.
+    c_{n_terms} on.  zeta_rho is zeta(rho) from the same jet, 0 to working
+    precision at a refined zero: one Newton step t - Im(zeta_rho residue)
+    tells whether rho is one.
     """
 
     rho: mpc
@@ -70,6 +72,7 @@ class LaurentExpansion(NamedTuple):
     coeffs: tuple
     radius: mpf
     tail: tuple
+    zeta_rho: mpc = mpc(0)
 
     @property
     def n_terms(self) -> int:
@@ -101,6 +104,14 @@ def residue(rho, ctx: PrecisionContext) -> mpc:
         return 1 / zp
 
 
+def _taylor(rho, N: int, ctx: PrecisionContext) -> list:
+    """Taylor coefficients a_0..a_{N+1} of zeta at rho, a_j = zeta^(j)(rho)/j!,
+    from one jet of :func:`zetakit.zeta.zeta_jet` of order N + 1."""
+    jet = zeta_jet(rho, N + 1, ctx)
+    with ctx.wp():
+        return [jet[j] / mp.factorial(j) for j in range(N + 2)]
+
+
 def taylor_at_zero(rho, N: int, ctx: PrecisionContext) -> list:
     """Taylor coefficients a_1..a_{N+1} of zeta at the zero rho.
 
@@ -116,9 +127,7 @@ def taylor_at_zero(rho, N: int, ctx: PrecisionContext) -> list:
     """
     if not 0 <= N <= 12:
         raise RangeError("taylor_at_zero supports N <= 12")
-    jet = zeta_jet(rho, N + 1, ctx)
-    with ctx.wp():
-        return [jet[j] / mp.factorial(j) for j in range(1, N + 2)]
+    return _taylor(rho, N, ctx)[1:]
 
 
 def invert_series(a: list, N: int):
@@ -192,8 +201,9 @@ def build_expansion(rho, N: int, ctx: PrecisionContext, neighbor_ts=None) -> Lau
     truncation are kept in ``tail`` for :func:`tail_bound`.  The Taylor
     data come from one jet of order 13 whatever N is: a jet's last bits
     depend on its order, so the expansion of order N is bit for bit the
-    one of order 12 truncated.  A zeta'(rho) at or below the simplicity
-    floor raises SuspectZeroError, as in :func:`residue`.
+    one of order 12 truncated.  Its constant term is kept as
+    ``zeta_rho``.  A zeta'(rho) at or below the simplicity floor raises
+    SuspectZeroError, as in :func:`residue`.
     """
     if not 0 <= N <= 12:
         raise RangeError("expansion order limited to 0 <= N <= 12")
@@ -210,11 +220,11 @@ def build_expansion(rho, N: int, ctx: PrecisionContext, neighbor_ts=None) -> Lau
             dist = mpf(repr(neighbor_distance(float(t_val))))
         radius = mpf("0.8") * min(dist, abs(rho_c - 1))
     M = min(N + 3, 12)
-    a = taylor_at_zero(rho_c, 12, ctx)
-    _check_simple(rho_c, a[0], ctx)
+    a = _taylor(rho_c, 12, ctx)
+    _check_simple(rho_c, a[1], ctx)
     with ctx.wp():
-        res, c = invert_series(a, M)
-    return LaurentExpansion(rho_c, res, tuple(c[:N]), radius, tuple(c[N:]))
+        res, c = invert_series(a[1:], M)
+    return LaurentExpansion(rho_c, res, tuple(c[:N]), radius, tuple(c[N:]), a[0])
 
 
 def laurent_eval(s, exp: LaurentExpansion) -> mpc:

@@ -18,8 +18,9 @@ Dirichlet and Euler-Maclaurin sum here is a sum of jets: the flat tuple
 (re_0, im_0, ..., re_order, im_order) of ln^j(k) k^(-s), j <= order.
 :func:`dirichlet_powers` is the one kernel that yields them, for the
 sums below and the Euler-Maclaurin main sum of :mod:`zetakit.zeta`.
-A prime p takes ln p, exp(-Re(s) ln p) and cos, sin of Im(s) ln p in
-fixed point.
+A prime p takes ln p from the package's one table of fixed-point
+logarithms, :func:`log_int_fixed`, and exp(-Re(s) ln p) and cos, sin of
+Im(s) ln p in fixed point.
 k -> k^(-s) is completely multiplicative, so a composite k = p q, with p
 its smallest prime factor from a table cached per size class, takes
 p^(-s) q^(-s) and ln p + ln q from a memo of earlier values: integer
@@ -100,7 +101,10 @@ and 649 at 60.
 This module is the package's only user of mpmath's internal ``libmp``
 layer, which carries no API promise.  Other modules take the conversions
 :func:`fixed_pair`, :func:`fixed_to_mpf` and :func:`fixed_to_mpc`, and
-``log_int_fixed``, from here.
+the fixed-point logarithms of :func:`log_int_fixed`, from here.  The
+table of those logarithms replaces mpmath's ``log_int_fixed``, whose
+cache is empty in every fresh process: a prime's entry is built in ints
+from the entries of smaller primes, without calling mpmath.
 """
 
 from __future__ import annotations
@@ -114,7 +118,7 @@ from typing import NamedTuple
 
 import mpmath as mp
 from mpmath.libmp import fzero, from_man_exp, ln2_fixed, pi_fixed, to_fixed
-from mpmath.libmp.libelefun import cos_sin_fixed, exp_fixed, log_int_fixed
+from mpmath.libmp.libelefun import cos_sin_fixed, exp_fixed
 
 from .errors import LimitTooLargeError, RangeError
 from .precision import PrecisionContext
@@ -262,21 +266,106 @@ def fixed_to_mpc(re: int, im: int, wp: int, prec: int):
     return mp.make_mpc((from_man_exp(re, -wp, prec, "n"), from_man_exp(im, -wp, prec, "n")))
 
 
+# The package's one table of fixed-point logarithms: _LOGS[k] = (v, W),
+# v = 2^W ln k to within 2^14 units, at the highest W filled so far.  The
+# table serves wp bits only from W >= wp + _LOG_GUARD, by one shift.
+_LOGS: dict = {}
+_LOG_GUARD = 20
+
+# smallest_prime_factors(size) for each size class the power kernel has
+# asked for, the power of two above its K.
+_SPF: dict = {}
+
+
+def _spf_table(size: int) -> array:
+    """``smallest_prime_factors(size)``, built once per size class."""
+    if size not in _SPF:
+        _SPF[size] = smallest_prime_factors(size)
+    return _SPF[size]
+
+
+def _prime_factors(n: int) -> list:
+    """The prime factors of n >= 1 with multiplicity, read from the power
+    kernel's table where it has built n's size class, else by trial
+    division."""
+    spf = _SPF.get(1 << n.bit_length())
+    out = []
+    if spf is not None:
+        while n > 1:
+            out.append(spf[n])
+            n //= spf[n]
+        return out
+    twos = (n & -n).bit_length() - 1
+    out += [2] * twos
+    n >>= twos
+    d = 3
+    while d * d <= n:
+        while not n % d:
+            out.append(d)
+            n //= d
+        d += 2
+    return out + [n] if n > 1 else out
+
+
+def _log_at(k: int, W: int) -> int:
+    """2^W ln k to within 2^14 units, for k <= 2^20 and W <= 1000, from
+    the table, filled at W bits where it holds fewer.
+
+    A prime p takes ln(p - 1) + 2 atanh(1/m), m = 2p - 1, with ln(p - 1)
+    the sum of the entries of its prime factors at W bits and the atanh
+    summed in ints: its j-th term floor(2^W/((2j + 1) m^(2j+1))) is exact,
+    by one division by m^2 and one by 2j + 1, so the sum is off by less
+    than one unit a term, and by under one unit more for the terms
+    dropped.  A composite is the sum of its prime factors' entries.  Each
+    entry read at fewer bits than it holds adds one unit; the errors of a
+    prime's chain of factors, summed down to ln 2, stay below 2^14 units
+    in that range."""
+    entry = _LOGS.get(k)
+    if entry is not None and entry[1] >= W:
+        return entry[0] >> entry[1] - W
+    factors = _prime_factors(k)
+    v = 0
+    if factors == [k]:
+        m = 2 * k - 1
+        u, mm, j = (1 << W) // m, m * m, 1
+        while u:
+            v += u // j
+            u //= mm
+            j += 2
+        v *= 2
+        factors = _prime_factors(k - 1)
+    for q in factors:
+        entry = _LOGS.get(q)
+        v += entry[0] >> entry[1] - W if entry is not None and entry[1] >= W else _log_at(q, W)
+    _LOGS[k] = v, W
+    return v
+
+
+def log_int_fixed(k: int, wp: int) -> int:
+    """ln k, k >= 1, as a wp-bit fixed-point int within one unit of
+    floor(2^wp ln k): the package's one source of fixed-point logarithms,
+    in place of mpmath's ``log_int_fixed``.
+
+    Each entry of the table keeps the highest precision computed so far,
+    W bits, and serves every wp <= W - _LOG_GUARD by one shift, as
+    mpmath's cache does.  A miss fills it at wp + _LOG_GUARD bits by
+    :func:`_log_at`, whose error of under 2^14 units the shift takes below
+    one unit of 2^(-wp)."""
+    entry = _LOGS.get(k)
+    if entry is None or entry[1] < wp + _LOG_GUARD:
+        return _log_at(k, wp + _LOG_GUARD) >> _LOG_GUARD
+    return entry[0] >> entry[1] - wp
+
+
 def _power(k: int, sre: int, sim: int, wp: int, ln2: int, pi2: int) -> tuple:
-    """(ln k, Re k^(-s), Im k^(-s)) as wp-bit ints from ln k, exp(-Re(s) ln k)
-    and (cos, sin)(-Im(s) ln k); s = sre + i sim in fixed point, ln2 and pi2
-    the fixed-point ln 2 and pi/2."""
-    ln = log_int_fixed(k, wp, ln2)
+    """(ln k, Re k^(-s), Im k^(-s)) as wp-bit ints from ln k of
+    :func:`log_int_fixed`, exp(-Re(s) ln k) and (cos, sin)(-Im(s) ln k);
+    s = sre + i sim in fixed point, ln2 and pi2 the fixed-point ln 2 and
+    pi/2."""
+    ln = log_int_fixed(k, wp)
     cos, sin = cos_sin_fixed(-sim * ln >> wp, wp, pi2)
     u = exp_fixed(-sre * ln >> wp, wp, ln2)
     return ln, u * cos >> wp, u * sin >> wp
-
-
-@functools.lru_cache(maxsize=None)
-def _spf_table(size: int) -> array:
-    """``smallest_prime_factors(size)``, built once per size class: the
-    power kernel calls it with the power of two above K."""
-    return smallest_prime_factors(size)
 
 
 def dirichlet_powers(s, K: int, wp: int, order: int):
@@ -284,7 +373,8 @@ def dirichlet_powers(s, K: int, wp: int, order: int):
     (re_0, im_0, ..., re_order, im_order) of ln^j(k) k^(-s) as wp-bit
     fixed-point ints.
 
-    A prime p takes ln p from ``log_int_fixed`` and p^(-s) as
+    A prime p takes ln p from the table of :func:`log_int_fixed`, filled
+    in increasing p from the entries of p - 1's factors, and p^(-s) as
     exp(-Re(s) ln p) (cos, sin)(-Im(s) ln p).  A composite k = p q,
     p its smallest prime factor from the cached table of the size class
     of K, takes k^(-s) = p^(-s) q^(-s) and ln k = ln p + ln q from a

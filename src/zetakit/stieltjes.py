@@ -94,8 +94,10 @@ def euler_gamma_partial(checkpoints, ctx: PrecisionContext) -> PartialSumSeries:
     K the last checkpoint, under the policy of
     :func:`zetakit.mobius.dirichlet_partial`: 1/k is the int 2^wp // k and
     log(1+1/k) is ``log_int_fixed(k+1) - log_int_fixed(k)``, whose sum over
-    k <= K telescopes exactly to ``log_int_fixed(K+1)``.  Each checkpoint
-    is rounded once to ctx.bits."""
+    k <= K telescopes exactly to ``log_int_fixed(K+1)``, the package's
+    table value of ln(K+1) (:func:`zetakit.mobius.log_int_fixed`), within
+    one unit of floor(2^wp ln(K+1)).  Each checkpoint is rounded once to
+    ctx.bits."""
     checkpoints = checkpoint_ladder(checkpoints)
     wp = ctx.bits + math.ceil(math.log2(checkpoints[-1])) + 24
     one = 1 << wp

@@ -451,6 +451,65 @@ def test_laurent_exits_1_below_the_simplicity_floor(seeded_cache, monkeypatch, c
     assert "simplicity floor" in captured.err
 
 
+GOLDEN = os.path.join(os.path.dirname(__file__), "golden")
+
+
+def _laurent_runs(monkeypatch, capsys, argv, force=False):
+    """(stdout, refine_zero calls) of one in-process laurent run; force
+    makes every expansion's zeta(rho) 1, so no cached zero is kept."""
+    from mpmath import mpc
+
+    from zetakit import cli
+
+    calls = []
+    refine, build = cli.refine_zero, cli.build_expansion
+    with monkeypatch.context() as m:
+        m.setattr(cli, "refine_zero", lambda *a: calls.append(a) or refine(*a))
+        if force:
+            m.setattr(cli, "build_expansion", lambda *a, **k: build(*a, **k)._replace(zeta_rho=mpc(1)))
+        assert cli.main(["laurent", "--terms", "8", "--k-max", "1000", *argv]) == 0
+    return capsys.readouterr().out, len(calls)
+
+
+@pytest.mark.parametrize("golden,digits,indices", [("zeros", 30, (1, 4)), ("zeros_d60", 60, (1, 6)),
+                                                   ("zeros_d200", 200, (2,))])
+def test_laurent_keeps_a_cached_zero_its_jet_confirms(monkeypatch, capsys, golden, digits, indices):
+    """On a cache at --digits, one Newton step from the expansion's jet
+    confirms the cached zero: no refine_zero call, and the bytes of a run
+    refined again."""
+    for index in indices:
+        argv = ["--index", str(index), "--digits", str(digits), "--cache", os.path.join(GOLDEN, f"{golden}.cache")]
+        kept, refined = _laurent_runs(monkeypatch, capsys, argv), _laurent_runs(monkeypatch, capsys, argv, force=True)
+        assert (kept[1], refined[1]) == (0, 1), index
+        assert kept[0] == refined[0], index
+
+
+def test_laurent_refines_a_zero_cached_at_other_digits(monkeypatch, capsys):
+    argv = ["--index", "2", "--digits", "30", "--cache", os.path.join(GOLDEN, "zeros_d60.cache")]
+    assert _laurent_runs(monkeypatch, capsys, argv)[1] == 1
+
+
+def test_laurent_refines_a_moved_cached_ordinate(tmp_path, monkeypatch, capsys):
+    """A cached ordinate moved by 1e-25 is not kept: it is refined once,
+    back to the bytes of the unmoved cache."""
+    from mpmath import mpf
+
+    from zetakit.precision import PrecisionContext
+    from zetakit.zeros import read_cache, write_cache
+
+    golden = os.path.join(GOLDEN, "zeros.cache")
+    digits, records = read_cache(golden)
+    ctx = PrecisionContext.from_digits(digits)
+    with ctx.wp():
+        records[1] = records[1]._replace(t=records[1].t + mpf("1e-25"))
+    moved = tmp_path / "moved.cache"
+    write_cache(str(moved), records, ctx)
+    assert moved.read_bytes() != open(golden, "rb").read()
+    out, calls = _laurent_runs(monkeypatch, capsys, ["--index", "2", "--cache", str(moved)])
+    assert calls == 1
+    assert out == _laurent_runs(monkeypatch, capsys, ["--index", "2", "--cache", golden])[0]
+
+
 def test_laurent_terms_validation(seeded_cache):
     out = run_cli("laurent", "--index", "1", "--terms", "13", "--cache", str(seeded_cache))
     assert out.returncode == 2
@@ -640,9 +699,9 @@ def test_audit_rejects_cache_digits_out_of_range(tmp_path, seeded_cache, monkeyp
 
 @pytest.mark.parametrize("digits", [3, 201])
 def test_laurent_rejects_cache_digits_out_of_range(tmp_path, seeded_cache, monkeypatch, capsys, digits):
-    # laurent refines the zero again at --digits, but reads the cached
-    # neighbours at the header's digits: out of range, the cache is refused
-    # before any refinement and left as it was.
+    # laurent reads the cached zero and its neighbours at the header's
+    # digits: out of range, the cache is refused before any expansion or
+    # refinement and left as it was.
     from zetakit import cli
 
     def no_refine(*args, **kwargs):

@@ -1,6 +1,7 @@
 """Source-layout rules checked on the package's syntax trees."""
 
 import ast
+import importlib
 import subprocess
 import sys
 from pathlib import Path
@@ -134,6 +135,24 @@ def test_only_mobius_touches_mpmath_internals():
             if any(n == "libmp" or n.startswith("mpmath.libmp") for n in names):
                 found.append(f"{path.name}:{node.lineno}")
     assert not found, "mpmath.libmp used outside mobius.py at " + ", ".join(found)
+
+
+def test_one_source_of_fixed_point_logarithms():
+    """Every fixed-point ln k comes from the table of mobius.log_int_fixed:
+    no module imports mpmath's own ``log_int_fixed``."""
+    found = []
+    for path in sorted(SRC.glob("*.py")):
+        tree = ast.parse(path.read_text(), filename=str(path))
+        found += [
+            f"{path.name}:{node.lineno}" for node in ast.walk(tree)
+            if isinstance(node, ast.ImportFrom) and node.level == 0 and (node.module or "").startswith("mpmath")
+            and any(a.name == "log_int_fixed" for a in node.names)
+            or isinstance(node, ast.Attribute) and node.attr == "log_int_fixed"
+        ]
+    assert not found, "mpmath's log_int_fixed imported at " + ", ".join(found)
+    modules = [importlib.import_module(f"zetakit.{path.stem}") for path in sorted(SRC.glob("*.py"))]
+    held = {m.__name__: m.log_int_fixed.__module__ for m in modules if hasattr(m, "log_int_fixed")}
+    assert set(held.values()) == {"zetakit.mobius"}, held
 
 
 def test_only_mobius_reads_mpmath_number_representations():

@@ -1,5 +1,7 @@
 import math
 import random
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -230,6 +232,56 @@ def test_dirichlet_powers_every_k():
             for j in range(3):
                 want = mp.ln(k) ** j * mp.exp(-s * mp.ln(k))
                 assert abs(fixed_to_mpc(jet[2 * j], jet[2 * j + 1], wp, CTX.bits) - want) < mpf(10) ** -36, (k, j)
+
+
+LOG_WPS = (64, 100, 137, 230, 333, 500, 700)
+
+
+def _log_floor(k: int, wp: int) -> int:
+    with mp.workprec(wp + 64):
+        return int(mp.floor(mp.ln(k) * mpf(2) ** wp))
+
+
+def test_log_table_is_within_one_unit_of_the_floor(monkeypatch):
+    """Every ln k of the table is within one unit of floor(2^wp ln k):
+    the primes <= 3000 and composites up to 10^6 + 1, each filled at its
+    own wp in a fresh table, and again served by a shift after a fill at
+    a higher precision."""
+    rng = random.Random(5)
+    composites = [4, 1000, 1024, 720720, 999999, 10**6, 10**6 + 1, 3**12, 2003 * 211]
+    composites += [k for k in rng.sample(range(4, 10**6 + 2), 300) if mobius._prime_factors(k) != [k]]
+    ks = mobius._small_primes(3000) + composites
+    for wp in LOG_WPS:
+        monkeypatch.setattr(mobius, "_LOGS", {})
+        for k in ks:
+            assert abs(log_int_fixed(k, wp) - _log_floor(k, wp)) <= 1, (k, wp)
+    monkeypatch.setattr(mobius, "_LOGS", {})
+    for wp in sorted(LOG_WPS, reverse=True):
+        for k in ks:
+            assert abs(log_int_fixed(k, wp) - _log_floor(k, wp)) <= 1, (k, wp)
+    assert all(mobius._LOGS[k][1] == LOG_WPS[-1] + mobius._LOG_GUARD for k in ks)
+
+
+def test_a_fresh_log_table_fills_without_mpmath(monkeypatch):
+    """The 170 primes <= 1013 at 230 bits, the power kernel's logs at 30
+    digits, from an empty table without one call into mpmath."""
+    monkeypatch.setattr(mobius, "_LOGS", {})
+    monkeypatch.setattr(mobius, "_SPF", {})
+    primes = mobius._small_primes(1013)
+    entered = []
+
+    def watch(frame, event, arg):
+        if event == "call" and "mpmath" in Path(frame.f_code.co_filename).parts:
+            entered.append(frame.f_code.co_name)
+
+    sys.setprofile(watch)
+    try:
+        logs = [log_int_fixed(p, 230) for p in primes]
+    finally:
+        sys.setprofile(None)
+    assert not entered, entered
+    assert len(primes) == 170
+    assert all(abs(v - _log_floor(p, 230)) <= 1 for p, v in zip(primes, logs))
 
 
 @pytest.mark.parametrize("digits", [12, 30, 200])

@@ -228,6 +228,26 @@ def test_em_pair_stall_names_the_last_length_tried(monkeypatch):
     assert str(err.value).endswith(f"N={8 * N0}"), str(err.value)
 
 
+def test_values_keep_their_bits_after_higher_precision_fills(monkeypatch):
+    """zeta and zeta_jet at 30 digits give the same bits before and after
+    the same process has asked for 60- and 200-digit values at the same
+    heights, which fill the table of fixed-point logarithms at higher
+    precisions that then serve 30 digits by a shift.  The repeat check of
+    the points benchmark and every byte gate rest on this."""
+    from zetakit import mobius
+
+    monkeypatch.setattr(mobius, "_LOGS", {})
+    points = [mpc(0.5, t) for t in (14.1, 90.3, 999.2)]
+
+    def values(ctx):
+        return [(zeta(s, ctx).value, *zeta_jet(s, 2, ctx)) for s in points]
+
+    before = values(CTX)
+    for digits in (60, 200):
+        values(PrecisionContext.from_digits(digits))
+    assert values(CTX) == before
+
+
 def test_em_stop_is_the_exact_int_of_the_digits(monkeypatch):
     # Wherever zeta is summed (zeta, zeta_jet at ctx and at refinement's
     # guard, the ring's direct nodes), _em_pair stops the Bernoulli tail at
