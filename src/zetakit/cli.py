@@ -28,7 +28,7 @@ from .errors import (
     UnknownIndexError,
     ZetaKitError,
 )
-from .laurent import build_expansion, expansion_report
+from .laurent import build_expansion, expansion_at_cached_zero, expansion_report
 from .mobius import mertens_sublinear
 from .precision import PrecisionContext, to_decimal
 from .stieltjes import N_MAX, bound_check
@@ -39,7 +39,6 @@ from .zeros import (
     audit_zeros,
     count_by_argument,
     density_report,
-    format_cache_line,
     read_cache,
     refine_zero,
     scan_with_count,
@@ -221,11 +220,7 @@ def cmd_laurent(args: argparse.Namespace) -> int:
         neighbors = [cached[i].t for i in (args.index - 2, args.index) if i >= 0]
     exp = None
     if cache_digits == args.digits:
-        exp = build_expansion(record.rho, args.terms, ctx, neighbor_ts=neighbors)
-        with ctx.wp():
-            step = record._replace(t=record.t - (exp.zeta_rho * exp.residue).imag)
-        if format_cache_line(step, ctx) != format_cache_line(record, ctx):
-            exp = None
+        exp = expansion_at_cached_zero(record, args.terms, ctx, neighbors)
     if exp is None:
         polished = refine_zero(record.t, ctx)
         exp = build_expansion(polished.rho, args.terms, ctx, neighbor_ts=neighbors)

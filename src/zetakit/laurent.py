@@ -49,7 +49,7 @@ from .errors import (
 from .mobius import MobiusTable, checkpoint_ladder, dirichlet_partial, fixed_pair
 from .precision import PrecisionContext, cpow, to_decimal
 from .series import build_partial_series
-from .zeros import SIMPLICITY_FLOOR, neighbor_distance
+from .zeros import SIMPLICITY_FLOOR, format_cache_line, neighbor_distance
 from .zeta import inverse_zeta_value, ring_samples, zeta_jet, zeta_ring
 
 DEFAULT_CHECKPOINTS = (10**3, 10**4, 10**5, 10**6)
@@ -62,9 +62,7 @@ class LaurentExpansion(NamedTuple):
     the inversion oracle (n_terms = 0 keeps only the residue term); the
     mapping to the coefficient series under study is c_n = (-1)^n phi_n/n!.
     tail holds the computed coefficients past the truncation, from
-    c_{n_terms} on.  zeta_rho is zeta(rho) from the same jet, 0 to working
-    precision at a refined zero: one Newton step t - Im(zeta_rho residue)
-    tells whether rho is one.
+    c_{n_terms} on.
     """
 
     rho: mpc
@@ -72,7 +70,6 @@ class LaurentExpansion(NamedTuple):
     coeffs: tuple
     radius: mpf
     tail: tuple
-    zeta_rho: mpc = mpc(0)
 
     @property
     def n_terms(self) -> int:
@@ -201,10 +198,15 @@ def build_expansion(rho, N: int, ctx: PrecisionContext, neighbor_ts=None) -> Lau
     truncation are kept in ``tail`` for :func:`tail_bound`.  The Taylor
     data come from one jet of order 13 whatever N is: a jet's last bits
     depend on its order, so the expansion of order N is bit for bit the
-    one of order 12 truncated.  Its constant term is kept as
-    ``zeta_rho``.  A zeta'(rho) at or below the simplicity floor raises
-    SuspectZeroError, as in :func:`residue`.
+    one of order 12 truncated.  A zeta'(rho) at or below the simplicity
+    floor raises SuspectZeroError, as in :func:`residue`.
     """
+    return _expansion_and_zeta(rho, N, ctx, neighbor_ts)[0]
+
+
+def _expansion_and_zeta(rho, N: int, ctx: PrecisionContext, neighbor_ts) -> tuple:
+    """(:func:`build_expansion`, zeta(rho)), zeta(rho) the constant term
+    of the same jet."""
     if not 0 <= N <= 12:
         raise RangeError("expansion order limited to 0 <= N <= 12")
     with ctx.wp():
@@ -224,7 +226,19 @@ def build_expansion(rho, N: int, ctx: PrecisionContext, neighbor_ts=None) -> Lau
     _check_simple(rho_c, a[1], ctx)
     with ctx.wp():
         res, c = invert_series(a[1:], M)
-    return LaurentExpansion(rho_c, res, tuple(c[:N]), radius, tuple(c[N:]), a[0])
+    return LaurentExpansion(rho_c, res, tuple(c[:N]), radius, tuple(c[N:])), a[0]
+
+
+def expansion_at_cached_zero(record, N: int, ctx: PrecisionContext, neighbor_ts):
+    """:func:`build_expansion` at a cached zero record, or None where one
+    Newton step from the expansion's jet, t - Im(zeta(rho)/zeta'(rho)),
+    changes the record's cache line at ctx: a record written at ctx's
+    digits is a fixed point of refinement, so a record the step leaves
+    as it is holds the zero ``refine_zero`` would give."""
+    exp, zeta_rho = _expansion_and_zeta(record.rho, N, ctx, neighbor_ts)
+    with ctx.wp():
+        step = record._replace(t=record.t - (zeta_rho * exp.residue).imag)
+    return exp if format_cache_line(step, ctx) == format_cache_line(record, ctx) else None
 
 
 def laurent_eval(s, exp: LaurentExpansion) -> mpc:

@@ -267,7 +267,7 @@ def fixed_to_mpc(re: int, im: int, wp: int, prec: int):
 
 
 # The package's one table of fixed-point logarithms: _LOGS[k] = (v, W),
-# v = 2^W ln k to within 2^14 units, at the highest W filled so far.  The
+# v = 2^W ln k as _log_at fills it, at the highest W filled so far.  The
 # table serves wp bits only from W >= wp + _LOG_GUARD, by one shift.
 _LOGS: dict = {}
 _LOG_GUARD = 20
@@ -308,18 +308,21 @@ def _prime_factors(n: int) -> list:
 
 
 def _log_at(k: int, W: int) -> int:
-    """2^W ln k to within 2^14 units, for k <= 2^20 and W <= 1000, from
-    the table, filled at W bits where it holds fewer.
+    """2^W ln k, k >= 1, to within 1.3 log2(k) (W + 8) units, from the
+    table, filled at W bits where it holds fewer.
 
     A prime p takes ln(p - 1) + 2 atanh(1/m), m = 2p - 1, with ln(p - 1)
     the sum of the entries of its prime factors at W bits and the atanh
     summed in ints: its j-th term floor(2^W/((2j + 1) m^(2j+1))) is exact,
     by one division by m^2 and one by 2j + 1, so the sum is off by less
-    than one unit a term, and by under one unit more for the terms
-    dropped.  A composite is the sum of its prime factors' entries.  Each
-    entry read at fewer bits than it holds adds one unit; the errors of a
-    prime's chain of factors, summed down to ln 2, stay below 2^14 units
-    in that range."""
+    than one unit a term, and by under 9/8 units for the terms dropped:
+    2 atanh is within W/log2(m) + 3.25 units, under 0.64 W + 3.25.  A
+    composite is the sum of its prime factors' entries.  Each entry read
+    at fewer bits than it holds adds one unit.  The chain of p - 1's
+    factors down to the leaves 2 (Pratt's tree of p) holds at most
+    log2(p) leaves 2, since their logs add up to at most log2(p), and no
+    more odd primes than leaves 2, since each odd prime's p - 1 is even:
+    at most 2 log2(k) nodes, each within 0.64 W + 5 units."""
     entry = _LOGS.get(k)
     if entry is not None and entry[1] >= W:
         return entry[0] >> entry[1] - W
@@ -335,8 +338,7 @@ def _log_at(k: int, W: int) -> int:
         v *= 2
         factors = _prime_factors(k - 1)
     for q in factors:
-        entry = _LOGS.get(q)
-        v += entry[0] >> entry[1] - W if entry is not None and entry[1] >= W else _log_at(q, W)
+        v += _log_at(q, W)
     _LOGS[k] = v, W
     return v
 
@@ -349,12 +351,13 @@ def log_int_fixed(k: int, wp: int) -> int:
     Each entry of the table keeps the highest precision computed so far,
     W bits, and serves every wp <= W - _LOG_GUARD by one shift, as
     mpmath's cache does.  A miss fills it at wp + _LOG_GUARD bits by
-    :func:`_log_at`, whose error of under 2^14 units the shift takes below
-    one unit of 2^(-wp)."""
-    entry = _LOGS.get(k)
-    if entry is None or entry[1] < wp + _LOG_GUARD:
-        return _log_at(k, wp + _LOG_GUARD) >> _LOG_GUARD
-    return entry[0] >> entry[1] - wp
+    :func:`_log_at`.  Its error, plus one unit for a read from a higher
+    fill, is below 2^_LOG_GUARD units, which the shift takes below one
+    unit of 2^(-wp), for every k <= 2^27 (past the 10^8 of --k-max) at
+    wp up to 29800 bits (the 200 digits of DIGITS_MAX escalated eight
+    times by ``certified`` take about 5600).  Floor shifts compose, so a
+    hit returns the entry shifted once by W - wp."""
+    return _log_at(k, wp + _LOG_GUARD) >> _LOG_GUARD
 
 
 def _power(k: int, sre: int, sim: int, wp: int, ln2: int, pi2: int) -> tuple:

@@ -456,17 +456,15 @@ GOLDEN = os.path.join(os.path.dirname(__file__), "golden")
 
 def _laurent_runs(monkeypatch, capsys, argv, force=False):
     """(stdout, refine_zero calls) of one in-process laurent run; force
-    makes every expansion's zeta(rho) 1, so no cached zero is kept."""
-    from mpmath import mpc
-
+    keeps no cached zero, so the run goes through refinement."""
     from zetakit import cli
 
     calls = []
-    refine, build = cli.refine_zero, cli.build_expansion
+    refine = cli.refine_zero
     with monkeypatch.context() as m:
         m.setattr(cli, "refine_zero", lambda *a: calls.append(a) or refine(*a))
         if force:
-            m.setattr(cli, "build_expansion", lambda *a, **k: build(*a, **k)._replace(zeta_rho=mpc(1)))
+            m.setattr(cli, "expansion_at_cached_zero", lambda *a: None)
         assert cli.main(["laurent", "--terms", "8", "--k-max", "1000", *argv]) == 0
     return capsys.readouterr().out, len(calls)
 

@@ -234,7 +234,7 @@ def test_dirichlet_powers_every_k():
                 assert abs(fixed_to_mpc(jet[2 * j], jet[2 * j + 1], wp, CTX.bits) - want) < mpf(10) ** -36, (k, j)
 
 
-LOG_WPS = (64, 100, 137, 230, 333, 500, 700)
+LOG_WPS = (64, 100, 137, 230, 333, 500, 700, 5600)
 
 
 def _log_floor(k: int, wp: int) -> int:
@@ -244,21 +244,23 @@ def _log_floor(k: int, wp: int) -> int:
 
 def test_log_table_is_within_one_unit_of_the_floor(monkeypatch):
     """Every ln k of the table is within one unit of floor(2^wp ln k):
-    the primes <= 3000 and composites up to 10^6 + 1, each filled at its
-    own wp in a fresh table, and again served by a shift after a fill at
-    a higher precision."""
+    the primes <= 3000, the primes below and above 10^8 and composites up
+    to 10^8 + 1, each filled at its own wp in a fresh table, and again
+    served by a shift after a fill at a higher precision.  The highest wp
+    is about that of 200 digits escalated eight times by certified()."""
     rng = random.Random(5)
-    composites = [4, 1000, 1024, 720720, 999999, 10**6, 10**6 + 1, 3**12, 2003 * 211]
+    composites = [4, 1000, 1024, 720720, 999999, 10**6, 10**6 + 1, 3**12, 2003 * 211, 10**8, 10**8 + 1]
     composites += [k for k in rng.sample(range(4, 10**6 + 2), 300) if mobius._prime_factors(k) != [k]]
-    ks = mobius._small_primes(3000) + composites
+    ks = mobius._small_primes(3000) + [99999989, 100000007] + composites
+    floors = {wp: [_log_floor(k, wp) for k in ks] for wp in LOG_WPS}
     for wp in LOG_WPS:
         monkeypatch.setattr(mobius, "_LOGS", {})
-        for k in ks:
-            assert abs(log_int_fixed(k, wp) - _log_floor(k, wp)) <= 1, (k, wp)
+        for k, floor in zip(ks, floors[wp]):
+            assert abs(log_int_fixed(k, wp) - floor) <= 1, (k, wp)
     monkeypatch.setattr(mobius, "_LOGS", {})
     for wp in sorted(LOG_WPS, reverse=True):
-        for k in ks:
-            assert abs(log_int_fixed(k, wp) - _log_floor(k, wp)) <= 1, (k, wp)
+        for k, floor in zip(ks, floors[wp]):
+            assert abs(log_int_fixed(k, wp) - floor) <= 1, (k, wp)
     assert all(mobius._LOGS[k][1] == LOG_WPS[-1] + mobius._LOG_GUARD for k in ks)
 
 
