@@ -27,7 +27,7 @@ truncation, so :func:`tail_bound`, the residual sweep
 expansion instead of rebuilding it.  The sweep is route one's check on
 every run: it inverts the ring :func:`zetakit.zeta.zeta_ring` at rho, so
 its 64 nodes at a zero take one Dirichlet jet at rho, 33 Euler-Maclaurin
-tails and 31 chi.  It ranks the nodes of every truncation order in fixed
+tails, and one log Gamma jet at rho/2 whose 31 sums give chi.  It ranks the nodes of every truncation order in fixed
 point, and runs the partial sums in mpmath only at the nodes that may
 set an order's maximum.
 """
@@ -304,8 +304,9 @@ def residual_profile(exp: LaurentExpansion, r, N_list, samples: int, ctx: Precis
     of the circle |s-rho| = r, for every N in N_list, with the bits of
     :func:`laurent_eval`.  The 1/zeta values invert
     :func:`zetakit.zeta.zeta_ring` at rho: for 64 samples, 33
-    Euler-Maclaurin tails on one Dirichlet jet at rho, and 31 chi.  Every
-    node takes its target and its disk check.
+    Euler-Maclaurin tails on one Dirichlet jet at rho, and 31 chi from one
+    log Gamma jet at rho/2.  Every node takes its target and its disk
+    check.
 
     The differences are ranked first in fixed point by
     :func:`_sweep_candidates`.  Only the nodes that may hold an order's

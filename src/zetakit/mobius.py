@@ -34,7 +34,9 @@ the remainder past N of the Euler-Maclaurin sum of :mod:`zetakit.zeta`,
 at order 0 for zeta and 1 with zeta', and the tail of the recursion
 below.  :func:`stieltjes_fixed` is the whole Euler-Maclaurin jet at the
 pole s = 1, main sum and Bernoulli tail, whose orders are the Stieltjes
-constants.
+constants.  :func:`log_gamma_jet` is the Taylor jet of log Gamma at one
+point from Stirling's series, with the same Bernoulli table, for the chi
+of the mirror nodes of :func:`zetakit.zeta.zeta_ring`.
 
 :func:`dirichlet_partial` gives D_n(K) = sum_{k<=K} mu(k) ln^n(k) k^(-s)
 for several log powers n and checkpoints K at once, rounded once to
@@ -360,15 +362,20 @@ def log_int_fixed(k: int, wp: int) -> int:
     return _log_at(k, wp + _LOG_GUARD) >> _LOG_GUARD
 
 
+def exp_fixed_pair(xr: int, xi: int, wp: int, ln2=None, pi2=None) -> tuple:
+    """e^(xr + i xi) for wp-bit fixed-point ints, as the pair of wp-bit ints
+    exp(xr) (cos xi, sin xi); ln2 and pi2 are the fixed-point ln 2 and pi/2
+    where the caller holds them."""
+    cos, sin = cos_sin_fixed(xi, wp, pi2)
+    u = exp_fixed(xr, wp, ln2)
+    return u * cos >> wp, u * sin >> wp
+
+
 def _power(k: int, sre: int, sim: int, wp: int, ln2: int, pi2: int) -> tuple:
     """(ln k, Re k^(-s), Im k^(-s)) as wp-bit ints from ln k of
-    :func:`log_int_fixed`, exp(-Re(s) ln k) and (cos, sin)(-Im(s) ln k);
-    s = sre + i sim in fixed point, ln2 and pi2 the fixed-point ln 2 and
-    pi/2."""
+    :func:`log_int_fixed` and e^(-s ln k); s = sre + i sim in fixed point."""
     ln = log_int_fixed(k, wp)
-    cos, sin = cos_sin_fixed(-sim * ln >> wp, wp, pi2)
-    u = exp_fixed(-sre * ln >> wp, wp, ln2)
-    return ln, u * cos >> wp, u * sin >> wp
+    return (ln, *exp_fixed_pair(-sre * ln >> wp, -sim * ln >> wp, wp, ln2, pi2))
 
 
 def dirichlet_powers(s, K: int, wp: int, order: int):
@@ -663,6 +670,135 @@ def stieltjes_fixed(order: int, N: int, wp: int):
         sums[2 * j] - lnp[j + 1] // (j + 1) - lnp[j] // (2 * N) + (-1) ** j * bern[j][0] // N
         for j in range(order + 1)
     ]
+
+
+def _stirling_size(zr: float, zi: float, bits: int) -> tuple:
+    """(n, K) for :func:`log_gamma_jet` at z = zr + i zi: n >= 1 starts
+    where |z + n| reaches bits/6.4 + 1, about where the least term of the
+    bound, near 2^(-6.4 (|z + n| - 1)), reaches 2^-bits, and is raised by
+    one until 2^K |B_2K|/(2K (2K - 1) (|z + n| - 1)^(2K-1)) falls below
+    2^-bits at some K before it grows; K is the least such."""
+    n = max(1, math.ceil(math.sqrt(max(0.0, (bits / 6.4 + 1) ** 2 - zi * zi)) - zr))
+    while True:
+        R = math.hypot(zr + n, zi) - 1
+        if R > 1:
+            lr = math.log2(R)
+            lg, K = -math.log2(12), 1  # log2 |B_2K|/(2K (2K - 1))
+            while K + lg - (2 * K - 1) * lr >= -bits:
+                p, q = _bernoulli_ratio_fraction(K)
+                step = math.log2(-p * 2 * K * (2 * K - 1)) - math.log2(q)
+                if step + 1 >= 2 * lr:
+                    break
+                lg += step
+                K += 1
+            else:
+                return n, K
+        n += 1
+
+
+def log_gamma_jet(z, radius: float, wp: int) -> list:
+    """[(Re l_m, Im l_m) for m <= M] as wp-bit fixed-point ints, the
+    Taylor jet log Gamma(z + w) = sum_m l_m w^m of the principal branch at
+    z with Re z >= 0 and Im z != 0, truncated for |w| <= radius < |Im z|.
+
+    Taylor truncation.  l_m = (-1)^m zeta(m, z)/m for m >= 2 (Hurwitz
+    zeta), and |z + j|^2 >= a^2 + j^2, a = |Im z|, so |zeta(m, z)| <=
+    a^-m + int_0^inf (a^2 + x^2)^(-m/2) dx <= a^-m (1 + pi a/2): the terms
+    past M add at most (1 + pi a/2) q^(M+1)/((M + 1)(1 - q)), q =
+    radius/a, and M is the least order with that below 2^-(wp+2).
+
+    Stirling truncation.  With Z = z + n, n >= 1 (DLMF 5.5.1, 5.11.1),
+
+        log Gamma(z + w) = S_K(Z + w) - sum_{j<n} log(z + j + w) + R_K(Z + w),
+        S_K(x) = (x - 1/2) ln x - x + ln(2 pi)/2 + sum_{k<K} g_k x^(1-2k),
+
+    g_k = B_2k/(2k (2k - 1)), and |R_K(x)| <= sec^(2K)(ph(x)/2) |g_K|
+    |x|^(1-2K) (DLMF 5.11(ii)), sec^2 at most 2 where Re x >= 0.  On the
+    disk |x - Z| <= 1, Re x >= Re z >= 0 and |x| >= |Z| - 1 > 1, so
+    Cauchy's estimate bounds every Taylor coefficient of R_K(Z + w) by
+    B = 2^K |g_K| (|Z| - 1)^(1-2K), and their sum at |w| <= 1/8 by 8B/7;
+    :func:`_stirling_size` takes n and K with B below 2^-(wp+3).
+
+    So for |w| <= min(radius, 1/8) the jet summed to M is within
+    2^-(wp+1) of log Gamma(z + w), plus its rounding.  Its coefficients are
+    those of S_K(Z + w) and of the logs, with y = 1/Z, T_k = g_k y^(2k-1)
+    and u_j = -1/(z + j):
+
+        l_0 = (Z - 1/2) ln Z - Z + ln(2 pi)/2 + sum_k T_k - sum_j ln(z + j),
+        l_1 = ln Z - y/2 - y sum_k (2k - 1) T_k + sum_j u_j,
+        l_m = (-y)^m (sum_k C(2k-2+m, m) T_k + 1/(2m)) - (-y)^(m-1)/(m (m-1))
+              + sum_j u_j^m/m.
+
+    sum_j ln(z + j) is the log of the product plus the multiple of 2 pi i
+    that the doubles' sum of the arguments picks.  Everything runs at
+    wp + 32 bits, ln Z, ln(2 pi) and the product's log from mpmath, and
+    T_k as T_(k-1) times the exact ratio g_k/g_(k-1) of
+    :func:`_bernoulli_ratio_fraction` and y^2.  Their rounding stays far
+    below the 2^32 units the last shift drops, so each l_m is within
+    about a unit of 2^-wp of the coefficient of the truncated series:
+    at most 1.4 units at t = 14, 92 and 1000, 200 to 800 bits, against
+    mpmath's psi."""
+    z = mp.mpmathify(z)
+    zr, zi = float(z.real), float(z.imag)
+    a = abs(zi)
+    q = radius / a
+    lead = math.log2(1 + math.pi * a / 2) - math.log2(1 - q)
+    M = 1
+    while lead + (M + 1) * math.log2(q) - math.log2(M + 1) > -wp - 2:
+        M += 1
+    n, K = _stirling_size(zr, zi, wp + 3)
+    g = 32
+    W = wp + g
+    one = 1 << W
+    with mp.workprec(W + n.bit_length() + 8):
+        ln_Z = fixed_pair(mp.log(z + n), W)
+        ln_r, ln_i = fixed_pair(mp.log(mp.fprod(z + j for j in range(n))), W)
+        half_ln_2pi = fixed_pair(mp.log(2 * mp.pi) / 2, W)[0]
+        two_pi = fixed_pair(2 * mp.pi, W)[0]
+    args = math.fsum(math.atan2(zi, zr + j) for j in range(n))
+    ln_i += round((args - ln_i / one) / (2 * math.pi)) * two_pi
+    xr, xi = fixed_pair(z, W)
+    Zr, Zi = xr + n * one, xi
+    den = Zr * Zr + Zi * Zi
+    yr, yi = (Zr << 2 * W) // den, (-Zi << 2 * W) // den
+    y2r, y2i = yr * yr - yi * yi >> W, yr * yi >> W - 1
+    Tr, Ti = [], []
+    tr, ti = yr // 12, yi // 12
+    for k in range(1, K):
+        Tr.append(tr)
+        Ti.append(ti)
+        p, qk = _bernoulli_ratio_fraction(k)
+        f = p * 2 * k * (2 * k - 1)
+        tr, ti = tr * f // qk, ti * f // qk
+        tr, ti = tr * y2r - ti * y2i >> W, tr * y2i + ti * y2r >> W
+    U = [[0, 0] for _ in range(M + 1)]  # sum_j u_j^m
+    for j in range(n):
+        wr = xr + j * one
+        d = wr * wr + xi * xi
+        ur, ui = -(wr << 2 * W) // d, (xi << 2 * W) // d
+        pr, pi = ur, ui
+        for m in range(1, M + 1):
+            U[m][0] += pr
+            U[m][1] += pi
+            pr, pi = pr * ur - pi * ui >> W, pr * ui + pi * ur >> W
+    hr = Zr - (one >> 1)  # Z - 1/2
+    jet = [((hr * ln_Z[0] - Zi * ln_Z[1] >> W) - Zr + half_ln_2pi + sum(Tr) - ln_r,
+            (hr * ln_Z[1] + Zi * ln_Z[0] >> W) - Zi + sum(Ti) - ln_i)]
+    pr, pi = one, 0  # (-y)^(m-1)
+    for m in range(1, M + 1):
+        vr, vi = -pr * yr + pi * yi >> W, -pr * yi - pi * yr >> W  # (-y)^m
+        c = [math.comb(2 * k - 2 + m, m) for k in range(1, K)]
+        sr = sum(map(mul, c, Tr)) + one // (2 * m)
+        si = sum(map(mul, c, Ti))
+        lr = (vr * sr - vi * si >> W) + U[m][0] // m
+        li = (vr * si + vi * sr >> W) + U[m][1] // m
+        if m == 1:
+            lr, li = lr + ln_Z[0], li + ln_Z[1]
+        else:
+            lr, li = lr - pr // (m * (m - 1)), li - pi // (m * (m - 1))
+        jet.append((lr, li))
+        pr, pi = vr, vi
+    return [(r >> g, i >> g) for r, i in jet]
 
 
 def checkpoint_ladder(checkpoints) -> list:

@@ -56,8 +56,10 @@ is chi times the conjugate of its partner's value.  The evaluated nodes
 share one Dirichlet jet at the centre rho, sum_{k<=N} ln^m(k) k^-rho for
 m <= M, whose Taylor series in h = s - rho gives each node's main sum,
 and each takes its own Euler-Maclaurin tail, so a node keeps the bits of
-:func:`zeta`.  The 64-node residual circle at a zero so takes one jet
-pass, 33 tails and 31 chi.  The process
+:func:`zeta`.  The other nodes take chi from one Taylor jet of log Gamma
+at rho/2, :func:`zetakit.mobius.log_gamma_jet`.  The 64-node residual
+circle at a zero so takes one Dirichlet jet pass, 33 tails, one log
+Gamma jet and 31 of its sums.  The process
 caches (the unit nodes per node count and precision, the basin threshold
 per context, the double logs per main-sum length) are
 ``functools.lru_cache``d functions, as is the power kernel's
@@ -76,7 +78,16 @@ import mpmath as mp
 from mpmath import mpc, mpf
 
 from .errors import ContourNearZeroError, NearZeroError, PoleError, PrecisionEscalationError, RangeError
-from .mobius import EM_STOP_DIGITS, dirichlet_powers, em_terms, fixed_pair, fixed_to_mpc, tail_jet
+from .mobius import (
+    EM_STOP_DIGITS,
+    dirichlet_powers,
+    em_terms,
+    exp_fixed_pair,
+    fixed_pair,
+    fixed_to_mpc,
+    log_gamma_jet,
+    tail_jet,
+)
 from .precision import PrecisionContext, certified, log_gamma
 
 EULER_MACLAURIN = "euler-maclaurin"
@@ -147,7 +158,11 @@ def _chi(s: mpc, ctx: PrecisionContext) -> mpc:
 
 def _reflected(s: mpc, v: mpc, bits: int, ctx: PrecisionContext) -> mpc:
     """zeta(s) = chi(s) zeta(1-s) rounded to ``bits``, from v = zeta(1-s);
-    the product is taken at bits + 40."""
+    the product is taken at bits + 40.  Both log Gamma values of chi are
+    rounded to max(bits, ctx.bits) before the exp, so chi is good to
+    about |log Gamma| 2^-bits, not to 2^-(bits+40): which bits of
+    log Gamma it took decides the last bits of the product.  Only
+    :func:`zeta` reflects here, left of EM_SIGMA_MIN."""
     with mp.workprec(bits + 40):
         v = v * _chi(s, PrecisionContext(max(bits, ctx.bits), ctx.target_digits))
     with mp.workprec(bits):
@@ -303,12 +318,14 @@ def _unit_nodes(n: int, prec: int) -> tuple:
 def zeta_ring(center: mpc, radius: mpf, nodes: int, ctx: PrecisionContext) -> tuple:
     """zeta on the nodes center + h_j of :func:`ring_samples`, at ctx.
 
-    On a centre with real part 1/2 and an even node count the nodes with
-    Re h >= 0 (n/2 + 1 of the n where 4 divides n) are evaluated directly,
-    and node n/2 - j, Re h < 0, is placed at 1 - conj(s),
-    s = center + h_j, and reflected through the functional equation from
-    zeta(conj s) = conj zeta(s): it costs a chi in place of a sum.  An odd
-    node count, or any other centre, evaluates every node directly.
+    On a centre with real part 1/2, an even node count and a radius at
+    most min(1/4, |Im center|/16), the nodes with Re h >= 0 (n/2 + 1 of
+    the n where 4 divides n) are evaluated directly, and node n/2 - j,
+    Re h < 0, is placed at 1 - conj(s), s = center + h_j, and reflected
+    through the functional equation from zeta(conj s) = conj zeta(s): it
+    costs a chi in place of a sum.  An odd node count, a wider radius, where
+    the log Gamma jet's bound is not taken, or any other centre,
+    evaluates every node directly.
 
     A direct node s with Re(s) >= EM_SIGMA_MIN and s != 1 is one
     :func:`_em_pair` at ctx.bits + 40, as :func:`zeta` makes it, with its
@@ -323,15 +340,27 @@ def zeta_ring(center: mpc, radius: mpf, nodes: int, ctx: PrecisionContext) -> tu
     main sum, as in :func:`zeta`; one left of EM_SIGMA_MIN takes :func:`zeta`.
 
     A reflected node takes its partner's value rounded to ctx and
-    multiplies it by chi, so it need not have the bits of a fresh
-    evaluation, but it stays within the Euler-Maclaurin tail threshold
-    10^-(digits+5) of one: up to 0.47 of it at 30 digits and 0.83 at 60,
-    zeros 1, 27 and 649, where both differ from mpmath's zeta by about as
-    much, as both carry a tail cut at that threshold.
+    multiplies it by chi of :func:`_mirror_chi`, rounding once to ctx, so
+    it need not have the bits of a fresh evaluation, but it stays within
+    the Euler-Maclaurin tail threshold 10^-(digits+5) of one: up to 0.47
+    of it at 30 digits and 0.83 at 60, zeros 1, 27 and 649, where both
+    differ from mpmath's zeta by about as much, as both carry a tail cut
+    at that threshold.  chi takes its two log Gamma values from one jet at
+    center/2 and rounds them to ctx.bits, as :func:`_reflected` takes them
+    from :func:`zetakit.precision.log_gamma`: chi is then good to about
+    |log Gamma| 2^-ctx.bits, and those rounded bits set the node's last
+    bits: a chi exact to ctx.bits + 40 moved the ``laurent`` residuals at
+    zeros 1 and 29 at 30 digits.  mpmath's ``loggamma`` rounds correctly
+    there (1980 of 1980 reflected-node arguments at 10 zeros from 1 to
+    649, 30 to 200 digits), and so does the jet, summed well past
+    ctx.bits, unless a value lies within a few units of 2^-W of a rounding
+    boundary: at every node of rings of radius 1/32 and 1/4 at 15 zeros
+    from 1 to 649, at 30, 60 and 200 digits, the two gave the same bits.
     """
     n = nodes
     out = [None] * n
-    on_line = n % 2 == 0 and center.real == mpf(1) / 2
+    on_line = n % 2 == 0 and center.real == mpf(1) / 2 and radius <= min(mpf(1) / 4, abs(center.imag) / 16)
+    chi = _mirror_chi(center, radius, ctx) if on_line else None
     digits = ctx.target_digits
     with ctx.wp():
         hs = ring_samples(mpc, radius, n)
@@ -346,8 +375,75 @@ def zeta_ring(center: mpc, radius: mpf, nodes: int, ctx: PrecisionContext) -> tu
             out[j] = v = +jet[0] if jet else zeta(s, ctx).value
             k = (n // 2 - j) % n
             if on_line and k != j:
-                out[k] = _reflected(1 - mp.conj(s), mp.conj(v), ctx.bits, ctx)
+                out[k] = chi(s) * mp.conj(v)
     return tuple(out)
+
+
+def _mirror_chi(center: mpc, radius: mpf, ctx: PrecisionContext):
+    """The function d -> chi(s), s = 1 - conj(d), for a ring's direct
+    nodes d, |d - center| <= radius: chi at their mirror nodes, as an mpc
+    of W = ctx.bits + 48 + bit_length(|Im center|) bits.
+
+    It is e^x, x = (s - 1/2) ln pi + lg_1 - lg_2 with the log Gamma values
+    lg_1, lg_2 of :func:`_mirror_log_gammas`, rounded to ctx.bits as
+    :func:`_chi` takes them, and x, exp, cos and sin in W-bit fixed point
+    (:func:`zetakit.mobius.exp_fixed_pair`).  ln pi and the reduction of
+    Im x by pi/2 are off by about |Im d| + |x| units of 2^-W, so chi is
+    within a relative 2^-(ctx.bits + 44) of e^x, and within
+    |chi| 2^(1 - ctx.bits) (|lg_1| + |lg_2| + 1) of the exact chi(s), the
+    ctx.bits rounding of the two log Gamma values."""
+    W, log_gammas = _mirror_log_gammas(center, radius, ctx)
+    with mp.workprec(W + 8):
+        ln_pi = fixed_pair(mp.log(mp.pi), W)[0]
+    half = 1 << W - 1
+
+    def chi(d):
+        (ar, ai), (br, bi) = log_gammas(d)
+        dr, di = fixed_pair(d, W)
+        x = ((half - dr) * ln_pi >> W) + ar - br, (di * ln_pi >> W) + ai - bi
+        return fixed_to_mpc(*exp_fixed_pair(*x, W), W, W)
+
+    return chi
+
+
+def _mirror_log_gammas(center: mpc, radius: mpf, ctx: PrecisionContext):
+    """(W, lg): lg(d) = (log Gamma((1 - s)/2), log Gamma(s/2)), s = 1 -
+    conj(d), for |d - center| <= radius, each part rounded to ctx.bits as
+    :func:`zetakit.precision.log_gamma` rounds it, as pairs of W-bit
+    fixed-point ints, W = ctx.bits + 48 + bit_length(|Im center|).
+
+    With Re center = 1/2, (1 - s)/2 = conj(d)/2 and s/2 = z_0 + u, z_0 =
+    center/2 and u = -conj(d - center)/2, so both come from the one
+    :func:`zetakit.mobius.log_gamma_jet` L at z_0: log Gamma(conj(d)/2) =
+    conj(L((d - center)/2)) and log Gamma(s/2) = L(u).  Each is summed by
+    Horner's rule in W-bit ints, within a few units of 2^-W of log Gamma,
+    so it rounds as the exact value does unless that lies within those
+    units of a rounding boundary: odds of about 2^(ctx.bits + 4 - W) a
+    part where the parts exceed 1/2."""
+    bits = ctx.bits
+    W = bits + 48 + int(abs(center.imag)).bit_length()
+    with mp.workprec(W):
+        jet = log_gamma_jet(center / 2, float(radius) * (1 + 2.0**-20) / 2, W)
+    top, rest = jet[-1], jet[-2::-1]
+    cr, ci = fixed_pair(center, W)
+
+    def lg(d):
+        dr, di = fixed_pair(d, W)
+        wr, wi = dr - cr >> 1, di - ci >> 1
+        ar, ai = br, bi = top
+        for lr, li in rest:
+            ar, ai = lr + (ar * wr - ai * wi >> W), li + (ar * wi + ai * wr >> W)
+            br, bi = lr - (br * wr + bi * wi >> W), li + (br * wi - bi * wr >> W)
+        return (_round_bits(ar, bits), _round_bits(-ai, bits)), (_round_bits(br, bits), _round_bits(bi, bits))
+
+    return W, lg
+
+
+def _round_bits(x: int, bits: int) -> int:
+    """The int x rounded to nearest at its leading ``bits`` bits, as mpmath
+    rounds each part of an mpc."""
+    n = x.bit_length() - bits
+    return x if n <= 0 else (x + (1 << n - 1)) >> n << n
 
 
 def _shifted_main_sums(center: mpc, radius: mpf, Ns: set, prec: int):

@@ -361,3 +361,37 @@ def test_only_zeros_refuses_a_cache():
             and getattr(node.func, "id", getattr(node.func, "attr", None)) == "CacheFormatError"
         ]
     assert not found, "CacheFormatError raised outside zeros.py at " + ", ".join(found)
+
+
+def test_the_ring_takes_chi_from_the_log_gamma_jet_alone():
+    """zeta.zeta_ring, its mirror helpers and the jet mobius.log_gamma_jet
+    name neither mpmath's loggamma, psi or bernoulli nor the package's
+    log_gamma or _chi: the ring's chi comes from the one jet.  _chi is
+    called only by _reflected, and _reflected only by run, the body of
+    zeta()."""
+    banned = {"loggamma", "log_gamma", "_chi", "psi", "bernoulli"}
+    checked = {
+        "zeta": {"zeta_ring", "_mirror_chi", "_mirror_log_gammas"},
+        "mobius": {"log_gamma_jet", "_stirling_size"},
+    }
+    seen, found = set(), []
+    for module, names in checked.items():
+        tree = ast.parse((SRC / f"{module}.py").read_text())
+        for node in ast.walk(tree):
+            if isinstance(node, ast.FunctionDef) and node.name in names:
+                seen.add(node.name)
+                found += [
+                    f"{module}.{node.name}:{n.lineno} names {name}" for n in ast.walk(node)
+                    for name in [getattr(n, "id", getattr(n, "attr", None))] if name in banned
+                ]
+    assert seen == set().union(*checked.values()), seen
+    assert not found, found
+    callers = []
+    for path in sorted(SRC.glob("*.py")):
+        tree = ast.parse(path.read_text(), filename=str(path))
+        owner = _enclosing_functions(tree)
+        callers += [
+            f"{path.stem}.{owner[node]} calls {node.func.id}" for node in ast.walk(tree)
+            if isinstance(node, ast.Call) and isinstance(node.func, ast.Name) and node.func.id in ("_chi", "_reflected")
+        ]
+    assert sorted(callers) == ["zeta._reflected calls _chi", "zeta.run calls _reflected"], callers

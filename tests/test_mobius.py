@@ -20,6 +20,7 @@ from zetakit.mobius import (
     fixed_pair,
     fixed_to_mpc,
     fixed_to_mpf,
+    log_gamma_jet,
     log_int_fixed,
     mertens,
     mertens_sublinear,
@@ -507,3 +508,21 @@ def test_dirichlet_partial_recursion_at_real_s_and_every_k(monkeypatch):
             got = dirichlet_partial(s, (0, 1, 2), cps, CTX)
         for n in (0, 1, 2):
             assert got[n] == want[n], (s, n)
+
+
+@pytest.mark.parametrize("wp", [100, 300, 800])
+@pytest.mark.parametrize("im, radius", [(7.07, 1 / 64), (7.07, 1 / 8), (46.2, 1 / 64), (500.0, 1 / 8)])
+def test_log_gamma_jet_within_its_stated_bound(wp, im, radius):
+    # Summed exactly from its wp-bit coefficients, the jet is within
+    # 2^-(wp+1) of log Gamma(z + w) for |w| <= radius, plus under one unit
+    # of 2^-wp for each coefficient's rounding, weighted by |w|^m.  Small
+    # Im z takes the shift of DLMF 5.5.1 as well as Stirling's series.
+    with mp.workprec(wp):
+        z = mpc(mpf(1) / 4, im)
+    jet = log_gamma_jet(z, radius, wp)
+    with mp.workprec(wp + 60):
+        coeffs = [mpc(a, b) / 2**wp for a, b in jet]
+        for j in range(9):
+            w = radius * mp.expjpi(mpf(j) / 4) if j < 8 else mpc(0)
+            got = mp.polyval(coeffs[::-1], w)
+            assert abs(got - mp.loggamma(z + w)) <= 3 * mpf(2) ** -wp, (j, len(jet))

@@ -1,3 +1,4 @@
+import functools
 import math
 import random
 import sys
@@ -10,8 +11,8 @@ import oracles
 from zetakit import zeros
 from zetakit.errors import ContourNearZeroError, NearZeroError, PoleError, PrecisionEscalationError, RangeError
 from zetakit.laurent import taylor_at_zero
-from zetakit.mobius import bernoulli_ratio, em_terms, fixed_pair
-from zetakit.precision import PrecisionContext
+from zetakit.mobius import bernoulli_ratio, em_terms, fixed_pair, fixed_to_mpc
+from zetakit.precision import PrecisionContext, log_gamma
 from zetakit.zeta import (
     EULER_MACLAURIN,
     REFLECTED,
@@ -562,6 +563,107 @@ def test_ring_of_any_node_count_matches_fresh_zeta(center, nodes):
         for h, got in zip(ring_samples(mpc, radius, nodes), samples):
             fresh = zeta(center + h, CTX).value
             assert abs(got - fresh) <= mpf(10) ** -(CTX.target_digits + 5), h
+
+
+# The zeros whose rings the mirror tests below take, across the heights
+# the CLI reaches.
+MIRROR_ZEROS = (1, 2, 3, 4, 24, 25, 26, 27, 28, 29, 73, 315, 316, 453, 649)
+
+
+@functools.lru_cache(maxsize=None)
+def _zero_ordinate(index):
+    """Im of mpmath's index-th zero at 30 digits: a mirror ring needs only a
+    centre on the critical line near a zero."""
+    with mp.workdps(30):
+        return mp.zetazero(index).imag
+
+
+def _mirror_rings(digits):
+    """(ctx, zero, centre, radius, direct nodes) of the 64-node rings of
+    radius 1/32 and 1/4 at MIRROR_ZEROS, the direct nodes rounded to ctx
+    as zeta_ring forms them."""
+    ctx = PrecisionContext.from_digits(digits)
+    for index in MIRROR_ZEROS:
+        for radius in (mpf(1) / 32, mpf(1) / 4):
+            with ctx.wp():
+                center = mpc(mpf(1) / 2, _zero_ordinate(index))
+                nodes = [center + h for h in ring_samples(mpc, radius, 64) if h.real >= 0]
+            yield ctx, index, center, radius, nodes
+
+
+@pytest.mark.parametrize("digits", [30, 60, 200])
+def test_mirror_log_gammas_are_log_gamma_bit_for_bit(digits):
+    # A mirror node keeps the bits that chi from precision.log_gamma gave
+    # it because the jet's log Gamma values, rounded to ctx.bits, are
+    # log_gamma's at the arguments _chi forms, (1 - s)/2 and s/2 at
+    # ctx.bits + 40, s = 1 - conj(d).
+    em = sys.modules["zetakit.zeta"]
+    for ctx, index, center, radius, nodes in _mirror_rings(digits):
+        W, lg = em._mirror_log_gammas(center, radius, ctx)
+        for d in nodes:
+            with ctx.wp():
+                s = 1 - mp.conj(d)
+            with mp.workprec(ctx.bits + 40):
+                args = (1 - s) / 2, s / 2
+            got = [fixed_to_mpc(*pair, W, ctx.bits) for pair in lg(d)]
+            assert got == [log_gamma(z, ctx) for z in args], (index, radius, d)
+
+
+@pytest.mark.parametrize("digits", [30, 60, 200])
+def test_mirror_chi_within_its_bound_of_a_gamma_ratio(digits):
+    # The oracle is mpmath's gamma at ctx.bits + 100, not its loggamma; the
+    # bound is _mirror_chi's, |chi| 2^(1 - bits) (|lg_1| + |lg_2| + 1).
+    em = sys.modules["zetakit.zeta"]
+    for ctx, index, center, radius, nodes in _mirror_rings(digits):
+        chi = em._mirror_chi(center, radius, ctx)
+        for d in nodes:
+            with ctx.wp():
+                s = 1 - mp.conj(d)
+            got = chi(d)
+            with mp.workprec(ctx.bits + 100):
+                a, b = (1 - s) / 2, s / 2
+            with mp.workprec(53):
+                size = abs(mp.loggamma(a)) + abs(mp.loggamma(b)) + 1
+            with mp.workprec(ctx.bits + 100):
+                want = mp.gamma(a) / mp.gamma(b) * mp.pi ** (s - mpf(1) / 2)
+                assert abs(got - want) <= abs(want) * 2 ** (1 - ctx.bits) * size, (index, radius, d)
+
+
+def test_a_zero_ring_takes_no_log_gamma_and_zeta_still_reflects_by_chi(monkeypatch):
+    # The ring at a zero takes chi from the log Gamma jet alone; zeta()
+    # left of EM_SIGMA_MIN still takes _chi, and the bits it gave before
+    # the ring had a jet.
+    em = sys.modules["zetakit.zeta"]
+    calls = []
+    for owner, name in ((mpmath, "loggamma"), (em, "log_gamma"), (em, "_chi")):
+        real = getattr(owner, name)
+        monkeypatch.setattr(owner, name, lambda *args, _real=real, _name=name: calls.append(_name) or _real(*args))
+    with CTX.wp():
+        center = mpc(mpf(1) / 2, _zero_ordinate(27))
+    zeta_ring(center, mpf(1) / 32, 64, CTX)
+    assert calls == []
+    value = zeta(mpc(-3, 20), CTX).value
+    assert calls == ["_chi", "log_gamma", "loggamma", "log_gamma", "loggamma"]
+    with CTX.wp():
+        assert repr(value) == (
+            "mpc(real='-24.7966966045406554357251474691795556148105', "
+            "imag='-53.3095128074740984737780589949037617881674')"
+        )
+
+
+@pytest.mark.parametrize("center, radius", [(mpc("0.5", "3"), mpf(1) / 4), (mpc("0.5", "14.13"), mpf(1) / 2)])
+def test_a_ring_wide_against_its_height_sums_every_node(monkeypatch, center, radius):
+    # Beyond radius min(1/4, |Im center|/16) the log Gamma jet's bound is
+    # not taken: every node is a direct sum, with the bits of a fresh zeta.
+    em = sys.modules["zetakit.zeta"]
+    tails = []
+    real_tail = em.tail_jet
+    monkeypatch.setattr(em, "tail_jet", lambda *args: tails.append(args[0]) or real_tail(*args))
+    samples = zeta_ring(center, radius, 16, CTX)
+    assert len(tails) == 16
+    with CTX.wp():
+        for h, got in zip(ring_samples(mpc, radius, 16), samples):
+            assert got == zeta(center + h, CTX).value, h
 
 
 def test_float_bernoulli_ratios_are_the_exact_ratios_in_double():
