@@ -27,9 +27,10 @@ truncation, so :func:`tail_bound`, the residual sweep
 expansion instead of rebuilding it.  The sweep is route one's check on
 every run: it inverts the ring :func:`zetakit.zeta.zeta_ring` at rho, so
 its 64 nodes at a zero take one Dirichlet jet at rho, 33 Euler-Maclaurin
-tails, and one log Gamma jet at rho/2 whose 31 sums give chi.  It ranks the nodes of every truncation order in fixed
-point, and runs the partial sums in mpmath only at the nodes that may
-set an order's maximum.
+tails, and one log Gamma jet at rho/2 whose 31 sums give chi.  It
+ranks the nodes of every truncation order in fixed point, on 1/zeta as
+int quotients of the ring values, and inverts zeta and runs the partial
+sums in mpmath only at the nodes that may set an order's maximum.
 """
 
 from __future__ import annotations
@@ -50,7 +51,7 @@ from .mobius import MobiusTable, checkpoint_ladder, dirichlet_partial, fixed_pai
 from .precision import PrecisionContext, cpow, to_decimal
 from .series import build_partial_series
 from .zeros import SIMPLICITY_FLOOR, format_cache_line, neighbor_distance
-from .zeta import inverse_zeta_value, ring_samples, zeta_jet, zeta_ring
+from .zeta import basin_radius, inverse_zeta_value, ring_samples, zeta_jet, zeta_ring
 
 DEFAULT_CHECKPOINTS = (10**3, 10**4, 10**5, 10**6)
 
@@ -305,47 +306,87 @@ def residual_profile(exp: LaurentExpansion, r, N_list, samples: int, ctx: Precis
     :func:`laurent_eval`.  The 1/zeta values invert
     :func:`zetakit.zeta.zeta_ring` at rho: for 64 samples, 33
     Euler-Maclaurin tails on one Dirichlet jet at rho, and 31 chi from one
-    log Gamma jet at rho/2.  Every node takes its target and its disk
-    check.
+    log Gamma jet at rho/2.
 
-    The differences are ranked first in fixed point by
-    :func:`_sweep_candidates`.  Only the nodes that may hold an order's
-    largest difference run the mpmath chain :func:`_laurent_sums`, one
-    pass for every order at a node, and an order's residual is the largest
-    ``abs`` of their differences.  mpmath's ``abs`` rounds the exact
-    squared norm down at p + 4 bits and takes a rounded square root, or
-    the ``abs`` of the one nonzero part, so it is monotone in that norm;
-    every node whose chain difference has the largest norm is a
-    candidate, so each residual is that of the chain run at every node.
-    At 64 samples on the report's radius, one node was the candidate of
-    each order at every zero to T = 1000, at 30 and at 60 digits, and at
-    every zero to T = 100 at 200 digits."""
+    Every node takes the checks of :func:`zetakit.zeta.inverse_zeta_value`
+    and :func:`_disk_offset`, in node order, as int tests with a margin:
+    its ring value zv passes the basin where mag(zv) - 2 > mag(basin), so
+    |zv| >= 2 basin, and its offset h = s - rho passes the disk where the
+    fixed pair of h puts |h| below radius (1 - 4 2^-p) and off 0, so that
+    mpmath's ``abs`` rounds it below the radius.  A node either test cannot
+    pass runs mpmath's own check, so the same node raises the same error.
+
+    The differences are then ranked in fixed point by
+    :func:`_sweep_candidates`, on the targets 1/zv as int quotients
+    (:func:`_fixed_inverse`) and on the offsets h as mpmath forms them.
+    Only the nodes that may hold an order's largest difference run
+    :func:`zetakit.zeta.inverse_zeta_value`, :func:`_disk_offset` and the
+    mpmath chain :func:`_laurent_sums`, one pass for every order at a
+    node, and an order's residual is the largest ``abs`` of their
+    differences.  mpmath's ``abs`` rounds the exact squared norm down at
+    p + 4 bits and takes a rounded square root, or the ``abs`` of the one
+    nonzero part, so it is monotone in that norm; every node whose chain
+    difference has the largest norm is a candidate, so each residual is
+    that of the chain run at every node.  At 64 samples on the report's
+    radius, one node was the candidate of each order at every zero to
+    T = 1000, at 30 and at 60 digits, and at every zero to T = 100 at 200
+    digits."""
     if samples < 16:
         raise RangeError("residual sweep needs at least 16 samples")
     N_list = sorted(set(int(N) for N in N_list))
     if not N_list or N_list[0] < 0:
         raise RangeError("truncation orders must be nonempty and >= 0")
     top = exp.truncated(N_list[-1])
+    p = ctx.bits
+    W = p + 32
     with ctx.wp():
         r = mpf(r)
         if not 0 < r < exp.radius:
             raise OutsideDiskError(f"sweep radius {mp.nstr(r, 6)} outside disk radius {mp.nstr(exp.radius, 6)}")
         points = ring_samples(lambda h: exp.rho + h, r, samples)
-        rows = [(inverse_zeta_value(zv, s, ctx), _disk_offset(s, exp))
-                for s, zv in zip(points, zeta_ring(exp.rho, r, samples, ctx))]
-        picks = _sweep_candidates(top, rows, N_list, ctx.bits)
-        sums = {j: _laurent_sums(top, rows[j][1]) for j in set().union(*picks.values())}
-        return {N: max(abs(rows[j][0] - sums[j][N]) for j in picks[N]) for N in N_list}
+        values = zeta_ring(exp.rho, r, samples, ctx)
+        basin = mp.mag(basin_radius(ctx)) + 2
+        disk = fixed_pair(exp.radius, W)[0] ** 2 * ((1 << p) - 8)
+        nodes = []
+        for s, zv in zip(points, values):
+            if mp.mag(zv) <= basin:
+                inverse_zeta_value(zv, s, ctx)
+            hr, hi = h = fixed_pair(s - exp.rho, W)
+            if h == (0, 0) or (max(hr + 1, -hr) ** 2 + max(hi + 1, -hi) ** 2 << p) > disk:
+                _disk_offset(s, exp)
+            nodes.append((_fixed_inverse(zv, W), h))
+        picks = _sweep_candidates(top, nodes, N_list, p)
+        rows = {}
+        for j in sorted(set().union(*picks.values())):
+            T, h = inverse_zeta_value(values[j], points[j], ctx), _disk_offset(points[j], exp)
+            rows[j] = T, _laurent_sums(top, h)
+        return {N: max(abs(rows[j][0] - rows[j][1][N]) for j in picks[N]) for N in N_list}
 
 
-def _sweep_candidates(exp: LaurentExpansion, rows: list, N_list: list, p: int) -> dict:
+def _fixed_inverse(z, W: int) -> tuple:
+    """1/z for an mpc z != 0 as a pair of W-bit fixed-point ints: the
+    floored quotient of z read at V = W + 2a + 2 bits, with a >= 0 and
+    |z| >= 2^(mag(z) - 2) >= 2^-a.  z is read within sqrt(2) 2^-V, which
+    moves 1/z by at most sqrt(2) 2^(2a-V)/(1 - 2^(a-V+1)) < 0.36 units of
+    2^-W, and each part is floored once more: within 2 units of 1/z."""
+    a = max(0, 2 - mp.mag(z))
+    V = W + 2 * a + 2
+    zr, zi = fixed_pair(z, V)
+    den = zr * zr + zi * zi
+    return (zr << V + W) // den, (-zi << V + W) // den
+
+
+def _sweep_candidates(exp: LaurentExpansion, nodes: list, N_list: list, p: int) -> dict:
     """{N: the nodes j, in increasing order, that may hold the largest
     |D_N(j)|}, D_N(j) the difference T_j - (residue/h_j + sum_{n<N} c_n h_j^n)
-    as :func:`_laurent_sums` and one subtraction round it at p bits, for
-    the nodes ``rows`` = [(T_j, h_j)].
+    as :func:`_laurent_sums` and one subtraction round it at p bits, with
+    T_j = 1/zv_j rounded by mpmath, for the nodes ``nodes`` = [(1/zv_j,
+    h_j)] as pairs of W = p + 32 bit ints: 1/zv_j the quotient of
+    :func:`_fixed_inverse` and h_j the fixed pair of the offset the chain
+    reads.
 
-    One pass in W = p + 32 bit fixed point computes A_N(j), the same
-    difference from T_j, h_j, the residue and the c_n read exactly by
+    One pass in W-bit fixed point computes A_N(j), the same difference
+    from those pairs and the residue and the c_n read exactly by
     :func:`zetakit.mobius.fixed_pair`.  If m_N of :func:`_sweep_margins`
     bounds |A_N(j) - D_N(j)| at every node, a node j with the largest
     |D_N| has, for every node k,
@@ -359,11 +400,10 @@ def _sweep_candidates(exp: LaurentExpansion, rows: list, N_list: list, p: int) -
     one = 1 << W
     res = fixed_pair(exp.residue, W)
     coeffs = [fixed_pair(c, W) for c in exp.coeffs]
-    nodes = [(fixed_pair(T, W), fixed_pair(h, W)) for T, h in rows]
     h_lo = min(isqrt(hr * hr + hi * hi) for _, (hr, hi) in nodes) - 2
     if h_lo < 1:
         # some |h| within 3 units of 2^-W: residue/h has no useful bound
-        return {N: list(range(len(rows))) for N in N_list}
+        return {N: list(range(len(nodes))) for N in N_list}
     norms = []
     for (tr, ti), (hr, hi) in nodes:
         den = hr * hr + hi * hi
@@ -388,8 +428,8 @@ def _sweep_candidates(exp: LaurentExpansion, rows: list, N_list: list, p: int) -
 
 
 def _mag(pair: tuple) -> int:
-    """An int above |z| and above |x| for any x whose parts are within one
-    unit of the fixed-point pair z's."""
+    """An int above |z| and above |x| for any x within 2 units of the
+    fixed-point pair z, or whose parts are within one unit of z's."""
     re, im = pair
     return isqrt(re * re + im * im) + 3
 
@@ -401,7 +441,7 @@ def _ceil_div(a: int, b: int) -> int:
 def _sweep_margins(p: int, W: int, t_hi: int, h_lo: int, h_hi: int, res_hi: int, c_hi: list) -> list:
     """[m_N for N = 0..len(c_hi)]: ints, in units of 2^-W, above
     |A_N - D_N| of :func:`_sweep_candidates` at every node, given bounds on
-    |T| <= t_hi, h_lo <= |h| <= h_hi, |residue| <= res_hi and
+    |1/zv| <= t_hi, h_lo <= |h| <= h_hi, |residue| <= res_hi and
     |c_n| <= c_hi[n] in the same units, each holding for the value and its
     fixed-point pair.  Below, b = max(1, h_hi) and every magnitude is real.
 
@@ -411,19 +451,23 @@ def _sweep_margins(p: int, W: int, t_hi: int, h_lo: int, h_hi: int, res_hi: int,
     mpc division rounds twice at p + 10 bits, then once at p, within three
     such roundings.  Of D_N, the term c_n h^n passes through n products
     for h^n, one for c_n, N - n sums and the last difference, N + 2
-    roundings; residue/h through three, N sums and the difference; T
-    through the difference.  So D_N is within gamma_(N+4) M_N of the
-    exact difference of its inputs, with gamma_k = k u/(1 - k u) and
-    M_N = |T| + |residue|/|h| + sum_{n<N} |c_n| |h|^n.
+    roundings; residue/h through three, N sums and the difference; the
+    target T = 1/zv through its division and the difference, four.  So
+    D_N is within gamma_(N+4) M_N of the exact difference of its inputs
+    zv, h, residue and c_n, with gamma_k = k u/(1 - k u) and
+    M_N = |1/zv| + |residue|/|h| + sum_{n<N} |c_n| |h|^n: the error
+    between mpmath's rounded 1/zv and the exact one, gamma_3 |1/zv|, is
+    part of that bound.
 
     The fixed point, in units, against the exact difference: a part
     truncated by fixed_pair, or a part of a floored product or quotient,
     is off by less than 1, a complex value by less than 2; sums and
-    differences are exact.  T is off by 2 and residue/h by
-    2 + 2 (|h| + |residue|)/|h|^2.  The power P_n of h is off by
-    e_n <= 4 n b^(n-1), as e_n <= b e_(n-1) + 2 b^(n-1) + 2, and c_n h^n
-    by 2 + 2 |P_n| + |c_n| e_n.  m_N is the sum of those over
-    the terms of D_N, plus gamma_(N+4) M_N, each rounded up."""
+    differences are exact.  The quotient of :func:`_fixed_inverse` is off
+    from 1/zv by 2 and residue/h by 2 + 2 (|h| + |residue|)/|h|^2.  The
+    power P_n of h is off by e_n <= 4 n b^(n-1), as
+    e_n <= b e_(n-1) + 2 b^(n-1) + 2, and c_n h^n by
+    2 + 2 |P_n| + |c_n| e_n.  m_N is the sum of those over the terms of
+    D_N, plus gamma_(N+4) M_N, each rounded up."""
     one = 1 << W
     b = max(one, h_hi)
     fixed = 4 + _ceil_div(2 * one * (h_lo + res_hi), h_lo * h_lo)

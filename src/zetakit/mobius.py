@@ -58,8 +58,9 @@ of the checkpoints take the formula in increasing order, each
 floor(v/m) being a floor value again, so every checkpoint shares one
 memo.  Above y, F(w) = F(y) + T(y) - T(w): zeta(s) cancels.  The cost
 is the pass to y plus about 3 K/sqrt(y) jet products and K/y tails.
-At K = 10^6, n <= 1 and 30 digits that is 0.3 s on one core of a
-2-core x86 host, where a direct sum over the squarefree k <= K took 4 s.
+At K = 10^6, n <= 1 and 30 digits that is 0.13 s at zero 1 in a fresh
+process on one core of a 2-core x86 host, where a direct sum over the
+squarefree k <= K took 4 s.
 
 Errors of the recursion, for Re(s) >= 1/2, in units of 2^(-wp):
 |f(m)| <= m^(-1/2), and |D(x)|, |F(x)| <= 2 sqrt(x) at log power 0.  A
@@ -114,8 +115,9 @@ from __future__ import annotations
 import functools
 import math
 from array import array
-from itertools import accumulate, compress
-from operator import mul, sub
+from bisect import bisect_left, bisect_right
+from itertools import accumulate, compress, islice
+from operator import mul
 from typing import NamedTuple
 
 import mpmath as mp
@@ -128,6 +130,7 @@ from .precision import PrecisionContext
 SIEVE_CAP = 10**8
 _DIRECT_CAP = 10**6  # the largest K of dirichlet_partial's direct pass
 EM_STOP_DIGITS = 5  # zeta's Euler-Maclaurin tail stops below 10^-(digits + EM_STOP_DIGITS)
+_CHUNK = 1 << 10  # jets of the power pass _hyperbola_partial reads into columns at a time
 
 # Integers per sieve segment: a segment of one byte per integer then
 # stays within a core's cache.
@@ -373,9 +376,18 @@ def exp_fixed_pair(xr: int, xi: int, wp: int, ln2=None, pi2=None) -> tuple:
 
 def _power(k: int, sre: int, sim: int, wp: int, ln2: int, pi2: int) -> tuple:
     """(ln k, Re k^(-s), Im k^(-s)) as wp-bit ints from ln k of
-    :func:`log_int_fixed` and e^(-s ln k); s = sre + i sim in fixed point."""
+    :func:`log_int_fixed` and e^(-s ln k); s = sre + i sim in fixed point.
+
+    On the critical line, sre = 2^(wp-1) exactly, the amplitude |k^(-s)|
+    is k^(-1/2), taken as isqrt(floor(2^(2 wp)/k)), the exact floor of
+    2^wp k^(-1/2), in place of exp(-Re(s) ln k), which lay 0 to 3 units
+    below it for the primes to 10^4 at 64 to 800 bits.  For the 158 primes
+    to 929 the roots took 0.23 ms against 1.17 ms for the exps at 188
+    bits, and 0.70 against 7.7 ms at 800 bits."""
     ln = log_int_fixed(k, wp)
-    return (ln, *exp_fixed_pair(-sre * ln >> wp, -sim * ln >> wp, wp, ln2, pi2))
+    cos, sin = cos_sin_fixed(-sim * ln >> wp, wp, pi2)
+    u = math.isqrt((1 << 2 * wp) // k) if sre == 1 << wp - 1 else exp_fixed(-sre * ln >> wp, wp, ln2)
+    return ln, u * cos >> wp, u * sin >> wp
 
 
 def dirichlet_powers(s, K: int, wp: int, order: int):
@@ -435,33 +447,44 @@ def mertens_sublinear(x: int) -> int:
     r = isqrt(v), and grouping the m > r by j = floor(v/m) <= r,
 
         M(v) = 1 - sum_{2 <= m <= r} M(floor(v/m))
-                 - sum_{1 <= j <= floor(v/(r+1))} M(j) (floor(v/j) - floor(v/(j+1))).
+                 - sum_{1 <= j <= J} M(j) (floor(v/j) - floor(v/(j+1))),
+
+    J = floor(v/(r+1)).  By Abel summation the last sum is
+    sum_{j <= J} mu(j) floor(v/j) - M(J) floor(v/(J+1)), a sum over the
+    squarefree j alone, split into the lists of j with mu(j) = +1 and
+    with mu(j) = -1.
 
     Every floor(x/n) is a floor(x/q) again, so the v that need the
     recursion are v = floor(x/q) > y, q <= Q = floor(x/(y+1)), taken in
     decreasing q: M(floor(v/m)) is the already computed big[q m] when
     q m <= Q, and otherwise floor(v/m) = floor(x/(q m)) <= y is read from
-    the prefix sums of the sieve, as are the M(j), j <= r <= y.  The
-    cost is the sieve to y plus about 2 sqrt(x Q) ~ 2 x^(2/3) terms, each
-    summed by ``map`` over Python ints, so every sum is exact.
+    the prefix sums of the sieve, as are the M(J), J <= r <= y.  The
+    cost is the sieve to y plus about (1 + 6/pi^2) sqrt(x Q) terms, each
+    summed by ``map`` over Python ints, so every sum is exact.  M(10^8)
+    takes about 45 ms on one core of a 2-core x86 host.
     """
     if x < 1:
         raise RangeError(f"mertens argument must be >= 1, got {x}")
     if x > SIEVE_CAP:
         raise LimitTooLargeError(f"mertens argument {x} exceeds cap {SIEVE_CAP}")
     y = min(x, math.ceil(2 * x ** (2 / 3)))
-    small = [0, *accumulate(sieve_mobius(y).values)]  # small[v] = M(v) for v <= y
+    mu = sieve_mobius(y).values
+    small = [0, *accumulate(mu)]  # small[v] = M(v) for v <= y
     Q = x // (y + 1)
+    S = math.isqrt(x)  # every J <= S
+    plus = list(compress(range(1, S + 1), map((1).__eq__, mu[:S])))
+    minus = list(compress(range(1, S + 1), map((-1).__eq__, mu[:S])))
     big = [0] * (Q + 1)  # big[q] = M(floor(x/q)) for q <= Q
     for q in range(Q, 0, -1):
         v = x // q
         r = math.isqrt(v)
+        J = v // (r + 1)
         cut = min(r, Q // q)  # m <= cut have q m <= Q
         total = sum(big[2 * q : cut * q + 1 : q])
         total += sum(map(small.__getitem__, map(v.__floordiv__, range(cut + 1, r + 1))))
-        ends = list(map(v.__floordiv__, range(1, v // (r + 1) + 2)))  # floor(v/j), j <= J + 1
-        total += sum(map(mul, small[1 : len(ends)], map(sub, ends, ends[1:])))
-        big[q] = 1 - total
+        total += sum(map(v.__floordiv__, plus[: bisect_right(plus, J)]))
+        total -= sum(map(v.__floordiv__, minus[: bisect_right(minus, J)]))
+        big[q] = 1 - total + small[J] * (v // (J + 1))
     return big[1] if Q else small[x]
 
 
@@ -528,11 +551,13 @@ def _bernoulli_tail(s: tuple, N: int, lnN: int, scale2: int, order: int, wp: int
     one factor of a product, so the factor Q_m = (s + 2m - 1)(s + 2m) of
     the rising factorial maps the jet to
     D^l (u Q_m) = Q_m w_l + l Q_m' w_(l-1) + l (l - 1) w_(l-2),
-    after which all are scaled by c_(m+1)/c_m/N^2.  The loop ends with the
-    first m whose terms all have |term|^2 scale2 below thresh2, scale2 =
-    |N^(-s)|^2 at 2 wp bits and thresh2 at 4 wp bits, compared as exact
-    ints.  It returns None where the terms grow before that, or at
-    m = 200: the asymptotic series has stalled.
+    after which all are scaled by c_(m+1)/c_m/N^2, w_0 last.  The loop
+    ends with the first m whose terms all have |term|^2 scale2 below
+    thresh2 > 0, scale2 = |N^(-s)|^2 at 2 wp bits and thresh2 at 4 wp
+    bits: the largest |term|^2 is compared, as an exact int, with
+    ceil(thresh2/scale2).  It returns None where the terms grow before
+    that, or at m = 200: the asymptotic series has stalled.  At order 0
+    the loops over the orders above 0 are empty.
     """
     sre, sim = s
     one = 1 << wp
@@ -545,38 +570,44 @@ def _bernoulli_tail(s: tuple, N: int, lnN: int, scale2: int, order: int, wp: int
         c = d
     qr, qi = (sre * sre - sim * sim >> wp) + 3 * sre + 2 * one, (sre * sim >> wp - 1) + 3 * sim  # Q_1
     dr, di = 2 * sre + 3 * one, 2 * sim  # Q_1'
-    orders = range(order, -1, -1)
+    ups, downs = range(1, order + 1), range(order, 0, -1)
     tail_re, tail_im = [0] * (order + 1), [0] * (order + 1)
+    # |term|^2 scale2 < thresh2 exactly where |term|^2 < ceil(thresh2/scale2)
+    limit = -(-thresh2 // scale2) if scale2 else math.inf
     N2 = N * N
     m = 1
     prev = math.inf
     while True:
-        size2 = 0
-        for l in orders:
+        xr, xi = w_re[0], w_im[0]
+        tail_re[0] += xr
+        tail_im[0] += xi
+        size2 = xr * xr + xi * xi
+        for l in ups:
             xr, xi = w_re[l], w_im[l]
             tail_re[l] += xr
             tail_im[l] += xi
             x2 = xr * xr + xi * xi
             if x2 > size2:
                 size2 = x2
-        size2 *= scale2
-        if size2 < thresh2:
+        if size2 < limit:
             return list(zip(tail_re, tail_im))
         if size2 > prev or m >= 200:
             return None
         prev = size2
         r = bernoulli_ratio(m, wp)
-        for l in orders:  # downwards, so w_(l-1) and w_(l-2) are still those of u_m
+        for l in downs:  # downwards, so w_(l-1) and w_(l-2) are still those of u_m
             xr, xi = w_re[l], w_im[l]
             yr, yi = xr * qr - xi * qi >> wp, xr * qi + xi * qr >> wp
-            if l:
-                xr, xi = w_re[l - 1], w_im[l - 1]
-                yr += l * (xr * dr - xi * di >> wp)
-                yi += l * (xr * di + xi * dr >> wp)
-                if l > 1:
-                    yr += l * (l - 1) * w_re[l - 2]
-                    yi += l * (l - 1) * w_im[l - 2]
+            xr, xi = w_re[l - 1], w_im[l - 1]
+            yr += l * (xr * dr - xi * di >> wp)
+            yi += l * (xr * di + xi * dr >> wp)
+            if l > 1:
+                yr += l * (l - 1) * w_re[l - 2]
+                yi += l * (l - 1) * w_im[l - 2]
             w_re[l], w_im[l] = (yr * r >> wp) // N2, (yi * r >> wp) // N2
+        xr, xi = w_re[0], w_im[0]
+        yr, yi = xr * qr - xi * qi >> wp, xr * qi + xi * qr >> wp
+        w_re[0], w_im[0] = (yr * r >> wp) // N2, (yi * r >> wp) // N2
         # Q_(m+1) - Q_m = 2 Q_m' + 4, Q_(m+1)' - Q_m' = 4
         qr += 2 * dr + 4 * one
         qi += 2 * di
@@ -595,7 +626,9 @@ def tail_jet(s, w: int, order: int, wp: int, stop: int = 1):
     w^(-s) sum_l C(j, l) ln^(j-l)(w) l! w/(s-1)^(l+1), with w^(1-s) formed
     as an exact int product before it is divided by (s-1)^(l+1).  s - 1 is
     read from every bit of s with -log2|s - 1| bits more where it is below
-    1, so next to the pole 1/(s-1) keeps its relative precision.  The
+    1, so next to the pole 1/(s-1) keeps its relative precision; where the
+    fixed pair of s puts |s - 1| at 1 or above, those are 0 and the pair
+    is s - 1 as it stands.  The
     Bernoulli tail ends with its first term below ``stop`` units of
     2^(-wp): one unit for the recursion below, 10^-(digits+5) for the
     Euler-Maclaurin sum of :mod:`zetakit.zeta`.  It is meant for w at or
@@ -612,10 +645,12 @@ def tail_jet(s, w: int, order: int, wp: int, stop: int = 1):
     bern = _bernoulli_tail((sre, sim), w, ln, pre * pre + pim * pim, order, wp, stop * stop << 2 * wp + 2 * g)
     if bern is None:
         return None
-    d = mp.mpmathify(s) - 1
-    e = max(0, -mp.mag(d)) if d else 0
-    a, b = fixed_pair(s, wp + e)
-    a -= 1 << wp + e  # s - 1 at wp + e bits, of about wp bits where e > 0
+    a, b, e = sre - (1 << wp), sim, 0  # s - 1
+    if max(a, ~a) ** 2 + max(b, ~b) ** 2 < 1 << 2 * wp:  # |s - 1| may be below 1
+        d = mp.mpmathify(s) - 1
+        e = max(0, -mp.mag(d)) if d else 0
+        a, b = fixed_pair(s, wp + e)
+        a -= 1 << wp + e  # s - 1 at wp + e bits, of about wp bits where e > 0
     den = a * a + b * b
     ir, ii = (a << 2 * wp + e) // den, (-b << 2 * wp + e) // den  # 1/(s-1)
     xr, xi = w * pre, w * pim  # w^(1-s)
@@ -859,41 +894,57 @@ def _hyperbola_partial(rho, top: int, checkpoints: list, y: int, ctx: PrecisionC
 
     Jets are flat (re_0, im_0, ..., re_top, im_top) of wp-bit ints, as
     :func:`dirichlet_powers` yields them: f(m) = (ln^j(m) m^(-rho))_j,
-    and D(v), F(v) with D_j(v), F_j(v) the
-    mu-weighted and the plain sums of f(k) over k <= v.  Dirichlet
-    convolution of two sums pairs their jets by sum_j C(n, j) a_j b_(n-j).
+    and D(v), F(v) with D_j(v), F_j(v) the mu-weighted and the plain sums
+    of f(k) over k <= v.  Dirichlet convolution of two sums pairs their
+    jets by sum_j C(n, j) a_j b_(n-j).
+
+    The power pass is read _CHUNK jets at a time into one column per jet
+    entry.  F and D are ``accumulate`` passes over a chunk's columns, mu
+    folded into D's by one ``map(mul)``, and only the values the recursion
+    reads are kept: D and F at the floor values up to y, at k <= sqrt(K)
+    and at y, and f(m) for m <= sqrt(K), as columns.  So the memory beyond
+    the power kernel's memo is a chunk's columns and the kept values.
+    Each floor value v > y then takes its convolutions as dot products
+    ``sum(map(mul, ...))`` of columns: the f(m), 2 <= m <= isqrt(v), with
+    the D(floor(v/m)), and the mu(i) f(i) of the squarefree i <= J with the
+    F(floor(v/i)).  Every sum is exact in Python ints, so the grouping
+    leaves every bit as it is.
     """
     K = checkpoints[-1]
     wp = ctx.bits + _hyperbola_guard(K, y, top)
     width = 2 * (top + 1)
     R = math.isqrt(K)
-    mus = [0] + sieve_mobius(y).values.tolist()  # mus[k] = mu(k)
+    mu = sieve_mobius(y).values  # mu[k - 1] = mu(k)
     # The floor values v = floor(K_i/q) of the checkpoints: those above y
     # take the recursion in increasing order, and each floor(v/m) is a
     # floor value again.  Below y the recursion reads D and F only there
     # and at v <= R, so the power pass to y keeps them only there.
     floors = {Ki // q for Ki in checkpoints for q in range(1, math.isqrt(Ki) + 1)}
     V = sorted(v for v in floors if v > y)
-    keep = floors.union(range(R + 1), (y,))
-    f = [None] * (R + 1)
-    D = {0: (0,) * width}
-    F = {0: (0,) * width}
-    d_acc = [0] * width
-    f_acc = [0] * width
-    for k, fk in enumerate(dirichlet_powers(rho, y, wp, top), 1):
-        f_acc = [a + b for a, b in zip(f_acc, fk)]
-        if mus[k] > 0:
-            d_acc = [a + b for a, b in zip(d_acc, fk)]
-        elif mus[k] < 0:
-            d_acc = [a - b for a, b in zip(d_acc, fk)]
-        if k in keep:
-            F[k] = tuple(f_acc)
-            D[k] = tuple(d_acc)
-        if k <= R:
-            f[k] = fk
+    keep = sorted(k for k in floors.union(range(1, R + 1), (y,)) if k <= y)
+    F, D = {0: (0,) * width}, {0: (0,) * width}
+    f = [[0] for _ in range(width)]  # f[c][m] = entry c of f(m), m <= R
+    f_acc, d_acc = [0] * width, [0] * width
+    powers = dirichlet_powers(rho, y, wp, top)
+    for lo in range(1, y + 1, _CHUNK):
+        n = min(_CHUNK, y + 1 - lo)
+        kept = keep[bisect_left(keep, lo) : bisect_left(keep, lo + n)]
+        at = [k - lo + 1 for k in kept]  # their places in a column's prefix sums
+        mus = mu[lo - 1 : lo - 1 + n]
+        f_kept, d_kept = [], []
+        for c, col in enumerate(zip(*islice(powers, n))):
+            if lo <= R:
+                f[c] += col[: R + 1 - lo]
+            sums = list(accumulate(col, initial=f_acc[c]))
+            f_acc[c] = sums[-1]
+            f_kept.append(list(map(sums.__getitem__, at)))
+            sums = list(accumulate(map(mul, mus, col), initial=d_acc[c]))
+            d_acc[c] = sums[-1]
+            d_kept.append(list(map(sums.__getitem__, at)))
+        F.update(zip(kept, zip(*f_kept)))
+        D.update(zip(kept, zip(*d_kept)))
     # Above y, F(w) = Z - T(w) with Z = F(y) + T(y), so zeta(rho) cancels
     # from every difference of two F.
-    Fbig = {}
     if V:
         tails = {}
         for w in (y, *V):
@@ -901,40 +952,38 @@ def _hyperbola_partial(rho, top: int, checkpoints: list, y: int, ctx: PrecisionC
             if tails[w] is None:
                 return None
         Z = [a + b for a, b in zip(F[y], tails[y])]
-        Fbig = {v: tuple(z - t for z, t in zip(Z, tails[v])) for v in V}
-    pairs = [(2 * j, 2 * l) for j in range(top + 1) for l in range(top + 1 - j)]
-    binom = [(math.comb(j + l, j), j + l) for j in range(top + 1) for l in range(top + 1 - j)]
-
-    def convolve(S, a, b):
-        # S[2 p], S[2 p + 1] += a_j b_l for the p-th pair (j, l), at 2 wp bits
-        for p, (j2, l2) in enumerate(pairs):
-            ar, ai, br, bi = a[j2], a[j2 + 1], b[l2], b[l2 + 1]
-            S[2 * p] += ar * br - ai * bi
-            S[2 * p + 1] += ar * bi + ai * br
-
-    Dbig = {}
+        F.update((v, tuple(z - t for z, t in zip(Z, tails[v]))) for v in V)
+    squarefree = list(compress(range(1, R + 1), mu[:R]))
+    g = [[mu[i - 1] * col[i] for i in squarefree] for col in f]  # mu(i) f(i), i squarefree
+    f = [col[2:] for col in f]  # f(m), m >= 2: each dot product below stops at its shorter column
+    # (a, b, C(j + l, j), 2 (j + l)) for j + l <= top, a = 2 j and b = 2 l
+    pairs = [(2 * j, 2 * l, math.comb(j + l, j), 2 * (j + l)) for j in range(top + 1) for l in range(top + 1 - j)]
     for v in V:
         r = math.isqrt(v)
         J = v // (r + 1)
-        minus = [0] * (2 * len(pairs))
-        plus = [0] * (2 * len(pairs))
-        for m in range(2, r + 1):
-            w = v // m
-            convolve(minus, f[m], Dbig[w] if w > y else D[w])
-        for i in range(1, J + 1):
-            if mus[i]:
-                w = v // i
-                convolve(minus if mus[i] > 0 else plus, f[i], Fbig[w] if w > y else F[w])
-        convolve(plus, F[r], D[J])
+        dm = list(zip(*map(D.__getitem__, map(v.__floordiv__, range(2, r + 1)))))
+        fi = list(zip(*map(F.__getitem__, map(v.__floordiv__, squarefree[: bisect_right(squarefree, J)]))))
+        Fr, DJ = F[r], D[J]
         out = [0] * width
         out[0] = 1 << 2 * wp
-        for p, (c, n) in enumerate(binom):
-            out[2 * n] += c * (plus[2 * p] - minus[2 * p])
-            out[2 * n + 1] += c * (plus[2 * p + 1] - minus[2 * p + 1])
-        Dbig[v] = tuple(x >> wp for x in out)
+        for a, b, c, n in pairs:
+            # F(r) D(J) - sum_m f(m) D(v/m) - sum_i mu(i) f(i) F(v/i), entries a of
+            # the first factor and b of the second, at 2 wp bits
+            re = (Fr[a] * DJ[b] - Fr[a + 1] * DJ[b + 1]
+                  - _dot(f[a], dm[b]) + _dot(f[a + 1], dm[b + 1]) - _dot(g[a], fi[b]) + _dot(g[a + 1], fi[b + 1]))
+            im = (Fr[a] * DJ[b + 1] + Fr[a + 1] * DJ[b]
+                  - _dot(f[a], dm[b + 1]) - _dot(f[a + 1], dm[b]) - _dot(g[a], fi[b + 1]) - _dot(g[a + 1], fi[b]))
+            out[n] += c * re
+            out[n + 1] += c * im
+        D[v] = tuple(x >> wp for x in out)
     sums = [[] for _ in range(top + 1)]
     for Ki in checkpoints:
-        jet = Dbig[Ki] if Ki > y else D[Ki]
+        jet = D[Ki]
         for n in range(top + 1):
             sums[n].append(fixed_to_mpc(jet[2 * n], jet[2 * n + 1], wp, ctx.bits))
     return sums
+
+
+def _dot(a, b) -> int:
+    """sum_i a_i b_i, exact in Python ints."""
+    return sum(map(mul, a, b))

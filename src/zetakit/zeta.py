@@ -262,6 +262,12 @@ def inverse_zeta_value(zv, s, ctx: PrecisionContext) -> mpc:
         return 1 / zv
 
 
+def basin_radius(ctx: PrecisionContext) -> mpf:
+    """The basin threshold of :func:`inverse_zeta_value`, 10^(-digits/2) at
+    ctx's precision, for checks that test |zeta| against it."""
+    return _basin(ctx)
+
+
 @functools.lru_cache(maxsize=None)
 def _basin(ctx: PrecisionContext) -> mpf:
     """10^(-digits/2) at ctx's precision, the radius of a zero's basin in

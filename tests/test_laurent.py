@@ -9,6 +9,7 @@ from mpmath import mp, mpc, mpf
 import oracles
 import shared
 from zetakit.errors import (
+    NearZeroError,
     OutsideDiskError,
     RangeError,
     ZeroLeadingCoefficientError,
@@ -25,11 +26,13 @@ from zetakit.laurent import (
     taylor_at_zero,
     v_term,
 )
-from zetakit.mobius import SIEVE_CAP, sieve_mobius
+from zetakit.mobius import SIEVE_CAP, fixed_pair, sieve_mobius
 from zetakit.precision import PrecisionContext
 from zetakit.zeros import neighbor_distance, refine_zero
 from zetakit.zeta import (
+    basin_radius,
     inverse_zeta,
+    inverse_zeta_value,
     ring_samples,
     zeta_and_deriv_raw,
     zeta_ring,
@@ -432,8 +435,136 @@ def test_residual_sweep_runs_the_chain_at_one_node_an_order(index, monkeypatch):
     assert len(chains) == 64
 
 
+def _ring_outcome(exp, r, ring, ctx, monkeypatch):
+    """residual_profile on the ring values ``ring``: the profile, or the
+    type and message of the error it raises."""
+    monkeypatch.setattr(sys.modules["zetakit.laurent"], "zeta_ring", lambda *args: ring)
+    try:
+        return residual_profile(exp, r, range(9), len(ring), ctx)
+    except (NearZeroError, OutsideDiskError) as err:
+        return type(err), str(err)
+
+
+def _checked_at_every_node(exp, r, ring, ctx):
+    """The same outcome by mpmath's checks and the chain at every node, in
+    node order: inverse_zeta_value and _disk_offset, then the chain."""
+    laurent = sys.modules["zetakit.laurent"]
+    with ctx.wp():
+        points = ring_samples(lambda h: exp.rho + h, r, len(ring))
+        try:
+            rows = [(inverse_zeta_value(zv, s, ctx), laurent._disk_offset(s, exp)) for s, zv in zip(points, ring)]
+        except (NearZeroError, OutsideDiskError) as err:
+            return type(err), str(err)
+        return {N: max(abs(T - laurent._laurent_sums(exp, h)[N]) for T, h in rows) for N in range(9)}
+
+
+def test_residual_sweep_raises_near_zero_from_the_node_in_the_basin(monkeypatch):
+    """A ring value forced inside the basin raises NearZeroError from that
+    node, the first such node where there are two, with mpmath's message;
+    a value at the threshold itself, which mpmath's check passes, or an ulp
+    above or rotated off the real axis, keeps the outcome of the checks at
+    every node."""
+    ctx = shared.ctx_digits(30)
+    exp = _expansion(1, 30)
+    r = mpf(1) / 32
+    ring = zeta_ring(exp.rho, r, 64, ctx)
+    with ctx.wp():
+        node5 = f"zeta({ring_samples(lambda h: exp.rho + h, r, 64)[5]})"
+        basin = basin_radius(ctx)
+        ulp = mpf(2) ** (mp.mag(basin) - ctx.bits)
+        forced = [{5: mpc(basin - ulp)}, {5: mpc(0), 9: mpc("1e-40")}, {9: mpc(0, 1e-20), 5: mpc(1e-20)},
+                  {5: mpc(basin)}, {5: mpc(basin + ulp)}, {5: basin * mp.expjpi(mpf(1) / 3)}]
+    for values in forced:
+        changed = [values.get(j, v) for j, v in enumerate(ring)]
+        with monkeypatch.context() as m:
+            got = _ring_outcome(exp, r, changed, ctx, m)
+        assert got == _checked_at_every_node(exp, r, changed, ctx), values
+        if min(values) == 5 and abs(values[5]) < basin:
+            assert got[0] is NearZeroError and node5 in got[1], values
+
+
+@pytest.mark.parametrize("ulps", [1, 2, 4])
+def test_residual_sweep_radius_within_rounding_of_the_disk_keeps_the_outcome(ulps, monkeypatch):
+    """A sweep radius an ulp or a few below the validity radius puts the
+    offsets within rounding of the disk's edge, where the int test cannot
+    pass a node and mpmath's check decides: at zero 1 one ulp below puts
+    nodes outside, from node 5 on, and two or four keep every node in.
+    The outcome is that of mpmath's checks and the chain at every node,
+    also with node 0's value just inside the basin, which raises first."""
+    ctx = shared.ctx_digits(30)
+    exp = build_expansion(_rho1(), 8, ctx)
+    with ctx.wp():
+        r = exp.radius - ulps * mpf(2) ** (mp.mag(exp.radius) - ctx.bits)
+        basin = basin_radius(ctx)
+        inside = mpc(basin - mpf(2) ** (mp.mag(basin) - ctx.bits))
+    ring = zeta_ring(exp.rho, r, 64, ctx)
+    got = _ring_outcome(exp, r, ring, ctx, monkeypatch)
+    assert got == _checked_at_every_node(exp, r, ring, ctx)
+    assert isinstance(got, dict) == (ulps > 1)
+    ring = (inside,) + ring[1:]
+    got = _ring_outcome(exp, r, ring, ctx, monkeypatch)
+    assert got == _checked_at_every_node(exp, r, ring, ctx)
+    assert got[0] is NearZeroError
+
+
+def test_residual_sweep_disk_edge_at_the_largest_rounded_offset(monkeypatch):
+    """With the disk radius set to the largest rounded |h| of a ring of
+    radius 1/21 at zero 1, the first node whose ``abs`` reaches it, node
+    13, has an exact |h| below it and is no candidate of any order: only a
+    margin in the int test sends that node to mpmath's check, which raises
+    OutsideDiskError there."""
+    laurent = sys.modules["zetakit.laurent"]
+    ctx = shared.ctx_digits(30)
+    exp = _expansion(1, 30)
+    r = mpf(1) / 21
+    with ctx.wp():
+        offsets = [s - exp.rho for s in ring_samples(lambda h: exp.rho + h, r, 64)]
+        edge = exp._replace(radius=max(abs(h) for h in offsets))
+        first = next(j for j, h in enumerate(offsets) if abs(h) >= edge.radius)
+        assert _exact_norm(offsets[first]) < _exact_norm(mpc(edge.radius))
+    picks = []
+    real_candidates = laurent._sweep_candidates
+    with monkeypatch.context() as m:
+        m.setattr(laurent, "_sweep_candidates", lambda *args: picks.append(real_candidates(*args)) or picks[-1])
+        residual_profile(exp, r, range(9), 64, ctx)
+    assert first not in set().union(*picks[0].values())
+    ring = zeta_ring(exp.rho, r, 64, ctx)
+    got = _ring_outcome(edge, r, ring, ctx, monkeypatch)
+    assert got == _checked_at_every_node(edge, r, ring, ctx)
+    assert got[0] is OutsideDiskError
+
+
+def test_residual_sweep_inverts_zeta_only_at_the_candidates(monkeypatch):
+    """At 64 nodes inverse_zeta_value and _disk_offset run at the distinct
+    candidates of the orders alone, once each, in node order."""
+    laurent = sys.modules["zetakit.laurent"]
+    ctx = shared.ctx_digits(30)
+    exp = _expansion(1, 30)
+    r = mpf(1) / 32
+    inverted, offsets, picks = [], [], []
+    real_inverse, real_offset, real_candidates = laurent.inverse_zeta_value, laurent._disk_offset, laurent._sweep_candidates
+    monkeypatch.setattr(laurent, "inverse_zeta_value", lambda zv, s, c: inverted.append(s) or real_inverse(zv, s, c))
+    monkeypatch.setattr(laurent, "_disk_offset", lambda s, e: offsets.append(s) or real_offset(s, e))
+    monkeypatch.setattr(laurent, "_sweep_candidates", lambda *args: picks.append(real_candidates(*args)) or picks[-1])
+    residual_profile(exp, r, range(9), 64, ctx)
+    with ctx.wp():
+        points = ring_samples(lambda h: exp.rho + h, r, 64)
+    chosen = sorted(set().union(*picks[0].values()))
+    assert 1 <= len(chosen) <= 9
+    assert inverted == offsets == [points[j] for j in chosen]
+
+
+def _fixed_nodes(rows):
+    """The sweep's fixed-point nodes for rows [(zv, h)] of ring values and
+    offsets: the quotient 1/zv and the fixed pair of h at CTX.bits + 32
+    bits."""
+    laurent = sys.modules["zetakit.laurent"]
+    W = CTX.bits + 32
+    return [(laurent._fixed_inverse(zv, W), fixed_pair(h, W)) for zv, h in rows]
+
+
 def test_sweep_candidates_hold_the_chain_pick_in_near_ties():
-    """Targets a few units of the last place apart at one offset put the
+    """Targets 1/zv a few units of the last place apart at one offset put the
     order-8 differences within the chain's rounding of each other, where
     fixed point and the chain may rank them apart; the candidates still
     hold every node whose chain difference has the largest norm."""
@@ -445,8 +576,9 @@ def test_sweep_candidates_hold_the_chain_pick_in_near_ties():
             h = mpc(rng.uniform(-1, 1), rng.uniform(-1, 1)) / 40
             S = laurent._laurent_sums(exp, h)[8]
             ulp = mpf(2) ** (int(mp.log(abs(S), 2)) - CTX.bits)
-            rows = [(S + mpc(rng.randint(-6, 6), rng.randint(-6, 6)) * ulp, h) for _ in range(12)]
-            picks = laurent._sweep_candidates(exp, rows, [8], CTX.bits)[8]
+            values = [1 / (S + mpc(rng.randint(-6, 6), rng.randint(-6, 6)) * ulp) for _ in range(12)]
+            rows = [(1 / zv, h) for zv in values]
+            picks = laurent._sweep_candidates(exp, _fixed_nodes([(zv, h) for zv in values]), [8], CTX.bits)[8]
             norms = [abs(T - S) for T, _ in rows]
             assert {j for j, v in enumerate(norms) if v == max(norms)} <= set(picks), trial
 
@@ -456,7 +588,7 @@ def test_residual_sweep_ranks_no_offset_within_units_of_zero():
     nothing, so every node is a candidate of every order."""
     laurent = sys.modules["zetakit.laurent"]
     with CTX.wp():
-        rows = [(mpc(1), mpc(2) ** -(CTX.bits + 34)), (mpc(2), mpc(0, 1) / 32)]
+        rows = _fixed_nodes([(mpc(1), mpc(2) ** -(CTX.bits + 34)), (mpc(1) / 2, mpc(0, 1) / 32)])
     assert laurent._sweep_candidates(_expansion(1, 30), rows, [0, 3], CTX.bits) == {0: [0, 1], 3: [0, 1]}
 
 

@@ -395,3 +395,25 @@ def test_the_ring_takes_chi_from_the_log_gamma_jet_alone():
             if isinstance(node, ast.Call) and isinstance(node.func, ast.Name) and node.func.id in ("_chi", "_reflected")
         ]
     assert sorted(callers) == ["zeta._reflected calls _chi", "zeta.run calls _reflected"], callers
+
+
+def test_the_basin_threshold_has_one_public_home():
+    """zeta._basin, the threshold 10^(-digits/2) of inverse_zeta_value,
+    stays private to zeta.py: its readers are inverse_zeta_value and the
+    public basin_radius, which the residual sweep's int test takes it from,
+    and no other function raises 10 to a power of the digits over 2."""
+    readers, found = [], []
+    for path in sorted(SRC.glob("*.py")):
+        tree = ast.parse(path.read_text(), filename=str(path))
+        owner = _enclosing_functions(tree)
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name) and node.id == "_basin":
+                readers.append(f"{path.stem}.{owner.get(node)}")
+            elif (isinstance(node, ast.BinOp) and isinstance(node.op, ast.Pow)
+                  and "target_digits" in ast.unparse(node.right) and "/ 2" in ast.unparse(node.right)):
+                found.append(f"{path.stem}.{owner.get(node)}")
+    assert sorted(readers) == ["zeta.basin_radius", "zeta.inverse_zeta_value"], readers
+    assert found == ["zeta._basin"], found
+    laurent = ast.parse((SRC / "laurent.py").read_text())
+    calls = {getattr(n.func, "id", None) for n in ast.walk(laurent) if isinstance(n, ast.Call)}
+    assert "basin_radius" in calls

@@ -235,6 +235,23 @@ def test_dirichlet_powers_every_k():
                 assert abs(fixed_to_mpc(jet[2 * j], jet[2 * j + 1], wp, CTX.bits) - want) < mpf(10) ** -36, (k, j)
 
 
+@pytest.mark.parametrize("wp", [64, 188, 300, 800])
+def test_critical_line_amplitude_is_the_exact_floor(wp):
+    """On Re s = 1/2 the power kernel takes |p^(-s)| = p^(-1/2) as the
+    floor of 2^wp p^(-1/2), read here at Im s = 0, where cos is exactly
+    2^wp; the exp path, exp(-ln(p)/2) from the truncated ln p, lies at most
+    3 units below it for every prime to 10^4."""
+    half = 1 << wp - 1
+    ln2, pi2 = mobius.ln2_fixed(wp), mobius.pi_fixed(wp - 1)
+    for p in mobius._small_primes(10**4):
+        ln, u, im = mobius._power(p, half, 0, wp, ln2, pi2)
+        assert im == 0 and u * u * p <= 1 << 2 * wp < (u + 1) ** 2 * p, (p, wp)
+        assert 0 <= u - exp_fixed(-half * ln >> wp, wp, ln2) <= 3, (p, wp)
+    # Off the line the amplitude is still the exp.
+    ln, u, _ = mobius._power(97, half + 1, 0, wp, ln2, pi2)
+    assert u == exp_fixed(-(half + 1) * ln >> wp, wp, ln2)
+
+
 LOG_WPS = (64, 100, 137, 230, 333, 500, 700, 5600)
 
 
@@ -398,6 +415,53 @@ def test_hyperbola_recursion_equals_the_direct_sweep_bit_for_bit(index, digits, 
         assert got[n] == want[n], n
 
 
+def _chunk_edge_ladder(y0):
+    """(K, checkpoints): the least K whose recursion runs the power pass to
+    y = y0, with checkpoints C - 1, C, C + 1 and 11 (C - 1), 11 C,
+    11 (C + 1), C the chunk, so that floor values at and next to the
+    chunk's edge are read from the pass and taken by the recursion."""
+    C = mobius._CHUNK
+    K = next(K for K in range(1, 10**6) if math.ceil(2 * K ** (2 / 3)) == y0)
+    return K, sorted({C - 1, C, C + 1, 11 * (C - 1), 11 * C, 11 * (C + 1), K})
+
+
+@pytest.mark.parametrize("edge", [-1, 0, 1])
+def test_hyperbola_recursion_at_a_chunk_edge_equals_the_direct_sweep(edge, monkeypatch):
+    # y on, before and after the last jet of the first chunk of the power
+    # pass, and floor values C - 1, C and C + 1 on both sides of y: the
+    # recursion gives the direct sweep's bits.
+    C = mobius._CHUNK
+    K, cps = _chunk_edge_ladder(C + edge)
+    with mp.workdps(50):
+        rho = mp.zetazero(1)
+    want = _direct_sweep(rho, 3, cps, CTX)
+    ys = []
+    recursion = mobius._hyperbola_partial
+    monkeypatch.setattr(mobius, "_hyperbola_partial", lambda *args: ys.append(args[3]) or recursion(*args))
+    got = dirichlet_partial(rho, (0, 1, 3), cps, CTX)
+    assert ys == [C + edge]
+    assert {Ki // q for Ki in cps for q in (1, 11)} >= {C - 1, C, C + 1}
+    for n in (0, 1, 3):
+        assert got[n] == want[n], n
+
+
+@pytest.mark.parametrize("chunk", [1, 7, 16, 100])
+def test_hyperbola_recursion_in_small_chunks_equals_the_direct_sweep(chunk, monkeypatch):
+    # Chunks far smaller than the pass put chunk edges at every kind of
+    # kept value, at sqrt(K) (the columns of f(m)) and at y; the recursion
+    # and the direct sweep, each in those chunks, keep the bits of the
+    # direct sweep in the usual chunk.
+    with mp.workdps(50):
+        rho = mp.zetazero(2)
+    cps = [100, 1000, 2024, 5000]
+    want = _direct_sweep(rho, 2, cps, CTX)
+    monkeypatch.setattr(mobius, "_CHUNK", chunk)
+    assert _direct_sweep(rho, 2, cps, CTX) == want
+    _recursion_only(monkeypatch)
+    got = dirichlet_partial(rho, (0, 1, 2), cps, CTX)
+    assert [got[n] for n in (0, 1, 2)] == want
+
+
 def test_bernoulli_ratio_is_the_floor_of_the_exact_ratio():
     # c_(m+1)/c_m, c_m = B_2m/(2m)!, times 2^wp and floored, at every
     # precision from the one memoized fraction per m, for m <= 200, with
@@ -442,8 +506,10 @@ def test_tail_jet_against_hurwitz_zeta(digits):
                 ref = (-1) ** j * mp.zeta(s, w + 1, derivative=j)
                 assert abs(fixed_to_mpc(re, im, wp, wp) - ref) < thresh, (t, j)
     # Next to the pole the remainder, about (-1)^j j! w^(1-s)/(s-1)^(j+1),
-    # keeps its relative precision.
-    for s in (mpc(1, 1e-40), mpc(1, -1e-300)):
+    # keeps its relative precision, at |s - 1| from 10^-300 to 0.56.
+    with mp.workprec(400):
+        near = mpc(1, mpf(10) ** -16 / 3)  # s - 1 not exact at wp bits
+    for s in (mpc(1, 1e-40), mpc(1, -1e-300), near, mpc(0.75, 0.5)):
         jet = tail_jet(s, digits, 3, wp)
         assert len(jet) == 8
         with mp.workdps(digits + 20):
