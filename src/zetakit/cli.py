@@ -35,6 +35,7 @@ from .stieltjes import N_MAX, bound_check
 from .zeros import (
     DIGITS_MAX,
     DIGITS_MIN,
+    STATUS_SIMPLE,
     CountReport,
     audit_zeros,
     count_by_argument,
@@ -193,7 +194,7 @@ def cmd_audit(args: argparse.Namespace) -> int:
         "meets_threshold_high": meets_high,
     }
     _print_report(report, ctx, args.format, extra, rows)
-    any_suspect = any(r.status != "simple-confirmed" for r in audited)
+    any_suspect = any(r.status != STATUS_SIMPLE for r in audited)
     return EXIT_FINDING if (any_suspect or report.flagged) else EXIT_OK
 
 

@@ -51,7 +51,7 @@ from .mobius import MobiusTable, checkpoint_ladder, dirichlet_partial, fixed_pai
 from .precision import PrecisionContext, cpow, to_decimal
 from .series import build_partial_series
 from .zeros import SIMPLICITY_FLOOR, format_cache_line, neighbor_distance
-from .zeta import basin_radius, inverse_zeta_value, ring_samples, zeta_jet, zeta_ring
+from .zeta import basin_radius, inverse_zeta_value, zeta_jet, zeta_ring
 
 DEFAULT_CHECKPOINTS = (10**3, 10**4, 10**5, 10**6)
 
@@ -303,7 +303,7 @@ def tail_bound(exp: LaurentExpansion, r) -> mpf:
 def residual_profile(exp: LaurentExpansion, r, N_list, samples: int, ctx: PrecisionContext) -> dict:
     """{N: max |1/zeta - exp truncated to order N|} over ``samples`` points
     of the circle |s-rho| = r, for every N in N_list, with the bits of
-    :func:`laurent_eval`.  The 1/zeta values invert
+    :func:`laurent_eval`.  The points and their 1/zeta values come from
     :func:`zetakit.zeta.zeta_ring` at rho: for 64 samples, 33
     Euler-Maclaurin tails on one Dirichlet jet at rho, and 31 chi from one
     log Gamma jet at rho/2.
@@ -343,8 +343,7 @@ def residual_profile(exp: LaurentExpansion, r, N_list, samples: int, ctx: Precis
         r = mpf(r)
         if not 0 < r < exp.radius:
             raise OutsideDiskError(f"sweep radius {mp.nstr(r, 6)} outside disk radius {mp.nstr(exp.radius, 6)}")
-        points = ring_samples(lambda h: exp.rho + h, r, samples)
-        values = zeta_ring(exp.rho, r, samples, ctx)
+        points, values = zeta_ring(exp.rho, r, samples, ctx)
         basin = mp.mag(basin_radius(ctx)) + 2
         disk = fixed_pair(exp.radius, W)[0] ** 2 * ((1 << p) - 8)
         nodes = []

@@ -365,12 +365,11 @@ def log_int_fixed(k: int, wp: int) -> int:
     return _log_at(k, wp + _LOG_GUARD) >> _LOG_GUARD
 
 
-def exp_fixed_pair(xr: int, xi: int, wp: int, ln2=None, pi2=None) -> tuple:
+def exp_fixed_pair(xr: int, xi: int, wp: int) -> tuple:
     """e^(xr + i xi) for wp-bit fixed-point ints, as the pair of wp-bit ints
-    exp(xr) (cos xi, sin xi); ln2 and pi2 are the fixed-point ln 2 and pi/2
-    where the caller holds them."""
-    cos, sin = cos_sin_fixed(xi, wp, pi2)
-    u = exp_fixed(xr, wp, ln2)
+    exp(xr) (cos xi, sin xi)."""
+    cos, sin = cos_sin_fixed(xi, wp)
+    u = exp_fixed(xr, wp)
     return u * cos >> wp, u * sin >> wp
 
 

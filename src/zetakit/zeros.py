@@ -15,11 +15,18 @@ the double-precision pair :func:`zetakit.zeta.em_pair_float` first.  That
 tier may only accept: a count not within 0.1 of an integer, a winding not
 within 1e-3, a Newton iterate that leaves the bracket's basin, a |Z| that
 does not clear twice its stated error, or any float failure hands the
-same question to the mpmath path (for refinement, the jets from the
-midpoint), and only that path raises.  Both tiers share each step: one
-walker, :func:`_sign_brackets`, signs every grid of Z, one :func:`_newton`
-iterates, on the double pair and on a jet's Taylor polynomial, and
-:func:`_near_integer` reads every count and winding.
+same question to the mpmath tier (for refinement, the jets from the
+midpoint), and only that tier raises.  For the count, the probe and the
+grid's sign the mpmath tier only evaluates zeta, or zeta'/zeta
+(:func:`_low_zeta`, :func:`_low_logderiv`), at 12 digits, at the same
+double points, and rounds each value to a Python complex; the same
+formulas then decide in double.  Its accuracy is in those values, about
+1e-12 relative; a double sum of the 96 Gauss-Legendre or at most 128
+trapezoid terms adds about 1e-16.  Both tiers share each step: one walker,
+:func:`_sign_brackets`, signs every grid of Z, one :func:`_newton`
+iterates, on the double pair and on a jet's Taylor polynomial, one
+:func:`_backlund_count` counts, one :func:`_ring_terms` forms a probe's
+terms, and :func:`_near_integer` reads every count and winding.
 """
 
 from __future__ import annotations
@@ -30,7 +37,6 @@ import functools
 import itertools
 import math
 import os
-from types import SimpleNamespace
 from typing import NamedTuple
 
 import mpmath as mp
@@ -115,10 +121,6 @@ _GL_W = (
     0.12462897125553407, 0.0951585116824926, 0.062253523938647456, 0.027152459411754176,
 )
 
-# The names the Backlund count takes from mpmath, in double precision, so
-# one formula runs in either tier.
-_FLOAT = SimpleNamespace(mpf=float, mpc=complex, arg=cmath.phase, pi=math.pi)
-
 
 class ZeroRecord(NamedTuple):
     index: int
@@ -140,7 +142,7 @@ class CountReport(NamedTuple):
 
 
 # ----------------------------------------------------------------------
-# The double-precision tier
+# The two tiers
 # ----------------------------------------------------------------------
 
 
@@ -159,8 +161,8 @@ def _float_tier(fn):
 
 
 def _near_integer(x, tol: float) -> int | None:
-    """The integer within tol of x, a real or complex float or mpmath
-    number, else None; a NaN or an infinity is never near one."""
+    """The integer within tol of x, a float or a complex, else None; a NaN
+    or an infinity is never near one."""
     if not cmath.isfinite(x):
         return None
     n = round(x.real)
@@ -172,11 +174,32 @@ def _float_logderiv(s: complex) -> complex:
     return dv / v
 
 
+def _low_zeta(s: complex) -> complex:
+    """zeta(s) at 12 digits, as a complex."""
+    return complex(zeta_and_deriv_raw(s, _LOW_CTX)[0])
+
+
+def _low_logderiv(s: complex) -> complex:
+    """zeta'/zeta(s) at 12 digits, as a complex; ContourNearZeroError where
+    |zeta(s)| < 1e-12."""
+    return complex(zeta_logderiv(s, _LOW_CTX))
+
+
 @functools.lru_cache(maxsize=None)
 def _float_ring(nodes: int) -> tuple:
-    """The unit-circle nodes of ring_samples, in double."""
+    """The unit-circle nodes of ring_samples, in double.  For nodes
+    divisible by 8, node 2j here is node j of the ring of nodes/2, bit for
+    bit, as ring_samples nests its rings."""
     with _LOW_CTX.wp():
         return tuple(ring_samples(complex, 1, nodes))
+
+
+def _ring_terms(logderiv, rho: complex, r: float, nodes: int, half=()) -> list:
+    """[logderiv(rho + h) h for the nodes h = r w, w of _float_ring(nodes)],
+    the trapezoid terms of a winding; ``half``, the terms of the ring of
+    nodes/2, supplies the even nodes, so only the odd ones evaluate."""
+    hs = (r * w for w in _float_ring(nodes))
+    return [half[j // 2] if half and j % 2 == 0 else logderiv(rho + h) * h for j, h in enumerate(hs)]
 
 
 @_float_tier
@@ -196,7 +219,7 @@ def _float_grid_sign(t: float) -> int | None:
 def _float_count(T: float) -> int | None:
     """The Backlund count at T from the float pair, if within 0.1 of an
     integer."""
-    c = _backlund_count(T, lambda s: em_pair_float(s)[0], _float_logderiv, _FLOAT)
+    c = _backlund_count(T, lambda s: em_pair_float(s)[0], _float_logderiv)
     return _near_integer(c, 0.1)
 
 
@@ -204,9 +227,8 @@ def _float_count(T: float) -> int | None:
 def _float_winding(rho: complex, r: float) -> int | None:
     """The 16-node winding of zeta'/zeta around |s - rho| = r from the
     float pair, if within 1e-3 of an integer."""
-    hs = [r * w for w in _float_ring(_PROBE_MIN_NODES)]
-    val = sum(_float_logderiv(rho + h) * h for h in hs) / len(hs)
-    return _near_integer(val, 1e-3)
+    terms = _ring_terms(_float_logderiv, rho, r, _PROBE_MIN_NODES)
+    return _near_integer(sum(terms) / len(terms), 1e-3)
 
 
 # ----------------------------------------------------------------------
@@ -460,33 +482,33 @@ def scan_with_count(T, ctx: PrecisionContext, workers: int = 1) -> tuple[list[Ze
 # ----------------------------------------------------------------------
 
 
-def _gl_panel(sa, sb, logderiv, lib):
-    """16-point Gauss-Legendre integral of logderiv along [sa, sb], in the
-    numbers of lib (mpmath, or _FLOAT)."""
+def _gl_panel(sa: complex, sb: complex, logderiv) -> complex:
+    """16-point Gauss-Legendre integral of logderiv along [sa, sb], in
+    double."""
     half = (sb - sa) / 2
     mid = (sa + sb) / 2
-    acc = lib.mpc(0)
+    acc = 0j
     for x, w in zip(_GL_X, _GL_W):
-        acc += lib.mpf(w) * logderiv(mid + half * lib.mpf(x))
+        acc += w * logderiv(mid + half * x)
     return acc * half
 
 
-def _backlund_count(T, value, logderiv, lib=mp):
+def _backlund_count(T: float, value, logderiv) -> float:
     """N(T) = theta(T)/pi + 1 + S(T) (Backlund 1914; Edwards 1974, ch. 6).
 
     pi S(T) = arg zeta(1/2 + iT), continued along the segment from 2 + iT,
     where the principal arg is right because |zeta(2 + iT) - 1| <=
     zeta(2) - 1 < 1.  The segment is integrated as Im of zeta'/zeta on
     panels refined toward sigma = 1/2.  ``value`` and ``logderiv`` supply
-    zeta and zeta'/zeta, and ``lib`` the numbers: mpmath for the 12-digit
-    path, _FLOAT for the float tier.  Both take theta_float(T), within
-    3.8e-9 of theta, far inside the 0.1 a count is accepted within.
+    zeta and zeta'/zeta as complex numbers, from the float pair or at 12
+    digits, and the count is summed in double, with theta_float(T),
+    within 3.8e-9 of theta, far inside the 0.1 a count is accepted within.
     """
-    arg = lib.arg(value(lib.mpc(2, T)))
-    breaks = [lib.mpf("0.5") + lib.mpf("1.5") / 2**k for k in range(6)] + [lib.mpf("0.5")]
+    arg = cmath.phase(value(complex(2, T)))
+    breaks = [0.5 + 1.5 / 2**k for k in range(6)] + [0.5]
     for a, b in zip(breaks, breaks[1:]):
-        arg += _gl_panel(lib.mpc(a, T), lib.mpc(b, T), logderiv, lib).imag
-    return theta_float(float(T)) / lib.pi + 1 + arg / lib.pi
+        arg += _gl_panel(complex(a, T), complex(b, T), logderiv).imag
+    return theta_float(T) / math.pi + 1 + arg / math.pi
 
 
 def _sign_changes(a: float, b: float) -> int:
@@ -506,35 +528,32 @@ def count_by_argument(T) -> int:
     (T, T'] are then taken off the count as Z sign changes on a 0.005
     grid, so the result is always the count at T itself.  The range is
     the double tiers'; near T = 0 the segment would pass by the pole at
-    s = 1.  At each height the float pair counts first; where its count
-    is not within 0.1 of an integer the 12-digit path counts again.  When
-    the shifts run out, the last height's error is raised again:
+    s = 1.  Heights are doubles.  At each height the float pair counts
+    first; where its count is not within 0.1 of an integer the same
+    formula counts again on 12-digit values at the same points.  When the
+    shifts run out, the last height's error is raised again:
     ContourNearZeroError or NonIntegerWindingError.
     """
-    if not HEIGHT_MIN <= float(T) <= HEIGHT_MAX:
+    T = float(T)
+    if not HEIGHT_MIN <= T <= HEIGHT_MAX:
         raise RangeError(f"count height must satisfy {HEIGHT_MIN} <= T <= {HEIGHT_MAX}")
-    shift = mpf(0)
     last_err: Exception | None = None
-    for _ in range(6):
-        with _LOW_CTX.wp():
-            Ts = mpf(T) + shift
-            n = _float_count(float(Ts))
+    for k in range(6):
+        Ts = T + 0.05 * k
+        n = _float_count(Ts)
+        if n is None:
+            try:
+                c = _backlund_count(Ts, _low_zeta, _low_logderiv)
+            except ContourNearZeroError as exc:
+                last_err = exc
+                continue
+            n = _near_integer(c, 0.1)
             if n is None:
-                try:
-                    c = _backlund_count(Ts, lambda s: zeta_and_deriv_raw(s, _LOW_CTX)[0],
-                                        lambda s: zeta_logderiv(s, _LOW_CTX))
-                except ContourNearZeroError as exc:
-                    last_err = exc
-                    shift += mpf("0.05")
-                    continue
-                n = _near_integer(c, 0.1)
-                if n is None:
-                    last_err = NonIntegerWindingError(
-                        f"Backlund count {mp.nstr(c, 8)} is not near an integer at T={Ts}"
-                    )
-                    shift += mpf("0.05")
-                    continue
-            return n - _sign_changes(float(T), float(Ts)) if shift else n
+                last_err = NonIntegerWindingError(
+                    f"Backlund count {mp.nstr(mpf(c), 8)} is not near an integer at T={Ts}"
+                )
+                continue
+        return n - _sign_changes(T, Ts) if k else n
     raise type(last_err)(f"count_by_argument failed after 5 shifts: {last_err}")
 
 
@@ -548,38 +567,33 @@ def multiplicity_probe(rho, r) -> int:
     sec. 3); an enclosed zero at distance a from rho adds about (a/r)^n.
     The caller keeps r <= 0.4 times the zero gap (see
     :func:`audit_zeros`), so R >= 2.5r and 16 nodes are off by at most
-    2.5^-16, about 4e-7.  The winding is the mean of zeta'/zeta(rho + h) h
-    over the nodes h of :func:`zetakit.zeta.ring_samples`.  The float
-    pair takes the first 16 nodes; if its winding is not within 1e-3 of
-    an integer, the 12-digit probe starts over at 16 nodes and doubles,
-    evaluating only the new nodes, while the winding is not within 1e-3
-    of an integer.  At the 128-node cap it accepts within 0.1 or raises
-    :class:`NonIntegerWindingError`.
+    2.5^-16, about 4e-7.  The winding is the mean, in double, of the
+    terms of :func:`_ring_terms`, zeta'/zeta(rho + h) h over the nodes h
+    of :func:`zetakit.zeta.ring_samples`, with rho and r rounded to 12
+    digits and then to doubles.  The float pair takes the first 16 nodes;
+    if its winding is not within 1e-3 of an integer, the 12-digit values
+    start over at 16 nodes and double, evaluating only the odd nodes,
+    while the winding is not within 1e-3 of an integer.  At the 128-node
+    cap it accepts within 0.1 or raises :class:`NonIntegerWindingError`.
     """
     with _LOW_CTX.wp():
         rho = mpc(rho)
         r = mpf(r)
         if not 0 < r <= mpf(1) / 4:
             raise RangeError("probe radius must satisfy 0 < r <= 1/4")
-        m = _float_winding(complex(rho), float(r))
-        if m is not None:
-            return m
-
-        def f(h):
-            return zeta_logderiv(rho + h, _LOW_CTX) * h
-
-        n, samples = _PROBE_MIN_NODES, ()
-        while True:
-            samples = ring_samples(f, r, n, samples)
-            val = mp.fsum(samples) / n
+        z, r = complex(rho), float(r)
+        m = _float_winding(z, r)
+        n, terms = _PROBE_MIN_NODES, ()
+        while m is None:
+            terms = _ring_terms(_low_logderiv, z, r, n, terms)
+            val = sum(terms) / n
             m = _near_integer(val, 1e-3 if n < _PROBE_NODES else 0.1)
-            if m is not None:
-                return m
-            if n >= _PROBE_NODES:
+            if m is None and n >= _PROBE_NODES:
                 raise NonIntegerWindingError(
-                    f"circle winding {mp.nstr(val, 8)} at rho={rho} is not near an integer"
+                    f"circle winding {mp.nstr(mpc(val), 8)} at rho={rho} is not near an integer"
                 )
             n *= 2
+        return m
 
 
 def rvm_estimate(T) -> mpf:

@@ -49,8 +49,8 @@ inverts for its 1/zeta targets through the basin check of
 :mod:`zetakit.zeros`, takes its nodes radius e^(2 pi i j/n) from
 :func:`ring_samples`.  It takes an exp only on the first octant and
 builds the other nodes by exact swaps and sign flips, so the ring is
-exactly symmetric about both axes, and it doubles a ring by evaluating
-only the odd nodes.  A ring on the critical line (every zero) evaluates
+exactly symmetric about both axes and nests each ring in the one of
+twice its nodes, bit for bit.  A ring on the critical line (every zero) evaluates
 n/2 + 1 of its n nodes, 4 dividing n: the other node of each mirror pair
 is chi times the conjugate of its partner's value.  The evaluated nodes
 share one Dirichlet jet at the centre rho, sum_{k<=N} ln^m(k) k^-rho for
@@ -60,10 +60,9 @@ and each takes its own Euler-Maclaurin tail, so a node keeps the bits of
 at rho/2, :func:`zetakit.mobius.log_gamma_jet`.  The 64-node residual
 circle at a zero so takes one Dirichlet jet pass, 33 tails, one log
 Gamma jet and 31 of its sums.  The process
-caches (the unit nodes per node count and precision, the basin threshold
-per context, the double logs per main-sum length) are
-``functools.lru_cache``d functions, as is the power kernel's
-smallest-prime-factor table per size class in :mod:`zetakit.mobius`.
+caches here (the unit nodes per node count and precision, the basin
+threshold per context, the double logs per main-sum length) are
+``functools.lru_cache``d functions.
 """
 
 from __future__ import annotations
@@ -281,7 +280,7 @@ def _basin(ctx: PrecisionContext) -> mpf:
 # ----------------------------------------------------------------------
 
 
-def ring_samples(f, radius, nodes: int, half=()) -> list:
+def ring_samples(f, radius, nodes: int) -> list:
     """[f(h_j) for j < nodes], h_j = radius e^(2 pi i j / nodes).
 
     The package's one source of circle nodes, at the ambient working
@@ -293,12 +292,9 @@ def ring_samples(f, radius, nodes: int, half=()) -> list:
     bit, h_(n-j) = conj(h_j), h_(n/2-j) = -conj(h_j) and
     h_(n/4-j) = i conj(h_j), so n/8 + 1 exps build the ring.  Other n use
     the symmetries their divisibility allows.  For n divisible by 8, node
-    j of the ring with n/2 nodes is node 2j here, bit for bit, so
-    ``half``, that ring's samples, supplies the even nodes and only the
-    odd ones are evaluated, in increasing j.
+    j of the ring with n/2 nodes is node 2j here, bit for bit.
     """
-    w = _unit_nodes(nodes, mp.mp.prec)
-    return [half[j // 2] if half and j % 2 == 0 else f(radius * z) for j, z in enumerate(w)]
+    return [f(radius * z) for z in _unit_nodes(nodes, mp.mp.prec)]
 
 
 @functools.lru_cache(maxsize=None)
@@ -322,7 +318,8 @@ def _unit_nodes(n: int, prec: int) -> tuple:
 
 
 def zeta_ring(center: mpc, radius: mpf, nodes: int, ctx: PrecisionContext) -> tuple:
-    """zeta on the nodes center + h_j of :func:`ring_samples`, at ctx.
+    """(points, values): the nodes s_j = center + h_j of
+    :func:`ring_samples`, formed at ctx, and zeta(s_j) at ctx.
 
     On a centre with real part 1/2, an even node count and a radius at
     most min(1/4, |Im center|/16), the nodes with Re h >= 0 (n/2 + 1 of
@@ -370,19 +367,20 @@ def zeta_ring(center: mpc, radius: mpf, nodes: int, ctx: PrecisionContext) -> tu
     digits = ctx.target_digits
     with ctx.wp():
         hs = ring_samples(mpc, radius, n)
-        direct = [j for j, h in enumerate(hs) if not (on_line and h.real < 0)]
-        points = [center + hs[j] for j in direct]
+        points = tuple(center + h for h in hs)
+    direct = [j for j, h in enumerate(hs) if not (on_line and h.real < 0)]
+    summed = [points[j] for j in direct]
     with mp.workprec(ctx.bits + 40):
-        Ns = [em_terms(s.imag, digits) if s.real >= EM_SIGMA_MIN and s != 1 else 0 for s in points]
+        Ns = [em_terms(s.imag, digits) if s.real >= EM_SIGMA_MIN and s != 1 else 0 for s in summed]
         main = _shifted_main_sums(center, radius, set(Ns) - {0}, mp.mp.prec) if any(Ns) else None
-        jets = [N and _em_pair(s, digits, 0, main) for s, N in zip(points, Ns)]
+        jets = [N and _em_pair(s, digits, 0, main) for s, N in zip(summed, Ns)]
     with ctx.wp():
-        for j, s, jet in zip(direct, points, jets):
+        for j, s, jet in zip(direct, summed, jets):
             out[j] = v = +jet[0] if jet else zeta(s, ctx).value
             k = (n // 2 - j) % n
             if on_line and k != j:
                 out[k] = chi(s) * mp.conj(v)
-    return tuple(out)
+    return points, tuple(out)
 
 
 def _mirror_chi(center: mpc, radius: mpf, ctx: PrecisionContext):

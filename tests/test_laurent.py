@@ -329,8 +329,8 @@ def test_residual_profile_decreases_and_respects_tail_bound():
     prof = residual_profile(exp, r, range(9), 32, CTX)
     with CTX.wp():
         # one sweep gives the bits of laurent_eval on the ring's targets
-        points = ring_samples(lambda h: exp.rho + h, r, 32)
-        targets = [1 / z for z in zeta_ring(exp.rho, r, 32, CTX)]
+        points, values = zeta_ring(exp.rho, r, 32, CTX)
+        targets = [1 / z for z in values]
         for N in range(9):
             trunc = exp.truncated(N)
             assert prof[N] == max(abs(z - laurent_eval(s, trunc)) for s, z in zip(points, targets))
@@ -391,12 +391,12 @@ def _expansion(index, digits):
 def _all_node_profile(exp, r, samples, ctx, monkeypatch):
     """The residuals of the chain run at every node, max |T - laurent_eval|
     over the ring's targets T; the ring is then handed to the sweep as
-    it is, so the two read the same targets."""
+    it is, so the two read the same points and targets."""
     ring = zeta_ring(exp.rho, r, samples, ctx)
     monkeypatch.setattr(sys.modules["zetakit.laurent"], "zeta_ring", lambda *args: ring)
+    points, values = ring
     with ctx.wp():
-        points = ring_samples(lambda h: exp.rho + h, r, samples)
-        targets = [1 / z for z in ring]
+        targets = [1 / z for z in values]
         return {N: max(abs(T - laurent_eval(s, exp.truncated(N))) for s, T in zip(points, targets))
                 for N in range(9)}
 
@@ -436,11 +436,11 @@ def test_residual_sweep_runs_the_chain_at_one_node_an_order(index, monkeypatch):
 
 
 def _ring_outcome(exp, r, ring, ctx, monkeypatch):
-    """residual_profile on the ring values ``ring``: the profile, or the
-    type and message of the error it raises."""
+    """residual_profile on the ring ``ring``, its points and values: the
+    profile, or the type and message of the error it raises."""
     monkeypatch.setattr(sys.modules["zetakit.laurent"], "zeta_ring", lambda *args: ring)
     try:
-        return residual_profile(exp, r, range(9), len(ring), ctx)
+        return residual_profile(exp, r, range(9), len(ring[1]), ctx)
     except (NearZeroError, OutsideDiskError) as err:
         return type(err), str(err)
 
@@ -450,9 +450,8 @@ def _checked_at_every_node(exp, r, ring, ctx):
     node order: inverse_zeta_value and _disk_offset, then the chain."""
     laurent = sys.modules["zetakit.laurent"]
     with ctx.wp():
-        points = ring_samples(lambda h: exp.rho + h, r, len(ring))
         try:
-            rows = [(inverse_zeta_value(zv, s, ctx), laurent._disk_offset(s, exp)) for s, zv in zip(points, ring)]
+            rows = [(inverse_zeta_value(zv, s, ctx), laurent._disk_offset(s, exp)) for s, zv in zip(*ring)]
         except (NearZeroError, OutsideDiskError) as err:
             return type(err), str(err)
         return {N: max(abs(T - laurent._laurent_sums(exp, h)[N]) for T, h in rows) for N in range(9)}
@@ -467,15 +466,15 @@ def test_residual_sweep_raises_near_zero_from_the_node_in_the_basin(monkeypatch)
     ctx = shared.ctx_digits(30)
     exp = _expansion(1, 30)
     r = mpf(1) / 32
-    ring = zeta_ring(exp.rho, r, 64, ctx)
+    points, ring = zeta_ring(exp.rho, r, 64, ctx)
     with ctx.wp():
-        node5 = f"zeta({ring_samples(lambda h: exp.rho + h, r, 64)[5]})"
+        node5 = f"zeta({points[5]})"
         basin = basin_radius(ctx)
         ulp = mpf(2) ** (mp.mag(basin) - ctx.bits)
         forced = [{5: mpc(basin - ulp)}, {5: mpc(0), 9: mpc("1e-40")}, {9: mpc(0, 1e-20), 5: mpc(1e-20)},
                   {5: mpc(basin)}, {5: mpc(basin + ulp)}, {5: basin * mp.expjpi(mpf(1) / 3)}]
     for values in forced:
-        changed = [values.get(j, v) for j, v in enumerate(ring)]
+        changed = points, [values.get(j, v) for j, v in enumerate(ring)]
         with monkeypatch.context() as m:
             got = _ring_outcome(exp, r, changed, ctx, m)
         assert got == _checked_at_every_node(exp, r, changed, ctx), values
@@ -501,7 +500,7 @@ def test_residual_sweep_radius_within_rounding_of_the_disk_keeps_the_outcome(ulp
     got = _ring_outcome(exp, r, ring, ctx, monkeypatch)
     assert got == _checked_at_every_node(exp, r, ring, ctx)
     assert isinstance(got, dict) == (ulps > 1)
-    ring = (inside,) + ring[1:]
+    ring = ring[0], (inside,) + ring[1][1:]
     got = _ring_outcome(exp, r, ring, ctx, monkeypatch)
     assert got == _checked_at_every_node(exp, r, ring, ctx)
     assert got[0] is NearZeroError

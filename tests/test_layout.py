@@ -2,6 +2,7 @@
 
 import ast
 import importlib
+import inspect
 import subprocess
 import sys
 from pathlib import Path
@@ -218,7 +219,37 @@ def test_one_theta_for_the_zero_pipeline():
         node for node in ast.walk(tree)
         if isinstance(node, ast.FunctionDef) and node.name == "_backlund_count"
     )
-    assert [a.arg for a in count.args.args] == ["T", "value", "logderiv", "lib"]
+    assert [a.arg for a in count.args.args] == ["T", "value", "logderiv"]
+
+
+def _names_outside_raises(node) -> list:
+    """The Name ids and Attribute attrs under node, skipping the subtrees
+    of raise statements, which only format an error's message."""
+    if isinstance(node, ast.Raise):
+        return []
+    own = [getattr(node, "id", getattr(node, "attr", None))] if isinstance(node, (ast.Name, ast.Attribute)) else []
+    return own + [n for child in ast.iter_child_nodes(node) for n in _names_outside_raises(child)]
+
+
+def test_the_count_and_the_probe_sum_in_double_on_either_tier():
+    """The 12-digit tier of zeros.py only evaluates zeta and zeta'/zeta:
+    _gl_panel, _backlund_count, the probe's terms and float winding, and
+    the node-doubling loop of multiplicity_probe build no mpf or mpc and
+    call no fsum, no zeros function takes a number namespace ``lib``, and
+    ring_samples takes no half ring."""
+    tree = ast.parse((SRC / "zeros.py").read_text())
+    funcs = {node.name: node for node in ast.walk(tree) if isinstance(node, ast.FunctionDef)}
+    loops = [node for node in ast.walk(funcs["multiplicity_probe"]) if isinstance(node, ast.While)]
+    assert len(loops) == 1
+    parts = [funcs[name] for name in ("_gl_panel", "_backlund_count", "_ring_terms", "_float_winding")] + loops
+    found = {getattr(part, "name", "while"): sorted({"mpf", "mpc", "fsum"} & set(_names_outside_raises(part)))
+             for part in parts}
+    assert not any(found.values()), found
+    assert "fsum" not in {getattr(n, "attr", getattr(n, "id", None)) for n in ast.walk(tree)}
+    assert not [name for name, f in funcs.items() if "lib" in [a.arg for a in f.args.args]]
+    assert not hasattr(importlib.import_module("zetakit.zeros"), "_FLOAT")
+    ring_samples = importlib.import_module("zetakit.zeta").ring_samples
+    assert list(inspect.signature(ring_samples).parameters) == ["f", "radius", "nodes"]
 
 
 def test_one_euler_maclaurin_remainder():

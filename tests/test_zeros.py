@@ -373,6 +373,14 @@ def test_multiplicity_probe_mpmath_counts(monkeypatch):
     assert multiplicity_probe(mpc(mpf(1) / 2, 16.5), mpf(1) / 32) == 0
 
 
+@pytest.mark.parametrize("n", [16, 32, 64])
+def test_float_ring_nests_in_the_ring_of_twice_its_nodes(n):
+    """Node 2j of the probe's ring of 2n nodes is node j of its ring of n,
+    bit for bit, so a doubled probe reads its even nodes' terms from the
+    ring before."""
+    assert zeros._float_ring(2 * n)[::2] == zeros._float_ring(n)
+
+
 def test_multiplicity_probe_nodes_grow_as_the_zero_nears_the_circle(monkeypatch):
     """On the 12-digit path the node count doubles as the enclosed zero
     nears the circle, and at 128 nodes a winding still not within 0.1 of

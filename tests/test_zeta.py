@@ -396,22 +396,6 @@ def test_ring_node_rule_near_height_1000():
                 assert abs(got - ref) < mpf(10) ** -(digits - 4), (zero, k)
 
 
-def test_ring_samples_doubles_by_evaluating_the_odd_nodes():
-    calls = []
-
-    def f(h):
-        calls.append(h)
-        return h * h
-
-    with CTX.wp():
-        half = ring_samples(f, mpf(1) / 4, 16)
-        calls.clear()
-        doubled = ring_samples(f, mpf(1) / 4, 32, half)
-        assert len(calls) == 16
-        assert doubled == ring_samples(f, mpf(1) / 4, 32)
-        assert doubled[::2] == half
-
-
 def test_ring_nodes_take_their_exps_once_per_size_and_precision(monkeypatch):
     # 331 bits is a precision no other test builds a ring at.
     exps = []
@@ -475,13 +459,14 @@ def test_symmetric_ring_sums_one_node_of_each_mirror_pair(monkeypatch, center, r
     for n in (16, 32, 64):
         tails.clear()
         passes.clear()
-        samples = zeta_ring(center, radius, n, CTX)
+        points, samples = zeta_ring(center, radius, n, CTX)
         assert len(tails) == n // 2 + 1, n
         assert passes == [center], n
     with CTX.wp():
-        for h, got in zip(ring_samples(mpc, radius, 64), samples):
-            fresh = zeta(center + h, CTX).value
-            assert abs(got - fresh) <= CTX.tol, h
+        assert points == tuple(center + h for h in ring_samples(mpc, radius, 64))
+        for s, got in zip(points, samples):
+            fresh = zeta(s, CTX).value
+            assert abs(got - fresh) <= CTX.tol, s
 
 
 @pytest.mark.parametrize("digits", [30, 60])
@@ -495,9 +480,9 @@ def test_mirror_nodes_within_the_em_threshold_of_fresh_zeta(digits, index):
     with ctx.wp():
         center = mpc(mpf(1) / 2, mp.zetazero(index).imag)
         for radius in (mpf(1) / 4, mpf(1) / 32):
-            samples = zeta_ring(center, radius, 64, ctx)
-            for h, got in zip(ring_samples(mpc, radius, 64), samples):
-                fresh = zeta(center + h, ctx).value
+            points, samples = zeta_ring(center, radius, 64, ctx)
+            for h, s, got in zip(ring_samples(mpc, radius, 64), points, samples):
+                fresh = zeta(s, ctx).value
                 if h.real >= 0:
                     assert got == fresh, h
                 else:
@@ -512,10 +497,10 @@ def test_direct_ring_nodes_have_the_bits_of_fresh_zeta(index, digits):
     with ctx.wp():
         center = mpc(mpf(1) / 2, mp.zetazero(index).imag)
         for radius in (mpf(1) / 4, mpf(1) / 32):
-            samples = zeta_ring(center, radius, 64, ctx)
-            for h, got in zip(ring_samples(mpc, radius, 64), samples):
+            points, samples = zeta_ring(center, radius, 64, ctx)
+            for h, s, got in zip(ring_samples(mpc, radius, 64), points, samples):
                 if h.real >= 0:
-                    assert got == zeta(center + h, ctx).value, (radius, h)
+                    assert got == zeta(s, ctx).value, (radius, h)
 
 
 def test_ring_node_whose_tail_stalls_is_retried_at_twice_its_length(monkeypatch):
@@ -526,9 +511,8 @@ def test_ring_node_whose_tail_stalls_is_retried_at_twice_its_length(monkeypatch)
     # N0 runs once.
     em = sys.modules["zetakit.zeta"]
     center, radius = mpc("0.5", "87.4"), mpf(1) / 4
-    before = zeta_ring(center, radius, 64, CTX)
-    with CTX.wp():
-        target = center + ring_samples(mpc, radius, 64)[3]
+    points, before = zeta_ring(center, radius, 64, CTX)
+    target = points[3]
     N0 = em_terms(target.imag, CTX.target_digits)
     real_tail, real_zeta = em.tail_jet, em.zeta
     stalled, fresh = [], []
@@ -541,7 +525,7 @@ def test_ring_node_whose_tail_stalls_is_retried_at_twice_its_length(monkeypatch)
 
     monkeypatch.setattr(em, "tail_jet", tail)
     monkeypatch.setattr(em, "zeta", lambda s, ctx: fresh.append(s) or real_zeta(s, ctx))
-    after = zeta_ring(center, radius, 64, CTX)
+    after = zeta_ring(center, radius, 64, CTX)[1]
     assert stalled == [N0] and fresh == []
     want = real_zeta(target, CTX).value
     with CTX.wp():
@@ -557,12 +541,12 @@ def test_ring_of_any_node_count_matches_fresh_zeta(center, nodes):
     # node; an even count on the line pairs mirror nodes.  Every sample is
     # within 10^-(digits+5) of a fresh evaluation.
     radius = mpf(1) / 4
-    samples = zeta_ring(center, radius, nodes, CTX)
-    assert len(samples) == nodes
+    points, samples = zeta_ring(center, radius, nodes, CTX)
+    assert len(points) == len(samples) == nodes
     with CTX.wp():
-        for h, got in zip(ring_samples(mpc, radius, nodes), samples):
-            fresh = zeta(center + h, CTX).value
-            assert abs(got - fresh) <= mpf(10) ** -(CTX.target_digits + 5), h
+        for s, got in zip(points, samples):
+            fresh = zeta(s, CTX).value
+            assert abs(got - fresh) <= mpf(10) ** -(CTX.target_digits + 5), s
 
 
 # The zeros whose rings the mirror tests below take, across the heights
@@ -659,11 +643,11 @@ def test_a_ring_wide_against_its_height_sums_every_node(monkeypatch, center, rad
     tails = []
     real_tail = em.tail_jet
     monkeypatch.setattr(em, "tail_jet", lambda *args: tails.append(args[0]) or real_tail(*args))
-    samples = zeta_ring(center, radius, 16, CTX)
+    points, samples = zeta_ring(center, radius, 16, CTX)
     assert len(tails) == 16
     with CTX.wp():
-        for h, got in zip(ring_samples(mpc, radius, 16), samples):
-            assert got == zeta(center + h, CTX).value, h
+        for s, got in zip(points, samples):
+            assert got == zeta(s, CTX).value, s
 
 
 def test_float_bernoulli_ratios_are_the_exact_ratios_in_double():
